@@ -256,13 +256,16 @@ fn store_err(path: &Path, what: impl std::fmt::Display) -> ExpError {
 /// `write_all`, and a partial write truncates the end of that buffer, so
 /// a killed writer can only ever leave a newline-less fragment. Any
 /// unparseable line that kept its newline completed its append and is
-/// therefore real corruption — a hard error, never silently truncated.
+/// therefore real corruption — a hard error naming the file and line,
+/// never silently truncated.
 fn parse_lines(path: &Path, text: &str) -> Result<(Vec<CellRecord>, u64, bool), ExpError> {
     let mut records = Vec::new();
     let mut valid_len = 0u64;
     let mut offset = 0usize;
     let mut truncated = false;
+    let mut lineno = 0usize;
     while offset < text.len() {
+        lineno += 1;
         let rest = &text[offset..];
         let (line, consumed, complete) = match rest.find('\n') {
             Some(i) => (&rest[..i], i + 1, true),
@@ -282,11 +285,17 @@ fn parse_lines(path: &Path, text: &str) -> Result<(Vec<CellRecord>, u64, bool), 
                 Ok(rec) => {
                     return Err(store_err(
                         path,
-                        format!("unsupported schema `{}` (want {STORE_SCHEMA})", rec.schema),
+                        format!(
+                            "line {lineno}: unsupported schema `{}` (want {STORE_SCHEMA})",
+                            rec.schema
+                        ),
                     ));
                 }
                 Err(e) => {
-                    return Err(store_err(path, format!("corrupt record: {e}")));
+                    return Err(store_err(
+                        path,
+                        format!("line {lineno}: corrupt record: {e}"),
+                    ));
                 }
             }
         } else {
@@ -577,6 +586,18 @@ mod tests {
         let rec = serde_json::to_string(&record(0)).unwrap();
         std::fs::write(&path, format!("not json\n{rec}\n")).unwrap();
         assert!(matches!(ResultsStore::open(&path), Err(ExpError::Store(_))));
+    }
+
+    #[test]
+    fn deeply_nested_line_is_an_error_naming_the_path_and_line() {
+        // Recursing into this line would overflow the stack and abort the
+        // process; the reader's nesting limit makes it a corrupt record.
+        let path = tmp("deep.jsonl");
+        let rec = serde_json::to_string(&record(0)).unwrap();
+        std::fs::write(&path, format!("{rec}\n{}\n", "[".repeat(100_000))).unwrap();
+        let err = ResultsStore::load(&path).unwrap_err().to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("line 2: corrupt record"), "{err}");
     }
 
     #[test]

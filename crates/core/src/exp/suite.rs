@@ -528,8 +528,11 @@ impl Suite {
         // `done` counts cells no longer pending (resumed + finished
         // attempts, including failures — a failed cell is over, not
         // outstanding). Emitted after every finish so a tailing dashboard
-        // sees the shard's completion fraction move.
-        let done = AtomicUsize::new(n - pending.len());
+        // sees the shard's completion fraction move. The count is bumped
+        // and emitted under one lock: a dashboard keeps the latest
+        // heartbeat, so lines written out of count order could leave a
+        // finished shard showing one cell short.
+        let done = Mutex::new(n - pending.len());
         let beat = |event: ProgressEvent| {
             if let Some(w) = progress {
                 // Telemetry is best-effort: a full disk or yanked sidecar
@@ -538,7 +541,7 @@ impl Suite {
             }
         };
         beat(ProgressEvent::GridProgress {
-            done: done.load(Ordering::Relaxed) as u64,
+            done: (n - pending.len()) as u64,
             total: n as u64,
         });
 
@@ -597,10 +600,13 @@ impl Suite {
                     Err(e)
                 }
             };
+            let mut done = done.lock().unwrap_or_else(|e| e.into_inner());
+            *done += 1;
             beat(ProgressEvent::GridProgress {
-                done: done.fetch_add(1, Ordering::Relaxed) as u64 + 1,
+                done: *done as u64,
                 total: n as u64,
             });
+            drop(done);
             outcome
         };
 

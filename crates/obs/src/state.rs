@@ -435,11 +435,13 @@ mod tests {
 
     fn progress_lines(shard: u64, events: Vec<ProgressEvent>) -> Vec<String> {
         // Round-trip through a real writer so tests exercise the exact
-        // on-disk shape.
-        let dir =
-            std::env::temp_dir().join(format!("cata-obs-state-{shard}-{}", std::process::id()));
+        // on-disk shape. Tests run in parallel threads of one process, so
+        // every call gets its own file.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("cata-obs-state-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("p.progress.jsonl");
+        let path = dir.join(format!("{call}.progress.jsonl"));
         let _ = std::fs::remove_file(&path);
         let w = ProgressWriter::open(&path, shard).unwrap();
         for e in events {
@@ -545,7 +547,9 @@ mod tests {
         );
         st.ingest_store_line("also not json");
         st.ingest_trajectory_line(r#"{"schema":"wrong"}"#);
-        assert_eq!(st.parse_errors, 4);
+        // Past the reader's nesting limit: counted, never a stack overflow.
+        st.ingest_store_line(&"[".repeat(100_000));
+        assert_eq!(st.parse_errors, 5);
         assert!(st.cells.is_empty());
     }
 
