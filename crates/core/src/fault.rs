@@ -374,9 +374,10 @@ pub enum RecoveryAction {
         /// the accelerated family even if it was not critical).
         prefer_fast: bool,
     },
-    /// Drop the work. In the closed-system engine this degrades to a
-    /// requeue (dropping a DAG node would deadlock its successors); in
-    /// service mode the whole graph instance is shed.
+    /// Drop the work: an open service run sheds the displaced task's
+    /// whole graph instance. A source that cannot shed requeues the task
+    /// instead; a closed run is one (dropping a DAG node would deadlock
+    /// its successors).
     Shed,
 }
 

@@ -24,9 +24,10 @@
 //!   queue-cap, criticality-aware shedding; a registry
 //!   ([`AdmissionRegistry`]) keyed by name, like the scheduler /
 //!   estimator / accel registries.
-//! - [`run_service`] / [`replay_tape`] — the service engine: one
-//!   discrete-event simulation hosting thousands of concurrent graph
-//!   instances in pooled per-instance slots, arrival events interleaved
+//! - [`run_service`] / [`replay_tape`] — run a tape through the same
+//!   engine as a closed run ([`crate::sim_exec`]), with the tape as its
+//!   task source in place of the master thread: thousands of concurrent
+//!   graph instances in pooled per-instance slots, arrivals interleaved
 //!   into the ordinary event queue, completions folded into streaming
 //!   log-bucketed [`LatencyHistogram`](cata_sim::stats::LatencyHistogram)s
 //!   (no per-sample allocation).

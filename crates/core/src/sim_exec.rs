@@ -1,24 +1,37 @@
-//! The discrete-event execution engine: runs a task graph on the simulated
-//! machine under one of the paper's six configurations and measures
-//! everything the figures need.
+//! The discrete-event execution engine: the one simulation of the paper's
+//! runtime, whether it runs one task graph to completion (a closed run,
+//! the paper's §V setup) or hosts graph instances arriving off a traffic
+//! tape (an open run, [`crate::service`]).
 //!
 //! The engine models the runtime the way the paper's Nanos++ setup works:
 //!
-//! - a **master thread** submits tasks in program order; each submission
-//!   costs creation time plus (for `CATS+BL`) the bottom-level ancestor
-//!   walk, so criticality estimation overhead delays task availability
-//!   exactly as §V-A describes;
+//! - a **task source** releases tasks into the policy's ready queues. In
+//!   a closed run it is the **master thread**, which submits tasks in
+//!   program order; each submission costs creation time plus (for
+//!   `CATS+BL`) the bottom-level ancestor walk, so criticality estimation
+//!   overhead delays task availability exactly as §V-A describes. In an
+//!   open run it is the tape: each admitted arrival releases a whole
+//!   graph instance;
 //! - **worker cores** pull tasks from the policy's ready queues, paying a
 //!   dispatch cost, then the acceleration manager's prologue (for software
 //!   CATA this is the serialized RSM + cpufreq path), then execute the task
 //!   body under the progress model (mid-task DVFS changes re-project
 //!   completion), then run the manager's epilogue before going idle;
 //! - blocked tasks halt their core (C1), which TurboMode exploits and CATA
-//!   deliberately does not (§V-D).
+//!   deliberately does not (§V-D);
+//! - optionally, seeded faults fail-stop cores, void completions and
+//!   fail DVFS writes, and a slot-gated shared memory makes tasks wait
+//!   for bandwidth.
+//!
+//! `Engine` owns the machine, the core lifecycle and the event loop; a
+//! `Source` decides which tasks exist and when they are released. The
+//! engine is generic over its source and compiled once per source, so a
+//! closed run pays nothing for what only open runs need.
 //!
 //! Determinism: all state transitions are driven by a deterministic event
-//! queue; the only randomness (TurboMode's victim pick) is seeded from the
-//! run configuration. Same config + same graph ⇒ bit-identical report.
+//! queue; the only randomness (TurboMode's victim pick, fault draws) is
+//! seeded from the run configuration. Same config + same graph ⇒
+//! bit-identical report.
 
 use crate::accel::{AccelEffects, AccelManager};
 use crate::config::{RunConfig, RuntimeCosts};
@@ -32,12 +45,13 @@ use crate::fault::{
 use crate::mem::{default_arbitration_registry, MemoryReport, MemorySpec};
 use crate::policy::{DispatchCtx, SchedulerPolicy};
 use crate::report::RunReport;
+use crate::service::ServiceReport;
 use cata_power::{integrate_machine, PowerParams};
 use cata_sim::activity::Activity;
 use cata_sim::event::{EventBackend, EventQueue};
 use cata_sim::machine::{CoreId, Machine, MachineConfig};
 use cata_sim::memory::ArbitrationPolicy;
-use cata_sim::progress::{Milestone, RunningTask};
+use cata_sim::progress::{ExecProfile, Milestone, RunningTask};
 use cata_sim::stats::Counters;
 use cata_sim::time::{SimDuration, SimTime};
 use cata_sim::trace::{Trace, TraceEvent, TraceMode};
@@ -114,9 +128,10 @@ impl From<&ScenarioSpec> for EngineParams {
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// The master finished submitting the next task.
-    SubmitDone,
+pub(crate) enum Ev {
+    /// The source's next submission is due: the master thread finished
+    /// creating a task, or the next tape record arrives.
+    Submit,
     /// A core's runtime prologue finished; the task body begins.
     TaskBegin { core: u32, epoch: u64 },
     /// A running task reached its next milestone (complete/block/unblock).
@@ -137,6 +152,82 @@ enum Ev {
     /// A granted task's memory-bandwidth hold expired; the slot frees and
     /// arbitration picks the next waiter (contended memory only).
     MemRelease { core: u32, epoch: u64 },
+}
+
+/// Where a run's tasks come from: the part of the runtime that differs
+/// between a closed run and an open one. The [`Engine`] calls these hooks
+/// from its event loop and core lifecycle; everything else (dispatch,
+/// acceleration, progress, faults, the memory gate) is shared.
+///
+/// Task ids are the source's own: a closed run uses the graph's ids, an
+/// open run global `slot · stride + local` ids over pooled instances.
+pub(crate) trait Source<'g> {
+    /// When the first [`Ev::Submit`] fires, if there is anything to
+    /// submit. Sizes the per-task tables for the ids known up front.
+    fn first_submit(&mut self, ready: &mut Ready<'_>) -> Option<SimTime>;
+    /// Handles the [`Ev::Submit`] due at `now`, releasing whatever became
+    /// ready into `ready`; returns when the next one fires.
+    fn submit(&mut self, now: SimTime, ready: &mut Ready<'_>) -> Option<SimTime>;
+    /// The execution profile `task` runs.
+    fn profile(&self, task: TaskId) -> &'g ExecProfile;
+    /// Memory time `task` demands from the shared gate, in ps.
+    fn mem_ps(&self, task: TaskId) -> u64;
+    /// The criticality level a displaced `task` is requeued at.
+    fn level(&mut self, task: TaskId) -> u8;
+    /// `task` was just assigned to a core.
+    fn on_dispatch(&mut self, _task: TaskId, _now: SimTime) {}
+    /// `task` completed for good: release its successors into `ready`.
+    fn complete(&mut self, task: TaskId, now: SimTime, ready: &mut Ready<'_>);
+    /// True if `task` belongs to shed work: it is discarded at dispatch
+    /// and its completion is void.
+    fn is_shed(&self, _task: TaskId) -> bool {
+        false
+    }
+    /// A recovery policy asked to shed the work `task` belongs to.
+    /// Returns false if the source cannot shed; the task is then
+    /// requeued instead.
+    fn shed(&mut self, _task: TaskId) -> bool {
+        false
+    }
+    /// True while the run still has work outstanding.
+    fn pending(&self) -> bool;
+    /// How far the source got, for stall and deadlock messages.
+    fn progress(&self) -> String;
+    /// Closes the source at `end`; open runs return their service report.
+    fn finish(&mut self, end: SimTime) -> Option<ServiceReport>;
+}
+
+/// The engine state a [`Source`] may touch while it releases tasks: the
+/// scheduler's ready queues and the per-task tables.
+pub(crate) struct Ready<'a> {
+    policy: &'a mut dyn SchedulerPolicy,
+    crit: &'a mut Vec<bool>,
+    fault: Option<&'a mut FaultState>,
+}
+
+impl Ready<'_> {
+    /// Makes `task` ready at criticality `level`.
+    #[inline]
+    pub(crate) fn push(&mut self, task: TaskId, level: u8) {
+        self.crit[task.index()] = level > 0;
+        self.policy.enqueue(task, level);
+    }
+
+    /// Tasks waiting in the ready queues.
+    pub(crate) fn queued(&self) -> usize {
+        self.policy.len()
+    }
+
+    /// Sizes the per-task tables for ids below `ids` (open runs grow
+    /// their id space as the instance pool grows).
+    pub(crate) fn grow(&mut self, ids: usize) {
+        if ids > self.crit.len() {
+            self.crit.resize(ids, false);
+        }
+        if let Some(fs) = self.fault.as_deref_mut() {
+            fs.grow_tasks(ids);
+        }
+    }
 }
 
 /// What a core is doing, from the executor's point of view. The lifetime
@@ -174,7 +265,7 @@ struct CoreCtl<'g> {
 }
 
 /// Sentinel for "not linked" in [`IdleIndex`].
-pub(crate) const NIL: u32 = u32::MAX;
+const NIL: u32 = u32::MAX;
 
 /// A persistent index of *available* (idle or halted) cores, kept in
 /// dispatch order — the structure that replaces the per-event candidate
@@ -208,7 +299,7 @@ impl IdleIndex {
     /// Re-initializes for a run: all `n` cores available in core order
     /// (their initial idle stamps are their indices), classed by
     /// `prefer_fast`/`is_fast_static`. Reuses every buffer.
-    pub(crate) fn reset(&mut self, n: usize, prefer_fast: bool, is_fast_static: &[bool]) {
+    fn reset(&mut self, n: usize, prefer_fast: bool, is_fast_static: &[bool]) {
         self.next.clear();
         self.next.resize(n, NIL);
         self.prev.clear();
@@ -232,7 +323,7 @@ impl IdleIndex {
     }
 
     /// Appends a newly available core at the tail of its class list.
-    pub(crate) fn push(&mut self, core: CoreId) {
+    fn push(&mut self, core: CoreId) {
         let i = core.index();
         debug_assert!(!self.linked[i], "{core} already available");
         let c = self.class[i] as usize;
@@ -252,7 +343,7 @@ impl IdleIndex {
     }
 
     /// Unlinks a core that got work assigned.
-    pub(crate) fn remove(&mut self, core: CoreId) {
+    fn remove(&mut self, core: CoreId) {
         let i = core.index();
         debug_assert!(self.linked[i], "{core} not available");
         let c = self.class[i] as usize;
@@ -276,7 +367,7 @@ impl IdleIndex {
     }
 
     /// First core in dispatch order.
-    pub(crate) fn first(&self) -> Option<CoreId> {
+    fn first(&self) -> Option<CoreId> {
         let h = if self.head[0] != NIL {
             self.head[0]
         } else {
@@ -288,7 +379,7 @@ impl IdleIndex {
     /// The core visited after `core`. Capture this *before* removing
     /// `core`: the successor stays valid because dispatch only ever
     /// removes the core it is currently visiting.
-    pub(crate) fn next_after(&self, core: CoreId) -> Option<CoreId> {
+    fn next_after(&self, core: CoreId) -> Option<CoreId> {
         let i = core.index();
         let n = self.next[i];
         if n != NIL {
@@ -301,13 +392,13 @@ impl IdleIndex {
     }
 
     /// True if any static-fast core is available (idle or halted).
-    pub(crate) fn any_fast_available(&self) -> bool {
+    fn any_fast_available(&self) -> bool {
         self.avail_fast > 0
     }
 
     /// True if `core` is currently linked as available — fault injection
     /// must evict a failing idle core, but only if it is actually listed.
-    pub(crate) fn is_linked(&self, core: CoreId) -> bool {
+    fn is_linked(&self, core: CoreId) -> bool {
         self.linked[core.index()]
     }
 }
@@ -315,32 +406,28 @@ impl IdleIndex {
 /// Per-run fault-injection state: the schedule's bookkeeping, the seeded
 /// RNG, and the accumulating [`FaultReport`]. Present only when the
 /// scenario carries a [`FaultSpec`]; fault-free runs never touch it.
-pub(crate) struct FaultState {
-    pub(crate) spec: FaultSpec,
-    pub(crate) policy: Box<dyn RecoveryPolicy>,
-    pub(crate) rng: SplitMix64,
+struct FaultState {
+    spec: FaultSpec,
+    policy: Box<dyn RecoveryPolicy>,
+    rng: SplitMix64,
     /// Per-core "currently failed" flag.
-    pub(crate) failed: Vec<bool>,
+    failed: Vec<bool>,
     /// When each currently-failed core failed (capacity accounting).
-    pub(crate) fail_since: Vec<Option<SimTime>>,
+    fail_since: Vec<Option<SimTime>>,
     /// Consecutive transient failures of the core's pending DVFS settle.
-    pub(crate) settle_retries: Vec<u32>,
+    settle_retries: Vec<u32>,
     /// Per-task transient-fault re-executions used (bounded by
     /// `max_retries` so a p=1 schedule still terminates).
-    pub(crate) task_retries: Vec<u32>,
+    task_retries: Vec<u32>,
     /// When each displaced task was displaced (recovery-latency samples).
-    pub(crate) displaced_at: Vec<Option<SimTime>>,
-    pub(crate) report: FaultReport,
+    displaced_at: Vec<Option<SimTime>>,
+    report: FaultReport,
 }
 
 impl FaultState {
-    pub(crate) fn new(
-        spec: &FaultSpec,
-        policy: Box<dyn RecoveryPolicy>,
-        seed: u64,
-        cores: usize,
-        tasks: usize,
-    ) -> Self {
+    /// Fresh state for `cores` cores; the per-task tables start empty and
+    /// grow with the source's id space ([`Ready::grow`]).
+    fn new(spec: &FaultSpec, policy: Box<dyn RecoveryPolicy>, seed: u64, cores: usize) -> Self {
         FaultState {
             spec: spec.clone(),
             policy,
@@ -348,45 +435,18 @@ impl FaultState {
             failed: vec![false; cores],
             fail_since: vec![None; cores],
             settle_retries: vec![0; cores],
-            task_retries: vec![0; tasks],
-            displaced_at: vec![None; tasks],
+            task_retries: Vec::new(),
+            displaced_at: Vec::new(),
             report: FaultReport::default(),
         }
     }
 
-    /// Grows the per-task vectors (the service engine's global-id space
-    /// expands as instance slots are allocated).
-    pub(crate) fn grow_tasks(&mut self, tasks: usize) {
+    /// Grows the per-task tables to cover ids below `tasks`.
+    fn grow_tasks(&mut self, tasks: usize) {
         if tasks > self.task_retries.len() {
             self.task_retries.resize(tasks, 0);
             self.displaced_at.resize(tasks, None);
         }
-    }
-
-    /// The failure schedule as `(time, event)` pushes for the run's event
-    /// queue; `fail`/`recover` map to the engine's own event type.
-    pub(crate) fn schedule_into<E>(
-        &self,
-        mut fail: impl FnMut(u32, bool) -> E,
-        mut recover: impl FnMut(u32) -> E,
-    ) -> Vec<(SimTime, E)> {
-        let mut out = Vec::with_capacity(self.spec.core_failures.len() * 2);
-        for f in &self.spec.core_failures {
-            let at = SimTime::ZERO + f.at;
-            out.push((at, fail(f.core as u32, f.recover_after.is_none())));
-            if let Some(r) = f.recover_after {
-                out.push((at + r, recover(f.core as u32)));
-            }
-        }
-        out
-    }
-
-    /// The schedule for the closed-system engine's event type.
-    fn schedule(&self) -> Vec<(SimTime, Ev)> {
-        self.schedule_into(
-            |core, permanent| Ev::CoreFail { core, permanent },
-            |core| Ev::CoreRecover { core },
-        )
     }
 }
 
@@ -396,22 +456,28 @@ impl FaultState {
 /// never touch it (and no
 /// [`MemorySubsystem`](cata_sim::MemorySubsystem) is attached to the
 /// machine, so the legacy model stays bit-identical).
-pub(crate) struct MemState {
-    pub(crate) policy: Box<dyn ArbitrationPolicy>,
+struct MemState {
+    policy: Box<dyn ArbitrationPolicy>,
     /// When each core's pending slot request was enqueued.
-    pub(crate) wait_since: Vec<Option<SimTime>>,
+    wait_since: Vec<Option<SimTime>>,
     /// Per-core "currently holds a slot" flag — guards stale release
     /// events after faults and re-executions.
-    pub(crate) holding: Vec<bool>,
-    pub(crate) report: MemoryReport,
+    holding: Vec<bool>,
+    /// Demand of queued requests that a core failure cancelled: requested,
+    /// never serviced. Closes the memory ledger checked at the end of a
+    /// debug run; kept out of the report so serialized reports do not
+    /// change.
+    cancelled: SimDuration,
+    report: MemoryReport,
 }
 
 impl MemState {
-    pub(crate) fn new(spec: &MemorySpec, policy: Box<dyn ArbitrationPolicy>, cores: usize) -> Self {
+    fn new(spec: &MemorySpec, policy: Box<dyn ArbitrationPolicy>, cores: usize) -> Self {
         MemState {
             policy,
             wait_since: vec![None; cores],
             holding: vec![false; cores],
+            cancelled: SimDuration::ZERO,
             report: MemoryReport {
                 slots: spec.slots,
                 arbitration: spec.arbitration.clone(),
@@ -425,24 +491,30 @@ impl MemState {
 /// transiently: the settle re-fires this much later. Deterministic and
 /// deliberately small — the interesting effect is the *classification*
 /// (recovered vs exhausted), not the delay model.
-pub(crate) const RECONFIG_RETRY_DELAY: SimDuration = SimDuration::from_us(1);
+const RECONFIG_RETRY_DELAY: SimDuration = SimDuration::from_us(1);
 
-/// Per-thread engine buffers reused across runs: suite workers batch many
-/// small scenarios, and re-growing the event heap, dependence counters and
-/// idle index for every one of them is measurable waste (the ROADMAP
-/// "batching many small scenarios per thread" item). Taken from a
-/// thread-local by the executor entry points and handed back after the
-/// run; the per-run warm-up allocation therefore happens once per worker
-/// thread, not once per scenario.
+/// The reusable buffers an [`Engine`] runs on. The caller prepares
+/// `events` (backend, capacity); the engine clears the rest.
+#[derive(Debug, Default)]
+pub(crate) struct EngineBufs {
+    pub(crate) events: EventQueue<Ev>,
+    pub(crate) crit: Vec<bool>,
+    pub(crate) idle: IdleIndex,
+}
+
+/// Per-thread closed-run buffers reused across runs: suite workers batch
+/// many small scenarios, and re-growing the event heap, dependence
+/// counters and idle index for every one of them is measurable waste.
+/// Taken from a thread-local by [`run_with_scratch`] and handed back after
+/// the run; the per-run warm-up allocation therefore happens once per
+/// worker thread, not once per scenario.
 #[derive(Debug, Default)]
 struct EngineScratch {
-    events: EventQueue<Ev>,
+    bufs: EngineBufs,
     /// SoA snapshot of the run's graph (CSR successors, predecessor
     /// counts, criticality levels, work scalars), rebuilt per run.
     view: GraphView,
     indegree: Vec<u32>,
-    crit: Vec<bool>,
-    idle: IdleIndex,
 }
 
 thread_local! {
@@ -450,7 +522,7 @@ thread_local! {
         std::cell::RefCell::new(EngineScratch::default());
 }
 
-/// Runs one engine execution with the thread's scratch buffers.
+/// Runs `graph` as a closed run on the thread's scratch buffers.
 ///
 /// Fault-free runs cannot fail; a faulted run fails cleanly when the
 /// recovery key is unknown or the injected schedule stalls the machine.
@@ -469,10 +541,45 @@ fn run_with_scratch(
         None => None,
     };
     SCRATCH.with(|cell| {
-        let scratch = cell.take();
-        let (result, trace, scratch) =
-            Engine::new(params, resolved, graph, scratch, recovery, arbitration).run(workload);
-        cell.replace(scratch);
+        let EngineScratch {
+            mut bufs,
+            mut view,
+            mut indegree,
+        } = cell.take();
+        // Pre-size from the graph: ~4 events per task in flight worst-case
+        // (submit, begin, milestone, free). Reused buffers keep their
+        // allocation from the previous run on this thread.
+        bufs.events.ensure_backend(params.event_queue);
+        bufs.events.reset();
+        bufs.events.reserve(graph.num_tasks() * 4);
+        view.rebuild(graph);
+        indegree.clear();
+        indegree.extend_from_slice(view.pred_counts());
+        let source = |estimator: Box<dyn CriticalityEstimator>| Closed {
+            graph,
+            est_static: estimator.is_annotation_static(),
+            estimator,
+            view,
+            indegree,
+            costs: params.costs,
+            submitted: 0,
+            done: 0,
+        };
+        let mut engine = Engine::new(params, resolved, source, bufs, recovery, arbitration);
+        let result = engine.run(workload);
+        let Engine {
+            events,
+            crit,
+            idle,
+            src: Closed { view, indegree, .. },
+            trace,
+            ..
+        } = engine;
+        cell.replace(EngineScratch {
+            bufs: EngineBufs { events, crit, idle },
+            view,
+            indegree,
+        });
         result.map(|report| (report, trace))
     })
 }
@@ -574,20 +681,127 @@ impl SimExecutor {
     }
 }
 
-struct Engine<'g> {
-    cfg: &'g EngineParams,
+/// The closed system's source: one graph, submitted task by task by the
+/// master thread in program order. A task becomes ready once it is
+/// submitted and its predecessors completed; the estimator classifies it
+/// at that moment, over the graph submitted so far.
+struct Closed<'g> {
     graph: &'g TaskGraph,
+    estimator: Box<dyn CriticalityEstimator>,
+    /// The estimator's `classify_level` is the task type's static
+    /// annotation (cached once — `classify` then reads the view's level
+    /// array instead of making a virtual call per ready task).
+    est_static: bool,
+    /// SoA snapshot of `graph` (owned via scratch; returned after the run).
+    view: GraphView,
+    /// Remaining unfinished predecessors per task.
+    indegree: Vec<u32>,
+    costs: RuntimeCosts,
+    /// Tasks `0..submitted` are visible to the runtime.
+    submitted: usize,
+    done: usize,
+}
+
+impl Closed<'_> {
+    /// Cost of submitting `task` on the master thread.
+    fn submission_cost(&mut self, task: TaskId) -> SimDuration {
+        let visits = self.estimator.on_submit(self.graph, task);
+        self.costs.task_creation + self.costs.per_bl_visit.saturating_mul(visits)
+    }
+
+    /// Criticality level of a task becoming ready. Annotation-static
+    /// estimators (the `+SA` configurations) equal the view's precomputed
+    /// level array by definition; dynamic ones (bottom-level) and the
+    /// always-zero baseline keep the virtual call.
+    fn classify(&mut self, task: TaskId) -> u8 {
+        if self.est_static {
+            self.view.crit_level(task)
+        } else {
+            self.estimator.classify_level(self.graph, task)
+        }
+    }
+}
+
+impl<'g> Source<'g> for Closed<'g> {
+    fn first_submit(&mut self, ready: &mut Ready<'_>) -> Option<SimTime> {
+        let n = self.graph.num_tasks();
+        ready.grow(n);
+        (n > 0).then(|| SimTime::ZERO + self.submission_cost(TaskId(0)))
+    }
+
+    fn submit(&mut self, now: SimTime, ready: &mut Ready<'_>) -> Option<SimTime> {
+        let i = self.submitted;
+        self.submitted += 1;
+        if self.indegree[i] == 0 {
+            let task = TaskId(i as u32);
+            let level = self.classify(task);
+            ready.push(task, level);
+        }
+        (self.submitted < self.graph.num_tasks())
+            .then(|| now + self.submission_cost(TaskId(self.submitted as u32)))
+    }
+
+    #[inline]
+    fn profile(&self, task: TaskId) -> &'g ExecProfile {
+        &self.graph.task(task).profile
+    }
+
+    #[inline]
+    fn mem_ps(&self, task: TaskId) -> u64 {
+        self.view.mem_ps(task)
+    }
+
+    fn level(&mut self, task: TaskId) -> u8 {
+        self.classify(task)
+    }
+
+    fn complete(&mut self, task: TaskId, _now: SimTime, ready: &mut Ready<'_>) {
+        self.done += 1;
+        self.estimator.on_complete(self.graph, task);
+        // Successor walk over the view's CSR arrays: one contiguous span
+        // instead of a pointer chase into the task's own `succs` vector.
+        // The span is a `Copy` range, so `classify` can borrow `self`
+        // mutably between element reads.
+        for i in self.view.succ_span(task) {
+            let s = self.view.succ_at(i);
+            let d = &mut self.indegree[s.index()];
+            debug_assert!(*d > 0, "indegree underflow at {s}");
+            *d -= 1;
+            if *d == 0 && s.index() < self.submitted {
+                let level = self.classify(s);
+                ready.push(s, level);
+            }
+        }
+    }
+
+    #[inline]
+    fn pending(&self) -> bool {
+        self.done < self.graph.num_tasks()
+    }
+
+    fn progress(&self) -> String {
+        format!(
+            "{}/{} tasks done, {} submitted",
+            self.done,
+            self.graph.num_tasks(),
+            self.submitted
+        )
+    }
+
+    fn finish(&mut self, _end: SimTime) -> Option<ServiceReport> {
+        None
+    }
+}
+
+/// The engine: one simulated machine running the paper's runtime over the
+/// tasks a [`Source`] releases.
+pub(crate) struct Engine<'g, S> {
+    cfg: &'g EngineParams,
+    src: S,
     machine: Machine,
     policy: Box<dyn SchedulerPolicy>,
     accel: Box<dyn AccelManager>,
-    estimator: Box<dyn CriticalityEstimator>,
-    /// The estimator's `classify_level` is the task type's static
-    /// annotation (cached once — `make_ready` then reads the view's
-    /// level array instead of making a virtual call per ready task).
-    est_static: bool,
     events: EventQueue<Ev>,
-    /// SoA snapshot of `graph` (owned via scratch; returned after the run).
-    view: GraphView,
     cores: Vec<CoreCtl<'g>>,
     /// Available (idle/halted) cores in dispatch order; maintained
     /// incrementally so dispatch never builds or sorts a candidate list.
@@ -595,16 +809,16 @@ struct Engine<'g> {
     /// A core entered the idle loop since the last dispatch; its decel
     /// debounce / halt timers still need arming.
     idle_dirty: bool,
-    /// Remaining unfinished predecessors per task.
-    indegree: Vec<u32>,
-    /// Tasks `0..submitted` are visible to the runtime.
-    submitted: usize,
-    /// Criticality classification, assigned when a task becomes ready.
+    /// Criticality classification per task id, set when a task becomes
+    /// ready.
     crit: Vec<bool>,
-    done: usize,
     counters: Counters,
     trace: Trace,
     last_completion: SimTime,
+    /// Time of the last processed event (≥ `last_completion`; the
+    /// machine-finish instant even when an open run's trailing arrivals
+    /// were dropped).
+    horizon: SimTime,
     is_fast_static: Vec<bool>,
     /// Fault-injection bookkeeping; `None` on a perfect machine.
     fault: Option<FaultState>,
@@ -612,12 +826,14 @@ struct Engine<'g> {
     mem: Option<MemState>,
 }
 
-impl<'g> Engine<'g> {
-    fn new(
+impl<'g, S: Source<'g>> Engine<'g, S> {
+    /// Builds the machine and policies from `resolved`; `source` builds
+    /// the task source from the resolved criticality estimator.
+    pub(crate) fn new(
         cfg: &'g EngineParams,
         resolved: ResolvedPolicies,
-        graph: &'g TaskGraph,
-        scratch: EngineScratch,
+        source: impl FnOnce(Box<dyn CriticalityEstimator>) -> S,
+        bufs: EngineBufs,
         recovery: Option<Box<dyn RecoveryPolicy>>,
         arbitration: Option<Box<dyn ArbitrationPolicy>>,
     ) -> Self {
@@ -645,38 +861,21 @@ impl<'g> Engine<'g> {
             MemState::new(spec, policy, n_cores)
         });
 
-        let n = graph.num_tasks();
-        let EngineScratch {
-            mut events,
-            mut view,
-            mut indegree,
+        let EngineBufs {
+            events,
             mut crit,
             mut idle,
-        } = scratch;
-        // Pre-size from the graph: ~4 events per task in flight worst-case
-        // (submit, begin, milestone, free). Reused buffers keep their
-        // allocation from the previous run on this thread.
-        events.ensure_backend(cfg.event_queue);
-        events.reset();
-        events.reserve(n * 4);
-        view.rebuild(graph);
-        indegree.clear();
-        indegree.extend_from_slice(view.pred_counts());
+        } = bufs;
         crit.clear();
-        crit.resize(n, false);
         idle.reset(n_cores, caps.prefer_fast, &is_fast_static);
 
-        let est_static = estimator.is_annotation_static();
         Engine {
             cfg,
-            graph,
+            src: source(estimator),
             machine,
             policy,
             accel,
-            estimator,
-            est_static,
             events,
-            view,
             cores: (0..n_cores)
                 .map(|_| CoreCtl {
                     run: CoreRun::Idle,
@@ -687,80 +886,86 @@ impl<'g> Engine<'g> {
                 .collect(),
             idle,
             idle_dirty: true,
-            indegree,
-            submitted: 0,
             crit,
-            done: 0,
             counters: Counters::default(),
             trace: Trace::with_mode(cfg.trace),
             last_completion: SimTime::ZERO,
+            horizon: SimTime::ZERO,
             is_fast_static,
             fault: cfg
                 .faults
                 .as_ref()
                 .zip(recovery)
-                .map(|(spec, policy)| FaultState::new(spec, policy, cfg.seed, n_cores, n)),
+                .map(|(spec, policy)| FaultState::new(spec, policy, cfg.seed, n_cores)),
             mem,
         }
     }
 
-    fn run(mut self, workload: &str) -> (Result<RunReport, ExpError>, Trace, EngineScratch) {
-        let total = self.graph.num_tasks();
+    /// Lends the source the ready queues and per-task tables for one hook.
+    #[inline]
+    fn with_ready<R>(&mut self, hook: impl FnOnce(&mut S, &mut Ready<'_>) -> R) -> R {
+        let mut ready = Ready {
+            policy: self.policy.as_mut(),
+            crit: &mut self.crit,
+            fault: self.fault.as_mut(),
+        };
+        hook(&mut self.src, &mut ready)
+    }
+
+    /// Runs until the source has nothing outstanding and reports.
+    /// `workload` is the report's label.
+    pub(crate) fn run(&mut self, workload: &str) -> Result<RunReport, ExpError> {
         // Controller initialization (TurboMode boots with budget assigned).
         let init = self.accel.on_init(&mut self.machine, SimTime::ZERO);
         self.push_settles(&init);
 
-        // Master thread: schedule the first submission.
-        if total > 0 {
-            let cost = self.submission_cost(TaskId(0));
-            self.events.push(SimTime::ZERO + cost, Ev::SubmitDone);
+        if let Some(at) = self.with_ready(|src, ready| src.first_submit(ready)) {
+            self.events.push(at, Ev::Submit);
         }
 
         // The injected fault schedule rides the ordinary event queue.
         if let Some(fs) = &self.fault {
-            for (at, ev) in fs.schedule() {
-                self.events.push(at, ev);
+            for f in &fs.spec.core_failures {
+                let at = SimTime::ZERO + f.at;
+                let core = f.core as u32;
+                let permanent = f.recover_after.is_none();
+                self.events.push(at, Ev::CoreFail { core, permanent });
+                if let Some(r) = f.recover_after {
+                    self.events.push(at + r, Ev::CoreRecover { core });
+                }
             }
         }
 
-        while self.done < total {
+        while self.src.pending() {
             let Some((now, ev)) = self.events.pop() else {
+                let ready = self.policy.len();
                 if let Some(fs) = &self.fault {
                     // An exhausted queue with work remaining is a *clean*
                     // outcome under fault injection: the schedule removed
-                    // the capacity the rest of the graph needed.
+                    // the capacity the rest of the run needed.
                     let dead = fs.failed.iter().filter(|&&f| f).count();
-                    let err = ExpError::Stalled(format!(
+                    return Err(ExpError::Stalled(format!(
                         "fault schedule removed the capacity the run needed: \
-                         {}/{} tasks done, {} submitted, {} ready, {dead} core(s) failed",
-                        self.done,
-                        total,
-                        self.submitted,
-                        self.policy.len()
-                    ));
-                    let scratch = EngineScratch {
-                        events: self.events,
-                        view: self.view,
-                        indegree: self.indegree,
-                        crit: self.crit,
-                        idle: self.idle,
-                    };
-                    return (Err(err), self.trace, scratch);
+                         {}, {ready} ready, {dead} core(s) failed",
+                        self.src.progress()
+                    )));
                 }
                 panic!(
-                    "simulation deadlock: {}/{} tasks done, {} submitted, queue len {}",
-                    self.done,
-                    total,
-                    self.submitted,
-                    self.policy.len()
+                    "simulation deadlock: {}, queue len {ready}",
+                    self.src.progress()
                 );
             };
+            self.horizon = now;
             self.counters.sim_events += 1;
             self.handle(now, ev);
             self.dispatch(now);
         }
 
-        let end = self.last_completion;
+        // The last processed event bounds every machine-activity stamp. In
+        // a closed run it *is* the last completion; in an open run a
+        // trailing dropped arrival or idle-halt can sit later.
+        let end = self.horizon.max(self.last_completion);
+        let service = self.src.finish(end);
         // Close the capacity ledger: cores still failed at run end lost
         // the remainder of the window.
         let fault = self.fault.take().map(|mut fs| {
@@ -773,12 +978,28 @@ impl<'g> Engine<'g> {
             }
             fs.report
         });
-        let memory = self.mem.take().map(|ms| ms.report);
+        let memory = self.mem.take().map(|ms| {
+            if cfg!(debug_assertions) {
+                // Every request is serviced (its wait included), cancelled
+                // by a core failure, or still queued behind shed work.
+                let queued = self
+                    .machine
+                    .memory()
+                    .map_or(0, |m| m.waiters().iter().map(|r| r.mem_ps).sum());
+                let r = &ms.report;
+                assert_eq!(
+                    r.serviced + ms.cancelled + SimDuration::from_ps(queued),
+                    r.demand + r.total_wait,
+                    "memory ledger: serviced + cancelled + queued != demand + wait"
+                );
+            }
+            ms.report
+        });
         self.machine.finish(end);
         let energy = integrate_machine(&self.machine, end.since(SimTime::ZERO), &self.cfg.power);
         let stats = self.accel.stats();
         let agg_core_time = end.as_ps().saturating_mul(self.machine.num_cores() as u64);
-        let report = RunReport {
+        Ok(RunReport {
             label: self.cfg.label.clone(),
             workload: workload.to_string(),
             fast_cores: self.cfg.fast_cores,
@@ -798,44 +1019,23 @@ impl<'g> Engine<'g> {
                 .cores()
                 .map(|c| c.timeline().utilization())
                 .collect(),
-            tasks: total,
+            tasks: self.counters.tasks_completed as usize,
             // Counters/Full runs tally every event kind; surface the
             // tallies so stored sweep cells carry them for dashboards.
             trace_counts: self.trace.is_enabled().then(|| *self.trace.counts()),
             // The simulator always runs the spec's machine verbatim.
             effective_cores: None,
-            // Closed-system run: one graph, no arrival stream.
-            service: None,
+            service,
             fault,
             memory,
-        };
-        let scratch = EngineScratch {
-            events: self.events,
-            view: self.view,
-            indegree: self.indegree,
-            crit: self.crit,
-            idle: self.idle,
-        };
-        (Ok(report), self.trace, scratch)
-    }
-
-    /// Cost of submitting `task` on the master thread.
-    fn submission_cost(&mut self, task: TaskId) -> SimDuration {
-        let visits = self.estimator.on_submit(self.graph, task);
-        self.cfg.costs.task_creation + self.cfg.costs.per_bl_visit.saturating_mul(visits)
+        })
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            Ev::SubmitDone => {
-                let i = self.submitted;
-                self.submitted += 1;
-                if self.indegree[i] == 0 {
-                    self.make_ready(TaskId(i as u32), now);
-                }
-                if self.submitted < self.graph.num_tasks() {
-                    let cost = self.submission_cost(TaskId(self.submitted as u32));
-                    self.events.push(now + cost, Ev::SubmitDone);
+            Ev::Submit => {
+                if let Some(at) = self.with_ready(|src, ready| src.submit(now, ready)) {
+                    self.events.push(at, Ev::Submit);
                 }
             }
             Ev::TaskBegin { core, epoch } => self.task_begin(CoreId(core), epoch, now),
@@ -886,51 +1086,61 @@ impl<'g> Engine<'g> {
         ctl.run = CoreRun::Halted;
         self.machine.set_activity(core, now, Activity::Halted);
 
-        // A failed core frees its memory-gate state: a held bandwidth
-        // slot is released (a waiter may be granted right now), a queued
-        // request is cancelled.
+        // A failed core frees its memory-gate state before displacement
+        // handling, so a freed slot flows to waiters even when the
+        // displaced work was already shed: a held bandwidth slot is
+        // released (a waiter may be granted right now), a queued request
+        // is cancelled.
         if let Some(ms) = self.mem.as_mut() {
+            let sub = self.machine.memory_mut().expect("memory subsystem");
             if ms.holding[i] {
                 ms.holding[i] = false;
-                self.machine
-                    .memory_mut()
-                    .expect("memory subsystem")
-                    .release();
+                sub.release();
                 self.mem_grant(now);
             } else if ms.wait_since[i].take().is_some() {
-                self.machine
-                    .memory_mut()
-                    .expect("memory subsystem")
-                    .cancel_core(core);
+                if let Some(req) = sub.cancel_core(core) {
+                    ms.cancelled += SimDuration::from_ps(req.mem_ps);
+                }
             }
         }
 
-        if let Some(task) = displaced {
-            let critical = self.crit[task.index()];
-            let fs = self.fault.as_mut().expect("fault state present");
-            fs.report.displaced += 1;
-            fs.displaced_at[task.index()] = Some(now);
-            let action = fs.policy.on_displaced(&RecoveryCtx {
-                now,
-                failed_core: i,
-                critical,
-                permanent,
-                degraded: true,
-            });
-            let prefer_fast = match action {
-                RecoveryAction::Requeue { prefer_fast } => prefer_fast,
-                // Dropping a DAG node would deadlock its successors; the
-                // closed-system engine degrades Shed to a plain requeue
-                // (service mode sheds the whole instance instead).
-                RecoveryAction::Shed => false,
-            };
-            let mut level = self.estimator.classify_level(self.graph, task);
-            if prefer_fast && level == 0 {
-                level = 1;
-                self.crit[task.index()] = true;
-            }
-            self.policy.enqueue(task, level);
+        let Some(task) = displaced else {
+            return;
+        };
+        if self.src.is_shed(task) {
+            // Its work was already shed (a sibling's failure): the
+            // displaced task just evaporates with it.
+            return;
         }
+        let critical = self.crit[task.index()];
+        let fs = self.fault.as_mut().expect("fault state present");
+        fs.report.displaced += 1;
+        fs.displaced_at[task.index()] = Some(now);
+        let action = fs.policy.on_displaced(&RecoveryCtx {
+            now,
+            failed_core: i,
+            critical,
+            permanent,
+            degraded: true,
+        });
+        let prefer_fast = match action {
+            RecoveryAction::Requeue { prefer_fast } => prefer_fast,
+            // A source that cannot shed (a closed DAG would deadlock
+            // without the node) requeues the task plainly instead.
+            RecoveryAction::Shed => {
+                if self.src.shed(task) {
+                    fs.report.shed += 1;
+                    return;
+                }
+                false
+            }
+        };
+        let mut level = self.src.level(task);
+        if prefer_fast && level == 0 {
+            level = 1;
+            self.crit[task.index()] = true;
+        }
+        self.policy.enqueue(task, level);
     }
 
     /// A failed core's recovery window closed: it rejoins the idle index
@@ -978,20 +1188,6 @@ impl<'g> Engine<'g> {
         }
     }
 
-    fn make_ready(&mut self, task: TaskId, _now: SimTime) {
-        // Annotation-static estimators (the `+SA` configurations) equal
-        // the view's precomputed level array by definition; dynamic ones
-        // (bottom-level) and the always-zero baseline keep the virtual
-        // call.
-        let level = if self.est_static {
-            self.view.crit_level(task)
-        } else {
-            self.estimator.classify_level(self.graph, task)
-        };
-        self.crit[task.index()] = level > 0;
-        self.policy.enqueue(task, level);
-    }
-
     /// Assign ready tasks to idle cores. CATS configurations offer idle
     /// *fast* cores first (so critical tasks land on them); FIFO serves
     /// cores in the order they went idle — the blind assignment the paper's
@@ -1015,6 +1211,12 @@ impl<'g> Engine<'g> {
                 };
                 if self.policy.has_work_for(core, ctx) {
                     if let Some(task) = self.policy.dequeue(core, ctx, &mut self.counters) {
+                        if self.src.is_shed(task) {
+                            // Shed work still queued: discard it and let
+                            // the same core draw again.
+                            assigned = true;
+                            continue;
+                        }
                         self.assign(core, task, now);
                         assigned = true;
                     }
@@ -1078,6 +1280,7 @@ impl<'g> Engine<'g> {
             }
         }
         self.idle.remove(core);
+        self.src.on_dispatch(task, now);
         let was_halted = matches!(self.cores[core.index()].run, CoreRun::Halted);
         let ctl = &mut self.cores[core.index()];
         ctl.epoch += 1;
@@ -1139,8 +1342,11 @@ impl<'g> Engine<'g> {
     /// held for the task's `mem_ps` of *wall* time (memory time is
     /// frequency-invariant) while the body runs concurrently.
     fn gate_or_begin(&mut self, core: CoreId, task: TaskId, now: SimTime) {
-        let mem_ps = self.view.mem_ps(task);
-        if self.mem.is_none() || mem_ps == 0 {
+        let mem_ps = match self.mem {
+            Some(_) => self.src.mem_ps(task),
+            None => 0,
+        };
+        if mem_ps == 0 {
             self.begin_body(core, task, now);
             return;
         }
@@ -1180,7 +1386,7 @@ impl<'g> Engine<'g> {
     fn begin_body(&mut self, core: CoreId, task: TaskId, now: SimTime) {
         let epoch = self.cores[core.index()].epoch;
         let rt = RunningTask::start(
-            &self.graph.task(task).profile,
+            self.src.profile(task),
             now,
             self.machine.core(core).frequency(),
         );
@@ -1311,45 +1517,43 @@ impl<'g> Engine<'g> {
         }
     }
 
+    /// Draws a transient fault for a completing `task`: the completion is
+    /// discarded and the body re-executes in place, at most `max_retries`
+    /// times per task (a p=1 schedule still terminates). One RNG draw per
+    /// eligible completion, in event order — bit-identical per seed.
+    fn transient_fault(&mut self, task: TaskId) -> bool {
+        let Some(fs) = self.fault.as_mut() else {
+            return false;
+        };
+        if fs.spec.task_fault_p > 0.0
+            && fs.task_retries[task.index()] < fs.spec.max_retries
+            && fs.rng.next_unit() < fs.spec.task_fault_p
+        {
+            fs.task_retries[task.index()] += 1;
+            fs.report.task_faults += 1;
+            fs.report.reexecuted += 1;
+            return true;
+        }
+        false
+    }
+
     fn complete(&mut self, core: CoreId, task: TaskId, now: SimTime) {
-        // Transient task fault: the completion is discarded and the body
-        // re-executes in place, at most `max_retries` times per task (a
-        // p=1 schedule still terminates). One RNG draw per eligible
-        // completion, in event order — bit-identical per seed.
-        if let Some(fs) = self.fault.as_mut() {
-            if fs.spec.task_fault_p > 0.0
-                && fs.task_retries[task.index()] < fs.spec.max_retries
-                && fs.rng.next_unit() < fs.spec.task_fault_p
-            {
-                fs.task_retries[task.index()] += 1;
-                fs.report.task_faults += 1;
-                fs.report.reexecuted += 1;
-                // The re-execution re-demands memory, so it routes back
-                // through the gate like any fresh body (its earlier slot
-                // hold expired at `begin + mem_ps`, before completion).
-                self.gate_or_begin(core, task, now);
-                return;
-            }
+        // Shed work still ends on its core, but its completion is void:
+        // no re-execution, no successors.
+        let shed = self.src.is_shed(task);
+        if !shed && self.transient_fault(task) {
+            // The re-execution re-demands memory, so it routes back
+            // through the gate like any fresh body (its earlier slot
+            // hold expired at `begin + mem_ps`, before completion).
+            self.gate_or_begin(core, task, now);
+            return;
         }
         self.trace
             .record(now, TraceEvent::TaskEnd { core, task: task.0 });
         self.counters.tasks_completed += 1;
-        self.done += 1;
-        self.last_completion = self.last_completion.max(now);
-        self.estimator.on_complete(self.graph, task);
-
-        // Successor walk over the view's CSR arrays: one contiguous span
-        // instead of a pointer chase into the task's own `succs` vector.
-        // The span is a `Copy` range, so `make_ready` can borrow `self`
-        // mutably between element reads.
-        for i in self.view.succ_span(task) {
-            let s = self.view.succ_at(i);
-            let d = &mut self.indegree[s.index()];
-            debug_assert!(*d > 0, "indegree underflow at {s}");
-            *d -= 1;
-            if *d == 0 && s.index() < self.submitted {
-                self.make_ready(s, now);
-            }
+        if !shed {
+            self.last_completion = self.last_completion.max(now);
+            self.with_ready(|src, ready| src.complete(task, now, ready));
         }
 
         let epoch = self.cores[core.index()].epoch;

@@ -228,3 +228,28 @@ proptest! {
         prop_assert!(s.latency.max() <= s.queue_wait.max() + s.service_time.max());
     }
 }
+
+/// Service runs go through the same engine as closed runs, trace
+/// included: a traced run records trace events and carries the tallies,
+/// and tracing changes nothing else in the report.
+#[test]
+fn traced_service_runs_carry_trace_counts() {
+    let plain = golden_spec();
+    let mut traced = plain.clone();
+    traced.base.trace = cata_sim::trace::TraceMode::Counters;
+    let (quiet, _) = serve(&plain);
+    let (mut loud, _) = serve(&traced);
+    assert!(quiet.trace_counts.is_none());
+    let counts = loud
+        .trace_counts
+        .take()
+        .expect("traced run carries tallies");
+    assert_eq!(counts.task_ends, loud.counters.tasks_completed);
+    assert!(counts.task_starts >= counts.task_ends);
+    assert!(counts.reconfigs_applied > 0, "CATA reconfigures under load");
+    assert_eq!(
+        serde_json::to_string(&loud).unwrap(),
+        serde_json::to_string(&quiet).unwrap(),
+        "tracing must not change the run"
+    );
+}
