@@ -13,13 +13,21 @@
 //! displaced, shed, dropped, or waited at the memory gate), so a digest
 //! can never silently pin a run that skipped its feature.
 //!
+//! Each case carries a second, invariant digest (`INVARIANT`): the same
+//! FNV-1a after every latency distribution is replaced by its exact
+//! count, mean, min and max. It pins every reported bit except how a
+//! distribution stores its samples, so a change of that storage may
+//! re-record `GOLDEN` but must leave `INVARIANT` untouched.
+//!
 //! `closed_run_equals_one_record_tape` pins the other half of the
 //! contract: a closed run and an open run over a one-record tape go
 //! through the same engine and differ only in how tasks are submitted.
 //!
 //! To regenerate after an *intentional* semantic change:
 //! `cargo test --test engine_goldens -- --ignored --nocapture print_engine_goldens`
-//! and paste the printed table over `GOLDEN`.
+//! and paste the printed tables over `GOLDEN` and `INVARIANT`.
+
+mod common;
 
 use cata_core::exp::{default_registries, ScenarioSpec, WorkloadSpec};
 use cata_core::fault::{CoreFailure, FaultSpec};
@@ -317,18 +325,60 @@ const GOLDEN: &[(&str, &str)] = &[
     ("service-mixed-tape-mem2/crit-first", "24549ec38c93b439"),
 ];
 
+/// Recorded invariant digests, `(case, common::invariant_digest)`.
+const INVARIANT: &[(&str, &str)] = &[
+    ("closed-faults/retry-same-core", "a27e90221bf3e26d"),
+    ("closed-faults/reroute-prefer-fast", "178e55db94b81982"),
+    (
+        "closed-faults/shed-noncritical-on-degraded",
+        "a27e90221bf3e26d",
+    ),
+    ("closed-faults-traced/retry-same-core", "46d48bdc3701c657"),
+    ("closed-faults-mem2/fifo", "c3c8545ccd857861"),
+    ("closed-faults-mem2/crit-first", "141b33c310832990"),
+    ("closed-faults-mem2/round-robin", "bc7e6f450b6c8f41"),
+    ("closed-failstop-mem1/crit-first", "6bcdfbfb719cf2ab"),
+    (
+        "service-faults/shed-noncritical-on-degraded",
+        "2d77fbbf9872485b",
+    ),
+    ("service-faults-mem2/crit-first", "aa22724aece0a277"),
+    ("service-faults-mem2-cap4/crit-first", "a8a513d68e7190f6"),
+    ("service-mixed-tape-mem2/crit-first", "4a6395f85cb6a844"),
+];
+
 #[test]
-#[ignore = "prints the current digests for regenerating GOLDEN"]
+#[ignore = "prints the current digests for regenerating GOLDEN and INVARIANT"]
 fn print_engine_goldens() {
-    for (name, r) in cases() {
-        println!("    (\"{name}\", \"{}\"),", digest(&r));
+    let got = cases();
+    println!("const GOLDEN: &[(&str, &str)] = &[");
+    for (name, r) in &got {
+        println!("    (\"{name}\", \"{}\"),", digest(r));
     }
+    println!("];\nconst INVARIANT: &[(&str, &str)] = &[");
+    for (name, r) in &got {
+        println!("    (\"{name}\", \"{}\"),", common::invariant_digest(r));
+    }
+    println!("];");
 }
 
 #[test]
 fn engine_paths_match_recorded_digests() {
     let got = cases();
     assert_eq!(got.len(), GOLDEN.len(), "case list and GOLDEN disagree");
+    assert_eq!(
+        got.len(),
+        INVARIANT.len(),
+        "case list and INVARIANT disagree"
+    );
+    for ((name, r), &(want_name, want)) in got.iter().zip(INVARIANT) {
+        assert_eq!(name, want_name, "case order changed");
+        assert_eq!(
+            common::invariant_digest(r),
+            want,
+            "{name}: a report field outside the latency storage diverged"
+        );
+    }
     for ((name, r), &(want_name, want)) in got.iter().zip(GOLDEN) {
         assert_eq!(name, want_name, "case order changed");
         assert_eq!(

@@ -10,6 +10,8 @@ use cata_core::RunReport;
 use cata_sim::time::SimDuration;
 use proptest::prelude::*;
 
+mod common;
+
 const SEED: u64 = 42;
 
 /// A small, fast-to-simulate base scenario: 8-core machine, 4 fast, a
@@ -57,9 +59,15 @@ fn service_digest(r: &RunReport) -> String {
 /// The pinned digest of one fixed-seed Poisson service run. Any engine,
 /// sampler, histogram, or admission change that moves a bit here is a
 /// behavioral change and must be called out. Regenerate with
-/// `cargo test --test service_mode -- --nocapture print_service_digest`.
+/// `cargo test --test service_mode -- --ignored --nocapture print_service_digest`.
 const GOLDEN_POISSON: &str = "t=49857058406 e=3fe8c2af8472b882 arr=203 adm=203 drop=0 done=203 \
      p50=130023424 p99=167772160 p999=243269632 q99=33554432 s99=167772160";
+
+/// `common::invariant_digest` of the same run: the whole report with each
+/// latency distribution reduced to its exact count, mean, min and max.
+/// Unlike `GOLDEN_POISSON` it does not move when only the histogram
+/// resolution changes.
+const GOLDEN_POISSON_INVARIANT: &str = "7da67aa5e0caf92a";
 
 fn golden_spec() -> ServiceSpec {
     ServiceSpec::new(
@@ -79,6 +87,11 @@ fn fixed_seed_poisson_run_matches_golden_digest() {
         GOLDEN_POISSON,
         "service-mode behavior changed; if intentional, regenerate the golden digest"
     );
+    assert_eq!(
+        common::invariant_digest(&report),
+        GOLDEN_POISSON_INVARIANT,
+        "a report field outside the latency storage changed"
+    );
     // Re-running is bit-identical, including the serialized form.
     let (again, _) = serve(&golden_spec());
     assert_eq!(
@@ -92,6 +105,10 @@ fn fixed_seed_poisson_run_matches_golden_digest() {
 fn print_service_digest() {
     let (report, _) = serve(&golden_spec());
     println!("GOLDEN_POISSON: {}", service_digest(&report));
+    println!(
+        "GOLDEN_POISSON_INVARIANT: {}",
+        common::invariant_digest(&report)
+    );
 }
 
 /// Record → replay: the tape a generated run records replays to a
