@@ -996,6 +996,18 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             ms.report
         });
         self.machine.finish(end);
+        if cfg!(debug_assertions) {
+            // Every core's timeline covers exactly [0, end], so no core is
+            // busy for longer than the run.
+            for c in self.machine.cores() {
+                assert_eq!(
+                    c.timeline().total(),
+                    end.since(SimTime::ZERO),
+                    "{}: activity timeline does not cover [0, end]",
+                    c.id()
+                );
+            }
+        }
         let energy = integrate_machine(&self.machine, end.since(SimTime::ZERO), &self.cfg.power);
         let stats = self.accel.stats();
         let agg_core_time = end.as_ps().saturating_mul(self.machine.num_cores() as u64);

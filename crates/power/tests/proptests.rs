@@ -1,8 +1,8 @@
 //! Property tests for the power model: the CMOS relations and the energy
 //! integrator's accounting identities.
 
-use cata_power::{integrate_machine, PowerParams};
-use cata_sim::activity::Activity;
+use cata_power::{integrate_machine, EnergyBreakdown, PowerParams};
+use cata_sim::activity::{Activity, Segment};
 use cata_sim::machine::{CoreId, Machine, MachineConfig, PowerLevel};
 use cata_sim::time::{Frequency, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -97,5 +97,124 @@ proptest! {
         let slow = run_at(false);
         prop_assert!(slow.breakdown.core_busy_j < fast.breakdown.core_busy_j);
         prop_assert!(slow.breakdown.core_static_j < fast.breakdown.core_static_j);
+    }
+
+    /// The compact timelines integrate bit-identically to plain segment
+    /// lists: random activity and level changes on two cores, integrated
+    /// by `integrate_machine` and by a reference over `Vec<Segment>`s
+    /// recorded alongside, give the same energy bits, segments and
+    /// utilization.
+    #[test]
+    fn compact_timelines_integrate_like_segment_lists(
+        ops in prop::collection::vec((0usize..2, 0u64..500, 0u8..5), 0..120),
+        tail in 0u64..500,
+    ) {
+        let p = PowerParams::mcpat_22nm();
+        let cfg = MachineConfig::small_test(2);
+        let levels = [cfg.slow_level, cfg.fast_level];
+        let mut m = Machine::new(cfg);
+        let mut reference = [SegmentList::new(levels[0]), SegmentList::new(levels[0])];
+        let mut now = SimTime::ZERO;
+        for (core, dt_ns, op) in ops {
+            now += SimDuration::from_ns(dt_ns);
+            let id = CoreId(core as u32);
+            match op {
+                0..=2 => {
+                    let activity = [Activity::Busy, Activity::Idle, Activity::Halted][op as usize];
+                    m.set_activity(id, now, activity);
+                    let level = reference[core].level;
+                    reference[core].record(now, level, activity);
+                }
+                _ => {
+                    let target = levels[op as usize - 3];
+                    if let Some(done) = m.begin_transition(id, target, now) {
+                        now = done;
+                        prop_assert_eq!(m.settle(id, now), Some(target));
+                        let activity = reference[core].activity;
+                        reference[core].record(now, target, activity);
+                    }
+                }
+            }
+        }
+        let end = now + SimDuration::from_ns(tail);
+        m.finish(end);
+        let run_time = end.since(SimTime::ZERO);
+
+        let mut want = EnergyBreakdown::default();
+        for (core, list) in reference.iter_mut().enumerate() {
+            list.flush(end);
+            let got: Vec<Segment> = m.core(CoreId(core as u32)).timeline().segments().collect();
+            prop_assert_eq!(&got, &list.segments);
+            for seg in &list.segments {
+                let dt = seg.duration.as_secs_f64();
+                let dyn_j = p.dynamic_w(seg.level, seg.activity) * dt;
+                match seg.activity {
+                    Activity::Busy => want.core_busy_j += dyn_j,
+                    Activity::Idle => want.core_idle_j += dyn_j,
+                    Activity::Halted => want.core_halt_j += dyn_j,
+                }
+                want.core_static_j += p.static_w(seg.level) * dt;
+            }
+            let time_in = |busy: bool| -> SimDuration {
+                list.segments
+                    .iter()
+                    .filter(|s| !busy || s.activity == Activity::Busy)
+                    .map(|s| s.duration)
+                    .sum()
+            };
+            prop_assert_eq!(time_in(false), run_time);
+            let utilization = m.core(CoreId(core as u32)).timeline().utilization();
+            prop_assert_eq!(utilization.to_bits(), time_in(true).ratio(run_time).to_bits());
+        }
+        want.uncore_j = p.uncore_w * run_time.as_secs_f64();
+        let got = integrate_machine(&m, run_time, &p).breakdown;
+        let bits = |b: &EnergyBreakdown| {
+            [b.core_busy_j, b.core_idle_j, b.core_halt_j, b.core_static_j, b.uncore_j].map(f64::to_bits)
+        };
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+}
+
+/// A reference timeline: every segment as a plain [`Segment`], with the
+/// same coalescing rules (an unchanged state extends the open segment; a
+/// zero-length segment is dropped).
+struct SegmentList {
+    segments: Vec<Segment>,
+    since: SimTime,
+    level: PowerLevel,
+    activity: Activity,
+}
+
+impl SegmentList {
+    fn new(level: PowerLevel) -> Self {
+        SegmentList {
+            segments: Vec::new(),
+            since: SimTime::ZERO,
+            level,
+            activity: Activity::Idle,
+        }
+    }
+
+    fn record(&mut self, now: SimTime, level: PowerLevel, activity: Activity) {
+        if level == self.level && activity == self.activity {
+            return;
+        }
+        self.flush(now);
+        self.level = level;
+        self.activity = activity;
+    }
+
+    /// Ends the open segment at `now`.
+    fn flush(&mut self, now: SimTime) {
+        let duration = now.since(self.since);
+        if !duration.is_zero() {
+            self.segments.push(Segment {
+                start: self.since,
+                duration,
+                level: self.level,
+                activity: self.activity,
+            });
+        }
+        self.since = now;
     }
 }

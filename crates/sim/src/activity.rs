@@ -5,6 +5,16 @@
 //! Segments are appended whenever the core's activity or settled power level
 //! changes, so the timeline is an exact piece-wise-constant description of
 //! the core's power-relevant state over the whole simulation.
+//!
+//! A timeline grows by one segment per recorded change, for the whole run:
+//! the energy integral sums segment by segment, core by core, in recorded
+//! order, and the reported energy bits depend on that order. So each
+//! segment is stored in 9 bytes — its duration and one state byte (an
+//! index into a small per-timeline table of visited [`PowerLevel`]s, plus
+//! the [`Activity`]) — rather than as a 32-byte [`Segment`]. Segment start
+//! times are implied by the running sum of durations, and per-activity
+//! totals are kept as they grow, so [`ActivityTimeline::total`] and
+//! [`ActivityTimeline::utilization`] are O(1).
 
 use crate::machine::PowerLevel;
 use crate::time::{SimDuration, SimTime};
@@ -24,6 +34,11 @@ pub enum Activity {
     Halted,
 }
 
+impl Activity {
+    /// Every activity, indexed by discriminant (a state byte's low bits).
+    const ALL: [Activity; 3] = [Activity::Busy, Activity::Idle, Activity::Halted];
+}
+
 /// One homogeneous stretch of a core's existence.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Segment {
@@ -37,13 +52,26 @@ pub struct Segment {
     pub activity: Activity,
 }
 
+/// Bits of a state byte that hold the [`Activity`]; the rest index the
+/// level table.
+const ACTIVITY_BITS: u32 = 2;
+/// Distinct power levels one timeline can hold.
+const MAX_LEVELS: usize = 1 << (8 - ACTIVITY_BITS);
+
 /// An append-only piece-wise-constant activity record for one core.
 #[derive(Debug, Clone)]
 pub struct ActivityTimeline {
-    segments: Vec<Segment>,
+    /// Closed segments' durations in picoseconds, in recorded order.
+    durations: Vec<u64>,
+    /// Closed segments' states: `level index << ACTIVITY_BITS | activity`.
+    states: Vec<u8>,
+    /// The distinct levels the timeline has been in, by state index.
+    levels: Vec<PowerLevel>,
+    /// Closed time per activity, in picoseconds.
+    time_ps: [u64; 3],
     // Open segment state.
     open_since: SimTime,
-    level: PowerLevel,
+    level_index: u8,
     activity: Activity,
     closed: bool,
 }
@@ -52,9 +80,12 @@ impl ActivityTimeline {
     /// Starts a timeline at t = 0 in the given state.
     pub fn new(level: PowerLevel, activity: Activity) -> Self {
         ActivityTimeline {
-            segments: Vec::new(),
+            durations: Vec::new(),
+            states: Vec::new(),
+            levels: vec![level],
+            time_ps: [0; 3],
             open_since: SimTime::ZERO,
-            level,
+            level_index: 0,
             activity,
             closed: false,
         }
@@ -63,12 +94,31 @@ impl ActivityTimeline {
     /// Records an activity change at `now` (level unchanged).
     pub fn record(&mut self, now: SimTime, level: PowerLevel, activity: Activity) {
         debug_assert!(!self.closed, "timeline already closed");
-        if level == self.level && activity == self.activity {
+        let same_level = level == self.levels[usize::from(self.level_index)];
+        if same_level && activity == self.activity {
             return; // No state change; keep the open segment running.
         }
         self.flush(now);
-        self.level = level;
+        if !same_level {
+            self.level_index = self.intern(level);
+        }
         self.activity = activity;
+    }
+
+    /// The level table index of `level`, adding it on first use.
+    fn intern(&mut self, level: PowerLevel) -> u8 {
+        let i = match self.levels.iter().position(|&l| l == level) {
+            Some(i) => i,
+            None => {
+                assert!(
+                    self.levels.len() < MAX_LEVELS,
+                    "a timeline holds at most {MAX_LEVELS} distinct power levels"
+                );
+                self.levels.push(level);
+                self.levels.len() - 1
+            }
+        };
+        i as u8
     }
 
     /// Records a settled DVFS level change at `now` (activity unchanged).
@@ -87,35 +137,35 @@ impl ActivityTimeline {
     }
 
     fn flush(&mut self, now: SimTime) {
-        let duration = now.saturating_since(self.open_since);
-        if !duration.is_zero() {
-            self.segments.push(Segment {
-                start: self.open_since,
-                duration,
-                level: self.level,
-                activity: self.activity,
-            });
+        let duration = now.saturating_since(self.open_since).as_ps();
+        if duration != 0 {
+            self.durations.push(duration);
+            self.states
+                .push(self.level_index << ACTIVITY_BITS | self.activity as u8);
+            self.time_ps[self.activity as usize] += duration;
         }
         self.open_since = now;
     }
 
-    /// The recorded segments. Only complete after [`close`](Self::close).
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
+    /// The recorded segments, in order. Only complete after
+    /// [`close`](Self::close).
+    pub fn segments(&self) -> Segments<'_> {
+        Segments {
+            durations: self.durations.iter(),
+            states: self.states.iter(),
+            levels: &self.levels,
+            start: SimTime::ZERO,
+        }
     }
 
     /// Total time spent in a given activity (over closed segments).
     pub fn time_in(&self, activity: Activity) -> SimDuration {
-        self.segments
-            .iter()
-            .filter(|s| s.activity == activity)
-            .map(|s| s.duration)
-            .sum()
+        SimDuration::from_ps(self.time_ps[activity as usize])
     }
 
     /// Total time covered by closed segments.
     pub fn total(&self) -> SimDuration {
-        self.segments.iter().map(|s| s.duration).sum()
+        SimDuration::from_ps(self.time_ps.iter().sum())
     }
 
     /// Fraction of closed time spent busy (utilization).
@@ -123,6 +173,38 @@ impl ActivityTimeline {
         self.time_in(Activity::Busy).ratio(self.total())
     }
 }
+
+/// The segments of an [`ActivityTimeline`], decoded in recorded order.
+#[derive(Debug, Clone)]
+pub struct Segments<'a> {
+    durations: std::slice::Iter<'a, u64>,
+    states: std::slice::Iter<'a, u8>,
+    levels: &'a [PowerLevel],
+    start: SimTime,
+}
+
+impl Iterator for Segments<'_> {
+    type Item = Segment;
+
+    fn next(&mut self) -> Option<Segment> {
+        let duration = SimDuration::from_ps(*self.durations.next()?);
+        let state = *self.states.next()?;
+        let start = self.start;
+        self.start += duration;
+        Some(Segment {
+            start,
+            duration,
+            level: self.levels[usize::from(state >> ACTIVITY_BITS)],
+            activity: Activity::ALL[usize::from(state & ((1 << ACTIVITY_BITS) - 1))],
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.durations.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Segments<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -143,7 +225,7 @@ mod tests {
         tl.record(SimTime::from_us(50), fast(), Activity::Idle);
         tl.close(SimTime::from_us(60));
 
-        let segs = tl.segments();
+        let segs: Vec<Segment> = tl.segments().collect();
         assert_eq!(segs.len(), 4);
         // Contiguity.
         let mut t = SimTime::ZERO;
@@ -161,8 +243,9 @@ mod tests {
         tl.record(SimTime::from_us(5), slow(), Activity::Idle);
         tl.record(SimTime::from_us(9), slow(), Activity::Idle);
         tl.close(SimTime::from_us(10));
-        assert_eq!(tl.segments().len(), 1);
-        assert_eq!(tl.segments()[0].duration, SimDuration::from_us(10));
+        let segs: Vec<Segment> = tl.segments().collect();
+        assert_eq!(segs.len(), 1);
+        assert_eq!(segs[0].duration, SimDuration::from_us(10));
     }
 
     #[test]
@@ -171,8 +254,9 @@ mod tests {
         tl.record(SimTime::ZERO, slow(), Activity::Busy);
         tl.record(SimTime::ZERO, fast(), Activity::Busy);
         tl.close(SimTime::from_us(1));
-        assert_eq!(tl.segments().len(), 1);
-        assert_eq!(tl.segments()[0].level, fast());
+        let segs: Vec<Segment> = tl.segments().collect();
+        assert_eq!(segs.len(), 1);
+        assert_eq!(segs[0].level, fast());
     }
 
     #[test]
