@@ -1263,9 +1263,9 @@ fn serve_service(opts: &Opts) {
         table.row(vec![
             name.to_string(),
             h.count().to_string(),
-            h.quantile(0.5).to_string(),
-            h.quantile(0.99).to_string(),
-            h.quantile(0.999).to_string(),
+            h.quantile_with_bound(0.5),
+            h.quantile_with_bound(0.99),
+            h.quantile_with_bound(0.999),
             h.mean().to_string(),
             h.max().to_string(),
         ]);

@@ -148,8 +148,10 @@ fn dashboard_ingests_and_renders_legacy_cells() {
         state.selected = selected;
         for detail in [false, true] {
             state.show_detail = detail;
-            let frame = render(&state, 140, required_height(&state, 140)).to_text();
+            let frame = render(&state, 140, required_height(&state, 140).max(40)).to_text();
             assert!(!frame.contains("NaN") && !frame.contains("inf"), "{frame}");
+            // The detail pane states the error bound next to quantiles.
+            assert_eq!(frame.contains("(≤0.8% low)"), detail, "{frame}");
         }
     }
 }

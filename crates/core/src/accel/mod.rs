@@ -15,7 +15,7 @@
 //! | [`TurboModeCtl`] | halt/wake reallocation \[18\] | hardware microcontroller, free |
 
 use cata_sim::machine::{CoreId, Machine};
-use cata_sim::stats::{Counters, LatencySamples};
+use cata_sim::stats::{Counters, LatencyHistogram};
 use cata_sim::time::{SimDuration, SimTime};
 
 mod rsu;
@@ -148,9 +148,9 @@ impl AccelEffects {
 #[derive(Debug, Clone, Default)]
 pub struct ReconfigStats {
     /// Lock-wait distribution (software path only).
-    pub lock_waits: LatencySamples,
+    pub lock_waits: LatencyHistogram,
     /// End-to-end reconfiguration latency distribution.
-    pub latencies: LatencySamples,
+    pub latencies: LatencyHistogram,
     /// Total runtime overhead charged on cores by the manager.
     pub overhead_total: SimDuration,
 }

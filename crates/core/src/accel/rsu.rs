@@ -9,14 +9,14 @@ use super::{apply_transition, AccelEffects, AccelManager, ReconfigStats};
 use cata_rsu::engine::Cmd;
 use cata_rsu::unit::{Rsu, RsuConfig};
 use cata_sim::machine::{CoreId, Machine};
-use cata_sim::stats::{Counters, LatencySamples};
+use cata_sim::stats::{Counters, LatencyHistogram};
 use cata_sim::time::{SimDuration, SimTime};
 
 /// The RSU-backed CATA manager.
 #[derive(Debug)]
 pub struct RsuCata {
     rsu: Rsu,
-    op_costs: LatencySamples,
+    op_costs: LatencyHistogram,
     overhead: SimDuration,
 }
 
@@ -34,7 +34,7 @@ impl RsuCata {
                 non_accel_level: cfg.slow_level,
                 op_cycles: 32,
             }),
-            op_costs: LatencySamples::new(),
+            op_costs: LatencyHistogram::new(),
             overhead: SimDuration::ZERO,
         }
     }
@@ -135,7 +135,7 @@ impl AccelManager for RsuCata {
 
     fn stats(&self) -> ReconfigStats {
         ReconfigStats {
-            lock_waits: LatencySamples::new(), // lock-free by construction
+            lock_waits: LatencyHistogram::new(), // lock-free by construction
             latencies: self.op_costs.clone(),
             overhead_total: self.overhead,
         }

@@ -163,7 +163,7 @@ mod tests {
     use crate::exp::store::{CellRecord, STORE_SCHEMA};
     use crate::report::RunReport;
     use cata_power::EnergyReport;
-    use cata_sim::stats::{Counters, LatencySamples};
+    use cata_sim::stats::{Counters, LatencyHistogram};
     use cata_sim::time::SimDuration;
 
     fn record(spec: &ScenarioSpec, wall_s: f64) -> CellRecord {
@@ -175,8 +175,8 @@ mod tests {
             exec_time: SimDuration::from_us(1),
             energy: EnergyReport::from_parts(1e-6, Default::default()),
             counters: Counters::default(),
-            lock_waits: LatencySamples::new(),
-            reconfig_latencies: LatencySamples::new(),
+            lock_waits: LatencyHistogram::new(),
+            reconfig_latencies: LatencyHistogram::new(),
             reconfig_overhead: SimDuration::ZERO,
             reconfig_time_share: 0.0,
             core_utilization: vec![],

@@ -15,7 +15,7 @@ use crate::sim_exec::SimExecutor;
 use cata_cpufreq::backend::DvfsBackend;
 use cata_power::{model_native_energy, EnergyReport, Measurement, RaplReader};
 use cata_sim::progress::ExecProfile;
-use cata_sim::stats::{Counters, LatencySamples};
+use cata_sim::stats::{Counters, LatencyHistogram};
 use cata_sim::time::SimDuration;
 use cata_sim::trace::Trace;
 use cata_tdg::TdgFile;
@@ -523,7 +523,7 @@ impl NativeExecutor {
             }
         });
 
-        let mut lock_waits = LatencySamples::new();
+        let mut lock_waits = LatencyHistogram::new();
         if metrics.rsm_lock_ns > 0 {
             lock_waits.record(SimDuration::from_ns(metrics.rsm_lock_ns));
         }
@@ -544,7 +544,7 @@ impl NativeExecutor {
                 ..Counters::default()
             },
             lock_waits,
-            reconfig_latencies: LatencySamples::new(),
+            reconfig_latencies: LatencyHistogram::new(),
             reconfig_overhead: overhead,
             reconfig_time_share: if agg_core_ps == 0 {
                 0.0

@@ -1,7 +1,7 @@
 //! Run reports: the measurements every figure/table is built from.
 
 use cata_power::EnergyReport;
-use cata_sim::stats::{Counters, LatencySamples};
+use cata_sim::stats::{Counters, LatencyHistogram};
 use cata_sim::time::SimDuration;
 use cata_sim::trace::TraceCounts;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -22,9 +22,9 @@ pub struct RunReport {
     /// Event counters.
     pub counters: Counters,
     /// Lock-wait distribution of the software reconfiguration path.
-    pub lock_waits: LatencySamples,
+    pub lock_waits: LatencyHistogram,
     /// Reconfiguration latency distribution.
-    pub reconfig_latencies: LatencySamples,
+    pub reconfig_latencies: LatencyHistogram,
     /// Total runtime overhead charged by the acceleration manager.
     pub reconfig_overhead: SimDuration,
     /// Share of aggregate core time spent in the reconfiguration path
@@ -211,8 +211,8 @@ mod tests {
                 },
             ),
             counters: Counters::default(),
-            lock_waits: LatencySamples::new(),
-            reconfig_latencies: LatencySamples::new(),
+            lock_waits: LatencyHistogram::new(),
+            reconfig_latencies: LatencyHistogram::new(),
             reconfig_overhead: SimDuration::ZERO,
             reconfig_time_share: 0.0,
             core_utilization: vec![0.5, 1.0],

@@ -18,7 +18,7 @@
 //! queueing delays that §V-C measures (ms-scale lock waits when barrier
 //! bursts pile 32 requests onto the lock).
 
-use cata_sim::stats::LatencySamples;
+use cata_sim::stats::LatencyHistogram;
 use cata_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -131,10 +131,10 @@ pub struct SoftwareDvfsPath {
     hw_transition: SimDuration,
     busy_until: SimTime,
     /// Lock-wait distribution (paper §V-C: maxima of 4.8–15 ms).
-    pub lock_waits: LatencySamples,
+    pub lock_waits: LatencyHistogram,
     /// End-to-end reconfiguration latency distribution (paper §V-C:
     /// averages of 11–65 µs).
-    pub latencies: LatencySamples,
+    pub latencies: LatencyHistogram,
 }
 
 impl SoftwareDvfsPath {
@@ -145,8 +145,8 @@ impl SoftwareDvfsPath {
             params,
             hw_transition,
             busy_until: SimTime::ZERO,
-            lock_waits: LatencySamples::new(),
-            latencies: LatencySamples::new(),
+            lock_waits: LatencyHistogram::new(),
+            latencies: LatencyHistogram::new(),
         }
     }
 

@@ -246,9 +246,9 @@ fn detail_pane(f: &mut Frame, area: Rect, cell: &CellView) {
         f,
         &format!(
             "reconfig p50 {}  p90 {}  p99 {}   overhead {}  share {}",
-            fmt_ps(Some(r.reconfig_latencies.quantile_of(0.50).as_ps())),
-            fmt_ps(Some(r.reconfig_latencies.quantile_of(0.90).as_ps())),
-            fmt_ps(Some(r.reconfig_latencies.quantile_of(0.99).as_ps())),
+            r.reconfig_latencies.quantile_with_bound(0.50),
+            r.reconfig_latencies.quantile_with_bound(0.90),
+            r.reconfig_latencies.quantile_with_bound(0.99),
             fmt_ps(Some(r.reconfig_overhead.as_ps())),
             fmt_f64(Some(r.reconfig_time_share)),
         ),
@@ -262,8 +262,8 @@ fn detail_pane(f: &mut Frame, area: Rect, cell: &CellView) {
                 s.arrivals,
                 s.completed,
                 s.dropped,
-                fmt_ps(Some(s.latency.quantile(0.50).as_ps())),
-                fmt_ps(Some(s.latency.quantile(0.99).as_ps())),
+                s.latency.quantile_with_bound(0.50),
+                s.latency.quantile_with_bound(0.99),
             ),
             Style::Plain,
         );

@@ -187,7 +187,7 @@ impl DashState {
             .then_some(rec.report.energy.edp);
         view.p99_ps = Some(match &rec.report.service {
             Some(s) => s.latency.quantile(0.99).as_ps(),
-            None => rec.report.reconfig_latencies.quantile_of(0.99).as_ps(),
+            None => rec.report.reconfig_latencies.quantile(0.99).as_ps(),
         });
         view.faults_injected = rec.report.fault.as_ref().map(|f| f.injected);
         view.mem_waited = rec.report.memory.as_ref().map(|m| m.waited);

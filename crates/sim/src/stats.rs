@@ -3,193 +3,104 @@
 //! Section V-C of the paper reports reconfiguration-latency distributions
 //! (averages of 11–65 µs, maxima of several milliseconds under lock
 //! contention) and the share of execution time spent reconfiguring
-//! (0.03 %–3.49 %). [`LatencySamples`] collects exactly those statistics.
+//! (0.03 %–3.49 %). [`LatencyHistogram`] collects those distributions, and
+//! every other latency the system reports, in memory that does not grow
+//! with the number of samples: a long service run records millions of
+//! lock waits, and its report stays the same size. Count, sum, min and max
+//! are exact; interior quantiles read at most
+//! [`LatencyHistogram::QUANTILE_ERROR`] (1/128) below the exact value.
 
 use crate::time::SimDuration;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
-/// An online collection of duration samples with summary statistics.
-///
-/// Stores every sample (experiments record at most tens of thousands of
-/// reconfigurations) so exact percentiles can be reported.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct LatencySamples {
-    samples_ps: Vec<u64>,
-    sorted: bool,
-}
-
-impl LatencySamples {
-    /// Creates an empty collection.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, d: SimDuration) {
-        self.samples_ps.push(d.as_ps());
-        self.sorted = false;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples_ps.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples_ps.is_empty()
-    }
-
-    /// Sum of all samples.
-    pub fn total(&self) -> SimDuration {
-        SimDuration::from_ps(self.samples_ps.iter().sum())
-    }
-
-    /// Arithmetic mean, or zero if empty.
-    pub fn mean(&self) -> SimDuration {
-        if self.samples_ps.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let sum: u128 = self.samples_ps.iter().map(|&x| x as u128).sum();
-        SimDuration::from_ps((sum / self.samples_ps.len() as u128) as u64)
-    }
-
-    /// Largest sample, or zero if empty.
-    pub fn max(&self) -> SimDuration {
-        SimDuration::from_ps(self.samples_ps.iter().copied().max().unwrap_or(0))
-    }
-
-    /// Smallest sample, or zero if empty.
-    pub fn min(&self) -> SimDuration {
-        SimDuration::from_ps(self.samples_ps.iter().copied().min().unwrap_or(0))
-    }
-
-    /// The `q`-quantile (q in [0, 1]) by nearest-rank, or zero if empty.
-    pub fn quantile(&mut self, q: f64) -> SimDuration {
-        if self.samples_ps.is_empty() {
-            return SimDuration::ZERO;
-        }
-        if !self.sorted {
-            self.samples_ps.sort_unstable();
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((self.samples_ps.len() as f64 - 1.0) * q).round() as usize;
-        SimDuration::from_ps(self.samples_ps[rank])
-    }
-
-    /// The `q`-quantile without mutating the collection. A pure renderer
-    /// (`State -> Frame`) holds reports by shared reference and cannot use
-    /// the lazily-sorting [`quantile`](Self::quantile); this variant sorts
-    /// a copy when the samples are not already in order (reports hold at
-    /// most tens of thousands of samples, so the copy is dashboard-cheap).
-    pub fn quantile_of(&self, q: f64) -> SimDuration {
-        if self.samples_ps.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let sorted_ps;
-        let samples = if self.sorted {
-            &self.samples_ps
-        } else {
-            let mut copy = self.samples_ps.clone();
-            copy.sort_unstable();
-            sorted_ps = copy;
-            &sorted_ps
-        };
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((samples.len() as f64 - 1.0) * q).round() as usize;
-        SimDuration::from_ps(samples[rank])
-    }
-
-    /// Merges another collection into this one.
-    pub fn merge(&mut self, other: &LatencySamples) {
-        self.samples_ps.extend_from_slice(&other.samples_ps);
-        self.sorted = false;
-    }
-}
-
-impl fmt::Display for LatencySamples {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={} min={} max={}",
-            self.count(),
-            self.mean(),
-            self.min(),
-            self.max()
-        )
-    }
-}
-
 /// Sub-bucket resolution of [`LatencyHistogram`]: each power-of-two octave
-/// is split into `2^4 = 16` linear sub-buckets, bounding the relative
-/// quantile error at 1/16 ≈ 6 %.
-const HIST_SUB_BITS: u32 = 4;
-const HIST_SUB: u64 = 1 << HIST_SUB_BITS;
+/// is split into `2^7 = 128` linear sub-buckets.
+const SUB_BITS: u32 = 7;
+const SUB: u64 = 1 << SUB_BITS;
+
+/// The resolution of histograms stored before [`SUB_BITS`]: 16
+/// sub-buckets per octave, with buckets serialized by index.
+const LEGACY_SUB_BITS: u32 = 4;
+
+/// The bucket index of a picosecond value. Values below 128 get exact
+/// unit buckets; larger values go to `(octave, top 7 mantissa bits)`.
+fn bucket_of(ps: u64) -> usize {
+    if ps < SUB {
+        return ps as usize;
+    }
+    let exp = 63 - ps.leading_zeros();
+    let sub = (ps >> (exp - SUB_BITS)) & (SUB - 1);
+    ((u64::from(exp - SUB_BITS + 1) * SUB) + sub) as usize
+}
+
+/// The smallest picosecond value in bucket `b` at `sub_bits` sub-bucket
+/// bits (the value quantiles report for samples landing in `b`), or
+/// `None` past the last bucket.
+fn bucket_floor(sub_bits: u32, b: u64) -> Option<u64> {
+    let sub = 1u64 << sub_bits;
+    if b < sub {
+        return Some(b);
+    }
+    let exp = b / sub + u64::from(sub_bits) - 1;
+    (exp < 64).then(|| (sub + b % sub) << (exp - u64::from(sub_bits)))
+}
 
 /// A streaming log-bucketed duration histogram.
 ///
-/// Open-system service runs record one latency per graph *instance* —
-/// potentially millions per simulation — so storing every sample (as
-/// [`LatencySamples`] does) is off the table. This histogram keeps a fixed
-/// set of log-linear buckets (16 linear sub-buckets per power-of-two
-/// octave, HdrHistogram-style): `record` is O(1) with no allocation beyond
-/// the one-time growth of the bucket array (at most 976 entries), and
-/// quantiles are deterministic bucket lower bounds with ≤ 6 % relative
-/// error. Exact `min`/`max`/`sum` are tracked on the side so the extremes
-/// and the mean stay precise.
+/// Buckets are log-linear (HdrHistogram-style): 128 linear sub-buckets
+/// per power-of-two octave, and one bucket per value below 128 ps.
+/// `record` is O(1) with no allocation beyond the one-time growth of the
+/// bucket array to the highest occupied bucket (at most 7424 entries).
+/// Quantiles are deterministic bucket lower bounds, so an interior
+/// quantile reads at most [`QUANTILE_ERROR`](Self::QUANTILE_ERROR) below
+/// the exact nearest-rank value and never above it. Count, sum, min and
+/// max are tracked exactly on the side, so the extremes and the mean are
+/// exact.
+///
+/// The serialized form is self-describing: buckets are stored as
+/// `[floor_ps, count]` pairs under a `sub_buckets` resolution tag, and a
+/// reader re-buckets each floor by value. Two older forms fold in on
+/// read: a per-sample list (`samples_ps`), and 16-sub-bucket histograms
+/// whose buckets are stored by index (no `sub_buckets` tag).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyHistogram {
     /// `counts[b]` = samples in bucket `b`; grown lazily to the highest
     /// occupied bucket.
     counts: Vec<u64>,
     total: u64,
-    sum_ps: u64,
+    sum_ps: u128,
     min_ps: u64,
     max_ps: u64,
 }
 
 impl LatencyHistogram {
+    /// The most an interior quantile can read below the exact
+    /// nearest-rank value, relative to that value: one sub-bucket, 1/128.
+    pub const QUANTILE_ERROR: f64 = 1.0 / SUB as f64;
+
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The bucket index of a picosecond value. Values below 16 get exact
-    /// unit buckets; larger values go to `(octave, top-4-mantissa-bits)`.
-    fn bucket_of(ps: u64) -> usize {
-        if ps < HIST_SUB {
-            return ps as usize;
+    /// Adds `count` samples to the bucket holding `ps`, leaving the exact
+    /// side statistics alone.
+    fn add_to_bucket(&mut self, ps: u64, count: u64) {
+        let b = bucket_of(ps);
+        if b >= self.counts.len() {
+            self.counts.resize(b + 1, 0);
         }
-        let exp = 63 - ps.leading_zeros();
-        let sub = (ps >> (exp - HIST_SUB_BITS)) & (HIST_SUB - 1);
-        ((u64::from(exp - HIST_SUB_BITS + 1) * HIST_SUB) + sub) as usize
-    }
-
-    /// The smallest picosecond value that maps to bucket `b` (the value
-    /// quantiles report for samples landing in `b`).
-    fn bucket_floor(b: usize) -> u64 {
-        let b = b as u64;
-        if b < HIST_SUB {
-            return b;
-        }
-        let exp = b / HIST_SUB + u64::from(HIST_SUB_BITS) - 1;
-        let sub = b % HIST_SUB;
-        (HIST_SUB + sub) << (exp - u64::from(HIST_SUB_BITS))
+        self.counts[b] += count;
     }
 
     /// Records one sample. O(1); never allocates per sample once the
     /// bucket array has grown to cover the value range.
     pub fn record(&mut self, d: SimDuration) {
         let ps = d.as_ps();
-        let b = Self::bucket_of(ps);
-        if b >= self.counts.len() {
-            self.counts.resize(b + 1, 0);
-        }
-        self.counts[b] += 1;
+        self.add_to_bucket(ps, 1);
         self.total += 1;
-        self.sum_ps = self.sum_ps.saturating_add(ps);
+        self.sum_ps += u128::from(ps);
         self.max_ps = self.max_ps.max(ps);
         self.min_ps = if self.total == 1 {
             ps
@@ -208,12 +119,18 @@ impl LatencyHistogram {
         self.total == 0
     }
 
-    /// Arithmetic mean, or zero if empty.
+    /// Exact sum of all samples, in picoseconds.
+    pub fn sum_ps(&self) -> u128 {
+        self.sum_ps
+    }
+
+    /// Exact arithmetic mean (rounded down to a picosecond), or zero if
+    /// empty.
     pub fn mean(&self) -> SimDuration {
         if self.total == 0 {
             return SimDuration::ZERO;
         }
-        SimDuration::from_ps(self.sum_ps / self.total)
+        SimDuration::from_ps((self.sum_ps / u128::from(self.total)) as u64)
     }
 
     /// Exact largest sample, or zero if empty.
@@ -228,7 +145,8 @@ impl LatencyHistogram {
 
     /// The `q`-quantile (q in [0, 1]) by nearest rank over the buckets, or
     /// zero if empty. Interior quantiles report the lower bound of the
-    /// bucket holding the ranked sample (≤ 6 % below the true value);
+    /// bucket holding the ranked sample, at most
+    /// [`QUANTILE_ERROR`](Self::QUANTILE_ERROR) below the true value;
     /// `q = 0` and `q = 1` report the exact extremes.
     pub fn quantile(&self, q: f64) -> SimDuration {
         if self.total == 0 {
@@ -246,10 +164,25 @@ impl LatencyHistogram {
         for (b, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen > rank {
-                return SimDuration::from_ps(Self::bucket_floor(b).max(self.min_ps));
+                return SimDuration::from_ps(self.floor(b).max(self.min_ps));
             }
         }
         self.max()
+    }
+
+    /// The lower bound of occupied bucket `b`.
+    fn floor(&self, b: usize) -> u64 {
+        bucket_floor(SUB_BITS, b as u64).expect("occupied buckets are in range")
+    }
+
+    /// The `q`-quantile as printed, followed by its error bound:
+    /// `171.966us (≤0.8% low)`.
+    pub fn quantile_with_bound(&self, q: f64) -> String {
+        format!(
+            "{} (≤{:.1}% low)",
+            self.quantile(q),
+            Self::QUANTILE_ERROR * 100.0
+        )
     }
 
     /// The occupied buckets as `(lower_bound_ps, count)` pairs in
@@ -260,7 +193,7 @@ impl LatencyHistogram {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c != 0)
-            .map(|(b, &c)| (Self::bucket_floor(b), c))
+            .map(|(b, &c)| (self.floor(b), c))
     }
 
     /// Merges another histogram into this one.
@@ -280,63 +213,101 @@ impl LatencyHistogram {
             self.min_ps.min(other.min_ps)
         };
         self.max_ps = self.max_ps.max(other.max_ps);
-        self.sum_ps = self.sum_ps.saturating_add(other.sum_ps);
+        self.sum_ps += other.sum_ps;
         self.total += other.total;
+    }
+
+    /// Folds a legacy per-sample list (`{"samples_ps": [...]}`) in.
+    fn from_samples(samples: &[Value]) -> Result<Self, DeError> {
+        let mut h = LatencyHistogram::new();
+        for v in samples {
+            h.record(SimDuration::from_ps(u64::from_value(v)?));
+        }
+        Ok(h)
     }
 }
 
 // Hand-written serde: the bucket array is mostly zeros, so it is stored
-// sparsely as `[bucket, count]` pairs. Round-trips bit-exactly.
+// sparsely as `[floor_ps, count]` pairs. An empty histogram has no buckets
+// to interpret and omits the `sub_buckets` tag, so it serializes exactly
+// as it did before the tag existed. A sum beyond `u64` is written as a
+// decimal string. Round-trips bit-exactly.
 impl Serialize for LatencyHistogram {
     fn to_value(&self) -> Value {
-        let buckets: Vec<Value> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(b, &c)| Value::Seq(vec![Value::U64(b as u64), Value::U64(c)]))
-            .collect();
-        Value::Map(vec![
+        let sum = match u64::try_from(self.sum_ps) {
+            Ok(s) => Value::U64(s),
+            Err(_) => Value::Str(self.sum_ps.to_string()),
+        };
+        let mut m = vec![
             ("total".to_string(), Value::U64(self.total)),
-            ("sum_ps".to_string(), Value::U64(self.sum_ps)),
+            ("sum_ps".to_string(), sum),
             ("min_ps".to_string(), Value::U64(self.min_ps)),
             ("max_ps".to_string(), Value::U64(self.max_ps)),
-            ("buckets".to_string(), Value::Seq(buckets)),
-        ])
+        ];
+        if self.total != 0 {
+            m.push(("sub_buckets".to_string(), Value::U64(SUB)));
+        }
+        let buckets = self
+            .occupied_buckets()
+            .map(|(floor, c)| Value::Seq(vec![Value::U64(floor), Value::U64(c)]))
+            .collect();
+        m.push(("buckets".to_string(), Value::Seq(buckets)));
+        Value::Map(m)
     }
 }
 
 impl Deserialize for LatencyHistogram {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map_for("LatencyHistogram")?;
+        const TY: &str = "LatencyHistogram";
+        if let Some(samples) = v.get("samples_ps") {
+            return Self::from_samples(samples.as_seq_for("LatencyHistogram.samples_ps")?);
+        }
+        let m = v.as_map_for(TY)?;
+        let sum_ps = match v.get("sum_ps") {
+            Some(Value::Str(s)) => s
+                .parse()
+                .map_err(|e| DeError::new(format!("{TY}.sum_ps {s:?}: {e}")))?,
+            Some(other) => u128::from(u64::from_value(other)?),
+            None => return Err(DeError::new(format!("{TY}: missing field `sum_ps`"))),
+        };
         let mut h = LatencyHistogram {
             counts: Vec::new(),
-            total: serde::field(m, "total", "LatencyHistogram")?,
-            sum_ps: serde::field(m, "sum_ps", "LatencyHistogram")?,
-            min_ps: serde::field(m, "min_ps", "LatencyHistogram")?,
-            max_ps: serde::field(m, "max_ps", "LatencyHistogram")?,
+            total: serde::field(m, "total", TY)?,
+            sum_ps,
+            min_ps: serde::field(m, "min_ps", TY)?,
+            max_ps: serde::field(m, "max_ps", TY)?,
         };
-        let pairs = match m.iter().find(|(k, _)| k == "buckets") {
-            Some((_, v)) => v.as_seq_for("LatencyHistogram.buckets")?,
-            None => return Err(DeError::new("LatencyHistogram: missing field `buckets`")),
+        // Tagged buckets carry their floor; untagged ones are legacy
+        // 16-sub-bucket indices, decoded to their floor. Either way the
+        // floor is re-bucketed by value, never by index.
+        let tagged = v.get("sub_buckets").is_some();
+        let pairs = match v.get("buckets") {
+            Some(b) => b.as_seq_for("LatencyHistogram.buckets")?,
+            None => return Err(DeError::new(format!("{TY}: missing field `buckets`"))),
         };
         let mut restored = 0u64;
         for pair in pairs {
             let p = pair.as_seq_for("LatencyHistogram bucket pair")?;
-            if p.len() != 2 {
-                return Err(DeError::new("LatencyHistogram bucket pair must be [b, n]"));
-            }
-            let b: usize = u64::from_value(&p[0])? as usize;
-            let c: u64 = u64::from_value(&p[1])?;
-            if b >= h.counts.len() {
-                h.counts.resize(b + 1, 0);
-            }
-            h.counts[b] += c;
-            restored += c;
+            let [key, count] = p else {
+                return Err(DeError::new(format!("{TY} bucket pair must be [b, n]")));
+            };
+            let key = u64::from_value(key)?;
+            let count = u64::from_value(count)?;
+            restored = restored
+                .checked_add(count)
+                .ok_or_else(|| DeError::new(format!("{TY}: bucket counts overflow")))?;
+            let floor = if tagged {
+                key
+            } else {
+                bucket_floor(LEGACY_SUB_BITS, key).ok_or_else(|| {
+                    DeError::new(format!("{TY}: legacy bucket index {key} out of range"))
+                })?
+            };
+            h.add_to_bucket(floor, count);
         }
         if restored != h.total {
             return Err(DeError::new(format!(
-                "LatencyHistogram: bucket counts sum to {restored}, total says {}",
+                "{TY}: bucket counts sum to {restored}, total says {}",
                 h.total
             )));
         }
@@ -406,7 +377,7 @@ mod tests {
 
     #[test]
     fn empty_stats_are_zero() {
-        let mut s = LatencySamples::new();
+        let s = LatencyHistogram::new();
         assert!(s.is_empty());
         assert_eq!(s.mean(), SimDuration::ZERO);
         assert_eq!(s.max(), SimDuration::ZERO);
@@ -415,7 +386,7 @@ mod tests {
 
     #[test]
     fn summary_statistics() {
-        let mut s = LatencySamples::new();
+        let mut s = LatencyHistogram::new();
         for us in [10u64, 20, 30, 40, 100] {
             s.record(SimDuration::from_us(us));
         }
@@ -423,17 +394,21 @@ mod tests {
         assert_eq!(s.mean(), SimDuration::from_us(40));
         assert_eq!(s.min(), SimDuration::from_us(10));
         assert_eq!(s.max(), SimDuration::from_us(100));
-        assert_eq!(s.quantile(0.5), SimDuration::from_us(30));
+        assert_eq!(s.sum_ps(), 200_000_000);
         assert_eq!(s.quantile(0.0), SimDuration::from_us(10));
         assert_eq!(s.quantile(1.0), SimDuration::from_us(100));
-        assert_eq!(s.total(), SimDuration::from_us(200));
+        // The median is the floor of 30 µs's bucket: 128 + 100 steps of
+        // 2^17 ps, within 1/128 below the exact value.
+        assert_eq!(s.quantile(0.5), SimDuration::from_ps(228 << 17));
+        let exact = SimDuration::from_us(30).as_ps();
+        assert!(exact - s.quantile(0.5).as_ps() <= exact / 128);
     }
 
     #[test]
     fn merge_combines_samples() {
-        let mut a = LatencySamples::new();
+        let mut a = LatencyHistogram::new();
         a.record(SimDuration::from_us(1));
-        let mut b = LatencySamples::new();
+        let mut b = LatencyHistogram::new();
         b.record(SimDuration::from_us(3));
         a.merge(&b);
         assert_eq!(a.count(), 2);
@@ -442,28 +417,11 @@ mod tests {
 
     #[test]
     fn quantile_after_record_resorts() {
-        let mut s = LatencySamples::new();
+        let mut s = LatencyHistogram::new();
         s.record(SimDuration::from_us(10));
         assert_eq!(s.quantile(1.0), SimDuration::from_us(10));
         s.record(SimDuration::from_us(5));
         assert_eq!(s.quantile(0.0), SimDuration::from_us(5));
-    }
-
-    #[test]
-    fn quantile_of_matches_sorting_quantile_without_mutation() {
-        let mut s = LatencySamples::new();
-        for us in [40u64, 10, 100, 20, 30] {
-            s.record(SimDuration::from_us(us));
-        }
-        // The shared-reference variant agrees with the sorting one at
-        // every rank, both before and after the internal sort happened.
-        assert_eq!(s.quantile_of(0.5), SimDuration::from_us(30));
-        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert_eq!(s.quantile_of(q), s.clone().quantile(q), "q={q}");
-        }
-        s.quantile(0.5); // sorts in place
-        assert_eq!(s.quantile_of(1.0), SimDuration::from_us(100));
-        assert!(LatencySamples::new().quantile_of(0.5).is_zero());
     }
 
     #[test]
@@ -480,45 +438,30 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_contiguous_and_monotone() {
-        // Every value maps into a bucket whose floor is <= it, and bucket
-        // indices never decrease as values grow.
+        // Every value maps into a bucket whose floor is <= it and maps
+        // back to it, and bucket indices never decrease as values grow.
         let mut prev = 0usize;
-        for ps in (0u64..4096).chain([1 << 20, 1 << 40, u64::MAX - 1, u64::MAX]) {
-            let b = LatencyHistogram::bucket_of(ps);
+        for ps in (0u64..40_000).chain([1 << 20, 1 << 40, u64::MAX - 1, u64::MAX]) {
+            let b = bucket_of(ps);
             assert!(b >= prev, "monotone at {ps}");
-            assert!(LatencyHistogram::bucket_floor(b) <= ps, "floor at {ps}");
+            let floor = bucket_floor(SUB_BITS, b as u64).expect("in range");
+            assert!(floor <= ps, "floor at {ps}");
+            assert_eq!(bucket_of(floor), b, "floor of {ps} maps back");
             prev = b;
         }
+        assert_eq!(bucket_floor(SUB_BITS, prev as u64 + 1), None, "last bucket");
         // Small values are exact.
-        for ps in 0u64..16 {
-            assert_eq!(
-                LatencyHistogram::bucket_floor(LatencyHistogram::bucket_of(ps)),
-                ps
-            );
+        for ps in 0u64..SUB {
+            assert_eq!(bucket_floor(SUB_BITS, bucket_of(ps) as u64), Some(ps));
         }
-    }
-
-    #[test]
-    fn histogram_quantiles_bound_error() {
-        let mut h = LatencyHistogram::new();
-        let mut exact = LatencySamples::new();
-        for i in 1u64..=1000 {
-            let d = SimDuration::from_ps(i * i * 1000);
-            h.record(d);
-            exact.record(d);
+        // Every legacy 16-sub-bucket floor is itself a bucket floor, so a
+        // folded legacy histogram reads the quantiles it read before.
+        let mut b = 0;
+        while let Some(floor) = bucket_floor(LEGACY_SUB_BITS, b) {
+            assert_eq!(bucket_floor(SUB_BITS, bucket_of(floor) as u64), Some(floor));
+            b += 1;
         }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.min(), SimDuration::from_ps(1000));
-        assert_eq!(h.max(), SimDuration::from_ps(1000 * 1000 * 1000));
-        assert_eq!(h.mean(), exact.mean());
-        for q in [0.5, 0.9, 0.99, 0.999] {
-            let approx = h.quantile(q).as_ps() as f64;
-            let truth = exact.quantile(q).as_ps() as f64;
-            assert!(
-                approx <= truth && approx >= truth * (1.0 - 1.0 / 16.0) - 1.0,
-                "q={q}: approx {approx} vs exact {truth}"
-            );
-        }
+        assert_eq!(b, 976, "legacy bucket count");
     }
 
     #[test]
@@ -551,9 +494,84 @@ mod tests {
         let v = h.to_value();
         let back = LatencyHistogram::from_value(&v).expect("round trip");
         assert_eq!(h, back);
-        // Empty histograms round-trip too.
+        // Empty histograms round-trip too, in the untagged form.
         let e = LatencyHistogram::new();
+        assert_eq!(e.to_value().get("sub_buckets"), None);
         assert_eq!(LatencyHistogram::from_value(&e.to_value()).unwrap(), e);
+        // A sum past u64 survives as a decimal string.
+        let mut big = LatencyHistogram::new();
+        big.record(SimDuration::MAX);
+        big.record(SimDuration::MAX);
+        assert_eq!(big.sum_ps(), 2 * u128::from(u64::MAX));
+        assert_eq!(LatencyHistogram::from_value(&big.to_value()).unwrap(), big);
+    }
+
+    fn map(fields: &[(&str, Value)]) -> Value {
+        Value::Map(
+            fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+        )
+    }
+
+    fn pair(a: u64, b: u64) -> Value {
+        Value::Seq(vec![Value::U64(a), Value::U64(b)])
+    }
+
+    #[test]
+    fn legacy_sample_lists_fold_in_exactly() {
+        let samples = [0u64, 0, 7, 3_300_000, 23_100_000];
+        let legacy = map(&[
+            (
+                "samples_ps",
+                Value::Seq(samples.iter().map(|&s| Value::U64(s)).collect()),
+            ),
+            ("sorted", Value::Bool(false)),
+        ]);
+        let mut want = LatencyHistogram::new();
+        for s in samples {
+            want.record(SimDuration::from_ps(s));
+        }
+        assert_eq!(LatencyHistogram::from_value(&legacy).unwrap(), want);
+    }
+
+    #[test]
+    fn legacy_16_sub_bucket_indices_fold_in_by_floor() {
+        // Legacy index 355 is octave 25, sub-bucket 3: floor 19 << 21.
+        // Read as a 128-sub-bucket index it would be a few hundred ps.
+        let legacy = map(&[
+            ("total", Value::U64(3)),
+            ("sum_ps", Value::U64(120_000_000)),
+            ("min_ps", Value::U64(0)),
+            ("max_ps", Value::U64(41_000_000)),
+            ("buckets", Value::Seq(vec![pair(0, 1), pair(355, 2)])),
+        ]);
+        let h = LatencyHistogram::from_value(&legacy).unwrap();
+        assert_eq!(h.count(), 3);
+        assert_eq!(h.mean(), SimDuration::from_ps(40_000_000));
+        assert_eq!(h.quantile(0.99), SimDuration::from_ps(19 << 21));
+        assert_eq!(
+            h.occupied_buckets().collect::<Vec<_>>(),
+            vec![(0, 1), (19 << 21, 2)]
+        );
+        // An index past the last legacy bucket is an error, not a panic.
+        let bad = map(&[
+            ("total", Value::U64(1)),
+            ("sum_ps", Value::U64(1)),
+            ("min_ps", Value::U64(1)),
+            ("max_ps", Value::U64(1)),
+            ("buckets", Value::Seq(vec![pair(976, 1)])),
+        ]);
+        assert!(LatencyHistogram::from_value(&bad).is_err());
+    }
+
+    #[test]
+    fn printed_quantiles_state_the_bound() {
+        let mut h = LatencyHistogram::new();
+        h.record(SimDuration::from_ps(171_966_464));
+        assert_eq!(LatencyHistogram::QUANTILE_ERROR, 1.0 / 128.0);
+        assert_eq!(h.quantile_with_bound(0.99), "171.966us (≤0.8% low)");
     }
 
     #[test]

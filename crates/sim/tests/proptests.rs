@@ -1,10 +1,11 @@
 //! Property tests for the DES substrate: clock arithmetic, event ordering,
-//! timeline coverage and the progress model.
+//! timeline coverage, the progress model and latency histograms.
 
 use cata_sim::activity::{Activity, ActivityTimeline};
 use cata_sim::event::{EventBackend, EventQueue};
 use cata_sim::machine::{CoreId, Machine, MachineConfig, PowerLevel};
 use cata_sim::progress::{ExecProfile, RunningTask};
+use cata_sim::stats::LatencyHistogram;
 use cata_sim::time::{Frequency, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -208,5 +209,62 @@ proptest! {
         m.settle(core, now + latency);
         prop_assert_eq!(m.core(core).level(), last);
         prop_assert!(m.core(core).pending_transition().is_none());
+    }
+
+    /// Histogram quantiles against exact nearest-rank quantiles of the
+    /// sorted samples: interior quantiles read at most 1/128 below the
+    /// exact value and never above it, the extremes and count/sum/min/max
+    /// are exact, and merging equals recording both sets. Inputs mix
+    /// heavy runs of 0 ps (like the mostly-zero lock waits), values below
+    /// 128 ps, typical latencies, and values near `u64::MAX`.
+    #[test]
+    fn histogram_quantiles_match_exact_nearest_rank(
+        a in prop::collection::vec((0u8..10, any::<u64>()), 1..400),
+        b in prop::collection::vec((0u8..10, any::<u64>()), 0..100),
+    ) {
+        let latency = |&(kind, raw): &(u8, u64)| match kind {
+            0..=4 => 0,
+            5 => raw % 128,
+            6 | 7 => raw % (1 << 40),
+            8 => u64::MAX - raw % 1024,
+            _ => raw,
+        };
+        let a: Vec<u64> = a.iter().map(latency).collect();
+        let b: Vec<u64> = b.iter().map(latency).collect();
+        let record = |h: &mut LatencyHistogram, xs: &[u64]| {
+            for &x in xs {
+                h.record(SimDuration::from_ps(x));
+            }
+        };
+        let mut h = LatencyHistogram::new();
+        record(&mut h, &a);
+        let mut exact = a.clone();
+        exact.sort_unstable();
+
+        let n = exact.len();
+        prop_assert_eq!(h.count(), n as u64);
+        prop_assert_eq!(h.sum_ps(), exact.iter().map(|&x| u128::from(x)).sum::<u128>());
+        prop_assert_eq!(h.min().as_ps(), exact[0]);
+        prop_assert_eq!(h.max().as_ps(), exact[n - 1]);
+        for q in [0.0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+            let want = exact[((n - 1) as f64 * q).round() as usize];
+            let got = h.quantile(q).as_ps();
+            if q == 0.0 || q == 1.0 {
+                prop_assert_eq!(got, want, "q={}", q);
+            } else {
+                // exact·(1 − 1/128) ≤ approx ≤ exact, in integers.
+                prop_assert!(
+                    want - want / 128 <= got && got <= want,
+                    "q={}: approx {} vs exact {}", q, got, want
+                );
+            }
+        }
+
+        let mut other = LatencyHistogram::new();
+        record(&mut other, &b);
+        let mut both = h.clone();
+        record(&mut both, &b);
+        h.merge(&other);
+        prop_assert_eq!(&h, &both);
     }
 }

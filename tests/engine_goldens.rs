@@ -305,24 +305,24 @@ fn cases() -> Vec<(String, RunReport)> {
 
 /// Recorded digests, `(case, fnv1a of the serialized RunReport)`.
 const GOLDEN: &[(&str, &str)] = &[
-    ("closed-faults/retry-same-core", "8522c1c40f3b38dc"),
-    ("closed-faults/reroute-prefer-fast", "31d3c4a308b4ee2d"),
+    ("closed-faults/retry-same-core", "1d7fc1086d91af29"),
+    ("closed-faults/reroute-prefer-fast", "8194f8ccfd162eb2"),
     (
         "closed-faults/shed-noncritical-on-degraded",
-        "8522c1c40f3b38dc",
+        "1d7fc1086d91af29",
     ),
-    ("closed-faults-traced/retry-same-core", "60fc92b475ea8102"),
-    ("closed-faults-mem2/fifo", "b45fa79b187a82d4"),
-    ("closed-faults-mem2/crit-first", "c96fd8a203313ce5"),
-    ("closed-faults-mem2/round-robin", "7e92549670d1d22d"),
-    ("closed-failstop-mem1/crit-first", "dac596129770cbf9"),
+    ("closed-faults-traced/retry-same-core", "278851958c5cb17b"),
+    ("closed-faults-mem2/fifo", "37e99dc5ab3a3da4"),
+    ("closed-faults-mem2/crit-first", "1951024a118e3d7e"),
+    ("closed-faults-mem2/round-robin", "c1a1a9e40ee7e5c2"),
+    ("closed-failstop-mem1/crit-first", "75308894ab6244d1"),
     (
         "service-faults/shed-noncritical-on-degraded",
-        "e08d92771b12b218",
+        "a21a459a9a3e7ed3",
     ),
-    ("service-faults-mem2/crit-first", "0cdf19ff9f6bdbb0"),
-    ("service-faults-mem2-cap4/crit-first", "2bb63604d04f932c"),
-    ("service-mixed-tape-mem2/crit-first", "24549ec38c93b439"),
+    ("service-faults-mem2/crit-first", "d37167aaf736eab2"),
+    ("service-faults-mem2-cap4/crit-first", "a34bf37277ecf566"),
+    ("service-mixed-tape-mem2/crit-first", "98febc6d3dfb4b7a"),
 ];
 
 /// Recorded invariant digests, `(case, common::invariant_digest)`.

@@ -61,7 +61,7 @@ fn service_digest(r: &RunReport) -> String {
 /// behavioral change and must be called out. Regenerate with
 /// `cargo test --test service_mode -- --ignored --nocapture print_service_digest`.
 const GOLDEN_POISSON: &str = "t=49857058406 e=3fe8c2af8472b882 arr=203 adm=203 drop=0 done=203 \
-     p50=130023424 p99=167772160 p999=243269632 q99=33554432 s99=167772160";
+     p50=133693440 p99=171966464 p999=246415360 q99=33816576 s99=167772160";
 
 /// `common::invariant_digest` of the same run: the whole report with each
 /// latency distribution reduced to its exact count, mean, min and max.
