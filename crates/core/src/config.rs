@@ -320,27 +320,3 @@ impl RunConfig {
         self
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn presets_match_paper_settings() {
-        let m = RunConfig::paper_matrix(16);
-        assert_eq!(m.len(), 6);
-        assert_eq!(m[0].label, "FIFO");
-        assert!(matches!(m[1].estimator, EstimatorKind::BottomLevel { .. }));
-        assert!(matches!(m[2].estimator, EstimatorKind::StaticAnnotations));
-        assert!(matches!(m[3].accel, AccelKind::SoftwareCata { .. }));
-        assert!(matches!(m[4].accel, AccelKind::HardwareRsu));
-        assert!(matches!(m[5].accel, AccelKind::TurboMode));
-        for c in &m {
-            assert_eq!(c.machine.num_cores, 32);
-            assert_eq!(c.fast_cores, 16);
-        }
-        // Only TurboMode halts idle cores (Nanos++ busy-waits).
-        assert!(m[5].idle_to_halt.is_some());
-        assert!(m[3].idle_to_halt.is_none());
-    }
-}

@@ -8,12 +8,18 @@
 //! makespan, energy, or a counter on any preset is a behavioural change,
 //! not an optimization, and must be called out loudly.
 //!
+//! A second table pins the bytes of the preset *specs* themselves: store
+//! cell keys, resume and `repro replay` all key on the serialized spec, so
+//! a preset that serializes differently is a new cell everywhere.
+//!
 //! To regenerate after an *intentional* semantic change:
 //! `cargo test --test golden_digest -- --nocapture print_current_digests`
-//! and paste the printed table over `GOLDEN`.
+//! and paste the printed tables over `GOLDEN` and `SPEC_GOLDEN`.
 
-use cata_core::exp::{ScenarioSpec, WorkloadSpec};
+use cata_core::exp::{spec_digest, PolicyParams, ScenarioSpec, WorkloadSpec};
 use cata_core::SimExecutor;
+use cata_cpufreq::software_path::SoftwarePathParams;
+use cata_tdg::fnv1a_hex;
 use cata_workloads::{Benchmark, Scale};
 
 const SEED: u64 = 42;
@@ -92,9 +98,55 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     ("fluid-tiny", "TurboMode", "t=2764280898 e=3fbce2e61da5fc24 edp=3f34710b3d311145 done=200 req=381 app=381 noop=0 denied=0 swaps=0 steals=0 halts=206 ovh=0"),
 ];
 
+/// Every preset at the paper's three fast-core counts, plus the
+/// `ScenarioSpec::new` defaults (keyed `new`), on the dedup workload.
+fn pinned_specs() -> Vec<(String, usize, ScenarioSpec)> {
+    let w = WorkloadSpec::parsec(Benchmark::Dedup, Scale::Tiny, SEED);
+    let mut specs = Vec::new();
+    for preset in PRESETS {
+        for fast in [8, 16, 24] {
+            let spec = ScenarioSpec::preset(preset, fast, w.clone()).expect("preset");
+            specs.push((preset.to_string(), fast, spec));
+        }
+    }
+    specs.push(("new".to_string(), 16, ScenarioSpec::new("new", w)));
+    specs
+}
+
+/// FNV-1a of a spec's `to_json()` and `to_toml()`.
+fn spec_digests(spec: &ScenarioSpec) -> (String, String) {
+    (
+        fnv1a_hex(spec.to_json().bytes()),
+        fnv1a_hex(spec.to_toml().bytes()),
+    )
+}
+
+/// The recorded spec digests, `(key, fast_cores, json, toml)`.
+const SPEC_GOLDEN: &[(&str, usize, &str, &str)] = &[
+    ("FIFO", 8, "6a5e8d017f603462", "a84d29afd0875712"),
+    ("FIFO", 16, "946d3a2f4324a90d", "49fc9219b626b9b1"),
+    ("FIFO", 24, "ae6a479f18cd5b96", "4a08f9af8e998976"),
+    ("CATS+BL", 8, "aeba42fe2bb92209", "0f3028567d22c48f"),
+    ("CATS+BL", 16, "2acc1eeb7da71b3e", "00ff4a08f899d714"),
+    ("CATS+BL", 24, "c075987248151ebd", "4b615945c307c793"),
+    ("CATS+SA", 8, "7200ea99d74a8e9e", "b42dc542f4534fae"),
+    ("CATS+SA", 16, "cafd83929088b1b5", "e9a43b1ee17e0a49"),
+    ("CATS+SA", 24, "37d17bb9a146549a", "bad39d892696719a"),
+    ("CATA", 8, "77668ebb0a85b40e", "a647253d9d57534d"),
+    ("CATA", 16, "72202b21a8e225f9", "56b20e2a89820106"),
+    ("CATA", 24, "f49a48d25e9b727c", "a719f2fc46fd8c2b"),
+    ("CATA+RSU", 8, "a41f883c5b0a7a44", "1351f483c9052970"),
+    ("CATA+RSU", 16, "4be3aafad1d9ff97", "b71626ac6a05354f"),
+    ("CATA+RSU", 24, "5283950548027f68", "b7a01ea76496d2c4"),
+    ("TurboMode", 8, "ea7f5e12ca01aae2", "9a99dfabe36f9e00"),
+    ("TurboMode", 16, "f1ed0edcd90ba9eb", "c07cc1ada32b7865"),
+    ("TurboMode", 24, "d9133f10d873a790", "14c47c5fd98394be"),
+    ("new", 16, "21f0e23c4955e6f7", "6f199c44523710b3"),
+];
+
 #[test]
 fn print_current_digests() {
-    // Not an assertion: prints the digest table for regeneration (see the
+    // Not an assertion: prints the digest tables for regeneration (see the
     // module docs). Kept as a test so it builds against the same engine.
     for (wname, w) in workloads() {
         for preset in PRESETS {
@@ -103,6 +155,47 @@ fn print_current_digests() {
                 digest(preset, &w)
             );
         }
+    }
+    for (key, fast, spec) in pinned_specs() {
+        let (json, toml) = spec_digests(&spec);
+        println!("    (\"{key}\", {fast}, \"{json}\", \"{toml}\"),");
+    }
+}
+
+/// The preset specs serialize to the recorded bytes, and carry the
+/// paper's settings: Table I's 32 cores, the fast-core count as given,
+/// only CATS+BL and CATA set policy parameters (one each), and only
+/// TurboMode halts idle cores (Nanos++ workers busy-wait).
+#[test]
+fn preset_specs_match_recorded_digests() {
+    let specs = pinned_specs();
+    assert_eq!(specs.len(), SPEC_GOLDEN.len(), "6 presets x 3 + new");
+    for ((key, fast, spec), &(want_key, want_fast, json, toml)) in specs.iter().zip(SPEC_GOLDEN) {
+        assert_eq!((key.as_str(), *fast), (want_key, want_fast));
+        let got = spec_digests(spec);
+        assert_eq!(
+            (got.0.as_str(), got.1.as_str()),
+            (json, toml),
+            "{key} at {fast} serializes differently"
+        );
+        // The store's cell key is the JSON digest.
+        assert_eq!(spec_digest(spec), json, "{key} at {fast}");
+
+        assert_eq!(spec.machine.num_cores, 32, "{key}");
+        assert_eq!(spec.fast_cores, *fast, "{key}");
+        assert_eq!(spec.idle_to_halt.is_some(), key == "TurboMode", "{key}");
+        let params = match key.as_str() {
+            "CATS+BL" => Some(PolicyParams {
+                alpha: Some(1.0),
+                software_path: None,
+            }),
+            "CATA" => Some(PolicyParams {
+                alpha: None,
+                software_path: Some(SoftwarePathParams::paper_calibrated()),
+            }),
+            _ => None,
+        };
+        assert_eq!(spec.params, params, "{key}");
     }
 }
 
