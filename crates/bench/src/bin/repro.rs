@@ -1802,7 +1802,7 @@ fn replay_stored_cell(opts: &Opts) {
         "[replaying cell {} (index {}, seed {}, spec {})]",
         record.cell, record.index, record.seed, record.spec_digest
     );
-    let fresh = SimExecutor::default()
+    let fresh = SimExecutor
         .execute(&Scenario::from_spec(spec.clone()))
         .unwrap_or_else(|e| die(&e.to_string()));
     let fresh_json = serde_json::to_string(&fresh).expect("report serializes");

@@ -13,8 +13,7 @@
 //! - [`perf`]: the engine performance harness behind `repro perf` and
 //!   `BENCH_engine.json` (events/sec per preset and workload size).
 //!
-//! The `repro` binary exposes all of it on the command line; the Criterion
-//! benches reuse the same entry points at reduced scale.
+//! The `repro` binary exposes all of it on the command line.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -25,4 +24,4 @@ pub mod perf;
 pub mod sweeps;
 pub mod tables;
 
-pub use matrix::{cell_spec, run_matrix, run_matrix_on, run_one, run_spec, MatrixResult};
+pub use matrix::{run_matrix, run_matrix_on, run_spec, MatrixResult};

@@ -7,7 +7,7 @@
 //! free.
 
 use cata_core::exp::{CellRecord, Executor, Scenario, Suite};
-use cata_core::{RunConfig, RunReport, ScenarioSpec, SimExecutor, WorkloadSpec};
+use cata_core::{RunReport, ScenarioSpec, SimExecutor, WorkloadSpec};
 use cata_workloads::{Benchmark, Scale};
 use std::collections::HashMap;
 
@@ -123,21 +123,11 @@ impl MatrixResult {
     }
 }
 
-/// The spec of one matrix cell: `config` on `bench` at `scale`.
-pub fn cell_spec(bench: Benchmark, config: &RunConfig, scale: Scale, seed: u64) -> ScenarioSpec {
-    config.to_spec(WorkloadSpec::parsec(bench, scale, seed))
-}
-
 /// Runs one spec on the simulator backend.
 pub fn run_spec(spec: ScenarioSpec) -> RunReport {
     Scenario::from_spec(spec)
-        .run(&SimExecutor::default())
+        .run(&SimExecutor)
         .unwrap_or_else(|e| panic!("scenario failed: {e}"))
-}
-
-/// Runs one cell: `config` on `bench` at `scale`.
-pub fn run_one(bench: Benchmark, config: RunConfig, scale: Scale, seed: u64) -> RunReport {
-    run_spec(cell_spec(bench, &config, scale, seed))
 }
 
 /// Runs `configs` on every benchmark at every fast-core count, fanning the
@@ -181,7 +171,7 @@ pub fn run_matrix(
     jobs: usize,
 ) -> MatrixResult {
     run_matrix_on(
-        &SimExecutor::default(),
+        &SimExecutor,
         benches,
         fast_core_counts,
         configs,
@@ -226,7 +216,7 @@ mod tests {
         let records: Vec<CellRecord> = suite
             .grid_pairs()
             .iter()
-            .zip(suite.run_all(&SimExecutor::default()))
+            .zip(suite.run_all(&SimExecutor))
             .map(|((i, _), report)| {
                 let spec = ScenarioSpec::preset(
                     &report.label,

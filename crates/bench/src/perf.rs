@@ -187,7 +187,7 @@ pub fn perf_workloads(smoke: bool) -> Vec<(&'static str, WorkloadSpec)> {
 /// also populates the shared graph cache), tracing off.
 pub fn run_perf(smoke: bool, reps: usize) -> PerfReport {
     let reps = reps.max(1);
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let registries = cata_core::exp::default_registries();
     let mut runs = Vec::new();
     let mut summaries = Vec::new();

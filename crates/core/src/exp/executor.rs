@@ -650,7 +650,7 @@ impl BackendDispatch {
     /// A dispatcher over default sim and native executors.
     pub fn new() -> Self {
         BackendDispatch {
-            sim: SimExecutor::default(),
+            sim: SimExecutor,
             native: NativeExecutor::new(),
         }
     }
@@ -708,7 +708,7 @@ mod tests {
         small.spec_mut().fast_cores = 2;
 
         let executors: Vec<Box<dyn Executor>> = vec![
-            Box::new(SimExecutor::default()),
+            Box::new(SimExecutor),
             Box::new(NativeExecutor::new().max_workers(4)),
         ];
         for exec in &executors {
@@ -753,7 +753,7 @@ mod tests {
         assert_eq!(report.energy.measurement, Measurement::Modeled);
         assert!(report.energy.edp > 0.0);
         // Sim and native cells are now comparable: a normalized EDP exists.
-        let sim = SimExecutor::default().execute(&scenario).unwrap();
+        let sim = SimExecutor.execute(&scenario).unwrap();
         assert_eq!(sim.energy.measurement, Measurement::Simulated);
         assert!(report.edp_normalized_to(&sim).is_some());
     }

@@ -13,8 +13,7 @@
 //!   and [`AccelManager`](crate::accel::AccelManager). The six paper
 //!   configurations are pre-registered; third-party policies register a
 //!   closure under a new key and run everywhere, without touching core
-//!   enums (the enums remain as thin wrappers resolving through the same
-//!   registries).
+//!   enums.
 //! - [`Executor`] — one call shape over every backend:
 //!   [`SimExecutor`](crate::SimExecutor) (deterministic discrete-event
 //!   simulation) and [`NativeExecutor`] (real threads + DVFS backend).
@@ -33,14 +32,17 @@
 //! use cata_workloads::{Benchmark, Scale};
 //!
 //! // One run, explicitly assembled…
-//! let scenario = Scenario::builder("CATA")
-//!     .scheduler("cats-homogeneous")
-//!     .estimator("static-annotations")
-//!     .accel("software-cata")
-//!     .workload(WorkloadSpec::parsec(Benchmark::Dedup, Scale::Tiny, 42))
-//!     .fast_cores(8)
-//!     .build();
-//! let report = scenario.run(&SimExecutor::default()).unwrap();
+//! let scenario = Scenario::from_spec(ScenarioSpec {
+//!     fast_cores: 8,
+//!     scheduler: "cats-homogeneous".into(),
+//!     estimator: "static-annotations".into(),
+//!     accel: "software-cata".into(),
+//!     ..ScenarioSpec::new(
+//!         "CATA",
+//!         WorkloadSpec::parsec(Benchmark::Dedup, Scale::Tiny, 42),
+//!     )
+//! });
+//! let report = scenario.run(&SimExecutor).unwrap();
 //! assert_eq!(report.label, "CATA");
 //!
 //! // …or the whole paper matrix, in parallel.
@@ -49,7 +51,7 @@
 //!     WorkloadSpec::parsec(Benchmark::Dedup, Scale::Tiny, 42),
 //! ))
 //! .jobs(4);
-//! let reports = suite.run_all(&SimExecutor::default());
+//! let reports = suite.run_all(&SimExecutor);
 //! assert_eq!(reports.len(), 6);
 //! ```
 
@@ -72,10 +74,10 @@ pub use progress::{
 };
 pub use registry::{
     default_event_queue_registry, default_registries, AccelEntry, AllNonCritical, EstimatorEntry,
-    EventQueueRegistry, FactoryCtx, PolicyCaps, PolicyKeys, PolicyRegistries, SchedulerEntry,
+    EventQueueRegistry, FactoryCtx, PolicyCaps, PolicyRegistries, SchedulerEntry,
 };
-pub use scenario::{Scenario, ScenarioBuilder};
-pub use spec::{Backend, PolicyParams, ScenarioSpec, WorkloadSpec};
+pub use scenario::Scenario;
+pub use spec::{Backend, PolicyParams, RuntimeCosts, ScenarioSpec, WorkloadSpec};
 pub use store::{spec_digest, CellRecord, MergedRecords, ResultsStore, STORE_SCHEMA};
 pub use suite::{derive_seed, ShardOrder, StoreRunOutcome, Suite};
 

@@ -7,14 +7,13 @@
 //! pre-registered under [`PolicyRegistries::with_builtins`]; third-party
 //! policies register a factory closure under a new key and immediately work
 //! with every executor, the suite runner, and the bench harness, without
-//! touching `cata-core`'s enums (which remain as thin wrappers resolving
-//! through these same registries).
+//! touching `cata-core`.
 
 use super::error::ExpError;
-use super::spec::PolicyParams;
+use super::spec::{PolicyParams, ScenarioSpec};
 use crate::accel::{AccelManager, RsuCata, SoftwareCata, StaticAccel, TurboModeCtl};
 use crate::policy::{CatsPolicy, FifoPolicy, SchedulerPolicy};
-use cata_sim::machine::{Machine, MachineConfig};
+use cata_sim::machine::Machine;
 use cata_sim::EventBackend;
 use cata_tdg::criticality::{BottomLevelEstimator, CriticalityEstimator, StaticAnnotations};
 use cata_tdg::{TaskGraph, TaskId};
@@ -317,25 +316,19 @@ impl PolicyRegistries {
         })
     }
 
-    /// Resolves a full policy triple into engine-ready parts: builds the
+    /// Resolves a spec's policy triple into engine-ready parts: builds the
     /// machine (honoring the accel entry's `static_hetero`), then each
     /// policy through its factory.
-    pub fn resolve(
-        &self,
-        keys: &PolicyKeys,
-        machine_cfg: &MachineConfig,
-        fast_cores: usize,
-        seed: u64,
-        params: &PolicyParams,
-    ) -> Result<ResolvedPolicies, ExpError> {
-        let n_cores = machine_cfg.num_cores;
+    pub fn resolve(&self, spec: &ScenarioSpec) -> Result<ResolvedPolicies, ExpError> {
+        let fast_cores = spec.fast_cores;
+        let n_cores = spec.machine.num_cores;
         if fast_cores > n_cores {
             return Err(ExpError::InvalidSpec(format!(
                 "fast_cores {fast_cores} exceeds machine size {n_cores}"
             )));
         }
-        let accel_entry = self.accel_entry(&keys.accel)?;
-        let sched_entry = self.scheduler_entry(&keys.scheduler)?;
+        let accel_entry = self.accel_entry(&spec.accel)?;
+        let sched_entry = self.scheduler_entry(&spec.scheduler)?;
         // The merged capability view: scheduler dispatch preference plus
         // accel machine build, in one struct.
         let caps = PolicyCaps {
@@ -344,23 +337,24 @@ impl PolicyRegistries {
         };
         let static_hetero = caps.static_hetero;
         let machine = if static_hetero {
-            Machine::new_static_hetero(machine_cfg.clone(), fast_cores)
+            Machine::new_static_hetero(spec.machine.clone(), fast_cores)
         } else {
-            Machine::new(machine_cfg.clone())
+            Machine::new(spec.machine.clone())
         };
         let is_fast_static: Vec<bool> = (0..n_cores)
             .map(|i| !static_hetero || i < fast_cores)
             .collect();
+        let params = spec.params_or_default();
         let ctx = FactoryCtx {
             machine: &machine,
             is_fast_static: &is_fast_static,
             fast_cores,
-            seed,
-            params,
+            seed: spec.seed,
+            params: &params,
         };
-        let policy = self.build_scheduler(&keys.scheduler, &ctx)?;
-        let estimator = self.build_estimator(&keys.estimator, &ctx)?;
-        let accel = self.build_accel(&keys.accel, &ctx)?;
+        let policy = self.build_scheduler(&spec.scheduler, &ctx)?;
+        let estimator = self.build_estimator(&spec.estimator, &ctx)?;
+        let accel = self.build_accel(&spec.accel, &ctx)?;
         Ok(ResolvedPolicies {
             policy,
             estimator,
@@ -386,17 +380,6 @@ impl std::fmt::Debug for PolicyRegistries {
             .field("accels", &self.accel_keys())
             .finish()
     }
-}
-
-/// The policy triple of a run, as registry keys.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PolicyKeys {
-    /// Scheduler key.
-    pub scheduler: String,
-    /// Estimator key.
-    pub estimator: String,
-    /// Acceleration-manager key.
-    pub accel: String,
 }
 
 /// Engine-ready resolution output: the constructed machine and the three
@@ -509,15 +492,18 @@ pub fn default_event_queue_registry() -> &'static EventQueueRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::spec::WorkloadSpec;
 
-    fn ctx_less_resolve(keys: PolicyKeys) -> Result<ResolvedPolicies, ExpError> {
-        PolicyRegistries::with_builtins().resolve(
-            &keys,
-            &MachineConfig::small_test(4),
-            2,
-            7,
-            &PolicyParams::default(),
-        )
+    /// A spec with the given policy keys on a 4-core machine, 2 fast.
+    fn keyed(scheduler: &str, estimator: &str, accel: &str) -> ScenarioSpec {
+        ScenarioSpec {
+            scheduler: scheduler.into(),
+            estimator: estimator.into(),
+            accel: accel.into(),
+            seed: 7,
+            ..ScenarioSpec::new("keys", WorkloadSpec::Chain { n: 0, cycles: 0 })
+        }
+        .with_small_machine(4, 2)
     }
 
     #[test]
@@ -530,24 +516,18 @@ mod tests {
             ("cats-homogeneous", "static-annotations", "rsu"),
             ("fifo", "none", "turbo"),
         ] {
-            let r = ctx_less_resolve(PolicyKeys {
-                scheduler: s.into(),
-                estimator: e.into(),
-                accel: a.into(),
-            })
-            .unwrap_or_else(|err| panic!("{s}/{e}/{a}: {err}"));
+            let r = PolicyRegistries::with_builtins()
+                .resolve(&keyed(s, e, a))
+                .unwrap_or_else(|err| panic!("{s}/{e}/{a}: {err}"));
             assert_eq!(r.is_fast_static.len(), 4);
         }
     }
 
     #[test]
     fn unknown_keys_name_the_alternatives() {
-        let err = ctx_less_resolve(PolicyKeys {
-            scheduler: "fifo".into(),
-            estimator: "none".into(),
-            accel: "warp-drive".into(),
-        })
-        .unwrap_err();
+        let err = PolicyRegistries::with_builtins()
+            .resolve(&keyed("fifo", "none", "warp-drive"))
+            .unwrap_err();
         match err {
             ExpError::UnknownAccel { key, known } => {
                 assert_eq!(key, "warp-drive");
@@ -559,21 +539,15 @@ mod tests {
 
     #[test]
     fn bad_alpha_is_rejected_at_resolution() {
+        let spec = ScenarioSpec {
+            params: Some(PolicyParams {
+                alpha: Some(0.0),
+                software_path: None,
+            }),
+            ..keyed("cats", "bottom-level", "static-hetero")
+        };
         let err = PolicyRegistries::with_builtins()
-            .resolve(
-                &PolicyKeys {
-                    scheduler: "cats".into(),
-                    estimator: "bottom-level".into(),
-                    accel: "static-hetero".into(),
-                },
-                &MachineConfig::small_test(4),
-                2,
-                7,
-                &PolicyParams {
-                    alpha: Some(0.0),
-                    software_path: None,
-                },
-            )
+            .resolve(&spec)
             .unwrap_err();
         assert!(matches!(err, ExpError::InvalidSpec(_)));
     }

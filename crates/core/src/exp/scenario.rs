@@ -4,11 +4,6 @@ use super::error::ExpError;
 use super::registry::{default_registries, PolicyRegistries};
 use super::spec::{ScenarioSpec, WorkloadSpec};
 use crate::report::RunReport;
-use cata_cpufreq::software_path::SoftwarePathParams;
-use cata_power::PowerParams;
-use cata_sim::machine::MachineConfig;
-use cata_sim::time::SimDuration;
-use cata_sim::trace::TraceMode;
 use std::sync::Arc;
 
 /// A runnable experiment: a [`ScenarioSpec`] plus the
@@ -22,21 +17,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Starts a builder named `name` (the report label).
-    pub fn builder(name: impl Into<String>) -> ScenarioBuilder {
-        ScenarioBuilder {
-            spec: ScenarioSpec::new(
-                name,
-                WorkloadSpec::ForkJoin {
-                    waves: 3,
-                    width: 16,
-                    cycles: 1_000_000,
-                },
-            ),
-            registries: None,
-        }
-    }
-
     /// Wraps an existing spec with the default (builtin) registries.
     pub fn from_spec(spec: ScenarioSpec) -> Self {
         Scenario {
@@ -74,153 +54,5 @@ impl Scenario {
     /// Runs on the given executor — sugar for `executor.execute(self)`.
     pub fn run(&self, executor: &dyn super::executor::Executor) -> Result<RunReport, ExpError> {
         executor.execute(self)
-    }
-}
-
-/// Fluent construction of a [`Scenario`].
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    spec: ScenarioSpec,
-    registries: Option<Arc<PolicyRegistries>>,
-}
-
-impl ScenarioBuilder {
-    /// Sets the workload.
-    pub fn workload(mut self, workload: WorkloadSpec) -> Self {
-        self.spec.workload = workload;
-        self
-    }
-
-    /// Sets the machine.
-    pub fn machine(mut self, machine: MachineConfig) -> Self {
-        self.spec.machine = machine;
-        self
-    }
-
-    /// Sets the fast-core count / power budget.
-    pub fn fast_cores(mut self, fast_cores: usize) -> Self {
-        self.spec.fast_cores = fast_cores;
-        self
-    }
-
-    /// Sets the scheduler registry key.
-    pub fn scheduler(mut self, key: impl Into<String>) -> Self {
-        self.spec.scheduler = key.into();
-        self
-    }
-
-    /// Sets the estimator registry key.
-    pub fn estimator(mut self, key: impl Into<String>) -> Self {
-        self.spec.estimator = key.into();
-        self
-    }
-
-    /// Sets the acceleration-manager registry key.
-    pub fn accel(mut self, key: impl Into<String>) -> Self {
-        self.spec.accel = key.into();
-        self
-    }
-
-    /// Sets the bottom-level threshold parameter.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.spec.params.get_or_insert_with(Default::default).alpha = Some(alpha);
-        self
-    }
-
-    /// Sets the software-path latency parameters.
-    pub fn software_path(mut self, params: SoftwarePathParams) -> Self {
-        self.spec
-            .params
-            .get_or_insert_with(Default::default)
-            .software_path = Some(params);
-        self
-    }
-
-    /// Sets the idle→halt OS timeout.
-    pub fn idle_to_halt(mut self, timeout: Option<SimDuration>) -> Self {
-        self.spec.idle_to_halt = timeout;
-        self
-    }
-
-    /// Sets the power model.
-    pub fn power(mut self, power: PowerParams) -> Self {
-        self.spec.power = power;
-        self
-    }
-
-    /// Enables full event tracing.
-    pub fn trace(mut self) -> Self {
-        self.spec.trace = TraceMode::Full;
-        self
-    }
-
-    /// Selects an explicit trace collection mode.
-    pub fn trace_mode(mut self, mode: TraceMode) -> Self {
-        self.spec.trace = mode;
-        self
-    }
-
-    /// Sets the run seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.spec.seed = seed;
-        self
-    }
-
-    /// Selects the execution backend (sim default / native).
-    pub fn backend(mut self, backend: super::spec::Backend) -> Self {
-        self.spec.backend = backend;
-        self
-    }
-
-    /// Attaches a deterministic fault-injection schedule.
-    pub fn faults(mut self, faults: crate::fault::FaultSpec) -> Self {
-        self.spec.faults = Some(faults);
-        self
-    }
-
-    /// Shrinks the machine for unit tests.
-    pub fn small_machine(mut self, n: usize, fast: usize) -> Self {
-        self.spec = self.spec.with_small_machine(n, fast);
-        self
-    }
-
-    /// Uses custom registries.
-    pub fn registries(mut self, registries: Arc<PolicyRegistries>) -> Self {
-        self.registries = Some(registries);
-        self
-    }
-
-    /// Finalizes the scenario.
-    pub fn build(self) -> Scenario {
-        Scenario {
-            spec: self.spec,
-            registries: self
-                .registries
-                .unwrap_or_else(|| Arc::clone(default_registries())),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builder_round_trips_the_knobs() {
-        let s = Scenario::builder("X")
-            .fast_cores(4)
-            .scheduler("cats-homogeneous")
-            .estimator("static-annotations")
-            .accel("rsu")
-            .alpha(0.7)
-            .seed(99)
-            .small_machine(8, 4)
-            .build();
-        assert_eq!(s.spec().name, "X");
-        assert_eq!(s.spec().scheduler, "cats-homogeneous");
-        assert_eq!(s.spec().accel, "rsu");
-        assert_eq!(s.spec().params_or_default().alpha_or_default(), 0.7);
-        assert_eq!(s.spec().seed, 99);
-        assert_eq!(s.spec().machine.num_cores, 8);
     }
 }

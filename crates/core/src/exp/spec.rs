@@ -6,7 +6,6 @@
 //! alone. JSON and TOML render the same structure.
 
 use super::error::ExpError;
-use crate::config::{RunConfig, RuntimeCosts};
 use cata_cpufreq::software_path::SoftwarePathParams;
 use cata_power::PowerParams;
 use cata_sim::machine::MachineConfig;
@@ -539,6 +538,29 @@ impl WorkloadSpec {
     }
 }
 
+/// Runtime cost constants (Nanos++-scale).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RuntimeCosts {
+    /// Master-thread cost of creating/submitting one task (dependence
+    /// registration, allocation).
+    pub task_creation: SimDuration,
+    /// Extra creation cost per TDG node visited by the bottom-level
+    /// estimator's ancestor walk (the CATS+BL overhead, §V-A).
+    pub per_bl_visit: SimDuration,
+    /// Worker-side cost of dequeuing a task (scheduler critical section).
+    pub dispatch: SimDuration,
+}
+
+impl Default for RuntimeCosts {
+    fn default() -> Self {
+        RuntimeCosts {
+            task_creation: SimDuration::from_ns(800),
+            per_bl_visit: SimDuration::from_ns(250),
+            dispatch: SimDuration::from_ns(300),
+        }
+    }
+}
+
 /// Parameters consumed by policy factories. Every field is optional; a
 /// factory falls back to the paper's defaults for missing values, so specs
 /// only mention what they change.
@@ -712,26 +734,31 @@ pub const PAPER_PRESETS: [&str; 6] = [
 ];
 
 impl ScenarioSpec {
-    /// A spec running `workload` with every other knob at the FIFO-baseline
-    /// defaults; use the builder or the presets for the paper matrix.
+    /// A spec running `workload` as the paper's `FIFO` baseline: Table I's
+    /// machine with 16 fast cores, the blind FIFO queue, no criticality
+    /// estimation and no reconfiguration. The presets start from it.
     pub fn new(name: impl Into<String>, workload: WorkloadSpec) -> Self {
-        let base = RunConfig::fifo(16);
         ScenarioSpec {
             name: name.into(),
             workload,
-            machine: base.machine,
-            fast_cores: base.fast_cores,
+            machine: MachineConfig::paper_table1(),
+            fast_cores: 16,
             scheduler: "fifo".to_string(),
             estimator: "none".to_string(),
             accel: "static-hetero".to_string(),
             params: None,
-            costs: base.costs,
-            idle_to_halt: base.idle_to_halt,
-            idle_decel_delay: base.idle_decel_delay,
-            wake_latency: base.wake_latency,
-            power: base.power,
-            trace: base.trace,
-            seed: base.seed,
+            costs: RuntimeCosts::default(),
+            // Nanos++ workers busy-wait, so only TurboMode halts idle cores.
+            idle_to_halt: None,
+            // §V-B decelerates a core once "there are no other tasks
+            // ready", which a real runtime only concludes after spinning a
+            // while: transient queue emptiness between dependent tasks must
+            // not trigger a reconfiguration pair.
+            idle_decel_delay: SimDuration::from_us(25),
+            wake_latency: SimDuration::from_us(1),
+            power: PowerParams::mcpat_22nm(),
+            trace: TraceMode::Off,
+            seed: 0xCA7A_2016,
             backend: Backend::Sim,
             faults: None,
             event_queue: None,
@@ -740,26 +767,59 @@ impl ScenarioSpec {
     }
 
     /// One of the six paper configurations by figure label (`"FIFO"`,
-    /// `"CATS+BL"`, `"CATS+SA"`, `"CATA"`, `"CATA+RSU"`, `"TurboMode"`).
+    /// `"CATS+BL"`, `"CATS+SA"`, `"CATA"`, `"CATA+RSU"`, `"TurboMode"`):
+    /// its (scheduler, estimator, accel) keys over [`new`](Self::new)'s
+    /// defaults.
     pub fn preset(name: &str, fast_cores: usize, workload: WorkloadSpec) -> Result<Self, ExpError> {
-        let cfg = match name {
-            "FIFO" => RunConfig::fifo(fast_cores),
-            "CATS+BL" => RunConfig::cats_bl(fast_cores),
-            "CATS+SA" => RunConfig::cats_sa(fast_cores),
-            "CATA" => RunConfig::cata(fast_cores),
-            "CATA+RSU" => RunConfig::cata_rsu(fast_cores),
-            "TurboMode" => RunConfig::turbo(fast_cores),
+        let (scheduler, estimator, accel) = match name {
+            "FIFO" => ("fifo", "none", "static-hetero"),
+            "CATS+BL" => ("cats", "bottom-level", "static-hetero"),
+            "CATS+SA" => ("cats", "static-annotations", "static-hetero"),
+            "CATA" => ("cats-homogeneous", "static-annotations", "software-cata"),
+            "CATA+RSU" => ("cats-homogeneous", "static-annotations", "rsu"),
+            "TurboMode" => ("fifo", "none", "turbo"),
             other => return Err(ExpError::UnknownPreset(other.to_string())),
         };
-        Ok(cfg.to_spec(workload))
+        let mut spec = ScenarioSpec {
+            fast_cores,
+            scheduler: scheduler.to_string(),
+            estimator: estimator.to_string(),
+            accel: accel.to_string(),
+            ..ScenarioSpec::new(name, workload)
+        };
+        match name {
+            // CATS's threshold: only tasks on the longest pending path.
+            "CATS+BL" => {
+                spec.params = Some(PolicyParams {
+                    alpha: Some(1.0),
+                    software_path: None,
+                })
+            }
+            "CATA" => {
+                spec.params = Some(PolicyParams {
+                    alpha: None,
+                    software_path: Some(SoftwarePathParams::paper_calibrated()),
+                })
+            }
+            // Nanos++ workers busy-wait in user space; only after the spin
+            // phase do they block on a futex, letting the OS idle task run
+            // `hlt` (C0 → C1). Until then the core spins — possibly at the
+            // accelerated level, which is the energy waste §V-D attributes
+            // to TurboMode ("it may accelerate … runtime idle-loops").
+            "TurboMode" => spec.idle_to_halt = Some(SimDuration::from_us(40)),
+            _ => {}
+        }
+        Ok(spec)
     }
 
     /// All six paper configurations at one fast-core count, in figure
     /// order.
     pub fn paper_matrix(fast_cores: usize, workload: WorkloadSpec) -> Vec<Self> {
-        RunConfig::paper_matrix(fast_cores)
-            .into_iter()
-            .map(|cfg| cfg.to_spec(workload.clone()))
+        PAPER_PRESETS
+            .iter()
+            .map(|name| {
+                Self::preset(name, fast_cores, workload.clone()).expect("paper presets resolve")
+            })
             .collect()
     }
 
@@ -828,8 +888,7 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Shrinks the machine for unit tests (mirrors
-    /// [`RunConfig::with_small_machine`]).
+    /// Shrinks the machine for unit tests (`n` cores, `fast` fast/budget).
     pub fn with_small_machine(mut self, n: usize, fast: usize) -> Self {
         self.machine = MachineConfig::small_test(n);
         self.fast_cores = fast;

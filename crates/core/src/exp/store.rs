@@ -510,7 +510,7 @@ mod tests {
 
     fn record(index: u64) -> CellRecord {
         let s = spec();
-        let report = crate::SimExecutor::default()
+        let report = crate::SimExecutor
             .run_spec(&s, crate::exp::default_registries())
             .unwrap()
             .0;

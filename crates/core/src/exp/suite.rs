@@ -693,7 +693,7 @@ mod tests {
 
     #[test]
     fn parallel_equals_serial_bit_for_bit() {
-        let exec = SimExecutor::default();
+        let exec = SimExecutor;
         let serial = Suite::from_specs(small_matrix()).jobs(1).run_all(&exec);
         let parallel = Suite::from_specs(small_matrix()).jobs(4).run_all(&exec);
         assert_eq!(serial.len(), parallel.len());
@@ -712,7 +712,7 @@ mod tests {
         // below keeps the property visible in release test runs too.
         let reports = Suite::from_specs(small_matrix())
             .jobs(1)
-            .run_all(&SimExecutor::default());
+            .run_all(&SimExecutor);
         for (spec, report) in small_matrix().iter().zip(&reports) {
             let graph = spec.workload.try_build_graph_shared().unwrap();
             let fast = spec.machine.fast_level.frequency;
@@ -762,7 +762,7 @@ mod tests {
         });
         let reports = Suite::from_specs(vec![faulted, contended])
             .jobs(1)
-            .run_all(&SimExecutor::default());
+            .run_all(&SimExecutor);
         let graph = base.workload.try_build_graph_shared().unwrap();
         let fast = base.machine.fast_level.frequency;
         let m = base.machine.num_cores as u64;
@@ -787,9 +787,7 @@ mod tests {
     fn errors_surface_per_scenario() {
         let mut specs = small_matrix();
         specs[2].accel = "does-not-exist".into();
-        let results = Suite::from_specs(specs)
-            .jobs(2)
-            .run(&SimExecutor::default());
+        let results = Suite::from_specs(specs).jobs(2).run(&SimExecutor);
         assert!(results[0].is_ok());
         assert!(results[2].is_err());
         assert!(results[5].is_ok());

@@ -164,14 +164,28 @@ pub fn render(trace: &Trace, num_cores: usize, end: SimTime, width: usize) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RunConfig, SimExecutor};
-    use cata_workloads::micro;
+    use crate::exp::{default_registries, ScenarioSpec, WorkloadSpec};
+    use crate::{RunReport, SimExecutor};
+
+    fn cata_rsu(fast: usize, workload: WorkloadSpec) -> ScenarioSpec {
+        ScenarioSpec::preset("CATA+RSU", fast, workload).expect("paper preset")
+    }
+
+    /// Runs `spec` with full tracing.
+    fn traced(spec: ScenarioSpec) -> (RunReport, Trace) {
+        SimExecutor
+            .run_spec(&spec.with_trace(), default_registries())
+            .expect("fault-free runs cannot fail")
+    }
 
     #[test]
     fn renders_one_row_per_core_and_legend() {
-        let g = micro::fork_join(2, 6, 1_000_000);
-        let cfg = RunConfig::cata_rsu(2).with_small_machine(4, 2).with_trace();
-        let (r, trace) = SimExecutor::new(cfg).run(&g, "g");
+        let w = WorkloadSpec::ForkJoin {
+            waves: 2,
+            width: 6,
+            cycles: 1_000_000,
+        };
+        let (r, trace) = traced(cata_rsu(2, w).with_small_machine(4, 2));
         let s = render(&trace, 4, cata_sim::time::SimTime::ZERO + r.exec_time, 60);
         assert_eq!(s.lines().count(), 4 + 2, "4 core rows + axis + legend");
         for i in 0..4 {
@@ -184,9 +198,12 @@ mod tests {
 
     #[test]
     fn critical_tasks_show_as_critical_glyphs() {
-        let g = micro::skewed_diamond(4, 4_000_000, 8);
-        let cfg = RunConfig::cata_rsu(1).with_small_machine(4, 1).with_trace();
-        let (r, trace) = SimExecutor::new(cfg).run(&g, "g");
+        let w = WorkloadSpec::SkewedDiamond {
+            width: 4,
+            cycles: 4_000_000,
+            skew: 8,
+        };
+        let (r, trace) = traced(cata_rsu(1, w).with_small_machine(4, 1));
         let s = render(&trace, 4, cata_sim::time::SimTime::ZERO + r.exec_time, 80);
         assert!(
             s.contains('C') || s.contains('c'),
@@ -199,9 +216,12 @@ mod tests {
         // A 32-core paper-machine trace rendered at 8 rows: records for
         // cores 8..32 must be skipped, not panic (regression: the
         // pipeline_app example shows "first 8 cores").
-        let g = micro::fork_join(3, 24, 1_000_000);
-        let cfg = RunConfig::cata_rsu(8).with_trace();
-        let (r, trace) = SimExecutor::new(cfg).run(&g, "g");
+        let w = WorkloadSpec::ForkJoin {
+            waves: 3,
+            width: 24,
+            cycles: 1_000_000,
+        };
+        let (r, trace) = traced(cata_rsu(8, w));
         let s = render(&trace, 8, cata_sim::time::SimTime::ZERO + r.exec_time, 60);
         assert_eq!(s.lines().count(), 8 + 2, "8 core rows + axis + legend");
         assert!(!s.contains("core8 "), "no rows beyond the subset");

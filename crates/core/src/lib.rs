@@ -9,7 +9,10 @@
 //! pathologies of criticality-aware scheduling on heterogeneous machines.
 //!
 //! This crate implements the whole comparison matrix of the paper's
-//! evaluation:
+//! evaluation. Each configuration is one [`ScenarioSpec`]: a scheduler, a
+//! criticality estimator and an acceleration manager, named by registry
+//! key, plus the machine, workload, costs and seed.
+//! [`ScenarioSpec::preset`] builds the six of them:
 //!
 //! | Configuration | Scheduler | Criticality | Acceleration |
 //! |---|---|---|---|
@@ -20,7 +23,7 @@
 //! | `CATA+RSU`   | HPRQ/LPRQ              | annotations  | hardware Runtime Support Unit |
 //! | `TurboMode`  | single ready queue     | —            | halt-driven budget reallocation \[18\] |
 //!
-//! Two executors drive these policies:
+//! Two executors run a spec:
 //!
 //! - [`sim_exec::SimExecutor`]: a deterministic discrete-event execution on
 //!   the `cata-sim` machine model — the configuration used to reproduce the
@@ -37,7 +40,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod accel;
-pub mod config;
 pub mod exp;
 pub mod fault;
 pub mod gantt;
@@ -48,7 +50,6 @@ pub mod report;
 pub mod service;
 pub mod sim_exec;
 
-pub use config::{AccelKind, EstimatorKind, RunConfig, SchedulerKind};
 pub use exp::{
     CellRecord, Executor, ExpError, NativeExecutor, PolicyRegistries, ResultsStore, Scenario,
     ScenarioSpec, Suite, WorkloadSpec,

@@ -28,7 +28,7 @@ use super::spec::{ArrivalSpec, ServiceSpec};
 use super::tape::{TapeRecord, TrafficTape};
 use crate::exp::error::ExpError;
 use crate::exp::progress::{ProgressEvent, ProgressWriter};
-use crate::exp::registry::{FactoryCtx, PolicyKeys, PolicyRegistries};
+use crate::exp::registry::{FactoryCtx, PolicyRegistries};
 use crate::exp::suite::derive_seed;
 use crate::fault::{default_recovery_registry, RecoveryPolicy};
 use crate::mem::default_arbitration_registry;
@@ -129,17 +129,7 @@ pub fn replay_tape_observed(
         }
     }
     let params = spec.base.params_or_default();
-    let resolved = registries.resolve(
-        &PolicyKeys {
-            scheduler: spec.base.scheduler.clone(),
-            estimator: spec.base.estimator.clone(),
-            accel: spec.base.accel.clone(),
-        },
-        &spec.base.machine,
-        spec.base.fast_cores,
-        spec.base.seed,
-        &params,
-    )?;
+    let resolved = registries.resolve(&spec.base)?;
     let admission = admissions.build(
         &spec.admission,
         &spec.admission_params.clone().unwrap_or_default(),

@@ -34,10 +34,9 @@
 //! bit-identical report.
 
 use crate::accel::{AccelEffects, AccelManager};
-use crate::config::{RunConfig, RuntimeCosts};
 use crate::exp::error::ExpError;
-use crate::exp::registry::{default_registries, PolicyRegistries, ResolvedPolicies};
-use crate::exp::spec::ScenarioSpec;
+use crate::exp::registry::{PolicyRegistries, ResolvedPolicies};
+use crate::exp::spec::{RuntimeCosts, ScenarioSpec};
 use crate::fault::{
     default_recovery_registry, fault_rng, FaultReport, FaultSpec, RecoveryAction, RecoveryCtx,
     RecoveryPolicy, SplitMix64,
@@ -58,9 +57,7 @@ use cata_sim::trace::{Trace, TraceEvent, TraceMode};
 use cata_tdg::criticality::CriticalityEstimator;
 use cata_tdg::{GraphView, TaskGraph, TaskId};
 
-/// Every non-policy knob the engine needs: the common denominator of
-/// [`RunConfig`] (the enum-based compat surface) and
-/// [`ScenarioSpec`](crate::exp::ScenarioSpec) (the registry-keyed facade).
+/// Every non-policy knob of a [`ScenarioSpec`] the engine needs.
 #[derive(Debug, Clone)]
 pub(crate) struct EngineParams {
     pub label: String,
@@ -78,28 +75,6 @@ pub(crate) struct EngineParams {
     /// Contended shared-memory model; `None` (or a noop spec, filtered at
     /// construction) keeps the uncontended legacy machine bit-identical.
     pub memory: Option<MemorySpec>,
-}
-
-impl From<&RunConfig> for EngineParams {
-    fn from(cfg: &RunConfig) -> Self {
-        EngineParams {
-            label: cfg.label.clone(),
-            machine: cfg.machine.clone(),
-            fast_cores: cfg.fast_cores,
-            costs: cfg.costs,
-            idle_to_halt: cfg.idle_to_halt,
-            idle_decel_delay: cfg.idle_decel_delay,
-            wake_latency: cfg.wake_latency,
-            power: cfg.power.clone(),
-            trace: cfg.trace,
-            seed: cfg.seed,
-            // The enum-based compat surface predates fault injection;
-            // faulted runs go through `ScenarioSpec`.
-            faults: None,
-            event_queue: cata_sim::event::default_backend(),
-            memory: None,
-        }
-    }
 }
 
 impl From<&ScenarioSpec> for EngineParams {
@@ -584,61 +559,16 @@ fn run_with_scratch(
     })
 }
 
-/// The discrete-event executor.
-///
-/// Two ways to drive it:
-///
-/// - **Legacy, enum-based**: [`SimExecutor::new`] with a [`RunConfig`],
-///   then [`run`](Self::run) with a pre-built graph. The enums resolve
-///   through the default policy registries.
-/// - **Facade**: a default-constructed `SimExecutor` implements
-///   [`Executor`](crate::exp::Executor); a
-///   [`Scenario`](crate::exp::Scenario) fully describes the run (machine,
-///   workload, policies, seed), and
-///   [`run_scenario`](Self::run_scenario) /
-///   [`run_scenario_traced`](Self::run_scenario_traced) execute it.
+/// The discrete-event executor: a [`ScenarioSpec`] fully describes the
+/// run (machine, workload, policies, seed), and
+/// [`run_spec`](Self::run_spec) resolves its keys through a
+/// [`PolicyRegistries`] and simulates it. As an
+/// [`Executor`](crate::exp::Executor) it runs a
+/// [`Scenario`](crate::exp::Scenario), the spec bound to its registries.
 #[derive(Debug, Default)]
-pub struct SimExecutor {
-    cfg: Option<RunConfig>,
-}
+pub struct SimExecutor;
 
 impl SimExecutor {
-    /// Creates an executor bound to one enum-based configuration.
-    pub fn new(cfg: RunConfig) -> Self {
-        SimExecutor { cfg: Some(cfg) }
-    }
-
-    /// The bound configuration, if any (`None` for a pure facade backend).
-    pub fn config(&self) -> Option<&RunConfig> {
-        self.cfg.as_ref()
-    }
-
-    /// Runs `graph` to completion and reports. `workload` is a label.
-    ///
-    /// # Panics
-    /// Panics if no [`RunConfig`] is bound, the configuration is
-    /// inconsistent (budget > cores), or the simulation deadlocks (a
-    /// task-graph bug).
-    pub fn run(&self, graph: &TaskGraph, workload: &str) -> (RunReport, Trace) {
-        let cfg = self
-            .cfg
-            .as_ref()
-            .expect("SimExecutor::run requires a RunConfig; use run_scenario for specs");
-        let resolved = default_registries()
-            .resolve(
-                &cfg.policy_keys(),
-                &cfg.machine,
-                cfg.fast_cores,
-                cfg.seed,
-                &cfg.policy_params(),
-            )
-            .unwrap_or_else(|e| panic!("RunConfig `{}` failed to resolve: {e}", cfg.label));
-        // RunConfig carries no fault schedule, so the engine is infallible
-        // on this path.
-        run_with_scratch(&EngineParams::from(cfg), resolved, graph, workload)
-            .expect("fault-free runs cannot fail")
-    }
-
     /// Executes a scenario spec end to end: resolves its policy keys
     /// through `registries`, generates its workload, simulates, reports.
     pub fn run_spec(
@@ -647,14 +577,7 @@ impl SimExecutor {
         registries: &PolicyRegistries,
     ) -> Result<(RunReport, Trace), ExpError> {
         spec.validate()?;
-        let keys = crate::exp::registry::PolicyKeys {
-            scheduler: spec.scheduler.clone(),
-            estimator: spec.estimator.clone(),
-            accel: spec.accel.clone(),
-        };
-        let params = spec.params_or_default();
-        let resolve =
-            || registries.resolve(&keys, &spec.machine, spec.fast_cores, spec.seed, &params);
+        let resolve = || registries.resolve(spec);
         // Graph and report label come from one workload load, so a store
         // cell can never name a different revision of an unpinned TDG
         // file than the graph that actually ran.
@@ -1667,6 +1590,8 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::registry::default_registries;
+    use crate::exp::spec::{WorkloadSpec, PAPER_PRESETS};
     use cata_sim::progress::ExecProfile;
 
     /// A small fork-join graph: src → 8 × work (4 critical) → sink.
@@ -1691,8 +1616,26 @@ mod tests {
         g
     }
 
-    fn run_cfg(cfg: RunConfig, g: &TaskGraph) -> RunReport {
-        SimExecutor::new(cfg).run(g, "test").0
+    /// `preset` on a small test machine of `cores` cores, `fast` of them
+    /// fast (or the power budget). The tests run hand-built graphs, so the
+    /// spec's own workload is a placeholder.
+    fn small(preset: &str, cores: usize, fast: usize) -> ScenarioSpec {
+        ScenarioSpec::preset(preset, fast, WorkloadSpec::Chain { n: 0, cycles: 0 })
+            .expect("paper preset")
+            .with_small_machine(cores, fast)
+    }
+
+    /// Runs a hand-built graph under `spec` on the closed engine.
+    fn run_graph(spec: &ScenarioSpec, g: &TaskGraph) -> (RunReport, Trace) {
+        let resolved = default_registries()
+            .resolve(spec)
+            .expect("builtin keys resolve");
+        run_with_scratch(&EngineParams::from(spec), resolved, g, "test")
+            .expect("fault-free runs cannot fail")
+    }
+
+    fn run_cfg(spec: &ScenarioSpec, g: &TaskGraph) -> RunReport {
+        run_graph(spec, g).0
     }
 
     /// Spec validation rejects schedules that kill every core up front;
@@ -1703,8 +1646,8 @@ mod tests {
     fn all_cores_dead_terminates_with_stalled_error() {
         use crate::fault::{CoreFailure, FaultSpec};
         let g = fork_join(2_000_000);
-        let cfg = RunConfig::fifo(2).with_small_machine(4, 2);
-        let mut params = EngineParams::from(&cfg);
+        let spec = small("FIFO", 4, 2);
+        let mut params = EngineParams::from(&spec);
         params.faults = Some(FaultSpec {
             core_failures: (0..4)
                 .map(|core| CoreFailure {
@@ -1715,15 +1658,7 @@ mod tests {
                 .collect(),
             ..FaultSpec::default()
         });
-        let resolved = default_registries()
-            .resolve(
-                &cfg.policy_keys(),
-                &cfg.machine,
-                cfg.fast_cores,
-                cfg.seed,
-                &cfg.policy_params(),
-            )
-            .unwrap();
+        let resolved = default_registries().resolve(&spec).unwrap();
         let err = run_with_scratch(&params, resolved, &g, "dead").unwrap_err();
         assert!(
             matches!(err, ExpError::Stalled(_)),
@@ -1735,7 +1670,7 @@ mod tests {
     #[test]
     fn fifo_executes_all_tasks() {
         let g = fork_join(2_000_000);
-        let r = run_cfg(RunConfig::fifo(2).with_small_machine(4, 2), &g);
+        let r = run_cfg(&small("FIFO", 4, 2), &g);
         assert_eq!(r.tasks, 10);
         assert_eq!(r.counters.tasks_completed, 10);
         assert!(r.exec_time > SimDuration::ZERO);
@@ -1745,18 +1680,17 @@ mod tests {
     #[test]
     fn all_six_configs_complete_identical_task_sets() {
         let g = fork_join(1_000_000);
-        for cfg in RunConfig::paper_matrix(2) {
-            let label = cfg.label.clone();
-            let r = run_cfg(cfg.with_small_machine(4, 2), &g);
-            assert_eq!(r.counters.tasks_completed, 10, "{label} lost tasks");
+        for preset in PAPER_PRESETS {
+            let r = run_cfg(&small(preset, 4, 2), &g);
+            assert_eq!(r.counters.tasks_completed, 10, "{preset} lost tasks");
         }
     }
 
     #[test]
     fn determinism_same_config_same_result() {
         let g = fork_join(500_000);
-        let a = run_cfg(RunConfig::cata(2).with_small_machine(4, 2), &g);
-        let b = run_cfg(RunConfig::cata(2).with_small_machine(4, 2), &g);
+        let a = run_cfg(&small("CATA", 4, 2), &g);
+        let b = run_cfg(&small("CATA", 4, 2), &g);
         assert_eq!(a.exec_time, b.exec_time);
         assert_eq!(a.energy.energy_j, b.energy.energy_j);
         assert_eq!(a.counters.reconfigs_applied, b.counters.reconfigs_applied);
@@ -1765,8 +1699,7 @@ mod tests {
     #[test]
     fn cata_reconfigures_and_respects_budget() {
         let g = fork_join(4_000_000);
-        let cfg = RunConfig::cata(2).with_small_machine(4, 2).with_trace();
-        let (r, trace) = SimExecutor::new(cfg).run(&g, "test");
+        let (r, trace) = run_graph(&small("CATA", 4, 2).with_trace(), &g);
         assert!(r.counters.reconfigs_applied > 0, "CATA must reconfigure");
         // Replay the trace: the number of cores whose *settled* level is
         // fast never exceeds the budget at any event. (A pending
@@ -1785,8 +1718,8 @@ mod tests {
     #[test]
     fn rsu_is_no_slower_than_software_cata() {
         let g = fork_join(2_000_000);
-        let sw = run_cfg(RunConfig::cata(2).with_small_machine(4, 2), &g);
-        let hw = run_cfg(RunConfig::cata_rsu(2).with_small_machine(4, 2), &g);
+        let sw = run_cfg(&small("CATA", 4, 2), &g);
+        let hw = run_cfg(&small("CATA+RSU", 4, 2), &g);
         assert!(
             hw.exec_time <= sw.exec_time,
             "RSU {} slower than software {}",
@@ -1800,7 +1733,7 @@ mod tests {
     #[test]
     fn software_cata_charges_reconfig_overhead() {
         let g = fork_join(1_000_000);
-        let r = run_cfg(RunConfig::cata(2).with_small_machine(4, 2), &g);
+        let r = run_cfg(&small("CATA", 4, 2), &g);
         assert!(r.reconfig_overhead > SimDuration::ZERO);
         assert!(r.reconfig_time_share > 0.0);
         assert!(r.reconfig_latencies.count() > 0);
@@ -1809,7 +1742,7 @@ mod tests {
     #[test]
     fn turbo_mode_halts_idle_cores() {
         let g = fork_join(2_000_000);
-        let r = run_cfg(RunConfig::turbo(2).with_small_machine(4, 2), &g);
+        let r = run_cfg(&small("TurboMode", 4, 2), &g);
         assert_eq!(r.counters.tasks_completed, 10);
         assert!(r.counters.halts > 0, "idle cores must halt under TurboMode");
     }
@@ -1820,7 +1753,7 @@ mod tests {
         let ty = g.add_type("io", 0);
         let p = ExecProfile::new(1_000_000, 0).with_block(0.5, SimDuration::from_us(200));
         g.add_task(ty, p, &[]);
-        let r = run_cfg(RunConfig::fifo(1).with_small_machine(2, 1), &g);
+        let r = run_cfg(&small("FIFO", 2, 1), &g);
         assert!(r.counters.halts >= 1);
         assert_eq!(r.counters.tasks_completed, 1);
     }
@@ -1828,15 +1761,15 @@ mod tests {
     #[test]
     fn more_fast_cores_is_not_slower_under_fifo() {
         let g = fork_join(4_000_000);
-        let few = run_cfg(RunConfig::fifo(1).with_small_machine(4, 1), &g);
-        let many = run_cfg(RunConfig::fifo(4).with_small_machine(4, 4), &g);
+        let few = run_cfg(&small("FIFO", 4, 1), &g);
+        let many = run_cfg(&small("FIFO", 4, 4), &g);
         assert!(many.exec_time <= few.exec_time);
     }
 
     #[test]
     fn empty_graph_completes_instantly() {
         let g = TaskGraph::new();
-        let r = run_cfg(RunConfig::fifo(2).with_small_machine(4, 2), &g);
+        let r = run_cfg(&small("FIFO", 4, 2), &g);
         assert_eq!(r.tasks, 0);
         assert_eq!(r.exec_time, SimDuration::ZERO);
     }
@@ -1853,8 +1786,8 @@ mod tests {
             let deps: Vec<TaskId> = prev.into_iter().collect();
             prev = Some(g.add_task(ty, ExecProfile::new(10_000_000, 0), &deps));
         }
-        let fifo = run_cfg(RunConfig::fifo(1).with_small_machine(4, 1), &g);
-        let cata = run_cfg(RunConfig::cata_rsu(1).with_small_machine(4, 1), &g);
+        let fifo = run_cfg(&small("FIFO", 4, 1), &g);
+        let cata = run_cfg(&small("CATA+RSU", 4, 1), &g);
         // FIFO dispatch prefers core 0 (fast) so both are similar here, but
         // CATA must never lose by more than the reconfiguration overhead.
         let ratio = cata.exec_time.as_ps() as f64 / fifo.exec_time.as_ps() as f64;
@@ -1864,7 +1797,7 @@ mod tests {
     #[test]
     fn utilization_is_sane() {
         let g = fork_join(2_000_000);
-        let r = run_cfg(RunConfig::fifo(2).with_small_machine(4, 2), &g);
+        let r = run_cfg(&small("FIFO", 4, 2), &g);
         for &u in &r.core_utilization {
             assert!((0.0..=1.0).contains(&u));
         }

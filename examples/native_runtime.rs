@@ -49,7 +49,7 @@ fn main() {
     let mut scenario = scenario;
     scenario.spec_mut().machine = cata_sim::machine::MachineConfig::small_test(4);
 
-    let sim_report = SimExecutor::default().execute(&scenario).expect("sim run");
+    let sim_report = SimExecutor.execute(&scenario).expect("sim run");
     let native_report = NativeExecutor::new()
         .max_workers(4)
         .execute(&scenario)

@@ -27,7 +27,7 @@ fn main() {
     );
 
     let fast = 8; // 8 fast cores / budget 8, the paper's tightest setting
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
 
     // The whole comparison as one suite, fanned across 4 worker threads.
     // Deterministic per-run seeding makes this bit-identical to a serial

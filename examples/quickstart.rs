@@ -1,11 +1,11 @@
-//! Quickstart: describe a run with the `Scenario` builder, execute it
-//! under the baseline FIFO scheduler and under CATA+RSU, and compare.
+//! Quickstart: describe a run as a `ScenarioSpec`, execute it under the
+//! baseline FIFO scheduler and under CATA+RSU, and compare.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use cata_core::exp::{Scenario, WorkloadSpec};
+use cata_core::exp::{Scenario, ScenarioSpec, WorkloadSpec};
 use cata_core::SimExecutor;
 use cata_workloads::{Benchmark, Scale};
 
@@ -17,28 +17,24 @@ fn main() {
     let workload = WorkloadSpec::parsec(Benchmark::Dedup, Scale::Tiny, 42);
 
     // The paper's Table I machine with 8 fast cores (FIFO) / an 8-core
-    // power budget (CATA+RSU). Policies are referenced by registry key; the
-    // six paper configurations are pre-registered, and `Scenario::preset`
-    // is the shorthand for them.
-    let exec = SimExecutor::default();
-    let fifo = Scenario::builder("FIFO")
-        .workload(workload.clone())
-        .scheduler("fifo")
-        .estimator("none")
-        .accel("static-hetero")
-        .fast_cores(8)
-        .build()
-        .run(&exec)
-        .expect("fifo run");
-    let cata = Scenario::builder("CATA+RSU")
-        .workload(workload)
-        .scheduler("cats-homogeneous")
-        .estimator("static-annotations")
-        .accel("rsu")
-        .fast_cores(8)
-        .build()
-        .run(&exec)
-        .expect("cata run");
+    // power budget (CATA+RSU). `ScenarioSpec::new` is the FIFO baseline;
+    // policies are referenced by registry key. The six paper
+    // configurations are pre-registered, and `Scenario::preset` is the
+    // shorthand for them.
+    let exec = SimExecutor;
+    let fifo_spec = ScenarioSpec {
+        fast_cores: 8,
+        ..ScenarioSpec::new("FIFO", workload.clone())
+    };
+    let cata_spec = ScenarioSpec {
+        fast_cores: 8,
+        scheduler: "cats-homogeneous".into(),
+        estimator: "static-annotations".into(),
+        accel: "rsu".into(),
+        ..ScenarioSpec::new("CATA+RSU", workload)
+    };
+    let fifo = Scenario::from_spec(fifo_spec).run(&exec).expect("fifo run");
+    let cata = Scenario::from_spec(cata_spec).run(&exec).expect("cata run");
 
     println!("{}", fifo.summary());
     println!("{}", cata.summary());

@@ -25,7 +25,7 @@ fn main() {
     );
 
     let fast = 16;
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let run = |label: &str| {
         Scenario::preset(label, fast, workload.clone())
             .expect("paper preset")

@@ -180,9 +180,7 @@ fn modeled_energy_is_a_pure_function_of_observations() {
 #[test]
 fn zero_energy_baselines_render_na_everywhere() {
     let spec = small_spec("FIFO", Backend::Sim);
-    let real = SimExecutor::default()
-        .execute(&Scenario::from_spec(spec))
-        .unwrap();
+    let real = SimExecutor.execute(&Scenario::from_spec(spec)).unwrap();
     let mut zero = real.clone();
     zero.energy = cata_power::EnergyReport::from_parts(
         real.energy.time_s,

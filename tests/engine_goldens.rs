@@ -150,7 +150,7 @@ fn service_golden_spec() -> ServiceSpec {
 }
 
 fn closed(spec: &ScenarioSpec) -> RunReport {
-    SimExecutor::default()
+    SimExecutor
         .run_spec(spec, default_registries())
         .expect("closed run")
         .0

@@ -46,7 +46,7 @@ fn scenario_spec_round_trips_json_and_toml() {
 /// bit-identical report — serialization is sufficient for reproduction.
 #[test]
 fn deserialized_spec_reproduces_the_run() {
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let spec = ScenarioSpec::preset("CATA", 8, tiny_workload()).unwrap();
     let direct = Scenario::from_spec(spec.clone()).run(&exec).unwrap();
     let via_json = Scenario::from_spec(ScenarioSpec::from_json(&spec.to_json()).unwrap())
@@ -64,7 +64,7 @@ fn deserialized_spec_reproduces_the_run() {
 /// to end through `Scenario`/`Executor`.
 #[test]
 fn all_six_presets_run_through_the_facade() {
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     for label in [
         "FIFO",
         "CATS+BL",
@@ -86,7 +86,7 @@ fn all_six_presets_run_through_the_facade() {
 /// alternatives — for each of the three dimensions.
 #[test]
 fn unknown_keys_error_cleanly() {
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let base = ScenarioSpec::preset("FIFO", 8, tiny_workload()).unwrap();
 
     let mut s = base.clone();
@@ -124,7 +124,7 @@ fn unknown_keys_error_cleanly() {
 /// runs serially or fanned across a thread pool.
 #[test]
 fn suite_is_deterministic_serial_vs_parallel() {
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let specs = || ScenarioSpec::paper_matrix(8, tiny_workload());
     let serial = Suite::from_specs(specs()).jobs(1).run_all(&exec);
     let parallel = Suite::from_specs(specs()).jobs(6).run_all(&exec);
@@ -179,18 +179,14 @@ fn custom_policy_registers_and_runs_without_core_enums() {
     registries.register_scheduler("lifo", false, |_ctx| Ok(Box::new(LifoPolicy::default())));
     let registries = Arc::new(registries);
 
-    let scenario = Scenario::builder("LIFO-run")
-        .workload(tiny_workload())
-        .scheduler("lifo")
-        .estimator("none")
-        .accel("static-hetero")
-        .fast_cores(8)
-        .registries(Arc::clone(&registries))
-        .build();
+    let scenario = Scenario::from_spec(ScenarioSpec {
+        fast_cores: 8,
+        scheduler: "lifo".into(),
+        ..ScenarioSpec::new("LIFO-run", tiny_workload())
+    })
+    .with_registries(Arc::clone(&registries));
 
-    let report = scenario
-        .run(&SimExecutor::default())
-        .expect("custom policy runs");
+    let report = scenario.run(&SimExecutor).expect("custom policy runs");
     let expect = tiny_workload().build_graph().num_tasks() as u64;
     assert_eq!(report.counters.tasks_completed, expect, "LIFO lost tasks");
 
@@ -199,7 +195,7 @@ fn custom_policy_registers_and_runs_without_core_enums() {
     spec.name = "LIFO-suite".into();
     let reports = Suite::from_specs_with(vec![spec.clone(), spec], Some(registries))
         .jobs(2)
-        .run_all(&SimExecutor::default());
+        .run_all(&SimExecutor);
     assert_eq!(reports[0].exec_time, reports[1].exec_time);
 }
 

@@ -33,7 +33,7 @@ fn base(preset: &str) -> ScenarioSpec {
 }
 
 fn run(spec: &ScenarioSpec) -> Result<RunReport, ExpError> {
-    SimExecutor::default()
+    SimExecutor
         .run_spec(spec, default_registries())
         .map(|(r, _)| r)
 }

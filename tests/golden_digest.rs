@@ -61,7 +61,7 @@ fn digest_with_queue(preset: &str, workload: &WorkloadSpec, queue: Option<&str>)
     if let Some(key) = queue {
         spec = spec.with_event_queue(key);
     }
-    let (r, _) = SimExecutor::default()
+    let (r, _) = SimExecutor
         .run_spec(&spec, cata_core::exp::default_registries())
         .expect("run");
     let c = &r.counters;

@@ -5,7 +5,7 @@
 
 use cata_core::exp::{Scenario, Suite};
 use cata_core::native::NativeRuntime;
-use cata_core::{RunConfig, RunReport, ScenarioSpec, SimExecutor, WorkloadSpec};
+use cata_core::{RunReport, ScenarioSpec, SimExecutor, WorkloadSpec};
 use cata_cpufreq::software_path::SoftwarePathParams;
 use cata_sim::time::SimDuration;
 use cata_sim::trace::{Trace, TraceEvent};
@@ -21,7 +21,7 @@ fn workload(bench: Benchmark) -> WorkloadSpec {
 
 fn run_spec(spec: ScenarioSpec) -> RunReport {
     Scenario::from_spec(spec)
-        .run(&SimExecutor::default())
+        .run(&SimExecutor)
         .expect("scenario run")
 }
 
@@ -30,7 +30,7 @@ fn run_preset(label: &str, fast: usize, w: WorkloadSpec) -> RunReport {
 }
 
 fn run_traced(spec: ScenarioSpec) -> (RunReport, Trace) {
-    SimExecutor::default()
+    SimExecutor
         .run_scenario_traced(&Scenario::from_spec(spec.with_trace()))
         .expect("traced scenario run")
 }
@@ -45,7 +45,7 @@ fn trace_modes_agree_and_only_full_stores() {
     let spec = ScenarioSpec::preset("CATA", 2, workload(Benchmark::Dedup))
         .expect("preset")
         .with_small_machine(4, 2);
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let run = |mode: TraceMode| {
         exec.run_scenario_traced(&Scenario::from_spec(spec.clone().with_trace_mode(mode)))
             .expect("traced run")
@@ -79,9 +79,7 @@ fn all_configs_complete_all_benchmarks() {
         let w = workload(bench);
         let expect = w.build_graph().num_tasks() as u64;
         let specs = ScenarioSpec::paper_matrix(8, w);
-        let reports = Suite::from_specs(specs)
-            .jobs(3)
-            .run_all(&SimExecutor::default());
+        let reports = Suite::from_specs(specs).jobs(3).run_all(&SimExecutor);
         for r in reports {
             assert_eq!(
                 r.counters.tasks_completed,
@@ -304,24 +302,6 @@ fn native_runtime_executes_a_generated_graph() {
         );
     }
     assert_eq!(rt.metrics().tasks_run as usize, graph.num_tasks());
-}
-
-/// The enum-based `RunConfig` compat surface resolves through the same
-/// registries as the spec path: both produce bit-identical reports.
-#[test]
-fn run_config_and_spec_paths_agree() {
-    let w = workload(Benchmark::Swaptions);
-    let graph = w.build_graph();
-    for cfg in RunConfig::paper_matrix(8) {
-        let legacy = SimExecutor::new(cfg.clone()).run(&graph, &w.label()).0;
-        let facade = run_spec(cfg.to_spec(w.clone()));
-        assert_eq!(legacy.exec_time, facade.exec_time, "{} diverged", cfg.label);
-        assert_eq!(legacy.energy.energy_j, facade.energy.energy_j);
-        assert_eq!(
-            legacy.counters.reconfigs_applied,
-            facade.counters.reconfigs_applied
-        );
-    }
 }
 
 /// The software path's §V-C statistics are present for CATA and absent for

@@ -39,7 +39,7 @@ fn with_memory(mut spec: ScenarioSpec, slots: u64, arbitration: &str) -> Scenari
 }
 
 fn run(spec: &ScenarioSpec) -> Result<RunReport, ExpError> {
-    SimExecutor::default()
+    SimExecutor
         .run_spec(spec, default_registries())
         .map(|(r, _)| r)
 }

@@ -46,7 +46,7 @@ fn bits(r: &RunReport) -> String {
 /// run — telemetry changes nothing.
 #[test]
 fn sharded_sweep_with_heartbeats_merges_into_a_complete_dashboard() {
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let reference = Suite::from_specs(grid()).jobs(2).run_all(&exec);
 
     let mut store_paths = Vec::new();
@@ -126,7 +126,7 @@ fn sharded_sweep_with_heartbeats_merges_into_a_complete_dashboard() {
 /// reproduces the stored report bit for bit.
 #[test]
 fn stored_cells_replay_bit_identically_from_their_embedded_spec() {
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let store_path = tmp("replay.jsonl");
     let store = ResultsStore::open(&store_path).unwrap();
     let suite = Suite::from_specs(grid()).jobs(2);
@@ -153,7 +153,7 @@ fn stored_cells_replay_bit_identically_from_their_embedded_spec() {
 /// path drops nothing and double-counts nothing.
 #[test]
 fn incremental_tailing_matches_post_hoc_tailing() {
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let store_path = tmp("incr.jsonl");
     let progress_path = tmp("incr.progress.jsonl");
 

@@ -219,7 +219,7 @@ fn reconfiguration_overhead_in_paper_band() {
         )
         .expect("paper preset");
         let r = Scenario::from_spec(spec)
-            .run(&SimExecutor::default())
+            .run(&SimExecutor)
             .expect("scenario run");
         assert!(
             r.reconfig_time_share < 0.12,

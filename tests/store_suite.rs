@@ -41,7 +41,7 @@ fn bits(r: &RunReport) -> String {
 /// acceptance criterion of the sharded-suite subsystem.
 #[test]
 fn sharded_stores_merge_bit_identical_to_single_process_run() {
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let reference = Suite::from_specs(grid()).jobs(2).run_all(&exec);
 
     let a_path = tmp("shard-a.jsonl");
@@ -85,7 +85,7 @@ fn sharded_stores_merge_bit_identical_to_single_process_run() {
 /// to an uninterrupted single-process run.
 #[test]
 fn resume_after_torn_write_completes_exactly_the_missing_cells() {
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let reference = Suite::from_specs(grid()).jobs(1).run_all(&exec);
     let path = tmp("resume.jsonl");
 
@@ -141,7 +141,7 @@ fn resume_after_torn_write_completes_exactly_the_missing_cells() {
 /// `(index, spec_digest)`, so a changed cell re-runs while the rest load.
 #[test]
 fn changed_spec_reruns_only_that_cell() {
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let path = tmp("respec.jsonl");
     {
         let store = ResultsStore::open(&path).unwrap();
@@ -198,7 +198,7 @@ fn push_after_shard_stays_disjoint() {
 /// every line must stay parseable (the atomic-append contract).
 #[test]
 fn parallel_store_writes_never_tear_lines() {
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
     let path = tmp("parallel.jsonl");
     let store = ResultsStore::open(&path).unwrap();
     let outcome = Suite::from_specs(grid())

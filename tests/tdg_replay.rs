@@ -100,7 +100,7 @@ fn generator_spec() -> ScenarioSpec {
 }
 
 fn run_sim(spec: &ScenarioSpec) -> cata_core::RunReport {
-    SimExecutor::default()
+    SimExecutor
         .run_spec(spec, cata_core::exp::default_registries())
         .unwrap()
         .0
@@ -153,8 +153,7 @@ fn exported_generator_replays_bit_identically() {
 #[test]
 fn sim_capture_round_trips_through_the_executor() {
     let scenario = Scenario::from_spec(generator_spec());
-    let (report, captured): (_, CapturedGraph) =
-        SimExecutor::default().execute_captured(&scenario).unwrap();
+    let (report, captured): (_, CapturedGraph) = SimExecutor.execute_captured(&scenario).unwrap();
     assert_eq!(captured.backend, "sim");
     assert!(!captured.calibrated);
     assert_eq!(captured.tdg.num_tasks(), report.tasks);
@@ -400,7 +399,7 @@ fn inline_workloads_are_first_class_suite_cells() {
 
     let path = tmp("inline-suite.jsonl");
     let _ = std::fs::remove_file(&path);
-    let exec = SimExecutor::default();
+    let exec = SimExecutor;
 
     let suite = Suite::from_specs(vec![spec.clone(), inline.clone()]);
     let store = ResultsStore::open(&path).unwrap();
