@@ -753,13 +753,23 @@ fn print_help() {
     );
 }
 
+/// Writes `text` to `path`, or exits with an error naming the path.
+fn write_file(path: &str, text: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+}
+
+/// Writes `table` as `DIR/NAME.csv`, creating `DIR` if needed.
+fn write_csv(dir: &str, name: &str, table: &Table) {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("cannot write {dir}: {e}")));
+    let path = format!("{dir}/{name}.csv");
+    write_file(&path, &table.to_csv());
+    println!("[wrote {path}]");
+}
+
 fn emit(opts: &Opts, name: &str, table: &Table, title: &str) {
     println!("== {title} ==\n{}", table.render());
     if let Some(dir) = &opts.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let path = format!("{dir}/{name}.csv");
-        std::fs::write(&path, table.to_csv()).expect("write csv");
-        println!("[wrote {path}]");
+        write_csv(dir, name, table);
     }
 }
 
@@ -1071,10 +1081,7 @@ fn run_specs(opts: &Opts, specs: Vec<ScenarioSpec>) {
         }
     }
     if let Some(dir) = &opts.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let path = format!("{dir}/runs.csv");
-        std::fs::write(&path, report_table(&ok).to_csv()).expect("write csv");
-        println!("[wrote {path}]");
+        write_csv(dir, "runs", &report_table(&ok));
     }
     if failed > 0 {
         std::process::exit(1);
@@ -1233,8 +1240,7 @@ fn serve_service(opts: &Opts) {
             )
             .unwrap_or_else(|e| die(&e.to_string()));
             if let Some(out) = &opts.record_tape {
-                std::fs::write(out, tape.to_jsonl())
-                    .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
+                write_file(out, &tape.to_jsonl());
                 println!(
                     "[recorded tape: {} arrivals, digest {} -> {out}]",
                     tape.records.len(),
@@ -1373,10 +1379,7 @@ fn merge_stores(opts: &Opts) {
         render_figure_from_records(opts, fig, &merged.records);
     }
     if let Some(dir) = &opts.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let path = format!("{dir}/merged.csv");
-        std::fs::write(&path, table.to_csv()).expect("write csv");
-        println!("[wrote {path}]");
+        write_csv(dir, "merged", &table);
     }
     if let Some(out) = &opts.out {
         ResultsStore::write_all(out, &merged.records).unwrap_or_else(|e| die(&e.to_string()));
@@ -1565,7 +1568,7 @@ fn write_tdg(out: &str, tdg: &TdgFile) {
     } else {
         tdg.to_json_pretty()
     };
-    std::fs::write(out, text).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
+    write_file(out, &text);
 }
 
 /// `repro export [SPEC.json] [--out FILE]`: serialize a workload's task
@@ -2048,7 +2051,7 @@ fn main() {
             }
             print!("{}", report.render());
             let out = opts.out.as_deref().unwrap_or("BENCH_engine.json");
-            std::fs::write(out, report.to_json_pretty()).expect("write perf report");
+            write_file(out, &report.to_json_pretty());
             println!("[wrote {out}]");
             if let Some(path) = &opts.trajectory {
                 cata_bench::perf::append_trajectory(path, &report)
