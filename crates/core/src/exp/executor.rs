@@ -61,10 +61,10 @@ pub trait Executor: Send + Sync {
     /// The capture is taken *first*, and for the one workload kind with
     /// no stable content identity — an unpinned `File`, which re-reads
     /// its file on every build — the run executes the captured graph
-    /// itself (substituted [`WorkloadSpec::Inline`]
-    /// (super::spec::WorkloadSpec::Inline)), so the artifact and the
-    /// report can never describe different graphs even if the file is
-    /// edited mid-run. Every other workload builds deterministically
+    /// itself (substituted
+    /// [`WorkloadSpec::Inline`](super::spec::WorkloadSpec::Inline)), so the
+    /// artifact and the report can never describe different graphs even if
+    /// the file is edited mid-run. Every other workload builds deterministically
     /// through the shared graph cache, so executing the original
     /// scenario reuses the exact graph just captured (same cache key,
     /// same `Arc`) instead of paying a rebuild for a substitution that
@@ -173,8 +173,8 @@ static OVERLAP_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 /// workloads finish in test time.
 ///
 /// Energy: the runtime observes per-worker busy time at each frequency
-/// class and the executor prices it through the spec's [`PowerParams`]
-/// calibration ([`Measurement::Modeled`]); when the host exposes readable
+/// class and the executor prices it through the spec's
+/// [`PowerParams`](cata_power::PowerParams) calibration ([`Measurement::Modeled`]); when the host exposes readable
 /// RAPL counters the measured package joules are reported instead
 /// ([`Measurement::Rapl`]). Native runs therefore carry nonzero,
 /// sim-comparable energy — they used to hard-code 0 J, which made every

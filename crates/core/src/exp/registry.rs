@@ -1,7 +1,7 @@
 //! String-keyed registries of policy factories.
 //!
 //! The experiment facade resolves the three policy dimensions of a
-//! [`ScenarioSpec`](super::spec::ScenarioSpec) — scheduler, criticality
+//! [`ScenarioSpec`] — scheduler, criticality
 //! estimator, acceleration manager — through these registries instead of
 //! matching on closed enums. The six paper configurations are
 //! pre-registered under [`PolicyRegistries::with_builtins`]; third-party

@@ -76,10 +76,10 @@ impl Deserialize for Backend {
 
 /// The workload a scenario runs: a PARSECSs-shaped generator or one of the
 /// micro-graphs with every generation parameter pinned — or, since the TDG
-/// capture & replay subsystem, a concrete task graph itself: [`Inline`]
-/// (WorkloadSpec::Inline) embeds a [`TdgFile`] in the spec, and [`File`]
-/// (WorkloadSpec::File) references a `.tdg.json` on disk pinned by its
-/// content digest. Both replay through every executor, suite, shard and
+/// capture & replay subsystem, a concrete task graph itself:
+/// [`Inline`](WorkloadSpec::Inline) embeds a [`TdgFile`] in the spec, and
+/// [`File`](WorkloadSpec::File) references a `.tdg.json` on disk pinned by
+/// its content digest. Both replay through every executor, suite, shard and
 /// store path exactly like a generated workload (the TDG participates in
 /// the spec digest, so a cell's identity sees the graph's content).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -451,9 +451,9 @@ impl WorkloadSpec {
         Ok((graph, file))
     }
 
-    /// Panicking form of [`try_build_graph_shared`]
-    /// (Self::try_build_graph_shared), for callers whose workloads are
-    /// generators by construction.
+    /// Panicking form of
+    /// [`try_build_graph_shared`](Self::try_build_graph_shared), for
+    /// callers whose workloads are generators by construction.
     pub fn build_graph_shared(&self) -> Arc<TaskGraph> {
         self.try_build_graph_shared()
             .unwrap_or_else(|e| panic!("workload graph unavailable: {e}"))

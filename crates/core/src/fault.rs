@@ -101,8 +101,9 @@ impl Deserialize for CoreFailure {
 }
 
 /// A complete, seeded fault schedule for one run. Participates in spec
-/// digests and cell keys through [`ScenarioSpec::faults`]
-/// (crate::exp::ScenarioSpec) — a faulted cell is a *different* cell.
+/// digests and cell keys through
+/// [`ScenarioSpec::faults`](crate::exp::ScenarioSpec::faults) — a faulted
+/// cell is a *different* cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Scheduled core fail-stop / fail-recover events.

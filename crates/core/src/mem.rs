@@ -27,7 +27,7 @@
 //!   [`RunReport::memory`](crate::RunReport) (omitted when `None`).
 //!
 //! The mechanism itself ([`MemorySubsystem`](cata_sim::MemorySubsystem),
-//! [`ArbitrationPolicy`](cata_sim::ArbitrationPolicy)) lives in
+//! [`ArbitrationPolicy`]) lives in
 //! `cata_sim`; this module is the spec/registry/report layer on top.
 
 use crate::exp::error::ExpError;

@@ -72,7 +72,7 @@ pub fn run_service(
 /// Like [`run_service`], with heartbeat telemetry: the engine streams a
 /// [`ServiceSnapshot`](ProgressEvent::ServiceSnapshot) of its accounting
 /// (arrivals, drops, in-flight, p99-so-far) into `progress` every
-/// [`SNAPSHOT_EVERY_ARRIVALS`] arrivals plus once at drain. Heartbeats
+/// `SNAPSHOT_EVERY_ARRIVALS` arrivals plus once at drain. Heartbeats
 /// are best-effort and purely observational — the report is bit-identical
 /// with `None`.
 pub fn run_service_observed(

@@ -126,8 +126,8 @@ impl TrafficTape {
         out
     }
 
-    /// Parses the JSONL file form. Sugar for [`parse_jsonl`]
-    /// (Self::parse_jsonl) that drops the torn-tail flag.
+    /// Parses the JSONL file form. Sugar for
+    /// [`parse_jsonl`](Self::parse_jsonl) that drops the torn-tail flag.
     pub fn from_jsonl(text: &str) -> Result<Self, ExpError> {
         Self::parse_jsonl(text).map(|(tape, _)| tape)
     }

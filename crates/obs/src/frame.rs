@@ -169,7 +169,8 @@ impl Frame {
 
     /// The full ANSI paint of this frame: home the cursor, then every
     /// row with minimal SGR switching. Used for the first frame and after
-    /// a resize; steady-state repaints go through [`diff_ansi`].
+    /// a resize; steady-state repaints go through
+    /// [`diff_ansi`](Self::diff_ansi).
     pub fn to_ansi(&self) -> String {
         let mut out = String::with_capacity(self.w * self.h * 2);
         let mut style = None;

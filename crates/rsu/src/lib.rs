@@ -13,7 +13,7 @@
 //!   Both the software RSM (in `cata-core`) and the hardware RSU here wrap
 //!   this one implementation, so the two paths cannot diverge — they differ
 //!   only in latency and serialization, exactly as in the paper.
-//! - [`unit`]: the register-level RSU with its six ISA operations
+//! - [`unit`](mod@unit): the register-level RSU with its six ISA operations
 //!   (`rsu_init`, `rsu_reset`, `rsu_disable`, `rsu_start_task`,
 //!   `rsu_end_task`, `rsu_read_critic`) and their cycle costs.
 //! - [`virt`]: OS context-switch virtualization (§III-B-3): saving and

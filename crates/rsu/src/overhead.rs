@@ -5,11 +5,11 @@
 //! > The RSU requires a storage of 3 bits per core for the criticality and
 //! > status fields, and log₂ num_cores bits for the power budget. In
 //! > addition, two registers are required to configure the critical and
-//! > non-critical power states [...] log₂ num_power_states bits [each].
+//! > non-critical power states \[...\] log₂ num_power_states bits \[each\].
 //! > This results in a total storage cost of
 //! > 3 × num_cores + log₂ num_cores + 2 × log₂ num_power_states bits.
 //!
-//! evaluated with CACTI to "less than 0.0001 % [area] in a 32-core
+//! evaluated with CACTI to "less than 0.0001 % \[area\] in a 32-core
 //! processor" and "less than 50 µW". We reproduce the formula exactly and
 //! replace CACTI with a flip-flop-based area/leakage model at 22 nm; the
 //! conclusions (sub-0.0001 % area, sub-50 µW power) hold with wide margin.

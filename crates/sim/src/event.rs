@@ -272,9 +272,9 @@ const WHEEL_GROUP_BITS: u32 = 4;
 /// already at the same bucket's front.
 ///
 /// Push appends to a bucket tail in the common case: a deterministic
-/// feedback rule re-tunes the bucket width every [`WHEEL_TUNE_WINDOW`]
+/// feedback rule re-tunes the bucket width every `WHEEL_TUNE_WINDOW`
 /// pops to one octave below the lower-quartile clock advance (see
-/// [`retune`](Self::retune)), and the ring is sized to the pending
+/// `retune`), and the ring is sized to the pending
 /// population (~2 buckets per event, capped so the pop-side scans stay
 /// small). All triggers are functions of the event sequence alone —
 /// never of wall-clock — so runs stay reproducible.

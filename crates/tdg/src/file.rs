@@ -60,10 +60,10 @@ pub struct TdgFile {
     pub types: Vec<TaskType>,
     /// The task instances in submission (= topological) order.
     pub tasks: Vec<TdgTask>,
-    /// FNV-1a digest of the payload (see [`content_digest`]
-    /// (Self::content_digest)). The empty string opts out of verification —
-    /// the hand-authoring escape hatch; [`refresh_digest`]
-    /// (Self::refresh_digest) re-pins an edited file.
+    /// FNV-1a digest of the payload (see
+    /// [`content_digest`](Self::content_digest)). The empty string opts out
+    /// of verification — the hand-authoring escape hatch;
+    /// [`refresh_digest`](Self::refresh_digest) re-pins an edited file.
     pub digest: String,
 }
 

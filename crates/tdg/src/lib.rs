@@ -23,7 +23,7 @@
 //! - [`criticality`]: the two criticality estimators compared in the paper —
 //!   static annotations (`CATS+SA`/CATA) and dynamic bottom-level
 //!   (`CATS+BL`);
-//! - [`file`]: the portable `.tdg.json` form of a graph — a schema-tagged,
+//! - [`file`](mod@file): the portable `.tdg.json` form of a graph — a schema-tagged,
 //!   digest-pinned [`TdgFile`] convertible losslessly to and from
 //!   [`TaskGraph`], so captured graphs are storable, shareable, replayable
 //!   workloads.
