@@ -64,10 +64,10 @@ pub trait Executor: Send + Sync {
     /// itself (substituted
     /// [`WorkloadSpec::Inline`](super::spec::WorkloadSpec::Inline)), so the
     /// artifact and the report can never describe different graphs even if
-    /// the file is edited mid-run. Every other workload builds deterministically
-    /// through the shared graph cache, so executing the original
-    /// scenario reuses the exact graph just captured (same cache key,
-    /// same `Arc`) instead of paying a rebuild for a substitution that
+    /// the file is edited mid-run. Every other workload builds
+    /// deterministically through the shared graph cache, so executing the
+    /// original scenario reuses the exact graph just captured (same cache
+    /// key, same `Arc`) instead of paying a rebuild for a substitution that
     /// could not change anything.
     fn execute_captured(
         &self,
@@ -174,8 +174,9 @@ static OVERLAP_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 ///
 /// Energy: the runtime observes per-worker busy time at each frequency
 /// class and the executor prices it through the spec's
-/// [`PowerParams`](cata_power::PowerParams) calibration ([`Measurement::Modeled`]); when the host exposes readable
-/// RAPL counters the measured package joules are reported instead
+/// [`PowerParams`](cata_power::PowerParams) calibration
+/// ([`Measurement::Modeled`]); when the host exposes readable RAPL
+/// counters the measured package joules are reported instead
 /// ([`Measurement::Rapl`]). Native runs therefore carry nonzero,
 /// sim-comparable energy — they used to hard-code 0 J, which made every
 /// normalized-EDP table divide by zero.

@@ -1,13 +1,13 @@
 //! String-keyed registries of policy factories.
 //!
 //! The experiment facade resolves the three policy dimensions of a
-//! [`ScenarioSpec`] — scheduler, criticality
-//! estimator, acceleration manager — through these registries instead of
-//! matching on closed enums. The six paper configurations are
-//! pre-registered under [`PolicyRegistries::with_builtins`]; third-party
-//! policies register a factory closure under a new key and immediately work
-//! with every executor, the suite runner, and the bench harness, without
-//! touching `cata-core`.
+//! [`ScenarioSpec`] — scheduler, criticality estimator, acceleration
+//! manager — through these registries instead of matching on closed
+//! enums. The six paper configurations are pre-registered under
+//! [`PolicyRegistries::with_builtins`]; third-party policies register a
+//! factory closure under a new key and immediately work with every
+//! executor, the suite runner, and the bench harness, without touching
+//! `cata-core`.
 
 use super::error::ExpError;
 use super::spec::{PolicyParams, ScenarioSpec};

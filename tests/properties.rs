@@ -19,7 +19,7 @@ fn dag_params() -> impl Strategy<Value = (usize, f64, u64)> {
     (2usize..40, 0.02f64..0.4, any::<u64>())
 }
 
-/// A random DAG of `n` tasks of `min_cycles..max_cycles` each.
+/// A random DAG of `n` tasks of 10 000 to `max_cycles` cycles each.
 fn random_dag(n: usize, edge_p: f64, max_cycles: u64, seed: u64) -> WorkloadSpec {
     WorkloadSpec::RandomDag {
         n,
