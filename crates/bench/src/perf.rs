@@ -58,7 +58,7 @@ pub struct PerfSummary {
 /// One point of the append-only perf trajectory: a harness run boiled
 /// down to its per-size aggregates, stored as a single JSONL line so
 /// every PR/CI run *appends* to the history instead of overwriting it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerfPoint {
     /// Format tag.
     pub schema: String,
@@ -75,51 +75,14 @@ pub struct PerfPoint {
     /// ([`cata_core::exp::host_fingerprint`]) — events/sec on two
     /// different machines is not one trajectory, and the `repro watch`
     /// sparkline refuses to plot a cross-host mix. `None` on points
-    /// appended before this field existed.
+    /// appended before this field existed, and then omitted.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub host: Option<String>,
     /// Wall-clock append time, milliseconds since the Unix epoch (gives
-    /// the trajectory an x-axis). `None` on legacy points.
+    /// the trajectory an x-axis). `None` on legacy points, and then
+    /// omitted.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub unix_ms: Option<u64>,
-}
-
-// Serde is hand-written so the provenance fields are *omitted* — not
-// `null` — when absent, and legacy trajectory lines (which predate them)
-// keep parsing.
-impl Serialize for PerfPoint {
-    fn to_value(&self) -> serde::Value {
-        let mut m: Vec<(String, serde::Value)> = vec![
-            ("schema".into(), self.schema.to_value()),
-            ("mode".into(), self.mode.to_value()),
-            ("reps".into(), self.reps.to_value()),
-            ("summaries".into(), self.summaries.to_value()),
-            (
-                "speedup_vs_baseline".into(),
-                self.speedup_vs_baseline.to_value(),
-            ),
-        ];
-        if let Some(h) = &self.host {
-            m.push(("host".into(), h.to_value()));
-        }
-        if let Some(ms) = self.unix_ms {
-            m.push(("unix_ms".into(), ms.to_value()));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for PerfPoint {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let m = v.as_map_for("PerfPoint")?;
-        Ok(PerfPoint {
-            schema: serde::field(m, "schema", "PerfPoint")?,
-            mode: serde::field(m, "mode", "PerfPoint")?,
-            reps: serde::field(m, "reps", "PerfPoint")?,
-            summaries: serde::field(m, "summaries", "PerfPoint")?,
-            speedup_vs_baseline: serde::field(m, "speedup_vs_baseline", "PerfPoint")?,
-            host: serde::field(m, "host", "PerfPoint")?,
-            unix_ms: serde::field(m, "unix_ms", "PerfPoint")?,
-        })
-    }
 }
 
 /// Schema tag of [`PerfPoint`] trajectory records.

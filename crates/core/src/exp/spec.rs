@@ -42,6 +42,11 @@ impl Backend {
             Backend::Native => "native",
         }
     }
+
+    /// True for the default [`Backend::Sim`].
+    pub fn is_sim(&self) -> bool {
+        *self == Backend::Sim
+    }
 }
 
 impl std::str::FromStr for Backend {
@@ -56,6 +61,7 @@ impl std::str::FromStr for Backend {
     }
 }
 
+// Serde is hand-written so the strings are `name()`'s, shared with tables.
 impl Serialize for Backend {
     fn to_value(&self) -> Value {
         Value::Str(self.name().to_string())
@@ -592,7 +598,14 @@ impl PolicyParams {
 /// [`PolicyRegistries`](super::registry::PolicyRegistries); the six paper
 /// configurations are pre-registered, and third-party policies resolve the
 /// same way without touching any core enum.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The optional fields that came after the first release — `backend` when
+/// `sim`, and `faults`, `event_queue` and `memory` when `None` — are
+/// omitted from the serialized form, so a fault-free, default-queue sim
+/// spec serializes byte-identically to the layout before they existed:
+/// [`spec_digest`](super::store::spec_digest) stays stable, existing JSONL
+/// stores still resume, and legacy spec files parse unchanged.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Configuration label for reports ("FIFO", "CATA+RSU", …).
     pub name: String,
@@ -628,11 +641,13 @@ pub struct ScenarioSpec {
     /// Seed of the run's deterministic RNG.
     pub seed: u64,
     /// Which executor runs this cell (`sim` default / `native`).
+    #[serde(default, skip_serializing_if = "Backend::is_sim")]
     pub backend: Backend,
     /// Deterministic fault-injection schedule, or `None` for a perfect
     /// machine. Omitted from the serialized form when absent, so
     /// fault-free specs — and their store digests — stay byte-identical
     /// to the pre-fault layout.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub faults: Option<crate::fault::FaultSpec>,
     /// Event-queue backend registry key (`"heap"`, `"calendar-wheel"`,
     /// or a third-party alias registered in an
@@ -642,83 +657,15 @@ pub struct ScenarioSpec {
     /// are bit-identical — and it is omitted from the serialized form
     /// when absent, keeping spec digests, golden preset digests, store
     /// records and tapes byte-identical to the pre-knob layout.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub event_queue: Option<String>,
     /// Shared-memory interference model, or `None` for the uncontended
     /// legacy machine (memory demand elapses for free inside the blended
     /// task duration). Omitted from the serialized form when absent, so
     /// uncontended specs — and their store digests — stay byte-identical
     /// to the pre-interference layout.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub memory: Option<crate::mem::MemorySpec>,
-}
-
-// Serde is hand-written (the vendored derive has no `#[serde(skip…)]` or
-// `#[serde(default)]`) so the `backend` field is *omitted* for `Sim` and
-// the `faults`/`event_queue` fields are *omitted* when `None`: a
-// fault-free, default-queue sim spec serializes byte-identically to the
-// pre-backend, pre-fault, pre-event-queue layout — keeping `spec_digest`
-// stable, so existing JSONL stores still resume — and legacy spec files
-// (no `backend`/`faults`/`event_queue` keys) parse unchanged.
-impl Serialize for ScenarioSpec {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("name".into(), self.name.to_value()),
-            ("workload".into(), self.workload.to_value()),
-            ("machine".into(), self.machine.to_value()),
-            ("fast_cores".into(), self.fast_cores.to_value()),
-            ("scheduler".into(), self.scheduler.to_value()),
-            ("estimator".into(), self.estimator.to_value()),
-            ("accel".into(), self.accel.to_value()),
-            ("params".into(), self.params.to_value()),
-            ("costs".into(), self.costs.to_value()),
-            ("idle_to_halt".into(), self.idle_to_halt.to_value()),
-            ("idle_decel_delay".into(), self.idle_decel_delay.to_value()),
-            ("wake_latency".into(), self.wake_latency.to_value()),
-            ("power".into(), self.power.to_value()),
-            ("trace".into(), self.trace.to_value()),
-            ("seed".into(), self.seed.to_value()),
-        ];
-        if self.backend != Backend::Sim {
-            m.push(("backend".into(), self.backend.to_value()));
-        }
-        if let Some(ref faults) = self.faults {
-            m.push(("faults".into(), faults.to_value()));
-        }
-        if let Some(ref eq) = self.event_queue {
-            m.push(("event_queue".into(), eq.to_value()));
-        }
-        if let Some(ref mem) = self.memory {
-            m.push(("memory".into(), mem.to_value()));
-        }
-        Value::Map(m)
-    }
-}
-
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map_for("ScenarioSpec")?;
-        let backend: Option<Backend> = serde::field(m, "backend", "ScenarioSpec")?;
-        Ok(ScenarioSpec {
-            name: serde::field(m, "name", "ScenarioSpec")?,
-            workload: serde::field(m, "workload", "ScenarioSpec")?,
-            machine: serde::field(m, "machine", "ScenarioSpec")?,
-            fast_cores: serde::field(m, "fast_cores", "ScenarioSpec")?,
-            scheduler: serde::field(m, "scheduler", "ScenarioSpec")?,
-            estimator: serde::field(m, "estimator", "ScenarioSpec")?,
-            accel: serde::field(m, "accel", "ScenarioSpec")?,
-            params: serde::field(m, "params", "ScenarioSpec")?,
-            costs: serde::field(m, "costs", "ScenarioSpec")?,
-            idle_to_halt: serde::field(m, "idle_to_halt", "ScenarioSpec")?,
-            idle_decel_delay: serde::field(m, "idle_decel_delay", "ScenarioSpec")?,
-            wake_latency: serde::field(m, "wake_latency", "ScenarioSpec")?,
-            power: serde::field(m, "power", "ScenarioSpec")?,
-            trace: serde::field(m, "trace", "ScenarioSpec")?,
-            seed: serde::field(m, "seed", "ScenarioSpec")?,
-            backend: backend.unwrap_or_default(),
-            faults: serde::field(m, "faults", "ScenarioSpec")?,
-            event_queue: serde::field(m, "event_queue", "ScenarioSpec")?,
-            memory: serde::field(m, "memory", "ScenarioSpec")?,
-        })
-    }
 }
 
 /// The six paper configuration labels, in figure order — the canonical

@@ -31,7 +31,7 @@ use crate::report::RunReport;
 // keeps every identity — spec, grid, graph — in one namespace by
 // construction.
 use cata_tdg::fnv1a_hex as fnv1a;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -61,7 +61,7 @@ pub fn grid_digest<'a>(pairs: impl Iterator<Item = (u64, &'a str)>) -> String {
 }
 
 /// One completed suite cell, as stored on one JSONL line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellRecord {
     /// Format tag ([`STORE_SCHEMA`]).
     pub schema: String,
@@ -90,71 +90,23 @@ pub struct CellRecord {
     /// readers can refuse to treat cross-host wall times as one series.
     /// `None` — and skipped in the serialized form, so legacy stores stay
     /// byte-identical — on records written before this field existed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub host: Option<String>,
     /// Wall-clock start of the execution, milliseconds since the Unix
     /// epoch. Observability metadata only (dashboard throughput/ETA
     /// columns); `None` and skipped on legacy records.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub started_unix_ms: Option<u64>,
     /// Wall-clock end of the execution, same convention as
     /// `started_unix_ms`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub finished_unix_ms: Option<u64>,
     /// The full spec the cell executed, embedded so the record is
     /// replayable on the spot (`repro replay`) without the generating
     /// grid. `None` and skipped on legacy records — those replay only via
     /// an externally supplied spec matching `spec_digest`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub spec: Option<ScenarioSpec>,
-}
-
-// Serde is hand-written (the vendored derive would emit `None` fields as
-// `null`) so every optional field is *omitted* when absent: a legacy
-// record loaded and re-serialized (merge --out, gc rewrite) stays
-// byte-identical, and golden store fixtures never see the new fields.
-impl Serialize for CellRecord {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("schema".into(), self.schema.to_value()),
-            ("index".into(), self.index.to_value()),
-            ("cell".into(), self.cell.to_value()),
-            ("grid".into(), self.grid.to_value()),
-            ("spec_digest".into(), self.spec_digest.to_value()),
-            ("seed".into(), self.seed.to_value()),
-            ("wall_s".into(), self.wall_s.to_value()),
-            ("report".into(), self.report.to_value()),
-        ];
-        if let Some(h) = &self.host {
-            m.push(("host".into(), h.to_value()));
-        }
-        if let Some(ms) = self.started_unix_ms {
-            m.push(("started_unix_ms".into(), ms.to_value()));
-        }
-        if let Some(ms) = self.finished_unix_ms {
-            m.push(("finished_unix_ms".into(), ms.to_value()));
-        }
-        if let Some(spec) = &self.spec {
-            m.push(("spec".into(), spec.to_value()));
-        }
-        Value::Map(m)
-    }
-}
-
-impl Deserialize for CellRecord {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map_for("CellRecord")?;
-        Ok(CellRecord {
-            schema: serde::field(m, "schema", "CellRecord")?,
-            index: serde::field(m, "index", "CellRecord")?,
-            cell: serde::field(m, "cell", "CellRecord")?,
-            grid: serde::field(m, "grid", "CellRecord")?,
-            spec_digest: serde::field(m, "spec_digest", "CellRecord")?,
-            seed: serde::field(m, "seed", "CellRecord")?,
-            wall_s: serde::field(m, "wall_s", "CellRecord")?,
-            report: serde::field(m, "report", "CellRecord")?,
-            host: serde::field(m, "host", "CellRecord")?,
-            started_unix_ms: serde::field(m, "started_unix_ms", "CellRecord")?,
-            finished_unix_ms: serde::field(m, "finished_unix_ms", "CellRecord")?,
-            spec: serde::field(m, "spec", "CellRecord")?,
-        })
-    }
 }
 
 impl CellRecord {

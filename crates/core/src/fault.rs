@@ -32,7 +32,7 @@ use crate::exp::error::ExpError;
 use crate::exp::suite::derive_seed;
 use cata_sim::stats::LatencyHistogram;
 use cata_sim::time::{SimDuration, SimTime};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -63,48 +63,27 @@ pub(crate) fn fault_rng(seed: u64) -> SplitMix64 {
 /// One scheduled core failure: the core fail-stops at `at` (simulated
 /// time from run start) and, when `recover_after` is set, comes back that
 /// long after failing; otherwise the loss is permanent.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoreFailure {
     /// The core to fail (index into the machine).
     pub core: usize,
     /// When (from run start) the core fail-stops.
     pub at: SimDuration,
-    /// Recovery delay after the failure, or `None` for a permanent loss.
+    /// Recovery delay after the failure, or `None` for a permanent loss
+    /// (omitted, so a permanent failure has one serialized form).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub recover_after: Option<SimDuration>,
-}
-
-// Hand-written serde so `recover_after` is *omitted* for permanent
-// failures — keeping serialized fault schedules minimal and their
-// digests independent of how a permanent failure was spelled.
-impl Serialize for CoreFailure {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("core".into(), self.core.to_value()),
-            ("at".into(), self.at.to_value()),
-        ];
-        if let Some(r) = self.recover_after {
-            m.push(("recover_after".into(), r.to_value()));
-        }
-        Value::Map(m)
-    }
-}
-
-impl Deserialize for CoreFailure {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map_for("CoreFailure")?;
-        Ok(CoreFailure {
-            core: serde::field(m, "core", "CoreFailure")?,
-            at: serde::field(m, "at", "CoreFailure")?,
-            recover_after: serde::field(m, "recover_after", "CoreFailure")?,
-        })
-    }
 }
 
 /// A complete, seeded fault schedule for one run. Participates in spec
 /// digests and cell keys through
 /// [`ScenarioSpec::faults`](crate::exp::ScenarioSpec::faults) — a faulted
 /// cell is a *different* cell.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every field is serialized; a missing or `null` one reads as its
+/// [`Default`], so hand-written fault specs only mention what they change.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct FaultSpec {
     /// Scheduled core fail-stop / fail-recover events.
     pub core_failures: Vec<CoreFailure>,
@@ -130,41 +109,6 @@ impl Default for FaultSpec {
             max_retries: DEFAULT_MAX_RETRIES,
             recovery: DEFAULT_RECOVERY.to_string(),
         }
-    }
-}
-
-// Hand-written serde: serialization emits every field (deterministic,
-// digest-stable), deserialization defaults missing fields so hand-written
-// fault specs only mention what they change.
-impl Serialize for FaultSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("core_failures".into(), self.core_failures.to_value()),
-            ("reconfig_fail_p".into(), self.reconfig_fail_p.to_value()),
-            ("task_fault_p".into(), self.task_fault_p.to_value()),
-            ("max_retries".into(), self.max_retries.to_value()),
-            ("recovery".into(), self.recovery.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for FaultSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map_for("FaultSpec")?;
-        let d = FaultSpec::default();
-        let core_failures: Option<Vec<CoreFailure>> =
-            serde::field(m, "core_failures", "FaultSpec")?;
-        let reconfig_fail_p: Option<f64> = serde::field(m, "reconfig_fail_p", "FaultSpec")?;
-        let task_fault_p: Option<f64> = serde::field(m, "task_fault_p", "FaultSpec")?;
-        let max_retries: Option<u32> = serde::field(m, "max_retries", "FaultSpec")?;
-        let recovery: Option<String> = serde::field(m, "recovery", "FaultSpec")?;
-        Ok(FaultSpec {
-            core_failures: core_failures.unwrap_or(d.core_failures),
-            reconfig_fail_p: reconfig_fail_p.unwrap_or(d.reconfig_fail_p),
-            task_fault_p: task_fault_p.unwrap_or(d.task_fault_p),
-            max_retries: max_retries.unwrap_or(d.max_retries),
-            recovery: recovery.unwrap_or(d.recovery),
-        })
     }
 }
 
@@ -513,6 +457,7 @@ pub fn default_recovery_registry() -> &'static RecoveryRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn ctx(critical: bool, degraded: bool) -> RecoveryCtx {
         RecoveryCtx {

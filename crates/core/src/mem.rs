@@ -34,7 +34,7 @@ use crate::exp::error::ExpError;
 use cata_sim::memory::{CritFirstArbitration, FifoArbitration, RoundRobinArbitration};
 use cata_sim::time::SimDuration;
 use cata_sim::ArbitrationPolicy;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -45,7 +45,11 @@ pub const DEFAULT_ARBITRATION: &str = "fifo";
 /// spec digests and cell keys through
 /// [`ScenarioSpec::memory`](crate::exp::ScenarioSpec) — a contended cell
 /// is a *different* cell.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every field is serialized; a missing or `null` one reads as its
+/// [`Default`], so hand-written memory specs only mention what they change.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct MemorySpec {
     /// Concurrent bandwidth slots in the shared memory subsystem.
     /// `0` means unlimited — the uncontended legacy model, with no gate
@@ -62,31 +66,6 @@ impl Default for MemorySpec {
             slots: 0,
             arbitration: DEFAULT_ARBITRATION.to_string(),
         }
-    }
-}
-
-// Hand-written serde: serialization emits every field (deterministic,
-// digest-stable), deserialization defaults missing fields so hand-written
-// memory specs only mention what they change.
-impl Serialize for MemorySpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("slots".into(), self.slots.to_value()),
-            ("arbitration".into(), self.arbitration.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for MemorySpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map_for("MemorySpec")?;
-        let d = MemorySpec::default();
-        let slots: Option<u64> = serde::field(m, "slots", "MemorySpec")?;
-        let arbitration: Option<String> = serde::field(m, "arbitration", "MemorySpec")?;
-        Ok(MemorySpec {
-            slots: slots.unwrap_or(d.slots),
-            arbitration: arbitration.unwrap_or(d.arbitration),
-        })
     }
 }
 
@@ -264,6 +243,7 @@ pub fn default_arbitration_registry() -> &'static ArbitrationRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn builtins_resolve() {

@@ -4,10 +4,10 @@ use cata_power::EnergyReport;
 use cata_sim::stats::{Counters, LatencyHistogram};
 use cata_sim::time::SimDuration;
 use cata_sim::trace::TraceCounts;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// The result of one simulated execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunReport {
     /// Configuration label ("FIFO", "CATA+RSU", …).
     pub label: String,
@@ -38,6 +38,7 @@ pub struct RunReport {
     /// (`TraceMode::Counters` or `Full`); `None` — and skipped in the
     /// serialized form — when tracing was off, so stored JSONL cells only
     /// pay for counts that exist.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub trace_counts: Option<TraceCounts>,
     /// The worker count the run *actually* used, when it differs from the
     /// spec's machine: the native executor clamps the machine to the host,
@@ -45,95 +46,26 @@ pub struct RunReport {
     /// and must say so. `None` — and skipped in the serialized form, so
     /// sim reports and legacy stores stay byte-identical — when the run
     /// honored the spec machine exactly (every sim run does).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub effective_cores: Option<usize>,
     /// Open-system service metrics (arrival/latency/drop accounting),
     /// present only for `repro serve` runs. `None` — and skipped in the
     /// serialized form, so closed-system reports and legacy stores stay
     /// byte-identical — for ordinary single-graph runs.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub service: Option<crate::service::ServiceReport>,
     /// Fault-injection accounting, present only when the run carried a
     /// [`FaultSpec`](crate::fault::FaultSpec). `None` — and skipped in
     /// the serialized form, so fault-free reports and legacy stores stay
     /// byte-identical — for runs on a perfect machine.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub fault: Option<crate::fault::FaultReport>,
     /// Memory-gate accounting, present only when the run carried a
     /// contended [`MemorySpec`](crate::mem::MemorySpec). `None` — and
     /// skipped in the serialized form, so uncontended reports and legacy
     /// stores stay byte-identical — for runs on the uncontended machine.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub memory: Option<crate::mem::MemoryReport>,
-}
-
-// Serde is hand-written (the vendored derive has no `#[serde(skip…)]`
-// attributes) so `trace_counts: None` is *omitted* from the serialized map
-// rather than emitted as `null` — sweep stores stay compact and old
-// readers see the exact pre-field layout.
-impl Serialize for RunReport {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("label".into(), self.label.to_value()),
-            ("workload".into(), self.workload.to_value()),
-            ("fast_cores".into(), self.fast_cores.to_value()),
-            ("exec_time".into(), self.exec_time.to_value()),
-            ("energy".into(), self.energy.to_value()),
-            ("counters".into(), self.counters.to_value()),
-            ("lock_waits".into(), self.lock_waits.to_value()),
-            (
-                "reconfig_latencies".into(),
-                self.reconfig_latencies.to_value(),
-            ),
-            (
-                "reconfig_overhead".into(),
-                self.reconfig_overhead.to_value(),
-            ),
-            (
-                "reconfig_time_share".into(),
-                self.reconfig_time_share.to_value(),
-            ),
-            ("core_utilization".into(), self.core_utilization.to_value()),
-            ("tasks".into(), self.tasks.to_value()),
-        ];
-        if let Some(tc) = &self.trace_counts {
-            m.push(("trace_counts".into(), tc.to_value()));
-        }
-        if let Some(n) = self.effective_cores {
-            m.push(("effective_cores".into(), n.to_value()));
-        }
-        if let Some(s) = &self.service {
-            m.push(("service".into(), s.to_value()));
-        }
-        if let Some(fr) = &self.fault {
-            m.push(("fault".into(), fr.to_value()));
-        }
-        if let Some(mr) = &self.memory {
-            m.push(("memory".into(), mr.to_value()));
-        }
-        Value::Map(m)
-    }
-}
-
-impl Deserialize for RunReport {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map_for("RunReport")?;
-        Ok(RunReport {
-            label: serde::field(m, "label", "RunReport")?,
-            workload: serde::field(m, "workload", "RunReport")?,
-            fast_cores: serde::field(m, "fast_cores", "RunReport")?,
-            exec_time: serde::field(m, "exec_time", "RunReport")?,
-            energy: serde::field(m, "energy", "RunReport")?,
-            counters: serde::field(m, "counters", "RunReport")?,
-            lock_waits: serde::field(m, "lock_waits", "RunReport")?,
-            reconfig_latencies: serde::field(m, "reconfig_latencies", "RunReport")?,
-            reconfig_overhead: serde::field(m, "reconfig_overhead", "RunReport")?,
-            reconfig_time_share: serde::field(m, "reconfig_time_share", "RunReport")?,
-            core_utilization: serde::field(m, "core_utilization", "RunReport")?,
-            tasks: serde::field(m, "tasks", "RunReport")?,
-            trace_counts: serde::field(m, "trace_counts", "RunReport")?,
-            effective_cores: serde::field(m, "effective_cores", "RunReport")?,
-            service: serde::field(m, "service", "RunReport")?,
-            fault: serde::field(m, "fault", "RunReport")?,
-            memory: serde::field(m, "memory", "RunReport")?,
-        })
-    }
 }
 
 impl RunReport {

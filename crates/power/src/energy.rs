@@ -46,8 +46,14 @@ impl Measurement {
             Measurement::None => "none",
         }
     }
+
+    /// True for [`Measurement::None`] (no energy was measured).
+    pub fn is_none(&self) -> bool {
+        *self == Measurement::None
+    }
 }
 
+// Serde is hand-written so the strings are `name()`'s, shared with tables.
 impl Serialize for Measurement {
     fn to_value(&self) -> Value {
         Value::Str(self.name().to_string())
@@ -97,7 +103,7 @@ impl EnergyBreakdown {
 }
 
 /// The energy/EDP result of one run (simulated or native).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnergyReport {
     /// Wall-clock execution time of the run, in seconds.
     pub time_s: f64,
@@ -110,43 +116,11 @@ pub struct EnergyReport {
     /// Per-component energy attribution (all-zero for RAPL measurements,
     /// which only give package totals).
     pub breakdown: EnergyBreakdown,
-    /// Where the joules came from.
+    /// Where the joules came from. Omitted when [`Measurement::None`], so
+    /// an untagged report serializes as it did before the field existed,
+    /// and a missing field reads back as `None`.
+    #[serde(default, skip_serializing_if = "Measurement::is_none")]
     pub measurement: Measurement,
-}
-
-// Serde is hand-written so `measurement` is *omitted* when `None` — an
-// untagged report serializes exactly as it did before the field existed,
-// keeping spec/store digests of legacy data stable — and a missing field
-// deserializes as `None`, so legacy stored reports still parse.
-impl Serialize for EnergyReport {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("time_s".into(), self.time_s.to_value()),
-            ("energy_j".into(), self.energy_j.to_value()),
-            ("edp".into(), self.edp.to_value()),
-            ("avg_power_w".into(), self.avg_power_w.to_value()),
-            ("breakdown".into(), self.breakdown.to_value()),
-        ];
-        if self.measurement != Measurement::None {
-            m.push(("measurement".into(), self.measurement.to_value()));
-        }
-        Value::Map(m)
-    }
-}
-
-impl Deserialize for EnergyReport {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map_for("EnergyReport")?;
-        let measurement: Option<Measurement> = serde::field(m, "measurement", "EnergyReport")?;
-        Ok(EnergyReport {
-            time_s: serde::field(m, "time_s", "EnergyReport")?,
-            energy_j: serde::field(m, "energy_j", "EnergyReport")?,
-            edp: serde::field(m, "edp", "EnergyReport")?,
-            avg_power_w: serde::field(m, "avg_power_w", "EnergyReport")?,
-            breakdown: serde::field(m, "breakdown", "EnergyReport")?,
-            measurement: measurement.unwrap_or(Measurement::None),
-        })
-    }
 }
 
 impl EnergyReport {

@@ -103,6 +103,7 @@ impl TraceMode {
     }
 }
 
+// Serde is hand-written: the strings are `name()`'s, and legacy bools read.
 impl Serialize for TraceMode {
     fn to_value(&self) -> Value {
         Value::Str(self.name().to_string())

@@ -305,6 +305,7 @@ impl PartialEq for TdgHandle {
     }
 }
 
+// Serde is hand-written: a handle is transparent, the `TdgFile` it shares.
 impl Serialize for TdgHandle {
     fn to_value(&self) -> Value {
         self.file.to_value()
