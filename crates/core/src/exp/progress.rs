@@ -20,6 +20,7 @@
 //! follower.
 
 use super::error::ExpError;
+use super::store::JsonlLines;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -332,6 +333,8 @@ pub struct JsonlTail {
     path: PathBuf,
     /// Bytes consumed into complete lines so far.
     offset: u64,
+    /// Complete lines consumed so far (numbers the lines in errors).
+    lines: usize,
 }
 
 impl JsonlTail {
@@ -341,6 +344,7 @@ impl JsonlTail {
         JsonlTail {
             path: path.as_ref().to_path_buf(),
             offset: 0,
+            lines: 0,
         }
     }
 
@@ -351,7 +355,8 @@ impl JsonlTail {
 
     /// Returns the complete lines appended since the last poll (empty
     /// strings filtered out; the trailing torn fragment, if any, is held
-    /// back for a future poll).
+    /// back for a future poll, whatever its bytes). A complete line that
+    /// is not UTF-8 is an error naming the file and line.
     pub fn poll(&mut self) -> Result<Vec<String>, ExpError> {
         let mut f = match File::open(&self.path) {
             Ok(f) => f,
@@ -363,27 +368,31 @@ impl JsonlTail {
             // Truncated under us (torn-tail recovery by a fresh writer):
             // restart; dedupe is the consumer's job.
             self.offset = 0;
+            self.lines = 0;
         }
         if len == self.offset {
             return Ok(Vec::new());
         }
         f.seek(SeekFrom::Start(self.offset))
             .map_err(|e| progress_err(&self.path, e))?;
-        let mut buf = String::new();
-        f.read_to_string(&mut buf)
+        let mut buf = Vec::new();
+        f.read_to_end(&mut buf)
             .map_err(|e| progress_err(&self.path, e))?;
-        // Consume only up to the last newline; the fragment past it is a
+        // Consume only the complete lines; the fragment past them is a
         // line still being written.
-        let Some(last_nl) = buf.rfind('\n') else {
-            return Ok(Vec::new());
-        };
-        let complete = &buf[..=last_nl];
-        self.offset += complete.len() as u64;
-        Ok(complete
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(str::to_string)
-            .collect())
+        let lines = JsonlLines::new(&buf);
+        let mut fresh = Vec::new();
+        let mut consumed = 0;
+        for line in lines.numbered(self.lines + 1) {
+            let (_, line) = line.map_err(|e| progress_err(&self.path, e))?;
+            consumed += 1;
+            if !line.trim().is_empty() {
+                fresh.push(line.to_string());
+            }
+        }
+        self.offset += lines.complete.len() as u64;
+        self.lines += consumed;
+        Ok(fresh)
     }
 }
 
@@ -471,6 +480,47 @@ mod tests {
         let rec: ProgressRecord = serde_json::from_str(&lines[0]).unwrap();
         assert_eq!(rec.event, ProgressEvent::GridProgress { done: 1, total: 2 });
         assert!(tail.poll().unwrap().is_empty());
+    }
+
+    #[test]
+    fn tail_holds_back_a_fragment_cut_inside_a_multibyte_character() {
+        let path = tmp("torn-utf8.progress.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let writer = ProgressWriter::open(&path, 0).unwrap();
+        writer
+            .emit_at(1, ProgressEvent::GridProgress { done: 0, total: 2 })
+            .unwrap();
+        let start = ProgressRecord {
+            schema: PROGRESS_SCHEMA.to_string(),
+            shard: 0,
+            unix_ms: 2,
+            event: ProgressEvent::CellStart {
+                index: 0,
+                name: "café".to_string(),
+                spec_digest: "d".to_string(),
+            },
+        };
+        let line = format!("{}\n", serde_json::to_string(&start).unwrap());
+        let (head, rest) = line.as_bytes().split_at(line.find('é').unwrap() + 1);
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(head).unwrap();
+        let mut tail = JsonlTail::new(&path);
+        assert_eq!(tail.poll().unwrap().len(), 1, "only the complete line");
+
+        f.write_all(rest).unwrap();
+        let lines = tail.poll().unwrap();
+        assert_eq!(lines.len(), 1);
+        assert_eq!(
+            serde_json::from_str::<ProgressRecord>(&lines[0]).unwrap(),
+            start
+        );
+
+        // A complete line that is not UTF-8 is corruption, named by line.
+        f.write_all(head).unwrap();
+        f.write_all(b"\n").unwrap();
+        let err = tail.poll().unwrap_err().to_string();
+        let want = format!("{}: line 3: corrupt record: invalid UTF-8", path.display());
+        assert!(err.contains(&want), "{err}");
     }
 
     #[test]

@@ -201,61 +201,82 @@ fn store_err(path: &Path, what: impl std::fmt::Display) -> ExpError {
     ExpError::Store(format!("{}: {what}", path.display()))
 }
 
-/// Parses the complete lines of a store file. Returns the records, the
-/// byte length of the valid prefix, and whether a torn tail was
-/// discarded. Only a *final line missing its newline* is tolerated as a
-/// torn tail: [`ResultsStore::append`] writes payload + `\n` in one
-/// `write_all`, and a partial write truncates the end of that buffer, so
-/// a killed writer can only ever leave a newline-less fragment. Any
-/// unparseable line that kept its newline completed its append and is
-/// therefore real corruption — a hard error naming the file and line,
-/// never silently truncated.
-fn parse_lines(path: &Path, text: &str) -> Result<(Vec<CellRecord>, u64, bool), ExpError> {
-    let mut records = Vec::new();
-    let mut valid_len = 0u64;
-    let mut offset = 0usize;
-    let mut truncated = false;
-    let mut lineno = 0usize;
-    while offset < text.len() {
-        lineno += 1;
-        let rest = &text[offset..];
-        let (line, consumed, complete) = match rest.find('\n') {
-            Some(i) => (&rest[..i], i + 1, true),
-            None => (rest, rest.len(), false),
-        };
-        let end = offset + consumed;
-        if !complete {
-            // The killed-writer signature; the fragment may even parse as
-            // JSON (only the newline was cut) — still discarded.
-            truncated = true;
-        } else if !line.trim().is_empty() {
-            match serde_json::from_str::<CellRecord>(line) {
-                Ok(rec) if rec.schema == STORE_SCHEMA => {
-                    records.push(rec);
-                    valid_len = end as u64;
-                }
-                Ok(rec) => {
-                    return Err(store_err(
-                        path,
-                        format!(
-                            "line {lineno}: unsupported schema `{}` (want {STORE_SCHEMA})",
-                            rec.schema
-                        ),
-                    ));
-                }
-                Err(e) => {
-                    return Err(store_err(
-                        path,
-                        format!("line {lineno}: corrupt record: {e}"),
-                    ));
-                }
-            }
-        } else {
-            valid_len = end as u64;
+/// The complete lines of a JSONL file (store, tape or heartbeat stream),
+/// split on `\n` as bytes.
+///
+/// Only a final fragment *missing its newline* is a torn tail: every
+/// writer appends payload + `\n` in one `write_all`, and a killed writer
+/// truncates the end of that buffer, anywhere, even inside a multi-byte
+/// character. So the fragment is set aside whatever its bytes. A line
+/// that kept its newline completed its append, so a bad one is real
+/// corruption, never silently truncated: the readers report it with its
+/// line number, and one that is not UTF-8 is reported here.
+#[derive(Clone, Copy)]
+pub(crate) struct JsonlLines<'a> {
+    /// Everything up to and including the last `\n`.
+    pub(crate) complete: &'a [u8],
+    /// True when a newline-less fragment followed `complete`.
+    pub(crate) torn: bool,
+}
+
+impl<'a> JsonlLines<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        let end = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        JsonlLines {
+            complete: &bytes[..end],
+            torn: end < bytes.len(),
         }
-        offset = end;
     }
-    Ok((records, valid_len, truncated))
+
+    /// Each complete line without its `\n`, numbered from `first`.
+    pub(crate) fn numbered(
+        self,
+        first: usize,
+    ) -> impl Iterator<Item = Result<(usize, &'a str), String>> {
+        self.complete
+            .split_inclusive(|&b| b == b'\n')
+            .zip(first..)
+            .map(
+                |(line, no)| match std::str::from_utf8(&line[..line.len() - 1]) {
+                    Ok(line) => Ok((no, line)),
+                    Err(_) => Err(format!("line {no}: corrupt record: invalid UTF-8")),
+                },
+            )
+    }
+}
+
+/// Parses the complete lines of a store file (see [`JsonlLines`]).
+/// Returns the records, the byte length of the complete lines, and
+/// whether a torn tail was discarded. Any unparseable complete line is a
+/// hard error naming the file and line.
+fn parse_lines(path: &Path, bytes: &[u8]) -> Result<(Vec<CellRecord>, u64, bool), ExpError> {
+    let lines = JsonlLines::new(bytes);
+    let mut records = Vec::new();
+    for line in lines.numbered(1) {
+        let (lineno, line) = line.map_err(|e| store_err(path, e))?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        match serde_json::from_str::<CellRecord>(line) {
+            Ok(rec) if rec.schema == STORE_SCHEMA => records.push(rec),
+            Ok(rec) => {
+                return Err(store_err(
+                    path,
+                    format!(
+                        "line {lineno}: unsupported schema `{}` (want {STORE_SCHEMA})",
+                        rec.schema
+                    ),
+                ));
+            }
+            Err(e) => {
+                return Err(store_err(
+                    path,
+                    format!("line {lineno}: corrupt record: {e}"),
+                ));
+            }
+        }
+    }
+    Ok((records, lines.complete.len() as u64, lines.torn))
 }
 
 impl ResultsStore {
@@ -265,12 +286,12 @@ impl ResultsStore {
     /// on a line boundary.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, ExpError> {
         let path = path.as_ref().to_path_buf();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(store_err(&path, e)),
         };
-        let (records, valid_len, truncated) = parse_lines(&path, &text)?;
+        let (records, valid_len, truncated) = parse_lines(&path, &bytes)?;
         if truncated {
             let f = OpenOptions::new()
                 .write(true)
@@ -323,8 +344,8 @@ impl ResultsStore {
     /// records and whether a torn tail was discarded.
     pub fn load(path: impl AsRef<Path>) -> Result<(Vec<CellRecord>, bool), ExpError> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| store_err(path, e))?;
-        let (records, _, truncated) = parse_lines(path, &text)?;
+        let bytes = std::fs::read(path).map_err(|e| store_err(path, e))?;
+        let (records, _, truncated) = parse_lines(path, &bytes)?;
         Ok((records, truncated))
     }
 
@@ -529,6 +550,49 @@ mod tests {
             loaded.iter().map(|r| r.index).collect::<Vec<_>>(),
             vec![0, 1]
         );
+    }
+
+    /// Writes a store whose last record, renamed `café`, is cut between
+    /// the two bytes of the `é`, as a killed writer can leave it. Returns
+    /// the length of the intact first line.
+    fn write_torn_inside_e_acute(path: &Path) -> u64 {
+        let mut bytes = serde_json::to_string(&record(0)).unwrap().into_bytes();
+        bytes.push(b'\n');
+        let intact = bytes.len() as u64;
+        let mut last = record(1);
+        last.cell = "café".to_string();
+        let last = serde_json::to_string(&last).unwrap();
+        let cut = last.find('é').unwrap() + 1;
+        bytes.extend_from_slice(&last.as_bytes()[..cut]);
+        std::fs::write(path, bytes).unwrap();
+        intact
+    }
+
+    #[test]
+    fn torn_tail_inside_a_multibyte_character_is_discarded_on_open() {
+        let path = tmp("torn-utf8-open.jsonl");
+        let intact = write_torn_inside_e_acute(&path);
+        let store = ResultsStore::open(&path).unwrap();
+        assert!(store.recovered_torn_tail());
+        assert_eq!(store.records().len(), 1);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), intact);
+    }
+
+    #[test]
+    fn load_tolerates_a_multibyte_torn_tail_and_names_invalid_utf8_lines() {
+        let path = tmp("torn-utf8-load.jsonl");
+        write_torn_inside_e_acute(&path);
+        let (records, truncated) = ResultsStore::load(&path).unwrap();
+        assert!(truncated);
+        assert_eq!(records.len(), 1);
+
+        // The same cut on a line that kept its newline is corruption.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.push(b'\n');
+        std::fs::write(&path, bytes).unwrap();
+        let err = ResultsStore::load(&path).unwrap_err().to_string();
+        let want = format!("{}: line 2: corrupt record: invalid UTF-8", path.display());
+        assert!(err.contains(&want), "{err}");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use super::spec::ArrivalSpec;
 use crate::exp::error::ExpError;
 use crate::exp::spec::WorkloadSpec;
+use crate::exp::store::JsonlLines;
 use cata_sim::time::SimDuration;
 use cata_tdg::fnv1a_hex;
 use serde::{Deserialize, Serialize, Value};
@@ -140,45 +141,37 @@ impl TrafficTape {
     /// *final line missing its `\n`* — that fragment is discarded (the
     /// returned flag lets callers warn). Any unparseable line that kept
     /// its newline completed its write and is therefore real corruption —
-    /// a hard error, never silently truncated.
+    /// a hard error naming the line, never silently truncated.
     pub fn parse_jsonl(text: &str) -> Result<(Self, bool), ExpError> {
+        Self::parse_bytes(text.as_bytes())
+    }
+
+    /// [`parse_jsonl`](Self::parse_jsonl) over raw file bytes, where the
+    /// torn fragment may end inside a multi-byte character.
+    fn parse_bytes(bytes: &[u8]) -> Result<(Self, bool), ExpError> {
+        let lines = JsonlLines::new(bytes);
         let mut header: Option<TapeHeader> = None;
         let mut records = Vec::new();
-        let mut truncated = false;
-        let mut offset = 0usize;
-        let mut line_no = 0usize;
-        while offset < text.len() {
-            let rest = &text[offset..];
-            let (line, consumed, complete) = match rest.find('\n') {
-                Some(i) => (&rest[..i], i + 1, true),
-                None => (rest, rest.len(), false),
-            };
-            offset += consumed;
-            if !complete {
-                // The killed-writer signature; the fragment may even
-                // parse as JSON (only the newline was cut) — still
-                // discarded.
-                truncated = true;
-                break;
-            }
+        for line in lines.numbered(1) {
+            let (no, line) = line.map_err(ExpError::Parse)?;
             if line.trim().is_empty() {
                 continue;
             }
             if header.is_none() {
                 let h: TapeHeader = serde_json::from_str(line)
-                    .map_err(|e| ExpError::Parse(format!("tape header: {e}")))?;
+                    .map_err(|e| ExpError::Parse(format!("line {no}: tape header: {e}")))?;
                 if h.schema != TAPE_SCHEMA {
                     return Err(ExpError::Parse(format!(
-                        "tape schema `{}` is not `{TAPE_SCHEMA}`",
+                        "line {no}: tape schema `{}` is not `{TAPE_SCHEMA}`",
                         h.schema
                     )));
                 }
                 header = Some(h);
             } else {
-                let r: TapeRecord = serde_json::from_str(line)
-                    .map_err(|e| ExpError::Parse(format!("tape record {line_no}: {e}")))?;
+                let r: TapeRecord = serde_json::from_str(line).map_err(|e| {
+                    ExpError::Parse(format!("line {no}: tape record {}: {e}", records.len()))
+                })?;
                 records.push(r);
-                line_no += 1;
             }
         }
         let header = header.ok_or_else(|| ExpError::Parse("empty tape file".to_string()))?;
@@ -189,7 +182,7 @@ impl TrafficTape {
                 records,
                 digest: header.digest,
             },
-            truncated,
+            lines.torn,
         ))
     }
 
@@ -203,9 +196,9 @@ impl TrafficTape {
     /// exists to *explain* it and to let explicit-recovery flows proceed.
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<(Self, bool), ExpError> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ExpError::Parse(format!("{}: {e}", path.display())))?;
-        Self::parse_jsonl(&text).map_err(|e| match e {
+        let bytes =
+            std::fs::read(path).map_err(|e| ExpError::Parse(format!("{}: {e}", path.display())))?;
+        Self::parse_bytes(&bytes).map_err(|e| match e {
             ExpError::Parse(msg) => ExpError::Parse(format!("{}: {msg}", path.display())),
             other => other,
         })
@@ -488,6 +481,41 @@ mod tests {
         let (full, truncated) = TrafficTape::parse_jsonl(&text).unwrap();
         assert!(!truncated);
         assert_eq!(full, tape);
+    }
+
+    #[test]
+    fn load_discards_a_torn_tail_whatever_its_bytes() {
+        let dir = std::env::temp_dir().join(format!("cata-tape-utf8-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn.tape.jsonl");
+        let tape = TrafficTape::generate(
+            "café",
+            &ArrivalSpec::Fixed { rate_hz: 1000.0 },
+            SimDuration::from_ms(3),
+            fork_join(),
+            3,
+        )
+        .unwrap();
+        // A fragment cut inside a multi-byte character.
+        let mut bytes = tape.to_jsonl().into_bytes();
+        let fragment = "{\"at_ps\":\"é".as_bytes();
+        bytes.extend_from_slice(&fragment[..fragment.len() - 1]);
+        std::fs::write(&path, &bytes).unwrap();
+        let (back, truncated) = TrafficTape::load(&path).unwrap();
+        assert!(truncated);
+        assert_eq!(back, tape);
+
+        // Completing that line makes it an interior line that is not UTF-8.
+        bytes.push(b'\n');
+        std::fs::write(&path, &bytes).unwrap();
+        let err = TrafficTape::load(&path).unwrap_err().to_string();
+        let line = tape.records.len() + 2;
+        let want = format!(
+            "{}: line {line}: corrupt record: invalid UTF-8",
+            path.display()
+        );
+        assert!(err.contains(&want), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
