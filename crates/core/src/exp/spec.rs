@@ -599,12 +599,12 @@ impl PolicyParams {
 /// configurations are pre-registered, and third-party policies resolve the
 /// same way without touching any core enum.
 ///
-/// The optional fields that came after the first release — `backend` when
-/// `sim`, and `faults`, `event_queue` and `memory` when `None` — are
-/// omitted from the serialized form, so a fault-free, default-queue sim
-/// spec serializes byte-identically to the layout before they existed:
-/// [`spec_digest`](super::store::spec_digest) stays stable, existing JSONL
-/// stores still resume, and legacy spec files parse unchanged.
+/// `backend` when `sim`, and `faults`, `event_queue` and `memory` when
+/// `None`, are omitted from the serialized form: a fault-free,
+/// default-queue sim spec keeps the bytes it had before those fields
+/// existed, so [`spec_digest`](super::store::spec_digest) stays stable,
+/// existing JSONL stores still resume, and legacy spec files parse
+/// unchanged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Configuration label for reports ("FIFO", "CATA+RSU", …).

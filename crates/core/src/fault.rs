@@ -81,7 +81,7 @@ pub struct CoreFailure {
 /// cell is a *different* cell.
 ///
 /// Every field is serialized; a missing or `null` one reads as its
-/// [`Default`], so hand-written fault specs only mention what they change.
+/// [`Default`] value, so a spec file names only what it changes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct FaultSpec {

@@ -47,7 +47,7 @@ pub const DEFAULT_ARBITRATION: &str = "fifo";
 /// is a *different* cell.
 ///
 /// Every field is serialized; a missing or `null` one reads as its
-/// [`Default`], so hand-written memory specs only mention what they change.
+/// [`Default`] value, so a spec file names only what it changes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct MemorySpec {
