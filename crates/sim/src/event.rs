@@ -26,7 +26,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::str::FromStr;
 
 /// The common surface of an event-queue backend.
@@ -145,11 +145,14 @@ impl<E> PartialEq for Entry<E> {
 
 impl<E> Eq for Entry<E> {}
 
-/// The binary-heap backend: the original `EventQueue` implementation,
-/// kept as the zero-tuning reference the wheel is checked against.
+/// The sorted-array backend: pending events in a `Vec` kept sorted by
+/// descending `(time, push order)`, so the earliest is last and pop is
+/// `Vec::pop`. Push scans from the back past the entries that come
+/// earlier and inserts there; it costs time linear in the number of
+/// pending events earlier than the new one.
 #[derive(Debug)]
 pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    pending: Vec<(SimTime, E)>,
     seq: u64,
     /// Time of the last popped event; used to detect causality violations.
     now: SimTime,
@@ -158,17 +161,13 @@ pub struct HeapQueue<E> {
 impl<E> HeapQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with pre-allocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
         HeapQueue {
-            heap: BinaryHeap::with_capacity(cap),
+            pending: Vec::with_capacity(cap),
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -188,24 +187,25 @@ impl<E> EventSource<E> for HeapQueue<E> {
             "event scheduled in the past: {time} < now {now}",
             now = self.now
         );
-        let entry = Entry {
-            time,
-            seq: self.seq,
-            payload,
-        };
         self.seq += 1;
-        self.heap.push(entry);
+        // Entries at the same time were pushed earlier and pop first, so
+        // the new one goes in front of them.
+        let at = self
+            .pending
+            .iter()
+            .rposition(|&(t, _)| t > time)
+            .map_or(0, |i| i + 1);
+        self.pending.insert(at, (time, payload));
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now, "heap returned a past event");
-        self.now = entry.time;
-        Some((entry.time, entry.payload))
+        let (time, payload) = self.pending.pop()?;
+        self.now = time;
+        Some((time, payload))
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.pending.last().map(|&(t, _)| t)
     }
 
     fn now(&self) -> SimTime {
@@ -213,7 +213,7 @@ impl<E> EventSource<E> for HeapQueue<E> {
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 
     fn pushed_total(&self) -> u64 {
@@ -221,17 +221,13 @@ impl<E> EventSource<E> for HeapQueue<E> {
     }
 
     fn reset(&mut self) {
-        self.heap.clear();
+        self.pending.clear();
         self.seq = 0;
         self.now = SimTime::ZERO;
     }
 
     fn reserve(&mut self, cap: usize) {
-        if self.heap.capacity() < cap {
-            // `BinaryHeap::reserve` takes an *additional* count on top of
-            // the current length.
-            self.heap.reserve(cap - self.heap.len());
-        }
+        self.pending.reserve(cap.saturating_sub(self.pending.len()));
     }
 }
 
