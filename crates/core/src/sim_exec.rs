@@ -729,9 +729,9 @@ pub(crate) struct Engine<'g, S> {
     /// Available (idle/halted) cores in dispatch order; maintained
     /// incrementally so dispatch never builds or sorts a candidate list.
     idle: IdleIndex,
-    /// A core entered the idle loop since the last dispatch; its decel
-    /// debounce / halt timers still need arming.
-    idle_dirty: bool,
+    /// Cores that entered the idle loop since the last dispatch: their
+    /// decel debounce / halt timers still need arming.
+    new_idle: Vec<u32>,
     /// Criticality classification per task id, set when a task becomes
     /// ready.
     crit: Vec<bool>,
@@ -808,7 +808,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
                 })
                 .collect(),
             idle,
-            idle_dirty: true,
+            new_idle: (0..n_cores as u32).collect(),
             crit,
             counters: Counters::default(),
             trace: Trace::with_mode(cfg.trace),
@@ -1100,7 +1100,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         ctl.halt_scheduled = false;
         ctl.idle_notified = false;
         self.idle.push(core);
-        self.idle_dirty = true;
+        self.new_idle.push(core.0);
         self.machine.set_activity(core, now, Activity::Idle);
     }
 
@@ -1162,18 +1162,18 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
                 break;
             }
         }
-        // Cores that entered the idle loop since the last dispatch: arm the
-        // CATA deceleration debounce (§V-B deceleration fires only if the
-        // core is *still* idle after the delay) and the OS halt timer if
-        // configured. Skipped outright unless a core went idle (the flag
-        // pass below is O(cores), and events must be pushed in core order
-        // to keep the FIFO tie-break bit-identical with the old code).
-        if !self.idle_dirty {
+        // Cores that entered the idle loop since the last dispatch and are
+        // still idle: arm the CATA deceleration debounce (§V-B deceleration
+        // fires only if the core is *still* idle after the delay) and the
+        // OS halt timer if configured. Timers are pushed in core order, so
+        // equal-time ties break as they always have.
+        if self.new_idle.is_empty() {
             return;
         }
-        self.idle_dirty = false;
-        for i in 0..self.cores.len() {
-            let c = &mut self.cores[i];
+        let mut new_idle = std::mem::take(&mut self.new_idle);
+        new_idle.sort_unstable();
+        for &core in &new_idle {
+            let c = &mut self.cores[core as usize];
             if !matches!(c.run, CoreRun::Idle) {
                 continue;
             }
@@ -1182,27 +1182,20 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
                 let epoch = c.epoch;
                 self.events.push(
                     now + self.cfg.idle_decel_delay,
-                    Ev::IdleDecel {
-                        core: i as u32,
-                        epoch,
-                    },
+                    Ev::IdleDecel { core, epoch },
                 );
             }
             if let Some(delay) = self.cfg.idle_to_halt {
-                let c = &mut self.cores[i];
+                let c = &mut self.cores[core as usize];
                 if !c.halt_scheduled {
                     c.halt_scheduled = true;
                     let epoch = c.epoch;
-                    self.events.push(
-                        now + delay,
-                        Ev::IdleHalt {
-                            core: i as u32,
-                            epoch,
-                        },
-                    );
+                    self.events.push(now + delay, Ev::IdleHalt { core, epoch });
                 }
             }
         }
+        new_idle.clear();
+        self.new_idle = new_idle;
     }
 
     fn assign(&mut self, core: CoreId, task: TaskId, now: SimTime) {
@@ -1516,7 +1509,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         // Cores re-enter the idle index in completion order — the same
         // FIFO "longest-idle pops first" order the old idle stamps encoded.
         self.idle.push(core);
-        self.idle_dirty = true;
+        self.new_idle.push(core.0);
         self.machine.set_activity(core, now, Activity::Idle);
         // The dispatch loop after this event hands out new work (or arms the
         // idle-halt timer).
