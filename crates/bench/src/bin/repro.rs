@@ -177,11 +177,6 @@ struct Opts {
     /// from a prior sweep's recorded wall times (every shard of one grid
     /// must pass the same store).
     calibrate_costs: Option<String>,
-    /// `--event-queue KEY`: pin every cell's event-queue backend
-    /// (`heap`/`calendar-wheel`). A speed knob only — reports are
-    /// bit-identical across backends — but pinned specs serialize the key
-    /// and so digest differently from default ones.
-    event_queue: Option<String>,
     min_ratio: f64,
     trajectory: Option<String>,
     /// `--progress FILE`: heartbeat sidecars. Emitters (`run`/`preset`
@@ -302,7 +297,6 @@ fn parse_args() -> Opts {
     let mut shard_order = ShardOrder::Striped;
     let mut store = None;
     let mut calibrate_costs = None;
-    let mut event_queue = None;
     let mut min_ratio = 0.75f64;
     let mut trajectory = None;
     let mut progress = Vec::new();
@@ -406,17 +400,6 @@ fn parse_args() -> Opts {
                     args.next()
                         .unwrap_or_else(|| die("missing --calibrate-costs store")),
                 );
-            }
-            "--event-queue" => {
-                let key = args
-                    .next()
-                    .unwrap_or_else(|| die("missing --event-queue key"));
-                // Validate up front so a typo dies naming the known
-                // backends instead of failing mid-suite.
-                cata_core::exp::default_event_queue_registry()
-                    .resolve(&key)
-                    .unwrap_or_else(|e| die(&e.to_string()));
-                event_queue = Some(key);
             }
             "--shard-order" => {
                 let text = args
@@ -650,7 +633,6 @@ fn parse_args() -> Opts {
         shard_order,
         store,
         calibrate_costs,
-        event_queue,
         min_ratio,
         trajectory,
         progress,
@@ -723,7 +705,6 @@ fn print_help() {
          \x20             [--backend sim|native|both] [--native-energy auto|model]\n\
          \x20             [--shard K/N] [--shard-order striped|snake] [--store FILE.jsonl]\n\
          \x20             [--calibrate-costs PRIOR.jsonl]  (fit snake costs from wall times)\n\
-         \x20             [--event-queue heap|calendar-wheel]  (run/preset/spec/serve)\n\
          \x20             [--tdg FILE.tdg.json]  (preset/spec: replay this TDG as the workload)\n\
          \x20         serve LABEL|SPEC.json [--rate R | --tape FILE.tape.jsonl]\n\
          \x20             [--arrival poisson|fixed] [--duration T] [--admission P]\n\
@@ -734,8 +715,6 @@ fn print_help() {
          \x20         run/preset/serve memory interference: [--mem-slots 1|2,4,inf]\n\
          \x20             [--arbitration fifo|crit-first|round-robin]\n\
          \x20             [--mem-axis]  (run/preset: add the memory-free twin cells)\n\
-         \x20         env: CATA_EVENT_QUEUE=heap|calendar-wheel  (backend when no\n\
-         \x20             --event-queue flag or spec field pins one)\n\
          \x20         export [SPEC.json] [--out FILE.tdg.json]   (workload -> TDG file)\n\
          \x20         record LABEL|SPEC.json [--backend sim|native] [--out FILE.tdg.json]\n\
          \x20         merge STORE.jsonl... [--out FILE] [--baseline FILE] [--min-ratio R]\n\
@@ -773,6 +752,7 @@ fn emit(opts: &Opts, name: &str, table: &Table, title: &str) {
     }
 }
 
+/// Reads, parses and validates a spec file, or exits naming the path.
 fn load_spec(path: &str) -> ScenarioSpec {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
@@ -781,7 +761,9 @@ fn load_spec(path: &str) -> ScenarioSpec {
     } else {
         ScenarioSpec::from_json(&text)
     };
-    parsed.unwrap_or_else(|e| die(&format!("{path}: {e}")))
+    parsed
+        .and_then(|spec| spec.validate().map(|()| spec))
+        .unwrap_or_else(|e| die(&format!("{path}: {e}")))
 }
 
 /// The run-summary table every suite/merge rendering shares. Energy-less
@@ -1003,18 +985,6 @@ fn print_memory(report: &RunReport) {
     }
 }
 
-/// Applies `--event-queue KEY` to every cell of a grid (the key was
-/// validated at parse time).
-fn apply_event_queue(opts: &Opts, specs: Vec<ScenarioSpec>) -> Vec<ScenarioSpec> {
-    let Some(key) = &opts.event_queue else {
-        return specs;
-    };
-    specs
-        .into_iter()
-        .map(|s| s.with_event_queue(key.clone()))
-        .collect()
-}
-
 /// `repro run a.json b.toml …`: parse specs, fan them across the suite —
 /// optionally a `--shard K/N` slice streamed into/resumed from a
 /// `--store` JSONL file — and print one summary line per run.
@@ -1024,7 +994,6 @@ fn run_specs(opts: &Opts, specs: Vec<ScenarioSpec>) {
     }
     let specs = apply_faults(opts, specs);
     let specs = apply_memory(opts, specs);
-    let specs = apply_event_queue(opts, specs);
     let specs = expand_backends(opts, specs);
     let calibration = opts.calibrate_costs.as_ref().map(|path| {
         let (records, _) = ResultsStore::load(path).unwrap_or_else(|e| die(&e.to_string()));
@@ -1150,9 +1119,6 @@ fn serve_service(opts: &Opts) {
         let mut base = ScenarioSpec::preset(target, opts.fast, base_workload(opts))
             .unwrap_or_else(|e| die(&e.to_string()));
         base.seed = opts.seed;
-        if let Some(key) = &opts.event_queue {
-            base = base.with_event_queue(key.clone());
-        }
         // The arrival fields below are overwritten by the flag block;
         // the placeholder only exists so tape-only runs validate.
         ServiceSpec::new(
@@ -1962,11 +1928,8 @@ fn main() {
         "spec" => {
             let label = opts.args.first().map(String::as_str).unwrap_or("CATA");
             let workload = base_workload(&opts);
-            let mut spec = ScenarioSpec::preset(label, opts.fast, workload)
+            let spec = ScenarioSpec::preset(label, opts.fast, workload)
                 .unwrap_or_else(|e| die(&e.to_string()));
-            if let Some(key) = &opts.event_queue {
-                spec = spec.with_event_queue(key.clone());
-            }
             if opts.emit_toml {
                 println!("{}", spec.to_toml());
             } else {

@@ -1,7 +1,9 @@
 //! Bad `repro` input ends in one `error: …` line and exit status 2, never
-//! a panic: an output path that cannot be written, and a spec file that
-//! does not parse.
+//! a panic: an output path that cannot be written, a spec file that does
+//! not parse or validate, and a removed flag.
 
+use cata_core::exp::{ScenarioSpec, WorkloadSpec};
+use cata_workloads::{Benchmark, Scale};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -62,4 +64,54 @@ fn spec_parse_error_names_the_character() {
     let line = error_line(&repro(&["run", &path]));
     assert!(line.starts_with(&format!("error: {path}: ")), "{line}");
     assert!(line.contains("found 'x' at byte 9"), "{line}");
+}
+
+/// Specs naming either retired event-queue backend still run, and print
+/// the same summary lines as a spec without the key; any other value is
+/// a validation error naming the key.
+#[test]
+fn legacy_event_queue_keys_change_nothing() {
+    let workload = WorkloadSpec::parsec(Benchmark::Dedup, Scale::Tiny, 42);
+    let base = ScenarioSpec::preset("CATA", 8, workload).expect("preset");
+    let run = |key: Option<&str>| {
+        let spec = ScenarioSpec {
+            event_queue: key.map(String::from),
+            ..base.clone()
+        };
+        let name = format!("cli-errors-event-queue-{}.json", key.unwrap_or("absent"));
+        let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&path, spec.to_json()).expect("write the spec");
+        repro(&["run", &path.to_string_lossy()])
+    };
+    let plain = run(None);
+    assert!(plain.status.success(), "{plain:?}");
+    let summary = String::from_utf8_lossy(&plain.stdout).into_owned();
+    assert!(summary.starts_with("CATA "), "{summary}");
+    for key in ["heap", "calendar-wheel"] {
+        let out = run(Some(key));
+        assert!(out.status.success(), "{key}: {out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), summary, "{key}");
+    }
+    let line = error_line(&run(Some("quantum")));
+    assert!(
+        line.contains("unknown event-queue backend `quantum`"),
+        "{line}"
+    );
+}
+
+#[test]
+fn event_queue_flag_is_gone() {
+    let line = error_line(&repro(&[
+        "preset",
+        "CATA",
+        "--bench",
+        "dedup",
+        "--scale",
+        "tiny",
+        "--fast",
+        "8",
+        "--event-queue",
+        "heap",
+    ]));
+    assert_eq!(line, "error: unknown argument --event-queue");
 }

@@ -43,12 +43,12 @@ pub enum ExpError {
         /// The keys the registry knows.
         known: Vec<String>,
     },
-    /// The event-queue backend key is not registered. Carries the known
-    /// keys.
+    /// The legacy event-queue key is neither `heap` nor `calendar-wheel`.
+    /// Carries the known keys.
     UnknownEventQueue {
-        /// The unresolvable key.
+        /// The unknown key.
         key: String,
-        /// The keys the registry knows.
+        /// The legacy keys.
         known: Vec<String>,
     },
     /// The arbitration-policy key is not registered. Carries the known

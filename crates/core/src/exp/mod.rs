@@ -73,8 +73,8 @@ pub use progress::{
     PROGRESS_SCHEMA,
 };
 pub use registry::{
-    default_event_queue_registry, default_registries, AccelEntry, AllNonCritical, EstimatorEntry,
-    EventQueueRegistry, FactoryCtx, PolicyCaps, PolicyRegistries, SchedulerEntry,
+    default_registries, AccelEntry, AllNonCritical, EstimatorEntry, FactoryCtx, PolicyCaps,
+    PolicyRegistries, SchedulerEntry,
 };
 pub use scenario::Scenario;
 pub use spec::{Backend, PolicyParams, RuntimeCosts, ScenarioSpec, WorkloadSpec};

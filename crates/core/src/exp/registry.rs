@@ -14,7 +14,6 @@ use super::spec::{PolicyParams, ScenarioSpec};
 use crate::accel::{AccelManager, RsuCata, SoftwareCata, StaticAccel, TurboModeCtl};
 use crate::policy::{CatsPolicy, FifoPolicy, SchedulerPolicy};
 use cata_sim::machine::Machine;
-use cata_sim::EventBackend;
 use cata_tdg::criticality::{BottomLevelEstimator, CriticalityEstimator, StaticAnnotations};
 use cata_tdg::{TaskGraph, TaskId};
 use std::collections::BTreeMap;
@@ -417,78 +416,6 @@ pub fn default_registries() -> &'static Arc<PolicyRegistries> {
     DEFAULT.get_or_init(|| Arc::new(PolicyRegistries::with_builtins()))
 }
 
-/// String-keyed registry of event-queue backends — the same family shape
-/// as the scheduler/admission/recovery registries, resolving
-/// [`ScenarioSpec::event_queue`](super::spec::ScenarioSpec::event_queue).
-/// The backends themselves live in `cata_sim` behind the
-/// [`EventSource`](cata_sim::EventSource) trait; the registry maps spec
-/// keys (and third-party aliases) onto them.
-pub struct EventQueueRegistry {
-    entries: BTreeMap<String, EventBackend>,
-}
-
-impl EventQueueRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        EventQueueRegistry {
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// A registry with every built-in backend under its canonical name.
-    pub fn with_builtins() -> Self {
-        let mut r = EventQueueRegistry::empty();
-        for backend in EventBackend::ALL {
-            r.register(backend.name(), backend);
-        }
-        r
-    }
-
-    /// Registers (or re-aliases) `backend` under `key`.
-    pub fn register(&mut self, key: impl Into<String>, backend: EventBackend) {
-        self.entries.insert(key.into(), backend);
-    }
-
-    /// Registered keys, sorted.
-    pub fn keys(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
-    }
-
-    /// The backend registered under `key`.
-    pub fn resolve(&self, key: &str) -> Result<EventBackend, ExpError> {
-        self.entries
-            .get(key)
-            .copied()
-            .ok_or_else(|| ExpError::UnknownEventQueue {
-                key: key.to_string(),
-                known: self.keys(),
-            })
-    }
-
-    /// Resolves a spec's optional key: `None` (the omitted-when-default
-    /// serialized form) selects the engine default backend.
-    pub fn resolve_spec(&self, key: Option<&str>) -> Result<EventBackend, ExpError> {
-        match key {
-            Some(k) => self.resolve(k),
-            None => Ok(cata_sim::event::default_backend()),
-        }
-    }
-}
-
-impl std::fmt::Debug for EventQueueRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventQueueRegistry")
-            .field("keys", &self.keys())
-            .finish()
-    }
-}
-
-/// The process-wide default event-queue registry (builtins only).
-pub fn default_event_queue_registry() -> &'static EventQueueRegistry {
-    static REG: OnceLock<EventQueueRegistry> = OnceLock::new();
-    REG.get_or_init(EventQueueRegistry::with_builtins)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,43 +477,5 @@ mod tests {
             .resolve(&spec)
             .unwrap_err();
         assert!(matches!(err, ExpError::InvalidSpec(_)));
-    }
-
-    #[test]
-    fn event_queue_builtins_resolve() {
-        let r = EventQueueRegistry::with_builtins();
-        assert_eq!(r.resolve("heap").unwrap(), EventBackend::Heap);
-        assert_eq!(
-            r.resolve("calendar-wheel").unwrap(),
-            EventBackend::CalendarWheel
-        );
-        // The omitted-when-default spec form selects the engine default.
-        assert_eq!(
-            r.resolve_spec(None).unwrap(),
-            cata_sim::event::default_backend()
-        );
-        assert_eq!(r.resolve_spec(Some("heap")).unwrap(), EventBackend::Heap);
-    }
-
-    #[test]
-    fn unknown_event_queue_names_the_alternatives() {
-        let err = EventQueueRegistry::with_builtins()
-            .resolve("fibonacci-heap")
-            .unwrap_err();
-        match err {
-            ExpError::UnknownEventQueue { key, known } => {
-                assert_eq!(key, "fibonacci-heap");
-                assert_eq!(known, vec!["calendar-wheel", "heap"]);
-            }
-            other => panic!("wrong error: {other}"),
-        }
-    }
-
-    #[test]
-    fn event_queue_aliases_register() {
-        let mut r = EventQueueRegistry::with_builtins();
-        r.register("wheel", EventBackend::CalendarWheel);
-        assert_eq!(r.resolve("wheel").unwrap(), EventBackend::CalendarWheel);
-        assert_eq!(r.keys(), vec!["calendar-wheel", "heap", "wheel"]);
     }
 }

@@ -649,14 +649,13 @@ pub struct ScenarioSpec {
     /// to the pre-fault layout.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub faults: Option<crate::fault::FaultSpec>,
-    /// Event-queue backend registry key (`"heap"`, `"calendar-wheel"`,
-    /// or a third-party alias registered in an
-    /// [`EventQueueRegistry`](super::registry::EventQueueRegistry)), or
-    /// `None` for the engine default. Every backend pops the same total
-    /// `(time, seq)` order, so this knob changes *speed only* — results
-    /// are bit-identical — and it is omitted from the serialized form
-    /// when absent, keeping spec digests, golden preset digests, store
-    /// records and tapes byte-identical to the pre-knob layout.
+    /// Legacy event-queue backend key (`"heap"` or `"calendar-wheel"`),
+    /// from when there were two backends. Both keys build the same
+    /// [`EventQueue`](cata_sim::EventQueue), so the key changes nothing
+    /// but the spec's bytes; `validate` still rejects any other value. It
+    /// is omitted from the serialized form when absent, keeping spec
+    /// digests, golden preset digests, store records and tapes
+    /// byte-identical to the layout from before the key existed.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub event_queue: Option<String>,
     /// Shared-memory interference model, or `None` for the uncontended
@@ -827,7 +826,14 @@ impl ScenarioSpec {
             faults.validate(self.machine.num_cores)?;
         }
         if let Some(ref key) = self.event_queue {
-            super::registry::default_event_queue_registry().resolve(key)?;
+            if key.parse::<cata_sim::EventBackend>().is_err() {
+                return Err(ExpError::UnknownEventQueue {
+                    key: key.clone(),
+                    known: cata_sim::EventBackend::ALL
+                        .map(|b| b.name().to_string())
+                        .to_vec(),
+                });
+            }
         }
         if let Some(ref memory) = self.memory {
             memory.validate()?;
@@ -869,14 +875,6 @@ impl ScenarioSpec {
     /// Attaches a deterministic fault-injection schedule.
     pub fn with_faults(mut self, faults: crate::fault::FaultSpec) -> Self {
         self.faults = Some(faults);
-        self
-    }
-
-    /// Pins the event-queue backend by registry key (`"heap"`,
-    /// `"calendar-wheel"`). The backends pop identical orders, so this
-    /// changes speed only, never results.
-    pub fn with_event_queue(mut self, key: impl Into<String>) -> Self {
-        self.event_queue = Some(key.into());
         self
     }
 
@@ -971,19 +969,34 @@ mod tests {
         );
         assert_eq!(ScenarioSpec::from_json(&json).unwrap(), spec);
 
-        let pinned = spec.clone().with_event_queue("heap");
-        let pjson = pinned.to_json();
-        assert!(pjson.contains("\"event_queue\":\"heap\""), "{pjson}");
-        assert_eq!(ScenarioSpec::from_json(&pjson).unwrap(), pinned);
-        assert_eq!(ScenarioSpec::from_toml(&pinned.to_toml()).unwrap(), pinned);
-        assert!(pinned.validate().is_ok());
+        // Both legacy keys still serialize, parse and validate.
+        for key in ["heap", "calendar-wheel"] {
+            let pinned = ScenarioSpec {
+                event_queue: Some(key.to_string()),
+                ..spec.clone()
+            };
+            let pjson = pinned.to_json();
+            assert!(
+                pjson.contains(&format!("\"event_queue\":\"{key}\"")),
+                "{pjson}"
+            );
+            assert_eq!(ScenarioSpec::from_json(&pjson).unwrap(), pinned);
+            assert_eq!(ScenarioSpec::from_toml(&pinned.to_toml()).unwrap(), pinned);
+            assert!(pinned.validate().is_ok());
+        }
 
         // Unknown keys are caught at validation, naming the alternatives.
-        let bad = ScenarioSpec::from_json(&pjson.replace("heap", "splay-tree")).unwrap();
-        assert!(matches!(
-            bad.validate(),
-            Err(ExpError::UnknownEventQueue { .. })
-        ));
+        let bad = ScenarioSpec {
+            event_queue: Some("splay-tree".to_string()),
+            ..spec
+        };
+        match bad.validate() {
+            Err(ExpError::UnknownEventQueue { key, known }) => {
+                assert_eq!(key, "splay-tree");
+                assert_eq!(known, ["heap", "calendar-wheel"]);
+            }
+            other => panic!("wrong result: {other:?}"),
+        }
     }
 
     #[test]

@@ -34,7 +34,6 @@ use crate::fault::{default_recovery_registry, RecoveryPolicy};
 use crate::mem::default_arbitration_registry;
 use crate::report::RunReport;
 use crate::sim_exec::{Engine, EngineBufs, EngineParams, Ready, Source};
-use cata_sim::event::EventQueue;
 use cata_sim::memory::ArbitrationPolicy;
 use cata_sim::progress::ExecProfile;
 use cata_sim::stats::LatencyHistogram;
@@ -198,9 +197,7 @@ pub fn replay_tape_observed(
     } else {
         tape.name.clone()
     };
-    let mut engine_params = EngineParams::from(&spec.base);
-    engine_params.event_queue = crate::exp::registry::default_event_queue_registry()
-        .resolve_spec(spec.base.event_queue.as_deref())?;
+    let engine_params = EngineParams::from(&spec.base);
     // Shared-memory contention composes with service load the same way
     // it does with a closed-system run: the gate slows execution, which
     // backs up the ready queues, which admission control then sees.
@@ -208,16 +205,10 @@ pub fn replay_tape_observed(
         Some(m) => Some(default_arbitration_registry().build(&m.arbitration, m)?),
         None => None,
     };
-    // Open runs take a fresh event queue, not the closed runs'
-    // thread-local scratch: they are few and long, so there is no per-run
-    // warm-up worth saving.
-    let mut events = EventQueue::with_backend(engine_params.event_queue);
-    events.reserve(4096.min(tape.records.len() * 4 + 64));
-    let bufs = EngineBufs {
-        events,
-        crit: Vec::new(),
-        idle: Default::default(),
-    };
+    // Open runs take fresh buffers, not the closed runs' thread-local
+    // scratch: they are few and long, so there is no per-run warm-up
+    // worth saving.
+    let bufs = EngineBufs::default();
     let source = Open {
         graphs: &graphs,
         records: &tape.records,

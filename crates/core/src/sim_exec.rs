@@ -47,7 +47,7 @@ use crate::report::RunReport;
 use crate::service::ServiceReport;
 use cata_power::{integrate_machine, PowerParams};
 use cata_sim::activity::Activity;
-use cata_sim::event::{EventBackend, EventQueue};
+use cata_sim::event::EventQueue;
 use cata_sim::machine::{CoreId, Machine, MachineConfig};
 use cata_sim::memory::ArbitrationPolicy;
 use cata_sim::progress::{ExecProfile, Milestone, RunningTask};
@@ -71,7 +71,6 @@ pub(crate) struct EngineParams {
     pub trace: TraceMode,
     pub seed: u64,
     pub faults: Option<FaultSpec>,
-    pub event_queue: EventBackend,
     /// Contended shared-memory model; `None` (or a noop spec, filtered at
     /// construction) keeps the uncontended legacy machine bit-identical.
     pub memory: Option<MemorySpec>,
@@ -91,9 +90,6 @@ impl From<&ScenarioSpec> for EngineParams {
             trace: spec.trace,
             seed: spec.seed,
             faults: spec.faults.clone(),
-            // Key resolution is fallible; the spec entry points resolve
-            // through the registry (after `validate`) and overwrite this.
-            event_queue: cata_sim::event::default_backend(),
             // An unlimited-slot spec is the uncontended model: filter it
             // here so the engine's fast path stays gate-free.
             memory: spec.memory.clone().filter(|m| !m.is_noop()),
@@ -468,8 +464,8 @@ impl MemState {
 /// (recovered vs exhausted), not the delay model.
 const RECONFIG_RETRY_DELAY: SimDuration = SimDuration::from_us(1);
 
-/// The reusable buffers an [`Engine`] runs on. The caller prepares
-/// `events` (backend, capacity); the engine clears the rest.
+/// The reusable buffers an [`Engine`] runs on. The caller resets
+/// `events`; the engine clears the rest.
 #[derive(Debug, Default)]
 pub(crate) struct EngineBufs {
     pub(crate) events: EventQueue<Ev>,
@@ -521,12 +517,9 @@ fn run_with_scratch(
             mut view,
             mut indegree,
         } = cell.take();
-        // Pre-size from the graph: ~4 events per task in flight worst-case
-        // (submit, begin, milestone, free). Reused buffers keep their
-        // allocation from the previous run on this thread.
-        bufs.events.ensure_backend(params.event_queue);
+        // Reused buffers keep their allocation from the previous run on
+        // this thread; the queue grows to the pending depth, not the graph.
         bufs.events.reset();
-        bufs.events.reserve(graph.num_tasks() * 4);
         view.rebuild(graph);
         indegree.clear();
         indegree.extend_from_slice(view.pred_counts());
@@ -583,8 +576,6 @@ impl SimExecutor {
         // file than the graph that actually ran.
         let (graph, label) = spec.workload.build_labeled_graph()?;
         let mut engine_params = EngineParams::from(spec);
-        engine_params.event_queue = crate::exp::registry::default_event_queue_registry()
-            .resolve_spec(spec.event_queue.as_deref())?;
         let (mut report, trace) = run_with_scratch(&engine_params, resolve()?, &graph, &label)?;
         // Faulted cells also run their fault-free twin (same spec, no
         // schedule) so the report carries makespan degradation — the

@@ -18,11 +18,11 @@
 //!
 //! - [`time`]: picosecond-resolution simulated time ([`SimTime`],
 //!   [`SimDuration`]) and exact frequency/cycle arithmetic ([`Frequency`]).
-//! - [`event`]: deterministic event queues behind the [`event::EventSource`]
-//!   trait — a binary-heap backend and the default calendar-wheel backend
-//!   ([`event::EventQueue`] is the dispatching facade). Ties are broken by
-//!   insertion sequence, and pop order is a *total* order, so every backend
-//!   produces bit-identical simulations.
+//! - [`event`]: the deterministic event queue ([`event::EventQueue`]), a
+//!   `Vec` kept sorted with the earliest event last — at the engines'
+//!   pending depth of about one event per core it is cheaper than a heap
+//!   or a calendar queue. Ties pop in push order, so pop order is a *total*
+//!   order and simulations are bit-identical run to run.
 //! - [`machine`]: the simulated chip ([`machine::Machine`]): per-core
 //!   frequency/voltage state, DVFS transitions in flight, and the Table I
 //!   configuration ([`machine::MachineConfig`]).
@@ -73,7 +73,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use event::{EventBackend, EventQueue, EventSource};
+pub use event::{EventBackend, EventQueue};
 pub use machine::{CoreId, Machine, MachineConfig, PowerLevel};
 pub use memory::{ArbitrationPolicy, MemRequest, MemorySubsystem};
 pub use seeded::SplitMix64;

@@ -2,7 +2,7 @@
 //! timeline coverage, the progress model and latency histograms.
 
 use cata_sim::activity::{Activity, ActivityTimeline};
-use cata_sim::event::{EventBackend, EventQueue};
+use cata_sim::event::EventQueue;
 use cata_sim::machine::{CoreId, Machine, MachineConfig, PowerLevel};
 use cata_sim::progress::{ExecProfile, RunningTask};
 use cata_sim::stats::LatencyHistogram;
@@ -33,70 +33,44 @@ proptest! {
         }
     }
 
-    /// The heap and calendar-wheel backends pop bit-identical orders —
-    /// same times, same payloads, including same-time FIFO ties — over
-    /// random all-push-then-all-pop schedules. Pop order is a total order
-    /// over (time, insertion seq), so any correct backend must agree
-    /// element for element; this is what makes the backend a pure speed
-    /// knob (simulation digests cannot depend on it).
+    /// The queue against a reference model — the pending `(time, push
+    /// index)` pairs, popped by minimum — over one interleaved stream of
+    /// pushes at `now`, dense near-future pushes (plenty of exact ties),
+    /// far-future jumps and pops. Every peek, pop and length must agree,
+    /// and so must the final drain, element for element.
     #[test]
-    fn backends_pop_identical_orders(times in prop::collection::vec(0u64..500, 1..300)) {
-        let mut heap = EventQueue::with_backend(EventBackend::Heap);
-        let mut wheel = EventQueue::with_backend(EventBackend::CalendarWheel);
-        for (i, &t) in times.iter().enumerate() {
-            // A narrow time range forces plenty of exact ties.
-            heap.push(SimTime::from_ns(t), i);
-            wheel.push(SimTime::from_ns(t), i);
-        }
-        loop {
-            let (h, w) = (heap.pop(), wheel.pop());
-            prop_assert_eq!(h, w, "backends diverged");
-            if h.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Backend bit-identity under *interleaved* pushes and pops, with
-    /// at-now ties, small advances and far-future jumps — the adversarial
-    /// stream for the wheel's width retuning and ring resizing. Both
-    /// backends see the identical operation sequence and must agree after
-    /// every single pop, not just in aggregate.
-    #[test]
-    fn backends_match_under_interleaving(
-        ops in prop::collection::vec((0u64..1u64 << 34, 0u32..4), 1..400),
+    fn queue_matches_model_under_interleaving(
+        ops in prop::collection::vec((0u64..1u64 << 34, 0u32..6), 1..400),
     ) {
-        let mut heap = EventQueue::with_backend(EventBackend::Heap);
-        let mut wheel = EventQueue::with_backend(EventBackend::CalendarWheel);
-        let mut seq = 0usize;
-        for &(advance, kind) in &ops {
-            match kind {
-                // Push at the current clock (exact tie with the last pop).
-                0 => {
-                    heap.push(heap.now(), seq);
-                    wheel.push(wheel.now(), seq);
-                    seq += 1;
+        let mut q = EventQueue::new();
+        let mut model: Vec<(SimTime, usize)> = Vec::new();
+        let pop_min = |model: &mut Vec<(SimTime, usize)>| {
+            let i = (0..model.len()).min_by_key(|&i| model[i])?;
+            Some(model.remove(i))
+        };
+        for (i, &(advance, kind)) in ops.iter().enumerate() {
+            let at = match kind {
+                0 => Some(q.now()),
+                1 | 2 => Some(q.now() + SimDuration::from_ps(advance % 64)),
+                3 => Some(q.now() + SimDuration::from_ps(advance)),
+                _ => None,
+            };
+            match at {
+                Some(at) => {
+                    q.push(at, i);
+                    model.push((at, i));
                 }
-                // Push ahead by `advance` ps (0 → tie; huge → bucket wrap).
-                1 | 2 => {
-                    let at = heap.now() + SimDuration::from_ps(advance);
-                    heap.push(at, seq);
-                    wheel.push(at, seq);
-                    seq += 1;
-                }
-                // Pop and compare.
-                _ => {
-                    prop_assert_eq!(heap.peek_time(), wheel.peek_time());
-                    prop_assert_eq!(heap.pop(), wheel.pop(), "pop diverged");
+                None => {
+                    prop_assert_eq!(q.peek_time(), model.iter().map(|&(t, _)| t).min());
+                    prop_assert_eq!(q.pop(), pop_min(&mut model), "pop diverged");
                 }
             }
-            prop_assert_eq!(heap.len(), wheel.len());
+            prop_assert_eq!(q.len(), model.len());
         }
-        // Drain: the full remaining order must match.
         loop {
-            let (h, w) = (heap.pop(), wheel.pop());
-            prop_assert_eq!(h, w, "drain diverged");
-            if h.is_none() {
+            let (got, want) = (q.pop(), pop_min(&mut model));
+            prop_assert_eq!(got, want, "drain diverged");
+            if got.is_none() {
                 break;
             }
         }

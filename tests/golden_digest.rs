@@ -51,16 +51,7 @@ const PRESETS: [&str; 6] = [
 /// A compact, bit-exact digest of one run: makespan (ps), energy (f64
 /// bits), and the counters that witness every scheduling decision.
 fn digest(preset: &str, workload: &WorkloadSpec) -> String {
-    digest_with_queue(preset, workload, None)
-}
-
-/// Digest of a run with an explicitly pinned event-queue backend
-/// (`None` leaves the spec's `event_queue` omitted — the engine default).
-fn digest_with_queue(preset: &str, workload: &WorkloadSpec, queue: Option<&str>) -> String {
-    let mut spec = ScenarioSpec::preset(preset, 16, workload.clone()).expect("preset");
-    if let Some(key) = queue {
-        spec = spec.with_event_queue(key);
-    }
+    let spec = ScenarioSpec::preset(preset, 16, workload.clone()).expect("preset");
     let (r, _) = SimExecutor
         .run_spec(&spec, cata_core::exp::default_registries())
         .expect("run");
@@ -196,29 +187,6 @@ fn preset_specs_match_recorded_digests() {
             _ => None,
         };
         assert_eq!(spec.params, params, "{key}");
-    }
-}
-
-/// The event-queue backend is a pure speed knob: all six presets run
-/// under the explicit calendar-wheel backend *and* the explicit legacy
-/// heap backend, and both must reproduce the recorded golden digests
-/// byte for byte. (Pop order is a total order over `(time, seq)`, so a
-/// correct backend cannot change a single scheduling decision.)
-#[test]
-fn six_presets_digest_identically_under_both_event_queues() {
-    let all = workloads();
-    for &(wname, preset, want) in GOLDEN {
-        let (_, w) = all
-            .iter()
-            .find(|(n, _)| *n == wname)
-            .expect("known workload");
-        for queue in ["calendar-wheel", "heap"] {
-            let got = digest_with_queue(preset, w, Some(queue));
-            assert_eq!(
-                got, want,
-                "{preset} on {wname} diverged from the golden digest under the {queue} backend"
-            );
-        }
     }
 }
 
