@@ -1,20 +1,39 @@
-//! Mutation tests of the results-store and traffic-tape readers.
+//! Mutation tests of the results-store, traffic-tape, progress-sidecar
+//! and TDG readers.
 //!
-//! Each property starts from a valid store or tape file and damages it
-//! the way a crash or a bad disk would: truncate it at any byte, flip any
-//! byte, or splice the head of one line onto the tail of another (two
-//! writers interleaving). The readers must never panic. A truncation
-//! loads the intact prefix, with the torn flag set unless the cut fell on
-//! a line boundary; any other damage either still parses or is an error
-//! that names the path and the damaged line.
+//! Each property starts from a valid file and damages it the way a crash
+//! or a bad disk would: truncate it at any byte, flip any byte, or splice
+//! the head of one line onto the tail of another (two writers
+//! interleaving). The readers must never panic.
 //!
-//! One cell and the tape are named `café`, so cuts and flips also land
-//! inside multi-byte characters.
+//! - Store and tape: a truncation loads the intact prefix, with the torn
+//!   flag set unless the cut fell on a line boundary; any other damage
+//!   either still parses or is an error that names the path and the
+//!   damaged line.
+//! - Progress sidecar: `JsonlTail::poll` yields exactly the complete
+//!   lines and holds a torn tail back until its newline lands, and
+//!   `DashState::ingest_progress_line` counts each damaged line as one
+//!   parse error; a line that is not UTF-8 is a poll error naming the path
+//!   and line.
+//! - TDG file: a damaged `.tdg.json` behind `WorkloadSpec::File` either
+//!   loads the original graph unchanged (the damage hit only whitespace,
+//!   or the digest key) or is an `ExpError::Workload` naming the path;
+//!   a truncated one never loads.
+//!
+//! One cell, the tape, a heartbeat and the TDG are named `café`, so cuts
+//! and flips also land inside multi-byte characters.
 
-use cata_core::exp::{default_registries, CellRecord, ResultsStore, ScenarioSpec, WorkloadSpec};
+use cata_core::exp::{
+    default_registries, CellRecord, ExpError, JsonlTail, ProgressEvent, ProgressRecord,
+    ResultsStore, ScenarioSpec, WorkloadSpec, PROGRESS_SCHEMA,
+};
 use cata_core::service::{ArrivalSpec, TrafficTape};
 use cata_core::SimExecutor;
+use cata_obs::DashState;
+use cata_sim::progress::ExecProfile;
 use cata_sim::time::SimDuration;
+use cata_tdg::file::TdgFile;
+use cata_tdg::TaskGraph;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -55,6 +74,80 @@ fn tape_fixture() -> &'static [u8] {
         .to_jsonl()
         .into_bytes()
     })
+}
+
+/// A progress sidecar: one heartbeat of every kind, as a sharded suite
+/// and a service run append them.
+fn progress_fixture() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let events = [
+            ProgressEvent::GridProgress { done: 0, total: 2 },
+            ProgressEvent::CellStart {
+                index: 0,
+                name: "café".into(),
+                spec_digest: "0123456789abcdef".into(),
+            },
+            ProgressEvent::CellFinish {
+                index: 0,
+                cell: "café@chain/f2/sim".into(),
+                ok: true,
+                wall_s: 0.25,
+            },
+            ProgressEvent::GridProgress { done: 1, total: 2 },
+            ProgressEvent::ServiceSnapshot {
+                arrivals: 9,
+                admitted: 8,
+                completed: 7,
+                dropped: 1,
+                in_flight: 1,
+                p99_ps: 123_456,
+                sim_time_ps: 4_000_000,
+            },
+        ];
+        let mut out = Vec::new();
+        for (i, event) in events.into_iter().enumerate() {
+            let record = ProgressRecord {
+                schema: PROGRESS_SCHEMA.to_string(),
+                shard: 1,
+                unix_ms: 1_700_000_000_000 + i as u64,
+                event,
+            };
+            out.extend(serde_json::to_string(&record).unwrap().bytes());
+            out.push(b'\n');
+        }
+        out
+    })
+}
+
+/// The graph behind the TDG fixtures: two task types, one critical, a
+/// diamond of dependences and a task that blocks halfway.
+fn tdg_graph() -> &'static TaskGraph {
+    static GRAPH: OnceLock<TaskGraph> = OnceLock::new();
+    GRAPH.get_or_init(|| {
+        let mut g = TaskGraph::new();
+        let plain = g.add_type("café", 0);
+        let crit = g.add_type("hot", 1);
+        let a = g.add_task(plain, ExecProfile::new(1_000, 10), &[]);
+        let blocking = ExecProfile::new(2_000, 0).with_block(0.5, SimDuration::from_ns(3));
+        let b = g.add_task(crit, blocking, &[a]);
+        let c = g.add_task(plain, ExecProfile::new(3_000, 20), &[a]);
+        g.add_task(crit, ExecProfile::new(4_000, 0), &[b, c]);
+        g
+    })
+}
+
+/// The pretty `.tdg.json` of [`tdg_graph`], with its content digest
+/// (`pinned`) or with the digest opted out, so damage reaches the
+/// structural checks.
+fn tdg_fixture(pinned: bool) -> Vec<u8> {
+    let mut file = TdgFile::from_graph("café", tdg_graph());
+    if !pinned {
+        file.digest.clear();
+    }
+    let mut text = file.to_json_pretty();
+    text.push('\n');
+    text.into_bytes()
 }
 
 /// A file of this test's own in a per-process directory (tests run on
@@ -121,6 +214,73 @@ fn splice(full: &[u8], i: u64, j: u64, a: u64, b: u64) -> (Vec<u8>, usize) {
         }
     }
     (bytes, i + 1)
+}
+
+/// The complete, non-blank lines of `bytes`, as `JsonlTail::poll` must
+/// yield them, or `None` when one of them is not UTF-8.
+fn polled_lines(bytes: &[u8]) -> Option<Vec<String>> {
+    let end = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let mut lines = Vec::new();
+    for line in bytes[..end].split_inclusive(|&b| b == b'\n') {
+        let line = std::str::from_utf8(&line[..line.len() - 1]).ok()?;
+        if !line.trim().is_empty() {
+            lines.push(line.to_string());
+        }
+    }
+    Some(lines)
+}
+
+/// Polls a progress sidecar holding `bytes` through a fresh
+/// `JsonlTail`. On success the lines must be exactly the complete ones,
+/// and they are folded into a `DashState`, whose parse-error count is
+/// returned; on failure the error must name the path and one of the
+/// `lines`, since a complete line that is not UTF-8 fails the poll.
+fn poll_progress(name: &str, bytes: &[u8], lines: &[usize]) -> u64 {
+    let path = scratch(name);
+    std::fs::write(&path, bytes).unwrap();
+    match JsonlTail::new(&path).poll() {
+        Ok(polled) => {
+            assert_eq!(Some(polled.clone()), polled_lines(bytes));
+            let mut state = DashState::new();
+            for line in &polled {
+                state.ingest_progress_line(line);
+            }
+            state.parse_errors
+        }
+        Err(e) => {
+            assert!(polled_lines(bytes).is_none(), "{e}");
+            let named = named_line(&e.to_string(), &path);
+            assert!(lines.contains(&named), "{e} (damaged lines {lines:?})");
+            0
+        }
+    }
+}
+
+/// Loads `bytes` as the `.tdg.json` behind a `WorkloadSpec::File`. The
+/// load either succeeds — and then, for a `pinned` fixture, yields the
+/// original graph and name unchanged — or fails with an
+/// `ExpError::Workload` naming the path. Returns whether it loaded.
+fn load_tdg(name: &str, bytes: &[u8], pinned: bool) -> bool {
+    let path = scratch(name).to_string_lossy().into_owned();
+    std::fs::write(&path, bytes).unwrap();
+    let workload = WorkloadSpec::File {
+        path: path.clone(),
+        digest: None,
+    };
+    match workload.build_labeled_graph() {
+        Ok((graph, label)) => {
+            if pinned {
+                assert_eq!(*graph, *tdg_graph());
+                assert_eq!(label, "café");
+            }
+            true
+        }
+        Err(ExpError::Workload(msg)) => {
+            assert!(msg.starts_with(&format!("{path}: ")), "{msg}");
+            false
+        }
+        Err(other) => panic!("not a workload error: {other}"),
+    }
 }
 
 proptest! {
@@ -222,6 +382,97 @@ proptest! {
         std::fs::write(&path, &bytes).unwrap();
         if let Err(e) = TrafficTape::load(&path) {
             prop_assert_eq!(named_line(&e.to_string(), &path), line, "{}", e);
+        }
+    }
+
+    #[test]
+    fn progress_truncated_anywhere_polls_its_complete_lines(cut in any::<u64>()) {
+        let full = progress_fixture();
+        let cut = (cut % (full.len() as u64 + 1)) as usize;
+        let path = scratch("truncated.progress.jsonl");
+        std::fs::write(&path, &full[..cut]).unwrap();
+
+        let mut tail = JsonlTail::new(&path);
+        let head = tail.poll().unwrap();
+        prop_assert_eq!(Some(head.clone()), polled_lines(&full[..cut]));
+
+        // The torn tail was held back: once the writer finishes the line,
+        // the next poll yields it whole, and the two polls together fold
+        // into the same state as the whole file, with no parse error.
+        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        std::io::Write::write_all(&mut f, &full[cut..]).unwrap();
+        let rest = tail.poll().unwrap();
+        let (mut state, mut whole) = (DashState::new(), DashState::new());
+        for line in head.iter().chain(&rest) {
+            state.ingest_progress_line(line);
+        }
+        for line in polled_lines(full).unwrap() {
+            whole.ingest_progress_line(&line);
+        }
+        prop_assert_eq!(head.len() + rest.len(), complete_lines(full));
+        prop_assert_eq!(state.parse_errors, 0);
+        prop_assert_eq!(format!("{state:?}"), format!("{whole:?}"));
+    }
+
+    #[test]
+    fn progress_with_a_flipped_byte_is_one_parse_error_or_names_its_line(
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let full = progress_fixture();
+        let (bytes, line) = flip(full, at, mask);
+        let at = (at % full.len() as u64) as usize;
+        // A flip to or from `\n` splits its line in two or merges it
+        // with the next one.
+        let newline = full[at] == b'\n' || bytes[at] == b'\n';
+        let errors = poll_progress("flipped.progress.jsonl", &bytes, &[line, line + 1]);
+        prop_assert!(errors <= if newline { 2 } else { 1 }, "{} parse errors", errors);
+    }
+
+    #[test]
+    fn progress_with_spliced_lines_is_one_parse_error_or_names_the_line(
+        i in any::<u64>(),
+        j in any::<u64>(),
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        let (bytes, line) = splice(progress_fixture(), i, j, a, b);
+        let errors = poll_progress("spliced.progress.jsonl", &bytes, &[line]);
+        prop_assert!(errors <= 1, "{} parse errors", errors);
+    }
+
+    #[test]
+    fn tdg_truncated_anywhere_never_loads(cut in any::<u64>()) {
+        for pinned in [true, false] {
+            let full = tdg_fixture(pinned);
+            let cut = (cut % (full.len() as u64 + 1)) as usize;
+            // Only the trailing newline may go.
+            let loaded = load_tdg("truncated.tdg.json", &full[..cut], pinned);
+            prop_assert_eq!(loaded, cut + 1 >= full.len(), "cut at {} of {}", cut, full.len());
+        }
+    }
+
+    #[test]
+    fn tdg_with_a_flipped_byte_loads_unchanged_or_names_the_path(
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        for pinned in [true, false] {
+            let (bytes, _) = flip(&tdg_fixture(pinned), at, mask);
+            load_tdg("flipped.tdg.json", &bytes, pinned);
+        }
+    }
+
+    #[test]
+    fn tdg_with_spliced_lines_loads_unchanged_or_names_the_path(
+        i in any::<u64>(),
+        j in any::<u64>(),
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        for pinned in [true, false] {
+            let (bytes, _) = splice(&tdg_fixture(pinned), i, j, a, b);
+            load_tdg("spliced.tdg.json", &bytes, pinned);
         }
     }
 }
