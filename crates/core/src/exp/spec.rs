@@ -649,13 +649,12 @@ pub struct ScenarioSpec {
     /// to the pre-fault layout.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub faults: Option<crate::fault::FaultSpec>,
-    /// Legacy event-queue backend key (`"heap"` or `"calendar-wheel"`),
-    /// from when there were two backends. Both keys build the same
-    /// [`EventQueue`](cata_sim::EventQueue), so the key changes nothing
-    /// but the spec's bytes; `validate` still rejects any other value. It
-    /// is omitted from the serialized form when absent, keeping spec
-    /// digests, golden preset digests, store records and tapes
-    /// byte-identical to the layout from before the key existed.
+    /// Legacy event-queue backend key (`"heap"` or `"calendar-wheel"`).
+    /// Both keys build the same [`EventQueue`](cata_sim::EventQueue), so
+    /// the key changes nothing but the spec's bytes; `validate` rejects
+    /// any other value. It is omitted from the serialized form when
+    /// absent, keeping spec digests, golden preset digests, store records
+    /// and tapes byte-identical to the layout from before the key existed.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub event_queue: Option<String>,
     /// Shared-memory interference model, or `None` for the uncontended
@@ -826,14 +825,13 @@ impl ScenarioSpec {
             faults.validate(self.machine.num_cores)?;
         }
         if let Some(ref key) = self.event_queue {
-            if key.parse::<cata_sim::EventBackend>().is_err() {
-                return Err(ExpError::UnknownEventQueue {
+            key.parse::<cata_sim::EventBackend>()
+                .map_err(|_| ExpError::UnknownEventQueue {
                     key: key.clone(),
                     known: cata_sim::EventBackend::ALL
                         .map(|b| b.name().to_string())
                         .to_vec(),
-                });
-            }
+                })?;
         }
         if let Some(ref memory) = self.memory {
             memory.validate()?;

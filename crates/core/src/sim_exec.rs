@@ -1156,8 +1156,8 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         // Cores that entered the idle loop since the last dispatch and are
         // still idle: arm the CATA deceleration debounce (§V-B deceleration
         // fires only if the core is *still* idle after the delay) and the
-        // OS halt timer if configured. Timers are pushed in core order, so
-        // equal-time ties break as they always have.
+        // OS halt timer if configured. Timers are pushed in core order,
+        // which fixes the order of their equal-time ties.
         if self.new_idle.is_empty() {
             return;
         }
