@@ -3,7 +3,6 @@
 //! not parse or validate, and a removed flag.
 
 use cata_core::exp::{ScenarioSpec, WorkloadSpec};
-use cata_workloads::{Benchmark, Scale};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -71,7 +70,10 @@ fn spec_parse_error_names_the_character() {
 /// a validation error naming the key.
 #[test]
 fn legacy_event_queue_keys_change_nothing() {
-    let workload = WorkloadSpec::parsec(Benchmark::Dedup, Scale::Tiny, 42);
+    let workload = WorkloadSpec::Chain {
+        n: 4,
+        cycles: 10_000,
+    };
     let base = ScenarioSpec::preset("CATA", 8, workload).expect("preset");
     let run = |key: Option<&str>| {
         let spec = ScenarioSpec {
