@@ -33,10 +33,9 @@ pub use turbo::TurboModeCtl;
 ///
 /// Almost every decision starts at most two transitions (an acceleration
 /// plus the matching deceleration of a CATA swap), so the first two
-/// entries live inline and the common path never touches the heap — this
-/// was the last per-reconfig `Vec` allocation on the engine hot path.
-/// Wider bursts (e.g. TurboMode's boot-time acceleration of every
-/// initially active core) spill into a `Vec` transparently.
+/// entries live inline and the common path never touches the heap. Wider
+/// bursts (e.g. TurboMode's boot-time acceleration of every initially
+/// active core) spill into a `Vec` transparently.
 #[derive(Debug, Clone)]
 pub struct SettleList {
     inline: [(SimTime, CoreId); Self::INLINE],

@@ -62,13 +62,13 @@ impl SoftwareCata {
     ) -> AccelEffects {
         let mut effects = AccelEffects::none();
         let grant = self.path.request_ops(now, cmds.len());
-        for (cmd, &t_start) in cmds.iter().zip(&grant.op_transition_starts) {
+        for (op, cmd) in cmds.iter().enumerate() {
             let target = self.level_for(*cmd);
             apply_transition(
                 machine,
                 CoreId(cmd.core() as u32),
                 target,
-                t_start,
+                grant.op_transition_start(op),
                 &mut effects,
                 counters,
             );

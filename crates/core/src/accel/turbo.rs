@@ -59,16 +59,20 @@ impl TurboModeCtl {
         x
     }
 
-    /// Picks a random active (C0), non-accelerated core.
+    /// Picks a random active (C0), non-accelerated core: the `r`-th of the
+    /// candidates in core order, counted twice rather than collected.
     fn pick_random_active(&mut self) -> Option<usize> {
-        let candidates: Vec<usize> = (0..self.accel.len())
-            .filter(|&c| !self.halted[c] && !self.accel[c])
-            .collect();
-        if candidates.is_empty() {
+        let count = self.candidates().count();
+        if count == 0 {
             return None;
         }
-        let r = self.next_rand() as usize % candidates.len();
-        Some(candidates[r])
+        let r = self.next_rand() as usize % count;
+        self.candidates().nth(r)
+    }
+
+    /// Active (C0), non-accelerated cores, in core order.
+    fn candidates(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.accel.len()).filter(|&c| !self.halted[c] && !self.accel[c])
     }
 }
 

@@ -22,7 +22,7 @@
 
 use cata_cpufreq::backend::DvfsBackend;
 use cata_power::{BusyIntervals, BusyTracker, FreqClass};
-use cata_rsu::engine::{Cmd, ReconfigEngine};
+use cata_rsu::engine::{Cmd, Cmds, ReconfigEngine};
 use cata_tdg::deps::{AccessMode, DepTracker, RegionId};
 use cata_tdg::TaskId;
 use parking_lot::{Condvar, Mutex};
@@ -261,7 +261,7 @@ impl Inner {
 
     /// Runs the RSM transaction for a task event. `decide` produces the
     /// commands under the engine lock.
-    fn rsm_event(&self, decide: impl FnOnce(&mut ReconfigEngine) -> Vec<Cmd>) {
+    fn rsm_event(&self, decide: impl FnOnce(&mut ReconfigEngine) -> Cmds) {
         let t0 = Instant::now();
         let mut engine = self.rsm.lock();
         let cmds = decide(&mut engine);

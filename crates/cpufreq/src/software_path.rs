@@ -90,29 +90,37 @@ impl Default for SoftwarePathParams {
 }
 
 /// The outcome of one software reconfiguration request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The writes of one request follow each other under the lock at a fixed
+/// stride, so the grant carries the first transition start, the stride and
+/// the write count, and [`op_transition_start`](Self::op_transition_start)
+/// derives the others — a grant is plain `Copy` data and never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SoftwareGrant {
     /// When the requester acquired the serialized path (lock acquisition).
     pub acquired_at: SimTime,
-    /// When each requested hardware transition may begin (the driver has
-    /// programmed the DVFS controller for that write). One entry per
-    /// operation; empty for a pure decision (lock + check, no reconfig).
-    pub op_transition_starts: Vec<SimTime>,
+    /// When the first requested hardware transition may begin (the driver
+    /// has programmed the DVFS controller for that write). Meaningless
+    /// when `writes` is zero.
+    pub first_transition_start: SimTime,
+    /// The lock hold of one write: the gap between the transition starts
+    /// of consecutive writes.
+    pub write_stride: SimDuration,
+    /// Number of cpufreq writes; zero for a pure decision (lock + check,
+    /// no reconfiguration).
+    pub writes: usize,
     /// When the requesting core gets control back (syscall returns).
     pub returns_at: SimTime,
 }
 
 impl SoftwareGrant {
-    /// Start of the first transition (back-compat convenience).
-    pub fn transition_start(&self) -> SimTime {
-        self.op_transition_starts
-            .first()
-            .copied()
-            .unwrap_or(self.returns_at)
+    /// When write `op` (counted from 0, below [`writes`](Self::writes))
+    /// may begin its hardware transition.
+    pub fn op_transition_start(&self, op: usize) -> SimTime {
+        debug_assert!(op < self.writes, "write {op} of {}", self.writes);
+        self.first_transition_start + self.write_stride.saturating_mul(op as u64)
     }
-}
 
-impl SoftwareGrant {
     /// Time spent waiting for the serialized path.
     pub fn lock_wait(&self, requested_at: SimTime) -> SimDuration {
         self.acquired_at.since(requested_at)
@@ -177,18 +185,15 @@ impl SoftwareDvfsPath {
             }
             + self.params.kernel_post;
 
-        let mut op_transition_starts = Vec::with_capacity(n_ops);
-        let mut cursor = acquired_at + self.params.rsm_section;
-        for _ in 0..n_ops {
-            op_transition_starts.push(cursor + self.params.sysfs_write + self.params.driver);
-            cursor += per_op;
-        }
-        let returns_at = cursor;
+        let section_start = acquired_at + self.params.rsm_section;
+        let returns_at = section_start + per_op.saturating_mul(n_ops as u64);
         self.busy_until = returns_at;
 
         let grant = SoftwareGrant {
             acquired_at,
-            op_transition_starts,
+            first_transition_start: section_start + self.params.sysfs_write + self.params.driver,
+            write_stride: per_op,
+            writes: n_ops,
             returns_at,
         };
         self.lock_waits.record(grant.lock_wait(now));
@@ -227,17 +232,17 @@ mod tests {
             SimDuration::from_ns(3_300)
         );
         // Transition starts after the user+kernel prefix (0.3+1.5+1 = 2.8 µs).
-        assert_eq!(g.transition_start(), SimTime::from_ns(102_800));
+        assert_eq!(g.op_transition_start(0), SimTime::from_ns(102_800));
     }
 
     #[test]
     fn two_op_request_serializes_writes_under_one_lock_hold() {
         let mut p = path();
         let g = p.request_ops(SimTime::ZERO, 2);
-        assert_eq!(g.op_transition_starts.len(), 2);
+        assert_eq!(g.writes, 2);
         // Op 0 transition: 0.3 (rsm) + 1.5 + 1 = 2.8 µs; op 1: 2.8 + 3 = 5.8 µs.
-        assert_eq!(g.op_transition_starts[0], SimTime::from_ns(2_800));
-        assert_eq!(g.op_transition_starts[1], SimTime::from_ns(5_800));
+        assert_eq!(g.op_transition_start(0), SimTime::from_ns(2_800));
+        assert_eq!(g.op_transition_start(1), SimTime::from_ns(5_800));
         // Return: 0.3 + 2×3 = 6.3 µs.
         assert_eq!(g.returns_at, SimTime::from_ns(6_300));
     }
@@ -247,8 +252,7 @@ mod tests {
         let mut p = path();
         let g = p.request_ops(SimTime::ZERO, 0);
         assert_eq!(g.returns_at, SimTime::from_ns(300)); // rsm section only
-        assert!(g.op_transition_starts.is_empty());
-        assert_eq!(g.transition_start(), g.returns_at);
+        assert_eq!(g.writes, 0);
         // Pure decisions do not count as reconfiguration latencies…
         assert_eq!(p.latencies.count(), 0);
         // …but they do contend on the lock.

@@ -35,10 +35,11 @@ proptest! {
             let service = g.returns_at.since(g.acquired_at);
             prop_assert_eq!(wait + service, total);
             // Per-op transition starts are ordered and inside the hold.
-            for w in g.op_transition_starts.windows(2) {
-                prop_assert!(w[0] < w[1]);
+            for op in 1..g.writes {
+                prop_assert!(g.op_transition_start(op - 1) < g.op_transition_start(op));
             }
-            if let Some(&first) = g.op_transition_starts.first() {
+            if g.writes > 0 {
+                let first = g.op_transition_start(0);
                 prop_assert!(first >= g.acquired_at && first <= g.returns_at);
             }
             prev_return = g.returns_at;

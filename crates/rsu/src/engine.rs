@@ -19,6 +19,7 @@
 //! cost, which is what the paper's CATA vs. CATA+RSU comparison isolates.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
 
 /// Criticality of the task on a core, as tracked by the RSM/RSU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,16 +50,79 @@ impl Cmd {
     }
 }
 
+/// The commands of one decision: at most two (a deceleration and the
+/// acceleration it funds), held inline and read as a `[Cmd]` slice.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Cmds {
+    /// Unused slots hold `Cmd::Accelerate(0)`, so equal lists compare equal.
+    buf: [Cmd; 2],
+    len: u8,
+}
+
+impl Cmds {
+    /// No command.
+    pub const NONE: Cmds = Cmds {
+        buf: [Cmd::Accelerate(0); 2],
+        len: 0,
+    };
+
+    fn one(cmd: Cmd) -> Self {
+        Cmds {
+            buf: [cmd, Cmd::Accelerate(0)],
+            len: 1,
+        }
+    }
+
+    fn two(first: Cmd, second: Cmd) -> Self {
+        Cmds {
+            buf: [first, second],
+            len: 2,
+        }
+    }
+}
+
+impl Deref for Cmds {
+    type Target = [Cmd];
+
+    fn deref(&self) -> &[Cmd] {
+        &self.buf[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for Cmds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Index of the core class `(accelerated, crit)` in
+/// [`ReconfigEngine`]'s bitsets.
+fn class(accelerated: bool, crit: TaskCrit) -> usize {
+    3 * usize::from(accelerated) + crit as usize
+}
+
 /// The shared decision state machine.
 ///
 /// Invariant: the number of accelerated cores never exceeds the budget, at
 /// any point, including *between* the commands of a single decision — every
 /// emitted command list orders decelerations before the accelerations they
 /// fund.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Besides the per-core flags, the engine indexes every core by its class
+/// `(accelerated, TaskCrit)` in six bitsets of one word per 64 cores, so
+/// each decision finds its victim or beneficiary from the lowest set bit
+/// of a class instead of scanning the cores, and returns its commands
+/// inline ([`Cmds`]) — no decision allocates. One private setter writes
+/// the flags and the index together;
+/// [`check_invariants`](Self::check_invariants) checks them against each
+/// other.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigEngine {
     crit: Vec<TaskCrit>,
     accelerated: Vec<bool>,
+    /// Class `k`'s bitset is `classes[k * words..(k + 1) * words]`.
+    classes: Vec<u64>,
+    words: usize,
     budget: usize,
     accel_count: usize,
 }
@@ -74,12 +138,17 @@ impl ReconfigEngine {
             budget <= num_cores,
             "budget {budget} exceeds core count {num_cores}"
         );
-        ReconfigEngine {
+        let words = num_cores.div_ceil(64);
+        let mut e = ReconfigEngine {
             crit: vec![TaskCrit::NoTask; num_cores],
             accelerated: vec![false; num_cores],
+            classes: vec![0; 6 * words],
+            words,
             budget,
             accel_count: 0,
-        }
+        };
+        e.reset();
+        e
     }
 
     /// Number of cores tracked.
@@ -109,32 +178,33 @@ impl ReconfigEngine {
 
     /// A task of the given criticality starts on `core`. Returns the
     /// commands to apply, decelerations first.
-    pub fn on_task_start(&mut self, core: usize, critical: bool) -> Vec<Cmd> {
-        self.crit[core] = if critical {
+    pub fn on_task_start(&mut self, core: usize, critical: bool) -> Cmds {
+        let crit = if critical {
             TaskCrit::Critical
         } else {
             TaskCrit::NonCritical
         };
+        self.place(core, self.accelerated[core], crit);
 
         if self.accelerated[core] {
             // Already fast (e.g. restored context, or back-to-back schedule
             // before the deceleration settled its bookkeeping): keep it.
-            return Vec::new();
+            return Cmds::NONE;
         }
         if self.accel_count < self.budget {
-            self.accelerated[core] = true;
+            self.place(core, true, crit);
             self.accel_count += 1;
-            return vec![Cmd::Accelerate(core)];
+            return Cmds::one(Cmd::Accelerate(core));
         }
         if critical {
             // No budget: displace an accelerated non-critical task, if any.
-            if let Some(victim) = self.find_victim(core) {
-                self.accelerated[victim] = false;
-                self.accelerated[core] = true;
-                return vec![Cmd::Decelerate(victim), Cmd::Accelerate(core)];
+            if let Some(victim) = self.find_victim() {
+                self.place(victim, false, self.crit[victim]);
+                self.place(core, true, crit);
+                return Cmds::two(Cmd::Decelerate(victim), Cmd::Accelerate(core));
             }
         }
-        Vec::new()
+        Cmds::NONE
     }
 
     /// The task on `core` finishes. Returns the commands to apply,
@@ -147,17 +217,17 @@ impl ReconfigEngine {
     /// ready to execute" — the runtime reports that case through
     /// [`on_core_idle`](Self::on_core_idle), avoiding a useless
     /// decelerate/accelerate pair between back-to-back tasks.
-    pub fn on_task_end(&mut self, core: usize) -> Vec<Cmd> {
-        self.crit[core] = TaskCrit::NoTask;
+    pub fn on_task_end(&mut self, core: usize) -> Cmds {
+        self.place(core, self.accelerated[core], TaskCrit::NoTask);
         if !self.accelerated[core] {
-            return Vec::new();
+            return Cmds::NONE;
         }
         if let Some(next) = self.find_waiting_critical() {
-            self.accelerated[core] = false;
-            self.accelerated[next] = true;
-            return vec![Cmd::Decelerate(core), Cmd::Accelerate(next)];
+            self.place(core, false, TaskCrit::NoTask);
+            self.place(next, true, self.crit[next]);
+            return Cmds::two(Cmd::Decelerate(core), Cmd::Accelerate(next));
         }
-        Vec::new()
+        Cmds::NONE
     }
 
     /// The worker on `core` found no ready task and is entering the idle
@@ -167,28 +237,28 @@ impl ReconfigEngine {
     /// power budget to the remaining executing tasks, reducing the load
     /// imbalance"; the fork-join benchmarks have no critical annotations at
     /// all, so the reassignment cannot be criticality-gated).
-    pub fn on_core_idle(&mut self, core: usize) -> Vec<Cmd> {
+    pub fn on_core_idle(&mut self, core: usize) -> Cmds {
         if !self.accelerated[core] {
-            return Vec::new();
+            return Cmds::NONE;
         }
-        self.accelerated[core] = false;
-        let mut cmds = vec![Cmd::Decelerate(core)];
+        self.place(core, false, self.crit[core]);
+        let decelerate = Cmd::Decelerate(core);
         if let Some(next) = self
             .find_waiting_critical()
             .or_else(|| self.find_waiting_running())
         {
-            self.accelerated[next] = true;
-            cmds.push(Cmd::Accelerate(next));
+            self.place(next, true, self.crit[next]);
+            Cmds::two(decelerate, Cmd::Accelerate(next))
         } else {
             self.accel_count -= 1;
+            Cmds::one(decelerate)
         }
-        cmds
     }
 
     /// Directly sets a core's tracked criticality (used by the OS
     /// virtualization path; does not reconfigure anything).
     pub fn set_crit(&mut self, core: usize, crit: TaskCrit) {
-        self.crit[core] = crit;
+        self.place(core, self.accelerated[core], crit);
     }
 
     /// Resets all tracked state (cores keep whatever frequency they have;
@@ -196,44 +266,55 @@ impl ReconfigEngine {
     pub fn reset(&mut self) {
         self.crit.fill(TaskCrit::NoTask);
         self.accelerated.fill(false);
+        self.classes.fill(0);
+        let idle = class(false, TaskCrit::NoTask) * self.words;
+        for core in 0..self.crit.len() {
+            self.classes[idle + core / 64] |= 1 << (core % 64);
+        }
         self.accel_count = 0;
+    }
+
+    /// The one writer of `core`'s flags: moves its bit from its old class
+    /// to the class `(accelerated, crit)`.
+    fn place(&mut self, core: usize, accelerated: bool, crit: TaskCrit) {
+        let (word, bit) = (core / 64, 1u64 << (core % 64));
+        let old = class(self.accelerated[core], self.crit[core]);
+        self.classes[old * self.words + word] &= !bit;
+        self.classes[class(accelerated, crit) * self.words + word] |= bit;
+        self.accelerated[core] = accelerated;
+        self.crit[core] = crit;
+    }
+
+    /// Lowest-numbered core of class `(accelerated, crit)`.
+    fn lowest(&self, accelerated: bool, crit: TaskCrit) -> Option<usize> {
+        let base = class(accelerated, crit) * self.words;
+        let words = &self.classes[base..base + self.words];
+        let w = words.iter().position(|&bits| bits != 0)?;
+        Some(64 * w + words[w].trailing_zeros() as usize)
     }
 
     /// Lowest-numbered accelerated core running a non-critical task (victim
     /// for displacement). A core with *no* task that is still accelerated is
-    /// preferred over one doing non-critical work.
-    fn find_victim(&self, exclude: usize) -> Option<usize> {
-        let mut non_critical = None;
-        for c in 0..self.crit.len() {
-            if c == exclude || !self.accelerated[c] {
-                continue;
-            }
-            match self.crit[c] {
-                TaskCrit::NoTask => return Some(c),
-                TaskCrit::NonCritical => {
-                    if non_critical.is_none() {
-                        non_critical = Some(c);
-                    }
-                }
-                TaskCrit::Critical => {}
-            }
-        }
-        non_critical
+    /// preferred over one doing non-critical work. The requesting core is
+    /// not accelerated, so it is never its own victim.
+    fn find_victim(&self) -> Option<usize> {
+        self.lowest(true, TaskCrit::NoTask)
+            .or_else(|| self.lowest(true, TaskCrit::NonCritical))
     }
 
     /// Lowest-numbered non-accelerated core running a critical task.
     fn find_waiting_critical(&self) -> Option<usize> {
-        (0..self.crit.len()).find(|&c| !self.accelerated[c] && self.crit[c] == TaskCrit::Critical)
+        self.lowest(false, TaskCrit::Critical)
     }
 
     /// Lowest-numbered non-accelerated core running any task.
     fn find_waiting_running(&self) -> Option<usize> {
-        (0..self.crit.len())
-            .find(|&c| !self.accelerated[c] && self.crit[c] == TaskCrit::NonCritical)
+        self.lowest(false, TaskCrit::NonCritical)
     }
 
     /// Debug invariant check: the acceleration count matches the flags and
-    /// never exceeds the budget.
+    /// never exceeds the budget, and each core's bit is set in its own
+    /// class and in no other.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.accelerated.iter().filter(|&&a| a).count();
         if n != self.accel_count {
@@ -241,6 +322,22 @@ impl ReconfigEngine {
         }
         if n > self.budget {
             return Err(format!("budget exceeded: {n} > {}", self.budget));
+        }
+        for k in 0..6 {
+            for w in 0..self.words {
+                let mut want = 0u64;
+                for core in 64 * w..self.crit.len().min(64 * (w + 1)) {
+                    if class(self.accelerated[core], self.crit[core]) == k {
+                        want |= 1 << (core % 64);
+                    }
+                }
+                let got = self.classes[k * self.words + w];
+                if got != want {
+                    return Err(format!(
+                        "class {k} word {w} is {got:#x}, flags say {want:#x}"
+                    ));
+                }
+            }
         }
         Ok(())
     }
@@ -253,10 +350,10 @@ mod tests {
     #[test]
     fn accelerates_while_budget_lasts_even_non_critical() {
         let mut e = ReconfigEngine::new(4, 2);
-        assert_eq!(e.on_task_start(0, false), vec![Cmd::Accelerate(0)]);
-        assert_eq!(e.on_task_start(1, false), vec![Cmd::Accelerate(1)]);
+        assert_eq!(*e.on_task_start(0, false), [Cmd::Accelerate(0)]);
+        assert_eq!(*e.on_task_start(1, false), [Cmd::Accelerate(1)]);
         // Budget exhausted; non-critical task runs slow.
-        assert_eq!(e.on_task_start(2, false), vec![]);
+        assert_eq!(*e.on_task_start(2, false), []);
         assert_eq!(e.accelerated_count(), 2);
         e.check_invariants().unwrap();
     }
@@ -266,7 +363,7 @@ mod tests {
         let mut e = ReconfigEngine::new(4, 1);
         e.on_task_start(0, false); // accelerated non-critical
         let cmds = e.on_task_start(1, true);
-        assert_eq!(cmds, vec![Cmd::Decelerate(0), Cmd::Accelerate(1)]);
+        assert_eq!(*cmds, [Cmd::Decelerate(0), Cmd::Accelerate(1)]);
         assert!(e.is_accelerated(1));
         assert!(!e.is_accelerated(0));
         assert_eq!(e.accelerated_count(), 1);
@@ -288,7 +385,7 @@ mod tests {
         e.on_task_start(0, true); // accelerated
         e.on_task_start(1, true); // denied, critical waits at slow speed
         let cmds = e.on_task_end(0);
-        assert_eq!(cmds, vec![Cmd::Decelerate(0), Cmd::Accelerate(1)]);
+        assert_eq!(*cmds, [Cmd::Decelerate(0), Cmd::Accelerate(1)]);
         assert_eq!(e.accelerated_count(), 1);
         e.check_invariants().unwrap();
     }
@@ -312,10 +409,10 @@ mod tests {
         e.on_task_start(0, false);
         e.on_task_end(0);
         let cmds = e.on_core_idle(0);
-        assert_eq!(cmds, vec![Cmd::Decelerate(0)]);
+        assert_eq!(*cmds, [Cmd::Decelerate(0)]);
         assert_eq!(e.accelerated_count(), 0);
         // Budget available again.
-        assert_eq!(e.on_task_start(2, false), vec![Cmd::Accelerate(2)]);
+        assert_eq!(*e.on_task_start(2, false), [Cmd::Accelerate(2)]);
     }
 
     #[test]
@@ -377,7 +474,7 @@ mod tests {
     fn full_budget_accelerates_everyone() {
         let mut e = ReconfigEngine::new(3, 3);
         for c in 0..3 {
-            assert_eq!(e.on_task_start(c, false), vec![Cmd::Accelerate(c)]);
+            assert_eq!(*e.on_task_start(c, false), [Cmd::Accelerate(c)]);
         }
         e.check_invariants().unwrap();
     }

@@ -31,5 +31,5 @@ pub mod overhead;
 pub mod unit;
 pub mod virt;
 
-pub use engine::{Cmd, ReconfigEngine, TaskCrit};
+pub use engine::{Cmd, Cmds, ReconfigEngine, TaskCrit};
 pub use unit::{Rsu, RsuConfig, RsuError, RsuOutcome};

@@ -7,7 +7,7 @@
 //! tiny centralized table, §III-B-4) and — crucially — no locks and no
 //! user/kernel transitions.
 
-use crate::engine::{Cmd, ReconfigEngine, TaskCrit};
+use crate::engine::{Cmd, Cmds, ReconfigEngine, TaskCrit};
 use cata_sim::machine::PowerLevel;
 use cata_sim::time::{Frequency, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -71,7 +71,7 @@ pub struct RsuOutcome {
     /// Reconfiguration commands for the DVFS controller, decelerations
     /// first. The RSU issues these autonomously; the issuing core does NOT
     /// wait for the transitions.
-    pub cmds: Vec<Cmd>,
+    pub cmds: Cmds,
     /// Time the `rsu_*` instruction occupies the issuing core.
     pub cost: SimDuration,
 }
@@ -239,7 +239,7 @@ mod tests {
     fn start_task_accelerates_within_budget() {
         let mut r = rsu(2);
         let o = r.start_task(0, false, F).unwrap();
-        assert_eq!(o.cmds, vec![Cmd::Accelerate(0)]);
+        assert_eq!(*o.cmds, [Cmd::Accelerate(0)]);
         // 32 cycles at 1 GHz = 32 ns.
         assert_eq!(o.cost, SimDuration::from_ns(32));
         assert_eq!(r.level_for(o.cmds[0]), PowerLevel::paper_fast());
@@ -288,7 +288,7 @@ mod tests {
         r.start_task(1, true, F).unwrap(); // denied
         let o = r.write_critic(0, TaskCrit::NoTask, F).unwrap();
         // Preempting core 0's thread hands the budget to core 1.
-        assert_eq!(o.cmds, vec![Cmd::Decelerate(0), Cmd::Accelerate(1)]);
+        assert_eq!(*o.cmds, [Cmd::Decelerate(0), Cmd::Accelerate(1)]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! rescheduled its saved criticality is written back, which behaves like a
 //! task start. This lets several independent applications share one RSU.
 
-use crate::engine::{Cmd, TaskCrit};
+use crate::engine::{Cmds, TaskCrit};
 use crate::unit::{Rsu, RsuError};
 use cata_sim::time::Frequency;
 use serde::{Deserialize, Serialize};
@@ -40,7 +40,7 @@ pub fn preempt(
     cpu: usize,
     thread: &mut ThreadStruct,
     core_freq: Frequency,
-) -> Result<Vec<Cmd>, RsuError> {
+) -> Result<Cmds, RsuError> {
     let crit = rsu.read_critic(cpu)?;
     thread.saved_crit = match crit {
         TaskCrit::Critical => Some(SavedCrit::Critical),
@@ -50,7 +50,7 @@ pub fn preempt(
     if thread.saved_crit.is_some() {
         Ok(rsu.write_critic(cpu, TaskCrit::NoTask, core_freq)?.cmds)
     } else {
-        Ok(Vec::new())
+        Ok(Cmds::NONE)
     }
 }
 
@@ -61,19 +61,20 @@ pub fn resume(
     cpu: usize,
     thread: &ThreadStruct,
     core_freq: Frequency,
-) -> Result<Vec<Cmd>, RsuError> {
+) -> Result<Cmds, RsuError> {
     match thread.saved_crit {
         Some(SavedCrit::Critical) => Ok(rsu.write_critic(cpu, TaskCrit::Critical, core_freq)?.cmds),
         Some(SavedCrit::NonCritical) => Ok(rsu
             .write_critic(cpu, TaskCrit::NonCritical, core_freq)?
             .cmds),
-        None => Ok(Vec::new()),
+        None => Ok(Cmds::NONE),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Cmd;
     use crate::unit::RsuConfig;
 
     const F: Frequency = Frequency::from_ghz(1);
@@ -108,7 +109,7 @@ mod tests {
         r.start_task(1, true, F).unwrap(); // critical, denied
         let mut th = ThreadStruct::default();
         let cmds = preempt(&mut r, 0, &mut th, F).unwrap();
-        assert_eq!(cmds, vec![Cmd::Decelerate(0), Cmd::Accelerate(1)]);
+        assert_eq!(*cmds, [Cmd::Decelerate(0), Cmd::Accelerate(1)]);
     }
 
     #[test]
@@ -120,7 +121,7 @@ mod tests {
         // Core 0 still holds the budget with no task on it; the returning
         // critical thread on core 2 displaces exactly that idle-ish holder.
         let cmds = resume(&mut r, 2, &th, F).unwrap();
-        assert_eq!(cmds, vec![Cmd::Decelerate(0), Cmd::Accelerate(2)]);
+        assert_eq!(*cmds, [Cmd::Decelerate(0), Cmd::Accelerate(2)]);
     }
 
     #[test]
@@ -154,6 +155,6 @@ mod tests {
         assert!(r.engine().is_accelerated(0));
         // A comes back on core 1 and displaces B.
         let cmds = resume(&mut r, 1, &th_a, F).unwrap();
-        assert_eq!(cmds, vec![Cmd::Decelerate(0), Cmd::Accelerate(1)]);
+        assert_eq!(*cmds, [Cmd::Decelerate(0), Cmd::Accelerate(1)]);
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the reconfiguration engine and the RSU, including the
 //! OS virtualization path interleaved with task events.
 
-use cata_rsu::engine::{Cmd, ReconfigEngine, TaskCrit};
+use cata_rsu::engine::{Cmd, Cmds, ReconfigEngine, TaskCrit};
 use cata_rsu::overhead::{estimate, storage_bits, TechParams};
 use cata_rsu::unit::{Rsu, RsuConfig};
 use cata_rsu::virt::{preempt, resume, ThreadStruct};
@@ -19,8 +19,162 @@ fn apply_cmds(fast: &mut [bool], cmds: &[Cmd]) {
     }
 }
 
+/// The decision engine as it was before its class index: the same
+/// algorithm over the per-core flags, finding every victim and beneficiary
+/// by a scan over all cores. [`ReconfigEngine`] must match it command for
+/// command.
+struct ScanEngine {
+    crit: Vec<TaskCrit>,
+    accelerated: Vec<bool>,
+    budget: usize,
+    accel_count: usize,
+}
+
+impl ScanEngine {
+    fn new(num_cores: usize, budget: usize) -> Self {
+        ScanEngine {
+            crit: vec![TaskCrit::NoTask; num_cores],
+            accelerated: vec![false; num_cores],
+            budget,
+            accel_count: 0,
+        }
+    }
+
+    fn on_task_start(&mut self, core: usize, critical: bool) -> Vec<Cmd> {
+        self.crit[core] = if critical {
+            TaskCrit::Critical
+        } else {
+            TaskCrit::NonCritical
+        };
+        if self.accelerated[core] {
+            return Vec::new();
+        }
+        if self.accel_count < self.budget {
+            self.accelerated[core] = true;
+            self.accel_count += 1;
+            return vec![Cmd::Accelerate(core)];
+        }
+        if critical {
+            if let Some(victim) = self.find_victim(core) {
+                self.accelerated[victim] = false;
+                self.accelerated[core] = true;
+                return vec![Cmd::Decelerate(victim), Cmd::Accelerate(core)];
+            }
+        }
+        Vec::new()
+    }
+
+    fn on_task_end(&mut self, core: usize) -> Vec<Cmd> {
+        self.crit[core] = TaskCrit::NoTask;
+        if !self.accelerated[core] {
+            return Vec::new();
+        }
+        if let Some(next) = self.find_waiting_critical() {
+            self.accelerated[core] = false;
+            self.accelerated[next] = true;
+            return vec![Cmd::Decelerate(core), Cmd::Accelerate(next)];
+        }
+        Vec::new()
+    }
+
+    fn on_core_idle(&mut self, core: usize) -> Vec<Cmd> {
+        if !self.accelerated[core] {
+            return Vec::new();
+        }
+        self.accelerated[core] = false;
+        let mut cmds = vec![Cmd::Decelerate(core)];
+        if let Some(next) = self
+            .find_waiting_critical()
+            .or_else(|| self.find_waiting_running())
+        {
+            self.accelerated[next] = true;
+            cmds.push(Cmd::Accelerate(next));
+        } else {
+            self.accel_count -= 1;
+        }
+        cmds
+    }
+
+    fn reset(&mut self) {
+        self.crit.fill(TaskCrit::NoTask);
+        self.accelerated.fill(false);
+        self.accel_count = 0;
+    }
+
+    fn find_victim(&self, exclude: usize) -> Option<usize> {
+        let mut non_critical = None;
+        for c in 0..self.crit.len() {
+            if c == exclude || !self.accelerated[c] {
+                continue;
+            }
+            match self.crit[c] {
+                TaskCrit::NoTask => return Some(c),
+                TaskCrit::NonCritical => {
+                    if non_critical.is_none() {
+                        non_critical = Some(c);
+                    }
+                }
+                TaskCrit::Critical => {}
+            }
+        }
+        non_critical
+    }
+
+    fn find_waiting_critical(&self) -> Option<usize> {
+        (0..self.crit.len()).find(|&c| !self.accelerated[c] && self.crit[c] == TaskCrit::Critical)
+    }
+
+    fn find_waiting_running(&self) -> Option<usize> {
+        (0..self.crit.len())
+            .find(|&c| !self.accelerated[c] && self.crit[c] == TaskCrit::NonCritical)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The indexed engine takes exactly the linear-scan reference's
+    /// decisions under random start/end/idle/set-crit/reset streams on
+    /// 1–130 cores, so victims and beneficiaries come from every one of up
+    /// to three bitset words.
+    #[test]
+    fn engine_matches_the_linear_scan_reference(
+        cores in 1usize..=130,
+        budget_seed in any::<usize>(),
+        events in prop::collection::vec((any::<usize>(), 0u8..100, 0u8..3), 0..600),
+    ) {
+        let budget = budget_seed % (cores + 1);
+        let mut e = ReconfigEngine::new(cores, budget);
+        let mut r = ScanEngine::new(cores, budget);
+        for (step, (core_seed, op, kind)) in events.into_iter().enumerate() {
+            let core = core_seed % cores;
+            let crit = [TaskCrit::NoTask, TaskCrit::NonCritical, TaskCrit::Critical];
+            let critical = crit[kind as usize] == TaskCrit::Critical;
+            let (got, want) = match op {
+                0..=39 => (e.on_task_start(core, critical), r.on_task_start(core, critical)),
+                40..=64 => (e.on_task_end(core), r.on_task_end(core)),
+                65..=84 => (e.on_core_idle(core), r.on_core_idle(core)),
+                85..=98 => {
+                    e.set_crit(core, crit[kind as usize]);
+                    r.crit[core] = crit[kind as usize];
+                    (Cmds::NONE, Vec::new())
+                }
+                _ => {
+                    e.reset();
+                    r.reset();
+                    (Cmds::NONE, Vec::new())
+                }
+            };
+            prop_assert_eq!(*got, *want, "step {} op {} on core {} of {}", step, op, core, cores);
+            for c in 0..cores {
+                prop_assert_eq!(e.crit(c), r.crit[c], "crit of core {} at step {}", c, step);
+                let fast = e.is_accelerated(c);
+                prop_assert_eq!(fast, r.accelerated[c], "core {} at step {}", c, step);
+            }
+            prop_assert_eq!(e.accelerated_count(), r.accel_count);
+            prop_assert_eq!(e.check_invariants(), Ok(()));
+        }
+    }
 
     /// Under arbitrary start/end/idle streams the engine's commands, replayed
     /// onto a fast-flag array, always agree with the engine's own view and

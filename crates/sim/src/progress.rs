@@ -134,11 +134,16 @@ enum RunState {
 /// starting a task is a hot-path operation in the executor, and cloning a
 /// profile — block-point `Vec` included — per assignment is exactly the
 /// kind of steady-state allocation the engine refuses to pay. All other
-/// state is plain `Copy` data, so cloning a `RunningTask` is free.
+/// state is plain `Copy` data, so cloning a `RunningTask` is free. The
+/// profile's run time at the current frequency is cached at
+/// [`start`](Self::start) and [`set_frequency`](Self::set_frequency), the
+/// only places the frequency changes.
 #[derive(Debug, Clone, Copy)]
 pub struct RunningTask<'p> {
     profile: &'p ExecProfile,
     freq: Frequency,
+    /// `profile.duration_at(freq)`.
+    duration: SimDuration,
     progress: f64,
     last_update: SimTime,
     next_block: usize,
@@ -153,6 +158,7 @@ impl<'p> RunningTask<'p> {
         RunningTask {
             profile,
             freq,
+            duration: profile.duration_at(freq),
             progress: 0.0,
             last_update: now,
             next_block: 0,
@@ -215,9 +221,8 @@ impl<'p> RunningTask<'p> {
             RunState::Finished => None,
             RunState::Blocked { until } => Some(Milestone::BlockEnd(until)),
             RunState::Running => {
-                let dur = self.profile.duration_at(self.freq);
                 let target = self.next_stop_progress();
-                let remaining = dur.mul_f64((target - self.progress).max(0.0));
+                let remaining = self.duration.mul_f64((target - self.progress).max(0.0));
                 let at = self.last_update + remaining;
                 if target >= 1.0 {
                     Some(Milestone::Completion(at))
@@ -256,7 +261,7 @@ impl<'p> RunningTask<'p> {
                 // livelocks when the remaining time rounds to zero but the
                 // fraction gap exceeds any fixed epsilon (long vs. short
                 // tasks need different fraction tolerances).
-                let dur_ps = self.profile.duration_at(self.freq).as_ps() as f64;
+                let dur_ps = self.duration.as_ps() as f64;
                 let remaining_ps = (target - self.progress).max(0.0) * dur_ps;
                 if remaining_ps < 1.0 || self.progress + PROGRESS_EPS >= target {
                     self.progress = target;
@@ -289,17 +294,17 @@ impl<'p> RunningTask<'p> {
             self.last_update = now;
         }
         self.freq = freq;
+        self.duration = self.profile.duration_at(freq);
         self.generation += 1;
     }
 
     fn accrue(&mut self, now: SimTime) {
-        let dur = self.profile.duration_at(self.freq);
         let elapsed = now.saturating_since(self.last_update);
-        if dur.is_zero() {
+        if self.duration.is_zero() {
             // Zero-cost task: complete immediately.
             self.progress = 1.0;
         } else {
-            self.progress = (self.progress + elapsed.ratio(dur)).min(1.0);
+            self.progress = (self.progress + elapsed.ratio(self.duration)).min(1.0);
         }
         self.last_update = now;
     }

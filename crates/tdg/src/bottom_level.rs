@@ -22,6 +22,10 @@ pub struct BottomLevels {
     bl: Vec<u32>,
     max_bl: u32,
     total_visits: u64,
+    /// The relaxation walk's stack, kept between submissions so a
+    /// submission never allocates once the stack has grown to the
+    /// deepest walk seen.
+    stack: Vec<TaskId>,
     /// Per-submission cap on the relaxation walk. CATS \[24\] explores only
     /// a sub-graph of the TDG (the paper's §II-B third limitation); the cap
     /// is both that window and the safeguard against the O(n²) worst case
@@ -52,6 +56,7 @@ impl BottomLevels {
             bl: Vec::new(),
             max_bl: 0,
             total_visits: 0,
+            stack: Vec::new(),
             visit_cap: visit_cap.max(1),
         }
     }
@@ -95,8 +100,9 @@ impl BottomLevels {
         // The walk is truncated at `visit_cap` visits (the CATS sub-graph
         // window); beyond it, ancestor BLs stay stale.
         let mut visits = 1u64; // the new task itself
-        let mut stack = vec![task];
-        'walk: while let Some(t) = stack.pop() {
+        self.stack.clear(); // a truncated walk leaves entries behind
+        self.stack.push(task);
+        'walk: while let Some(t) = self.stack.pop() {
             let next = self.bl[t.index()] + 1;
             for &p in graph.preds(t) {
                 visits += 1;
@@ -105,7 +111,7 @@ impl BottomLevels {
                     self.bl[p.index()] = next;
                     self.max_bl = self.max_bl.max(next);
                     on_change(p, old, next);
-                    stack.push(p);
+                    self.stack.push(p);
                 }
                 if visits >= self.visit_cap {
                     break 'walk;

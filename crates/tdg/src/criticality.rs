@@ -15,7 +15,6 @@
 use crate::bottom_level::BottomLevels;
 use crate::graph::TaskGraph;
 use crate::task::TaskId;
-use std::collections::BTreeMap;
 
 /// A pluggable criticality estimation policy.
 ///
@@ -91,16 +90,59 @@ impl CriticalityEstimator for StaticAnnotations {
 /// where `max_pending_BL` is the largest BL among submitted-but-incomplete
 /// tasks. `alpha = 1.0` reproduces CATS's "longest path only" rule; smaller
 /// values widen the critical set (ablation A3 sweeps this).
+///
+/// The pending BLs are a multiset kept as one count per level, indexed by
+/// BL, plus the live maximum, so no hook allocates once the counts have
+/// grown to the graph's depth. A submission only raises BLs and adds each
+/// new level before removing the old one, so the maximum never has to be
+/// searched for then; only a completion that empties the top level scans
+/// down to the next occupied one.
 #[derive(Debug, Clone)]
 pub struct BottomLevelEstimator {
     levels: BottomLevels,
-    /// Multiset of *live* BLs of pending tasks: BL → count. Kept coherent
-    /// with `levels` through the change callback of
-    /// [`BottomLevels::on_submit_with`].
-    pending: BTreeMap<u32, u32>,
+    /// Live BLs of pending tasks. Kept coherent with `levels` through the
+    /// change callback of [`BottomLevels::on_submit_with`].
+    pending: PendingLevels,
     /// `pending_flag[t]` is true between `on_submit(t)` and `on_complete(t)`.
     pending_flag: Vec<bool>,
     alpha: f64,
+}
+
+/// A multiset of bottom levels: a count per level and the largest
+/// occupied level.
+#[derive(Debug, Clone, Default)]
+struct PendingLevels {
+    /// `counts[bl]` is the number of members at level `bl`.
+    counts: Vec<u32>,
+    /// The largest `bl` with `counts[bl] > 0`, `None` when empty.
+    max: Option<u32>,
+}
+
+impl PendingLevels {
+    fn add(&mut self, bl: u32) {
+        let i = bl as usize;
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += 1;
+        if self.max.is_none_or(|m| bl > m) {
+            self.max = Some(bl);
+        }
+    }
+
+    /// Removes one member at `bl`; emptying the top level scans down to
+    /// the next occupied one.
+    fn remove(&mut self, bl: u32) {
+        let count = &mut self.counts[bl as usize];
+        debug_assert!(*count > 0, "no pending task at BL {bl}");
+        *count -= 1;
+        if *count == 0 && self.max == Some(bl) {
+            self.max = self.counts[..bl as usize]
+                .iter()
+                .rposition(|&c| c > 0)
+                .map(|l| l as u32);
+        }
+    }
 }
 
 impl BottomLevelEstimator {
@@ -114,10 +156,20 @@ impl BottomLevelEstimator {
     /// # Panics
     /// Panics unless `0.0 < alpha <= 1.0`.
     pub fn with_alpha(alpha: f64) -> Self {
+        Self::with_visit_cap(alpha, BottomLevels::DEFAULT_VISIT_CAP)
+    }
+
+    /// Creates the estimator with a custom threshold fraction and
+    /// per-submission walk cap (`u64::MAX` = exact bottom levels; see
+    /// [`BottomLevels::with_visit_cap`]).
+    ///
+    /// # Panics
+    /// Panics unless `0.0 < alpha <= 1.0`.
+    pub fn with_visit_cap(alpha: f64, visit_cap: u64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
         BottomLevelEstimator {
-            levels: BottomLevels::new(),
-            pending: BTreeMap::new(),
+            levels: BottomLevels::with_visit_cap(visit_cap),
+            pending: PendingLevels::default(),
             pending_flag: Vec::new(),
             alpha,
         }
@@ -130,16 +182,7 @@ impl BottomLevelEstimator {
 
     /// The largest BL among pending tasks, or `None` when drained.
     pub fn max_pending_bl(&self) -> Option<u32> {
-        self.pending.keys().next_back().copied()
-    }
-
-    fn remove_pending(&mut self, bl: u32) {
-        if let Some(c) = self.pending.get_mut(&bl) {
-            *c -= 1;
-            if *c == 0 {
-                self.pending.remove(&bl);
-            }
-        }
+        self.pending.max
     }
 }
 
@@ -160,23 +203,18 @@ impl CriticalityEstimator for BottomLevelEstimator {
         // A submission may raise ancestor BLs; mirror every change into the
         // pending multiset so the max is always live. Completed ancestors
         // are skipped — their BL is irrelevant to scheduling.
-        let pending = &mut self.pending;
-        let flags = &self.pending_flag;
-        let visits = self.levels.on_submit_with(graph, task, |t, old, new| {
+        let (pending, flags) = (&mut self.pending, &self.pending_flag);
+        self.levels.on_submit_with(graph, task, |t, old, new| {
             if !flags[t.index()] {
                 return;
             }
+            // New before old: the new level is at least the old one, so the
+            // removal below never empties the top level.
+            pending.add(new);
             if old != new {
-                if let Some(c) = pending.get_mut(&old) {
-                    *c -= 1;
-                    if *c == 0 {
-                        pending.remove(&old);
-                    }
-                }
+                pending.remove(old);
             }
-            *pending.entry(new).or_insert(0) += 1;
-        });
-        visits
+        })
     }
 
     fn classify(&mut self, graph: &TaskGraph, task: TaskId) -> bool {
@@ -189,8 +227,7 @@ impl CriticalityEstimator for BottomLevelEstimator {
 
     fn on_complete(&mut self, _graph: &TaskGraph, task: TaskId) {
         if std::mem::replace(&mut self.pending_flag[task.index()], false) {
-            let bl = self.levels.bl(task);
-            self.remove_pending(bl);
+            self.pending.remove(self.levels.bl(task));
         }
     }
 }
