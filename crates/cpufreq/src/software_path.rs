@@ -99,25 +99,28 @@ impl Default for SoftwarePathParams {
 pub struct SoftwareGrant {
     /// When the requester acquired the serialized path (lock acquisition).
     pub acquired_at: SimTime,
-    /// When the first requested hardware transition may begin (the driver
-    /// has programmed the DVFS controller for that write). Meaningless
-    /// when `writes` is zero.
-    pub first_transition_start: SimTime,
-    /// The lock hold of one write: the gap between the transition starts
-    /// of consecutive writes.
-    pub write_stride: SimDuration,
     /// Number of cpufreq writes; zero for a pure decision (lock + check,
     /// no reconfiguration).
     pub writes: usize,
     /// When the requesting core gets control back (syscall returns).
     pub returns_at: SimTime,
+    /// When write 0 may begin its hardware transition; read only through
+    /// [`op_transition_start`](Self::op_transition_start), which checks
+    /// that the write exists.
+    first_transition_start: SimTime,
+    /// The lock hold of one write: the gap between the transition starts
+    /// of consecutive writes.
+    write_stride: SimDuration,
 }
 
 impl SoftwareGrant {
-    /// When write `op` (counted from 0, below [`writes`](Self::writes))
-    /// may begin its hardware transition.
+    /// When write `op` may begin its hardware transition (the driver has
+    /// programmed the DVFS controller for that write).
+    ///
+    /// # Panics
+    /// Panics unless `op < writes`.
     pub fn op_transition_start(&self, op: usize) -> SimTime {
-        debug_assert!(op < self.writes, "write {op} of {}", self.writes);
+        assert!(op < self.writes, "write {op} of {}", self.writes);
         self.first_transition_start + self.write_stride.saturating_mul(op as u64)
     }
 
@@ -191,10 +194,10 @@ impl SoftwareDvfsPath {
 
         let grant = SoftwareGrant {
             acquired_at,
-            first_transition_start: section_start + self.params.sysfs_write + self.params.driver,
-            write_stride: per_op,
             writes: n_ops,
             returns_at,
+            first_transition_start: section_start + self.params.sysfs_write + self.params.driver,
+            write_stride: per_op,
         };
         self.lock_waits.record(grant.lock_wait(now));
         if n_ops > 0 {
@@ -257,6 +260,13 @@ mod tests {
         assert_eq!(p.latencies.count(), 0);
         // …but they do contend on the lock.
         assert_eq!(p.lock_waits.count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "write 0 of 0")]
+    fn pure_decision_has_no_transition_start() {
+        let g = path().request_ops(SimTime::ZERO, 0);
+        let _ = g.op_transition_start(0);
     }
 
     #[test]

@@ -95,10 +95,20 @@ impl std::fmt::Debug for Cmds {
     }
 }
 
-/// Index of the core class `(accelerated, crit)` in
-/// [`ReconfigEngine`]'s bitsets.
-fn class(accelerated: bool, crit: TaskCrit) -> usize {
-    3 * usize::from(accelerated) + crit as usize
+/// The engine's state of 64 consecutive cores, one bit per core.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CoreBits {
+    accelerated: u64,
+    /// The core runs a critical task.
+    critical: u64,
+    /// The core runs a non-critical task. A core in neither set runs no
+    /// task.
+    non_critical: u64,
+}
+
+/// Sets `bit` of `word` when `on`, else clears it.
+fn assign(word: &mut u64, bit: u64, on: bool) {
+    *word = (*word & !bit) | if on { bit } else { 0 };
 }
 
 /// The shared decision state machine.
@@ -108,21 +118,16 @@ fn class(accelerated: bool, crit: TaskCrit) -> usize {
 /// emitted command list orders decelerations before the accelerations they
 /// fund.
 ///
-/// Besides the per-core flags, the engine indexes every core by its class
-/// `(accelerated, TaskCrit)` in six bitsets of one word per 64 cores, so
-/// each decision finds its victim or beneficiary from the lowest set bit
-/// of a class instead of scanning the cores, and returns its commands
-/// inline ([`Cmds`]) — no decision allocates. One private setter writes
-/// the flags and the index together;
-/// [`check_invariants`](Self::check_invariants) checks them against each
-/// other.
+/// The per-core state is three bitsets of one word per 64 cores, so each
+/// decision finds its victim or beneficiary from the lowest set bit of a
+/// word-wise combination of them instead of scanning the cores, and
+/// returns its commands inline ([`Cmds`]) — no decision allocates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigEngine {
-    crit: Vec<TaskCrit>,
-    accelerated: Vec<bool>,
-    /// Class `k`'s bitset is `classes[k * words..(k + 1) * words]`.
-    classes: Vec<u64>,
-    words: usize,
+    /// Cores `64 * w..64 * (w + 1)` are `bits[w]`. No bit is set at or
+    /// past `num_cores`.
+    bits: Vec<CoreBits>,
+    num_cores: usize,
     budget: usize,
     accel_count: usize,
 }
@@ -138,22 +143,17 @@ impl ReconfigEngine {
             budget <= num_cores,
             "budget {budget} exceeds core count {num_cores}"
         );
-        let words = num_cores.div_ceil(64);
-        let mut e = ReconfigEngine {
-            crit: vec![TaskCrit::NoTask; num_cores],
-            accelerated: vec![false; num_cores],
-            classes: vec![0; 6 * words],
-            words,
+        ReconfigEngine {
+            bits: vec![CoreBits::default(); num_cores.div_ceil(64)],
+            num_cores,
             budget,
             accel_count: 0,
-        };
-        e.reset();
-        e
+        }
     }
 
     /// Number of cores tracked.
     pub fn num_cores(&self) -> usize {
-        self.crit.len()
+        self.num_cores
     }
 
     /// The power budget (max accelerated cores).
@@ -168,12 +168,20 @@ impl ReconfigEngine {
 
     /// The tracked criticality of `core`'s task.
     pub fn crit(&self, core: usize) -> TaskCrit {
-        self.crit[core]
+        let (w, bit) = self.slot(core);
+        if self.bits[w].critical & bit != 0 {
+            TaskCrit::Critical
+        } else if self.bits[w].non_critical & bit != 0 {
+            TaskCrit::NonCritical
+        } else {
+            TaskCrit::NoTask
+        }
     }
 
     /// Whether `core` is accelerated.
     pub fn is_accelerated(&self, core: usize) -> bool {
-        self.accelerated[core]
+        let (w, bit) = self.slot(core);
+        self.bits[w].accelerated & bit != 0
     }
 
     /// A task of the given criticality starts on `core`. Returns the
@@ -184,23 +192,23 @@ impl ReconfigEngine {
         } else {
             TaskCrit::NonCritical
         };
-        self.place(core, self.accelerated[core], crit);
+        self.set_crit(core, crit);
 
-        if self.accelerated[core] {
+        if self.is_accelerated(core) {
             // Already fast (e.g. restored context, or back-to-back schedule
             // before the deceleration settled its bookkeeping): keep it.
             return Cmds::NONE;
         }
         if self.accel_count < self.budget {
-            self.place(core, true, crit);
+            self.set_accelerated(core, true);
             self.accel_count += 1;
             return Cmds::one(Cmd::Accelerate(core));
         }
         if critical {
             // No budget: displace an accelerated non-critical task, if any.
             if let Some(victim) = self.find_victim() {
-                self.place(victim, false, self.crit[victim]);
-                self.place(core, true, crit);
+                self.set_accelerated(victim, false);
+                self.set_accelerated(core, true);
                 return Cmds::two(Cmd::Decelerate(victim), Cmd::Accelerate(core));
             }
         }
@@ -218,13 +226,13 @@ impl ReconfigEngine {
     /// [`on_core_idle`](Self::on_core_idle), avoiding a useless
     /// decelerate/accelerate pair between back-to-back tasks.
     pub fn on_task_end(&mut self, core: usize) -> Cmds {
-        self.place(core, self.accelerated[core], TaskCrit::NoTask);
-        if !self.accelerated[core] {
+        self.set_crit(core, TaskCrit::NoTask);
+        if !self.is_accelerated(core) {
             return Cmds::NONE;
         }
         if let Some(next) = self.find_waiting_critical() {
-            self.place(core, false, TaskCrit::NoTask);
-            self.place(next, true, self.crit[next]);
+            self.set_accelerated(core, false);
+            self.set_accelerated(next, true);
             return Cmds::two(Cmd::Decelerate(core), Cmd::Accelerate(next));
         }
         Cmds::NONE
@@ -238,16 +246,16 @@ impl ReconfigEngine {
     /// imbalance"; the fork-join benchmarks have no critical annotations at
     /// all, so the reassignment cannot be criticality-gated).
     pub fn on_core_idle(&mut self, core: usize) -> Cmds {
-        if !self.accelerated[core] {
+        if !self.is_accelerated(core) {
             return Cmds::NONE;
         }
-        self.place(core, false, self.crit[core]);
+        self.set_accelerated(core, false);
         let decelerate = Cmd::Decelerate(core);
         if let Some(next) = self
             .find_waiting_critical()
             .or_else(|| self.find_waiting_running())
         {
-            self.place(next, true, self.crit[next]);
+            self.set_accelerated(next, true);
             Cmds::two(decelerate, Cmd::Accelerate(next))
         } else {
             self.accel_count -= 1;
@@ -258,39 +266,36 @@ impl ReconfigEngine {
     /// Directly sets a core's tracked criticality (used by the OS
     /// virtualization path; does not reconfigure anything).
     pub fn set_crit(&mut self, core: usize, crit: TaskCrit) {
-        self.place(core, self.accelerated[core], crit);
+        let (w, bit) = self.slot(core);
+        let bits = &mut self.bits[w];
+        assign(&mut bits.critical, bit, crit == TaskCrit::Critical);
+        assign(&mut bits.non_critical, bit, crit == TaskCrit::NonCritical);
     }
 
     /// Resets all tracked state (cores keep whatever frequency they have;
     /// the caller is responsible for physically decelerating if needed).
     pub fn reset(&mut self) {
-        self.crit.fill(TaskCrit::NoTask);
-        self.accelerated.fill(false);
-        self.classes.fill(0);
-        let idle = class(false, TaskCrit::NoTask) * self.words;
-        for core in 0..self.crit.len() {
-            self.classes[idle + core / 64] |= 1 << (core % 64);
-        }
+        self.bits.fill(CoreBits::default());
         self.accel_count = 0;
     }
 
-    /// The one writer of `core`'s flags: moves its bit from its old class
-    /// to the class `(accelerated, crit)`.
-    fn place(&mut self, core: usize, accelerated: bool, crit: TaskCrit) {
-        let (word, bit) = (core / 64, 1u64 << (core % 64));
-        let old = class(self.accelerated[core], self.crit[core]);
-        self.classes[old * self.words + word] &= !bit;
-        self.classes[class(accelerated, crit) * self.words + word] |= bit;
-        self.accelerated[core] = accelerated;
-        self.crit[core] = crit;
+    /// Word index and bit mask of `core`, which must be in range.
+    fn slot(&self, core: usize) -> (usize, u64) {
+        assert!(core < self.num_cores, "core {core} out of range");
+        (core / 64, 1 << (core % 64))
     }
 
-    /// Lowest-numbered core of class `(accelerated, crit)`.
-    fn lowest(&self, accelerated: bool, crit: TaskCrit) -> Option<usize> {
-        let base = class(accelerated, crit) * self.words;
-        let words = &self.classes[base..base + self.words];
-        let w = words.iter().position(|&bits| bits != 0)?;
-        Some(64 * w + words[w].trailing_zeros() as usize)
+    fn set_accelerated(&mut self, core: usize, accelerated: bool) {
+        let (w, bit) = self.slot(core);
+        assign(&mut self.bits[w].accelerated, bit, accelerated);
+    }
+
+    /// Lowest-numbered core whose bit `class` sets in its word.
+    fn lowest(&self, class: impl Fn(&CoreBits) -> u64) -> Option<usize> {
+        self.bits.iter().enumerate().find_map(|(w, bits)| {
+            let set = class(bits);
+            (set != 0).then(|| 64 * w + set.trailing_zeros() as usize)
+        })
     }
 
     /// Lowest-numbered accelerated core running a non-critical task (victim
@@ -298,46 +303,37 @@ impl ReconfigEngine {
     /// preferred over one doing non-critical work. The requesting core is
     /// not accelerated, so it is never its own victim.
     fn find_victim(&self) -> Option<usize> {
-        self.lowest(true, TaskCrit::NoTask)
-            .or_else(|| self.lowest(true, TaskCrit::NonCritical))
+        self.lowest(|b| b.accelerated & !b.critical & !b.non_critical)
+            .or_else(|| self.lowest(|b| b.accelerated & b.non_critical))
     }
 
     /// Lowest-numbered non-accelerated core running a critical task.
     fn find_waiting_critical(&self) -> Option<usize> {
-        self.lowest(false, TaskCrit::Critical)
+        self.lowest(|b| !b.accelerated & b.critical)
     }
 
     /// Lowest-numbered non-accelerated core running any task.
     fn find_waiting_running(&self) -> Option<usize> {
-        self.lowest(false, TaskCrit::NonCritical)
+        self.lowest(|b| !b.accelerated & b.non_critical)
     }
 
-    /// Debug invariant check: the acceleration count matches the flags and
-    /// never exceeds the budget, and each core's bit is set in its own
-    /// class and in no other.
+    /// Debug invariant check: the acceleration count matches the
+    /// accelerated cores and never exceeds the budget, and no core is
+    /// both critical and non-critical.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let n = self.accelerated.iter().filter(|&&a| a).count();
+        let n: usize = self
+            .bits
+            .iter()
+            .map(|b| b.accelerated.count_ones() as usize)
+            .sum();
         if n != self.accel_count {
             return Err(format!("accel_count {} != flags {n}", self.accel_count));
         }
         if n > self.budget {
             return Err(format!("budget exceeded: {n} > {}", self.budget));
         }
-        for k in 0..6 {
-            for w in 0..self.words {
-                let mut want = 0u64;
-                for core in 64 * w..self.crit.len().min(64 * (w + 1)) {
-                    if class(self.accelerated[core], self.crit[core]) == k {
-                        want |= 1 << (core % 64);
-                    }
-                }
-                let got = self.classes[k * self.words + w];
-                if got != want {
-                    return Err(format!(
-                        "class {k} word {w} is {got:#x}, flags say {want:#x}"
-                    ));
-                }
-            }
+        if self.bits.iter().any(|b| b.critical & b.non_critical != 0) {
+            return Err("a core is both critical and non-critical".to_string());
         }
         Ok(())
     }
@@ -493,6 +489,13 @@ mod tests {
     #[should_panic(expected = "budget")]
     fn budget_above_core_count_rejected() {
         let _ = ReconfigEngine::new(2, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "core 4 out of range")]
+    fn core_past_the_last_is_rejected_inside_a_word() {
+        // Core 4 of 4 still falls inside the first 64-bit word.
+        let _ = ReconfigEngine::new(4, 1).on_task_start(4, true);
     }
 
     #[test]

@@ -19,9 +19,9 @@ fn apply_cmds(fast: &mut [bool], cmds: &[Cmd]) {
     }
 }
 
-/// The decision engine as it was before its class index: the same
-/// algorithm over the per-core flags, finding every victim and beneficiary
-/// by a scan over all cores. [`ReconfigEngine`] must match it command for
+/// The decision engine as it was before its core bitsets: the same
+/// algorithm over per-core flags, finding every victim and beneficiary by
+/// a scan over all cores. [`ReconfigEngine`] must match it command for
 /// command.
 struct ScanEngine {
     crit: Vec<TaskCrit>,

@@ -2,14 +2,12 @@
 
 use cata_sim::progress::ExecProfile;
 use cata_sim::time::Frequency;
-use cata_tdg::bottom_level::BottomLevels;
 use cata_tdg::criticality::{BottomLevelEstimator, CriticalityEstimator};
 use cata_tdg::deps::{AccessMode, DepTracker, RegionId};
 use cata_tdg::{TaskGraph, TaskId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 fn random_graph(n: usize, p: f64, seed: u64) -> TaskGraph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -29,128 +27,8 @@ fn random_graph(n: usize, p: f64, seed: u64) -> TaskGraph {
     g
 }
 
-/// The BL estimator as it was before the dense level counts and the
-/// reused walk stack: a fresh stack per submission and a `BTreeMap` from
-/// BL to pending count.
-struct MapEstimator {
-    bl: Vec<u32>,
-    visit_cap: u64,
-    pending: BTreeMap<u32, u32>,
-    pending_flag: Vec<bool>,
-    alpha: f64,
-}
-
-impl MapEstimator {
-    fn new(alpha: f64, visit_cap: u64) -> Self {
-        MapEstimator {
-            bl: Vec::new(),
-            visit_cap,
-            pending: BTreeMap::new(),
-            pending_flag: Vec::new(),
-            alpha,
-        }
-    }
-
-    fn on_submit(&mut self, graph: &TaskGraph, task: TaskId) -> u64 {
-        self.pending_flag.push(true);
-        self.bl.push(0);
-        *self.pending.entry(0).or_insert(0) += 1;
-        let mut visits = 1u64;
-        let mut stack = vec![task];
-        'walk: while let Some(t) = stack.pop() {
-            let next = self.bl[t.index()] + 1;
-            for &p in graph.preds(t) {
-                visits += 1;
-                let old = self.bl[p.index()];
-                if old < next {
-                    self.bl[p.index()] = next;
-                    if self.pending_flag[p.index()] {
-                        remove(&mut self.pending, old);
-                        *self.pending.entry(next).or_insert(0) += 1;
-                    }
-                    stack.push(p);
-                }
-                if visits >= self.visit_cap {
-                    break 'walk;
-                }
-            }
-        }
-        visits
-    }
-
-    fn on_complete(&mut self, task: TaskId) {
-        if std::mem::replace(&mut self.pending_flag[task.index()], false) {
-            remove(&mut self.pending, self.bl[task.index()]);
-        }
-    }
-
-    fn max_pending_bl(&self) -> Option<u32> {
-        self.pending.keys().next_back().copied()
-    }
-
-    fn classify_level(&self, task: TaskId) -> u8 {
-        let max = self.max_pending_bl().unwrap_or(0);
-        u8::from(self.bl[task.index()] >= (self.alpha * max as f64).ceil() as u32)
-    }
-}
-
-fn remove(pending: &mut BTreeMap<u32, u32>, bl: u32) {
-    if let Some(c) = pending.get_mut(&bl) {
-        *c -= 1;
-        if *c == 0 {
-            pending.remove(&bl);
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The dense-count BL estimator equals the `BTreeMap` reference on
-    /// random DAGs of up to 200 tasks under random interleavings of
-    /// submissions and completions, at the default walk cap and uncapped:
-    /// the same visits per submission, the same pending maximum, and the
-    /// same BL and level for every pending task after every step.
-    #[test]
-    fn bl_estimator_matches_the_map_reference(
-        n in 1usize..=200,
-        p in 0.0f64..0.15,
-        seed in any::<u64>(),
-        alpha_pick in 0usize..4,
-    ) {
-        let g = random_graph(n, p, seed);
-        let alpha = [1.0, 0.75, 0.5, 0.2][alpha_pick];
-        for cap in [BottomLevels::DEFAULT_VISIT_CAP, u64::MAX] {
-            let mut est = BottomLevelEstimator::with_visit_cap(alpha, cap);
-            let mut reference = MapEstimator::new(alpha, cap);
-            let mut rng = StdRng::seed_from_u64(seed ^ cap);
-            let mut pending: Vec<TaskId> = Vec::new();
-            let mut submitted = 0;
-            while submitted < n || !pending.is_empty() {
-                if submitted < n && (pending.is_empty() || rng.gen_bool(0.6)) {
-                    let t = TaskId(submitted as u32);
-                    submitted += 1;
-                    let visits = est.on_submit(&g, t);
-                    prop_assert_eq!(visits, reference.on_submit(&g, t), "visits of {}", t);
-                    pending.push(t);
-                } else {
-                    let t = pending.swap_remove(rng.gen_range(0..pending.len()));
-                    est.on_complete(&g, t);
-                    reference.on_complete(t);
-                }
-                prop_assert_eq!(est.max_pending_bl(), reference.max_pending_bl());
-                for &t in &pending {
-                    prop_assert_eq!(est.levels().bl(t), reference.bl[t.index()], "BL of {}", t);
-                    prop_assert_eq!(
-                        est.classify_level(&g, t),
-                        reference.classify_level(t),
-                        "level of {}", t
-                    );
-                }
-            }
-            prop_assert_eq!(est.max_pending_bl(), None);
-        }
-    }
 
     /// Structural invariants hold for arbitrary construction sequences.
     #[test]
