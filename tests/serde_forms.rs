@@ -11,6 +11,9 @@
 //! maps fill in defaults, a spec without `backend` reads as sim, a report
 //! without `measurement` reads as `Measurement::None`, and a present
 //! field of the wrong type is an error prefixed `Type.field:`.
+//!
+//! The pretty layout is pinned too, on a small `TdgFile` and a
+//! `ScenarioSpec`: `.tdg.json` exports and `repro spec` output are pretty.
 
 use cata_bench::perf::{PerfPoint, PerfSummary, TRAJECTORY_SCHEMA};
 use cata_core::exp::{Backend, CellRecord, PolicyParams, ScenarioSpec, WorkloadSpec, STORE_SCHEMA};
@@ -19,9 +22,11 @@ use cata_core::mem::{MemoryReport, MemorySpec};
 use cata_core::service::ServiceReport;
 use cata_core::RunReport;
 use cata_power::{EnergyBreakdown, EnergyReport, Measurement};
+use cata_sim::progress::ExecProfile;
 use cata_sim::stats::{Counters, LatencyHistogram};
 use cata_sim::time::SimDuration;
 use cata_sim::trace::TraceCounts;
+use cata_tdg::{TaskGraph, TdgFile};
 use serde::{Deserialize, Serialize};
 
 fn json<T: Serialize>(v: &T) -> String {
@@ -556,4 +561,171 @@ fn cell_record_forms() {
     assert!(read.started_unix_ms.is_none() && read.finished_unix_ms.is_none());
     let wrong = cell_json(false).replace(r#""seed":42"#, r#""seed":42,"host":5"#);
     assert_field_error::<CellRecord>(&wrong, "CellRecord.host: ");
+}
+
+// ---- Pretty layout ----
+//
+// `.tdg.json` exports, `repro spec` output and `BENCH_engine.json` are
+// pretty-printed: two spaces per level, `"key": value`, and `[]`/`{}`
+// for empty containers.
+
+const TDG_PRETTY: &str = r#"{
+  "schema": "cata-tdg/v1",
+  "name": "tiny",
+  "types": [
+    {
+      "name": "prepare",
+      "criticality": 0
+    },
+    {
+      "name": "solve",
+      "criticality": 2
+    }
+  ],
+  "tasks": [
+    {
+      "ty": 0,
+      "profile": {
+        "cpu_cycles": 1000,
+        "mem_ps": 50,
+        "blocks": []
+      },
+      "deps": []
+    },
+    {
+      "ty": 1,
+      "profile": {
+        "cpu_cycles": 9000,
+        "mem_ps": 0,
+        "blocks": [
+          {
+            "at_progress": 0.5,
+            "duration": 400000
+          }
+        ]
+      },
+      "deps": [
+        0
+      ]
+    },
+    {
+      "ty": 0,
+      "profile": {
+        "cpu_cycles": 2000,
+        "mem_ps": 10,
+        "blocks": []
+      },
+      "deps": [
+        0,
+        1
+      ]
+    }
+  ],
+  "digest": "cec47d605ac4d922"
+}"#;
+
+#[test]
+fn tdg_file_pretty_form() {
+    let mut g = TaskGraph::new();
+    let prepare = g.add_type("prepare", 0);
+    let solve = g.add_type("solve", 2);
+    let a = g.add_task(prepare, ExecProfile::new(1_000, 50), &[]);
+    let b = g.add_task(
+        solve,
+        ExecProfile::new(9_000, 0).with_block(0.5, SimDuration::from_ns(400)),
+        &[a],
+    );
+    g.add_task(prepare, ExecProfile::new(2_000, 10), &[a, b]);
+    let file = TdgFile::from_graph("tiny", &g);
+    assert_eq!(file.to_json_pretty(), TDG_PRETTY);
+    assert_eq!(TdgFile::from_json(TDG_PRETTY).unwrap(), file);
+}
+
+const SPEC_PRETTY: &str = r#"{
+  "name": "x",
+  "workload": {
+    "Chain": {
+      "n": 2,
+      "cycles": 10
+    }
+  },
+  "machine": {
+    "num_cores": 2,
+    "fast_level": {
+      "frequency": 2000,
+      "voltage_mv": 1000
+    },
+    "slow_level": {
+      "frequency": 1000,
+      "voltage_mv": 800
+    },
+    "reconfig_latency": 1000000,
+    "issue_width": 4,
+    "rob_entries": 128,
+    "l1d_kib": 64,
+    "l1i_kib": 32,
+    "l2_mib_per_core": 2,
+    "noc_mesh": [
+      4,
+      8
+    ],
+    "tech_nm": 22
+  },
+  "fast_cores": 1,
+  "scheduler": "fifo",
+  "estimator": "none",
+  "accel": "static-hetero",
+  "params": {
+    "alpha": 0.5,
+    "software_path": null
+  },
+  "costs": {
+    "task_creation": 800000,
+    "per_bl_visit": 250000,
+    "dispatch": 300000
+  },
+  "idle_to_halt": 40000000,
+  "idle_decel_delay": 25000000,
+  "wake_latency": 1000000,
+  "power": {
+    "c_eff_nf": 1.0,
+    "i_leak_a": 0.35,
+    "leak_v_sensitivity": 1.5,
+    "busy_activity": 1.0,
+    "idle_activity": 0.25,
+    "halt_activity": 0.02,
+    "uncore_w": 10.0
+  },
+  "trace": "off",
+  "seed": 3397001238,
+  "backend": "native",
+  "faults": {
+    "core_failures": [
+      {
+        "core": 1,
+        "at": 2000
+      },
+      {
+        "core": 0,
+        "at": 5,
+        "recover_after": 7
+      }
+    ],
+    "reconfig_fail_p": 0.0,
+    "task_fault_p": 0.25,
+    "max_retries": 3,
+    "recovery": "retry-same-core"
+  },
+  "event_queue": "heap",
+  "memory": {
+    "slots": 2,
+    "arbitration": "crit-first"
+  }
+}"#;
+
+#[test]
+fn scenario_spec_pretty_form() {
+    let s = spec(true);
+    assert_eq!(s.to_json_pretty(), SPEC_PRETTY);
+    assert_eq!(ScenarioSpec::from_json(SPEC_PRETTY).unwrap(), s);
 }
