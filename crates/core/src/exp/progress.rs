@@ -21,7 +21,7 @@
 
 use super::error::ExpError;
 use super::store::JsonlLines;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -153,22 +153,21 @@ pub struct ProgressRecord {
 // own map under a `kind` discriminator (the vendored derive has no enum
 // tagging attributes), keeping each heartbeat one flat, greppable line.
 impl Serialize for ProgressRecord {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("schema".into(), self.schema.to_value()),
-            ("shard".into(), self.shard.to_value()),
-            ("unix_ms".into(), self.unix_ms.to_value()),
-            ("kind".into(), self.event.kind().to_value()),
-        ];
+    fn serialize(&self, s: &mut dyn Serializer) {
+        s.map_begin();
+        s.entry("schema", &self.schema);
+        s.entry("shard", &self.shard);
+        s.entry("unix_ms", &self.unix_ms);
+        s.entry("kind", self.event.kind());
         match &self.event {
             ProgressEvent::CellStart {
                 index,
                 name,
                 spec_digest,
             } => {
-                m.push(("index".into(), index.to_value()));
-                m.push(("name".into(), name.to_value()));
-                m.push(("spec_digest".into(), spec_digest.to_value()));
+                s.entry("index", index);
+                s.entry("name", name);
+                s.entry("spec_digest", spec_digest);
             }
             ProgressEvent::CellFinish {
                 index,
@@ -176,14 +175,14 @@ impl Serialize for ProgressRecord {
                 ok,
                 wall_s,
             } => {
-                m.push(("index".into(), index.to_value()));
-                m.push(("cell".into(), cell.to_value()));
-                m.push(("ok".into(), ok.to_value()));
-                m.push(("wall_s".into(), wall_s.to_value()));
+                s.entry("index", index);
+                s.entry("cell", cell);
+                s.entry("ok", ok);
+                s.entry("wall_s", wall_s);
             }
             ProgressEvent::GridProgress { done, total } => {
-                m.push(("done".into(), done.to_value()));
-                m.push(("total".into(), total.to_value()));
+                s.entry("done", done);
+                s.entry("total", total);
             }
             ProgressEvent::ServiceSnapshot {
                 arrivals,
@@ -194,16 +193,16 @@ impl Serialize for ProgressRecord {
                 p99_ps,
                 sim_time_ps,
             } => {
-                m.push(("arrivals".into(), arrivals.to_value()));
-                m.push(("admitted".into(), admitted.to_value()));
-                m.push(("completed".into(), completed.to_value()));
-                m.push(("dropped".into(), dropped.to_value()));
-                m.push(("in_flight".into(), in_flight.to_value()));
-                m.push(("p99_ps".into(), p99_ps.to_value()));
-                m.push(("sim_time_ps".into(), sim_time_ps.to_value()));
+                s.entry("arrivals", arrivals);
+                s.entry("admitted", admitted);
+                s.entry("completed", completed);
+                s.entry("dropped", dropped);
+                s.entry("in_flight", in_flight);
+                s.entry("p99_ps", p99_ps);
+                s.entry("sim_time_ps", sim_time_ps);
             }
         }
-        Value::Map(m)
+        s.map_end();
     }
 }
 

@@ -13,7 +13,7 @@ use cata_sim::time::SimDuration;
 use cata_sim::trace::TraceMode;
 use cata_tdg::{TaskGraph, TdgFile, TdgHandle};
 use cata_workloads::{generate, micro, Benchmark, Scale};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -63,8 +63,8 @@ impl std::str::FromStr for Backend {
 
 // Serde is hand-written so the strings are `name()`'s, shared with tables.
 impl Serialize for Backend {
-    fn to_value(&self) -> Value {
-        Value::Str(self.name().to_string())
+    fn serialize(&self, s: &mut dyn Serializer) {
+        s.str(self.name());
     }
 }
 

@@ -18,7 +18,7 @@ use crate::exp::spec::WorkloadSpec;
 use crate::exp::store::JsonlLines;
 use cata_sim::time::SimDuration;
 use cata_tdg::fnv1a_hex;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Schema tag of the tape JSONL header.
 pub const TAPE_SCHEMA: &str = "cata-tape/v1";
@@ -65,12 +65,9 @@ impl TrafficTape {
     /// Computes the content digest (FNV-1a over the compact JSON of
     /// `[name, workloads, records]`).
     pub fn content_digest(&self) -> String {
-        let v = Value::Seq(vec![
-            self.name.to_value(),
-            self.workloads.to_value(),
-            self.records.to_value(),
-        ]);
-        fnv1a_hex(serde_json::to_string(&v).expect("tape digests").bytes())
+        let payload = (&self.name, &self.workloads, &self.records);
+        let text = serde_json::to_string(&payload).expect("tape digests");
+        fnv1a_hex(text.bytes())
     }
 
     /// Stamps `digest` from the current content.

@@ -4,7 +4,7 @@ use crate::params::PowerParams;
 use cata_sim::activity::Activity;
 use cata_sim::machine::Machine;
 use cata_sim::time::SimDuration;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 
 /// How an [`EnergyReport`]'s joules were obtained — the provenance tag that
 /// makes sim and native cells comparable in one table. Serialized as a
@@ -55,8 +55,8 @@ impl Measurement {
 
 // Serde is hand-written so the strings are `name()`'s, shared with tables.
 impl Serialize for Measurement {
-    fn to_value(&self) -> Value {
-        Value::Str(self.name().to_string())
+    fn serialize(&self, s: &mut dyn Serializer) {
+        s.str(self.name());
     }
 }
 

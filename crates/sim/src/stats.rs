@@ -11,7 +11,7 @@
 //! [`LatencyHistogram::QUANTILE_ERROR`] (1/128) below the exact value.
 
 use crate::time::SimDuration;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 use std::fmt;
 
 /// Sub-bucket resolution of [`LatencyHistogram`]: each power-of-two octave
@@ -233,26 +233,26 @@ impl LatencyHistogram {
 // as it did before the tag existed. A sum beyond `u64` is written as a
 // decimal string. Round-trips bit-exactly.
 impl Serialize for LatencyHistogram {
-    fn to_value(&self) -> Value {
-        let sum = match u64::try_from(self.sum_ps) {
-            Ok(s) => Value::U64(s),
-            Err(_) => Value::Str(self.sum_ps.to_string()),
-        };
-        let mut m = vec![
-            ("total".to_string(), Value::U64(self.total)),
-            ("sum_ps".to_string(), sum),
-            ("min_ps".to_string(), Value::U64(self.min_ps)),
-            ("max_ps".to_string(), Value::U64(self.max_ps)),
-        ];
-        if self.total != 0 {
-            m.push(("sub_buckets".to_string(), Value::U64(SUB)));
+    fn serialize(&self, s: &mut dyn Serializer) {
+        s.map_begin();
+        s.entry("total", &self.total);
+        s.map_key("sum_ps");
+        match u64::try_from(self.sum_ps) {
+            Ok(sum) => s.u64(sum),
+            Err(_) => s.str(&self.sum_ps.to_string()),
         }
-        let buckets = self
-            .occupied_buckets()
-            .map(|(floor, c)| Value::Seq(vec![Value::U64(floor), Value::U64(c)]))
-            .collect();
-        m.push(("buckets".to_string(), Value::Seq(buckets)));
-        Value::Map(m)
+        s.entry("min_ps", &self.min_ps);
+        s.entry("max_ps", &self.max_ps);
+        if self.total != 0 {
+            s.entry("sub_buckets", &SUB);
+        }
+        s.map_key("buckets");
+        s.seq_begin();
+        for pair in self.occupied_buckets() {
+            pair.serialize(s);
+        }
+        s.seq_end();
+        s.map_end();
     }
 }
 

@@ -19,7 +19,7 @@
 
 use crate::machine::{CoreId, PowerLevel};
 use crate::time::SimTime;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 
 /// One traced simulation event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -105,8 +105,8 @@ impl TraceMode {
 
 // Serde is hand-written: the strings are `name()`'s, and legacy bools read.
 impl Serialize for TraceMode {
-    fn to_value(&self) -> Value {
-        Value::Str(self.name().to_string())
+    fn serialize(&self, s: &mut dyn Serializer) {
+        s.str(self.name());
     }
 }
 

@@ -19,7 +19,7 @@
 use crate::graph::TaskGraph;
 use crate::task::{TaskId, TaskType, TypeId};
 use cata_sim::progress::ExecProfile;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -169,11 +169,7 @@ impl TdgFile {
     /// itself). Deterministic across processes — the vendored serde
     /// serializes fields in declaration order.
     pub fn content_digest(&self) -> String {
-        let payload = Value::Seq(vec![
-            serde::Serialize::to_value(&self.name),
-            serde::Serialize::to_value(&self.types),
-            serde::Serialize::to_value(&self.tasks),
-        ]);
+        let payload = (&self.name, &self.types, &self.tasks);
         let text = serde_json::to_string(&payload).expect("TDG payload serializes");
         fnv1a_hex(text.bytes())
     }
@@ -307,8 +303,8 @@ impl PartialEq for TdgHandle {
 
 // Serde is hand-written: a handle is transparent, the `TdgFile` it shares.
 impl Serialize for TdgHandle {
-    fn to_value(&self) -> Value {
-        self.file.to_value()
+    fn serialize(&self, s: &mut dyn Serializer) {
+        self.file.serialize(s);
     }
 }
 

@@ -14,6 +14,11 @@
 //!
 //! The pretty layout is pinned too, on a small `TdgFile` and a
 //! `ScenarioSpec`: `.tdg.json` exports and `repro spec` output are pretty.
+//!
+//! Every pinned value is also cross-checked: the streaming JSON writer
+//! must produce the bytes the reference tree writer produces from the
+//! value's `to_value()` tree, compact and pretty, and that tree must be the
+//! one its JSON reads back as.
 
 use cata_bench::perf::{PerfPoint, PerfSummary, TRAJECTORY_SCHEMA};
 use cata_core::exp::{Backend, CellRecord, PolicyParams, ScenarioSpec, WorkloadSpec, STORE_SCHEMA};
@@ -29,14 +34,30 @@ use cata_sim::trace::TraceCounts;
 use cata_tdg::{TaskGraph, TdgFile};
 use serde::{Deserialize, Serialize};
 
+#[path = "../vendor/serde_json/src/reference.rs"]
+mod reference;
+
 fn json<T: Serialize>(v: &T) -> String {
     serde_json::to_string(v).unwrap()
+}
+
+/// The streaming writer agrees with the reference writer on `value`'s
+/// tree, and that tree is what its JSON parses back as.
+fn cross_check<T: Serialize>(value: &T) {
+    let tree = value.to_value();
+    assert_eq!(json(value), reference::to_string(&tree));
+    assert_eq!(
+        serde_json::to_string_pretty(value).unwrap(),
+        reference::to_string_pretty(&tree)
+    );
+    assert_eq!(serde_json::parse_value(&json(value)).unwrap(), tree);
 }
 
 /// `value` serializes to exactly `expected`, and `expected` reads back to
 /// a value that serializes to the same bytes.
 fn pin<T: Serialize + Deserialize>(value: &T, expected: &str) {
     assert_eq!(json(value), expected);
+    cross_check(value);
     let back: T = serde_json::from_str(expected).unwrap();
     assert_eq!(json(&back), expected);
 }
@@ -374,6 +395,7 @@ fn scenario_spec_forms() {
     for full in [false, true] {
         let s = spec(full);
         assert_eq!(s.to_json(), spec_json(full), "full = {full}");
+        cross_check(&s);
         assert_eq!(ScenarioSpec::from_json(&spec_json(full)).unwrap(), s);
         assert_eq!(s.to_toml(), spec_toml(full), "full = {full}");
         assert_eq!(ScenarioSpec::from_toml(&spec_toml(full)).unwrap(), s);
@@ -638,6 +660,7 @@ fn tdg_file_pretty_form() {
     g.add_task(prepare, ExecProfile::new(2_000, 10), &[a, b]);
     let file = TdgFile::from_graph("tiny", &g);
     assert_eq!(file.to_json_pretty(), TDG_PRETTY);
+    cross_check(&file);
     assert_eq!(TdgFile::from_json(TDG_PRETTY).unwrap(), file);
 }
 
