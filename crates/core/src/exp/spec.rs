@@ -163,10 +163,10 @@ pub enum WorkloadSpec {
 /// handling and eviction behavior cannot drift apart.
 struct FifoCache<V> {
     cap: usize,
-    entries: Mutex<Vec<(String, Arc<V>)>>,
+    entries: Mutex<Vec<(String, V)>>,
 }
 
-impl<V> FifoCache<V> {
+impl<V: Clone> FifoCache<V> {
     const fn new(cap: usize) -> Self {
         FifoCache {
             cap,
@@ -174,29 +174,31 @@ impl<V> FifoCache<V> {
         }
     }
 
-    fn get(&self, key: &str) -> Option<Arc<V>> {
+    fn get(&self, key: &str) -> Option<V> {
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         entries
             .iter()
             .find(|(k, _)| k == key)
-            .map(|(_, v)| Arc::clone(v))
+            .map(|(_, v)| v.clone())
     }
 
-    fn put(&self, key: String, value: &Arc<V>) {
+    fn put(&self, key: String, value: &V) {
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         if !entries.iter().any(|(k, _)| *k == key) {
             if entries.len() >= self.cap {
                 entries.remove(0);
             }
-            entries.push((key, Arc::clone(value)));
+            entries.push((key, value.clone()));
         }
     }
 }
 
 /// The process-wide cache behind [`load_tdg_cached`], keyed by
 /// `path\0digest`. Only digest-*pinned* loads live here — a pinned
-/// digest names immutable content, so entries can never go stale.
-static TDG_CACHE: FifoCache<TdgFile> = FifoCache::new(16);
+/// digest names immutable content, so entries can never go stale. Each
+/// handle keeps the content digest its pin check computed, so building
+/// its graph verifies against it instead of digesting the file again.
+static TDG_CACHE: FifoCache<TdgHandle> = FifoCache::new(16);
 
 fn tdg_cache_key(path: &str, digest: Option<&str>) -> String {
     format!("{path}\u{0}{}", digest.unwrap_or(""))
@@ -212,7 +214,7 @@ fn tdg_cache_key(path: &str, digest: Option<&str>) -> String {
 /// holds *right now*", and a process-wide cache would silently keep
 /// serving the first revision it saw while the user iterates on the
 /// file. Failures are never cached (a fixed file is picked up on retry).
-fn load_tdg_cached(path: &str, digest: Option<&str>) -> Result<Arc<TdgFile>, ExpError> {
+fn load_tdg_cached(path: &str, digest: Option<&str>) -> Result<TdgHandle, ExpError> {
     if let Some(want) = digest {
         if let Some(file) = TDG_CACHE.get(&tdg_cache_key(path, Some(want))) {
             return Ok(file);
@@ -226,7 +228,7 @@ fn load_tdg_cached(path: &str, digest: Option<&str>) -> Result<Arc<TdgFile>, Exp
         TdgFile::from_json(&text)
     }
     .map_err(|e| ExpError::Workload(format!("{path}: {e}")))?;
-    let file = Arc::new(file);
+    let file = TdgHandle::new(file);
     if let Some(want) = digest {
         let actual = file.content_digest();
         if actual != want {
@@ -238,6 +240,14 @@ fn load_tdg_cached(path: &str, digest: Option<&str>) -> Result<Arc<TdgFile>, Exp
         TDG_CACHE.put(tdg_cache_key(path, Some(want)), &file);
     }
     Ok(file)
+}
+
+/// A copy of `tdg`'s file carrying its fresh content digest.
+fn refreshed(tdg: &TdgHandle) -> TdgFile {
+    TdgFile {
+        digest: tdg.content_digest().to_string(),
+        ..TdgFile::clone(tdg)
+    }
 }
 
 /// `app.tdg.json` → `app`: the label fallback when a `File` workload
@@ -264,10 +274,10 @@ impl WorkloadSpec {
     pub fn tdg_file_pinned(path: impl Into<String>) -> Result<Self, ExpError> {
         let path = path.into();
         let file = load_tdg_cached(&path, None)?;
-        let digest = file.content_digest();
+        let digest = file.content_digest().to_string();
         // Seed the digest-qualified cache entry: the loads the pinned
         // spec makes next (graph build, label, cost) hit it instead of
-        // re-reading the file.
+        // re-reading the file, and its graph build reuses the digest.
         TDG_CACHE.put(tdg_cache_key(&path, Some(&digest)), &file);
         Ok(WorkloadSpec::File {
             path,
@@ -328,7 +338,7 @@ impl WorkloadSpec {
     /// deterministic, so identical specs share one graph. The cache is
     /// small and FIFO-evicted; misses just regenerate.
     pub fn try_build_graph_shared(&self) -> Result<Arc<TaskGraph>, ExpError> {
-        static CACHE: FifoCache<TaskGraph> = FifoCache::new(32);
+        static CACHE: FifoCache<Arc<TaskGraph>> = FifoCache::new(32);
         // Unpinned file workloads have no stable content identity to key
         // a cache on ("accept whatever the path holds right now"), so
         // they build fresh every time — a cached graph would silently
@@ -401,15 +411,11 @@ impl WorkloadSpec {
         match self {
             WorkloadSpec::File { path, digest } => {
                 let (graph, file) = self.load_file_graph(path, digest)?;
-                let mut tdg = (*file).clone();
-                tdg.refresh_digest();
-                Ok((graph, tdg))
+                Ok((graph, refreshed(&file)))
             }
             WorkloadSpec::Inline(tdg) => {
                 let graph = self.try_build_graph_shared()?;
-                let mut tdg = (**tdg).clone();
-                tdg.refresh_digest();
-                Ok((graph, tdg))
+                Ok((graph, refreshed(tdg)))
             }
             generator => {
                 let graph = generator.try_build_graph_shared()?;
@@ -442,7 +448,7 @@ impl WorkloadSpec {
         &self,
         path: &str,
         digest: &Option<String>,
-    ) -> Result<(Arc<TaskGraph>, Arc<TdgFile>), ExpError> {
+    ) -> Result<(Arc<TaskGraph>, TdgHandle), ExpError> {
         let file = load_tdg_cached(path, digest.as_deref())?;
         let graph = match digest {
             // Pinned: the load above verified the pin, so the shared

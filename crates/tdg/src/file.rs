@@ -137,6 +137,12 @@ impl TdgFile {
     /// every [`TaskGraph`] invariant by construction.
     pub fn to_graph(&self) -> Result<TaskGraph, TdgFileError> {
         self.verify()?;
+        self.build_graph()
+    }
+
+    /// The structural half of [`to_graph`](Self::to_graph), for a file
+    /// whose header is verified.
+    fn build_graph(&self) -> Result<TaskGraph, TdgFileError> {
         let mut graph = TaskGraph::with_capacity(self.tasks.len());
         for ty in &self.types {
             graph.add_type(ty.name.clone(), ty.criticality);
@@ -182,10 +188,16 @@ impl TdgFile {
     /// a digest as a cache identity (a cache probe that skipped it would
     /// accept or reject an invalid file depending on cache warmth).
     pub fn verify(&self) -> Result<String, TdgFileError> {
+        self.verify_with(|| self.content_digest())
+    }
+
+    /// [`verify`](Self::verify) with the content digest from `digest`,
+    /// which runs only once the schema matched.
+    fn verify_with(&self, digest: impl FnOnce() -> String) -> Result<String, TdgFileError> {
         if self.schema != TDG_SCHEMA {
             return Err(TdgFileError::Schema(self.schema.clone()));
         }
-        let actual = self.content_digest();
+        let actual = digest();
         if !self.digest.is_empty() && actual != self.digest {
             return Err(TdgFileError::Digest {
                 actual,
@@ -241,19 +253,21 @@ impl TdgFile {
     }
 }
 
-/// A hash-consed, immutable handle to a [`TdgFile`] that memoizes
-/// [`verify`](TdgFile::verify).
+/// A hash-consed, immutable handle to a [`TdgFile`] that memoizes its
+/// content digest.
 ///
-/// `verify` serializes the whole payload to compute the content digest —
-/// O(file size) — which is fine once per load but not once per *cache
-/// probe*: the scenario graph cache digests its inline workload on every
-/// build, and service mode replays the same TDG thousands of times per
-/// run. The handle shares one `Arc`'d file and computes the verification
-/// result exactly once; clones are pointer copies and every subsequent
-/// probe is a `OnceLock` read.
+/// The digest serializes the whole payload — O(file size) — which is fine
+/// once per load but not once per *cache probe*: the scenario graph cache
+/// digests its inline workload on every build, and service mode replays
+/// the same TDG thousands of times per run. The handle shares one `Arc`'d
+/// file and computes the digest exactly once; clones are pointer copies.
+/// [`verify_cached`](Self::verify_cached) and
+/// [`to_graph`](Self::to_graph) run every check of their [`TdgFile`]
+/// namesakes against that digest, so a load that computed it to check a
+/// pin never computes it again.
 ///
 /// The handle is deliberately immutable (no `DerefMut`): a memoized
-/// verdict over a mutable file would go stale. To edit, clone the inner
+/// digest over a mutable file would go stale. To edit, clone the inner
 /// file ([`Deref`] exposes it), edit, and re-wrap.
 ///
 /// Serde delegates to the inner [`TdgFile`], so handles are byte-identical
@@ -261,23 +275,34 @@ impl TdgFile {
 #[derive(Debug, Clone)]
 pub struct TdgHandle {
     file: Arc<TdgFile>,
-    verified: Arc<OnceLock<Result<String, TdgFileError>>>,
+    digest: Arc<OnceLock<String>>,
 }
 
 impl TdgHandle {
-    /// Wraps a file. No verification happens until the first
-    /// [`verify_cached`](Self::verify_cached).
+    /// Wraps a file. Nothing is digested until first asked for.
     pub fn new(file: TdgFile) -> Self {
         TdgHandle {
             file: Arc::new(file),
-            verified: Arc::new(OnceLock::new()),
+            digest: Arc::new(OnceLock::new()),
         }
     }
 
-    /// [`TdgFile::verify`], computed once per handle and shared by every
-    /// clone.
+    /// [`TdgFile::content_digest`], computed once per handle and shared by
+    /// every clone.
+    pub fn content_digest(&self) -> &str {
+        self.digest.get_or_init(|| self.file.content_digest())
+    }
+
+    /// [`TdgFile::verify`] against the memoized content digest.
     pub fn verify_cached(&self) -> Result<String, TdgFileError> {
-        self.verified.get_or_init(|| self.file.verify()).clone()
+        self.file.verify_with(|| self.content_digest().to_string())
+    }
+
+    /// [`TdgFile::to_graph`] against the memoized content digest: the
+    /// same schema, digest and structure checks, with the same errors.
+    pub fn to_graph(&self) -> Result<TaskGraph, TdgFileError> {
+        self.verify_cached()?;
+        self.file.build_graph()
     }
 }
 
@@ -426,9 +451,10 @@ mod tests {
         let want = file.digest.clone();
         let handle = TdgHandle::new(file);
         assert_eq!(handle.verify_cached().unwrap(), want);
-        // A clone sees the memoized verdict without recomputing.
+        // A clone sees the memoized digest without recomputing.
         let clone = handle.clone();
-        assert!(Arc::ptr_eq(&handle.verified, &clone.verified));
+        assert!(Arc::ptr_eq(&handle.digest, &clone.digest));
+        assert_eq!(clone.digest.get(), Some(&want));
         assert_eq!(clone.verify_cached().unwrap(), want);
         // Failures are memoized too.
         let mut bad = TdgFile::from_graph("sample", &sample_graph());
@@ -442,6 +468,32 @@ mod tests {
             bad.verify_cached(),
             Err(TdgFileError::Digest { .. })
         ));
+    }
+
+    #[test]
+    fn handle_to_graph_checks_what_the_file_checks() {
+        let good = TdgFile::from_graph("sample", &sample_graph());
+        let mut schema = good.clone();
+        schema.schema = "cata-tdg/v999".into();
+        let mut stale = good.clone();
+        stale.tasks[1].profile.cpu_cycles *= 2;
+        let mut forward = good.clone();
+        forward.tasks[0].deps = vec![3];
+        forward.refresh_digest();
+        let mut unknown = good.clone();
+        unknown.tasks[2].ty = 9;
+        unknown.digest = String::new();
+        for file in [good, schema, stale, forward, unknown] {
+            let handle = TdgHandle::new(file.clone());
+            assert_eq!(handle.to_graph(), file.to_graph());
+            assert_eq!(handle.verify_cached(), file.verify());
+        }
+        // The schema check comes first, so a wrong schema is never digested.
+        let mut schema = TdgFile::from_graph("sample", &sample_graph());
+        schema.schema = "cata-tdg/v0".into();
+        let handle = TdgHandle::new(schema);
+        assert!(handle.to_graph().is_err());
+        assert_eq!(handle.digest.get(), None);
     }
 
     #[test]
