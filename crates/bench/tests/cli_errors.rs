@@ -1,6 +1,7 @@
 //! Bad `repro` input ends in one `error: …` line and exit status 2, never
 //! a panic: an output path that cannot be written, a spec file that does
-//! not parse or validate, and a removed flag.
+//! not parse or validate (a number out of `f64`'s range included), and a
+//! removed flag.
 
 use cata_core::exp::{ScenarioSpec, WorkloadSpec};
 use std::path::PathBuf;
@@ -63,6 +64,29 @@ fn spec_parse_error_names_the_character() {
     let line = error_line(&repro(&["run", &path]));
     assert!(line.starts_with(&format!("error: {path}: ")), "{line}");
     assert!(line.contains("found 'x' at byte 9"), "{line}");
+}
+
+/// A number too large for an `f64` is an error naming the file, in JSON
+/// and in TOML, not an infinity that runs and then stores a record no
+/// reader can load back.
+#[test]
+fn out_of_range_spec_number_is_an_error() {
+    let spec =
+        ScenarioSpec::preset("CATA", 8, WorkloadSpec::Chain { n: 4, cycles: 10 }).expect("preset");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    for (name, text, from) in [
+        ("cli-errors-huge.json", spec.to_json(), r#""uncore_w":10.0"#),
+        ("cli-errors-huge.toml", spec.to_toml(), "uncore_w = 10.0"),
+    ] {
+        let path = dir.join(name);
+        let to = from.replace("10.0", "1e999");
+        assert!(text.contains(from), "{text}");
+        std::fs::write(&path, text.replace(from, &to)).expect("write the spec");
+        let path = path.to_string_lossy().into_owned();
+        let line = error_line(&repro(&["run", &path]));
+        assert!(line.starts_with(&format!("error: {path}: ")), "{line}");
+        assert!(line.contains("number `1e999` out of range"), "{line}");
+    }
 }
 
 /// Specs naming either retired event-queue backend still run, and print
