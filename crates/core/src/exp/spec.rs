@@ -139,7 +139,7 @@ pub enum WorkloadSpec {
     },
     /// A concrete task graph embedded in the spec — a captured/exported
     /// [`TdgFile`] carried inline (behind a hash-consed [`TdgHandle`]
-    /// whose verification is memoized), so the spec is a self-contained,
+    /// whose content digest is memoized), so the spec is a self-contained,
     /// shippable experiment artifact.
     Inline(TdgHandle),
     /// A task graph stored in a `.tdg.json` (or `.toml`) file. `digest`
@@ -361,8 +361,8 @@ impl WorkloadSpec {
     /// with no stable content identity (unpinned `File`s), which must
     /// not be cached. Generators serialize their (small) parameter
     /// struct. `Inline` runs the file's full header check
-    /// ([`TdgFile::verify`], memoized per handle by
-    /// [`TdgHandle::verify_cached`] so repeat probes are O(1)) and keys
+    /// ([`TdgFile::verify`], run by [`TdgHandle::verify_cached`] against
+    /// the handle's memoized digest, so repeat probes are O(1)) and keys
     /// on the *computed* content digest —
     /// 16 hex chars, so probes compare tiny keys instead of a fully
     /// serialized spec, and crucially *never* the unchecked embedded

@@ -456,7 +456,7 @@ mod tests {
         assert!(Arc::ptr_eq(&handle.digest, &clone.digest));
         assert_eq!(clone.digest.get(), Some(&want));
         assert_eq!(clone.verify_cached().unwrap(), want);
-        // Failures are memoized too.
+        // Failures repeat from the memoized digest.
         let mut bad = TdgFile::from_graph("sample", &sample_graph());
         bad.tasks[0].profile.cpu_cycles += 1; // stale digest
         let bad = TdgHandle::new(bad);
