@@ -22,6 +22,9 @@
 //!
 //! One cell, the tape, a heartbeat and the TDG are named `café`, so cuts
 //! and flips also land inside multi-byte characters.
+//!
+//! A last, deterministic test pins what each reader returns on a fixed
+//! corpus of damaged lines, value or exact error text, under one digest.
 
 use cata_core::exp::{
     default_registries, CellRecord, ExpError, JsonlTail, ProgressEvent, ProgressRecord,
@@ -32,8 +35,8 @@ use cata_core::SimExecutor;
 use cata_obs::DashState;
 use cata_sim::progress::ExecProfile;
 use cata_sim::time::SimDuration;
-use cata_tdg::file::TdgFile;
-use cata_tdg::TaskGraph;
+use cata_tdg::file::{TdgFile, TdgHandle};
+use cata_tdg::{fnv1a_hex, TaskGraph};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -475,4 +478,135 @@ proptest! {
             load_tdg("spliced.tdg.json", &bytes, pinned);
         }
     }
+}
+
+/// One damaged copy of a document, read as the document's type: `ok`
+/// and the FNV-1a of the value written back, or `err` and the exact error
+/// text.
+type Read = fn(&str) -> String;
+
+fn outcome<T, E: std::fmt::Display>(read: Result<T, E>, write: impl Fn(&T) -> String) -> String {
+    match read {
+        Ok(v) => format!("ok {}", fnv1a_hex(write(&v).bytes())),
+        Err(e) => format!("err {e}"),
+    }
+}
+
+fn read_cell(text: &str) -> String {
+    outcome(serde_json::from_str::<CellRecord>(text), |v| {
+        serde_json::to_string(v).unwrap()
+    })
+}
+
+fn read_tape(text: &str) -> String {
+    outcome(TrafficTape::from_jsonl(text), TrafficTape::to_jsonl)
+}
+
+fn read_progress(text: &str) -> String {
+    outcome(serde_json::from_str::<ProgressRecord>(text), |v| {
+        serde_json::to_string(v).unwrap()
+    })
+}
+
+fn read_tdg(text: &str) -> String {
+    outcome(TdgFile::from_json(text), TdgFile::to_json)
+}
+
+fn read_spec(text: &str) -> String {
+    outcome(serde_json::from_str::<ScenarioSpec>(text), |v| {
+        serde_json::to_string(v).unwrap()
+    })
+}
+
+/// A spec that embeds the TDG fixture, so a spec read also reads a graph.
+fn spec_fixture() -> String {
+    let handle = TdgHandle::new(TdgFile::from_graph("café", tdg_graph()));
+    let spec = ScenarioSpec::preset("CATA", 2, WorkloadSpec::Inline(handle))
+        .unwrap()
+        .with_small_machine(4, 2);
+    serde_json::to_string(&spec).unwrap()
+}
+
+/// SplitMix64, so the sampled damage replays exactly.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+#[test]
+fn read_outcomes_on_damaged_lines_are_pinned() {
+    let lines = |bytes: &[u8]| -> Vec<String> {
+        std::str::from_utf8(bytes)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    };
+    let (store, progress) = (lines(store_fixture()), lines(progress_fixture()));
+    let tape = String::from_utf8(tape_fixture().to_vec()).unwrap();
+    let tdg = String::from_utf8(tdg_fixture(true)).unwrap();
+    // Each document, its type's reader, and a second document whose tail
+    // a splice joins to its head.
+    let docs: [(&str, String, String, Read); 5] = [
+        ("cell", store[1].clone(), store[2].clone(), read_cell),
+        (
+            "tape",
+            tape.clone(),
+            tape.replace("café", "cafe"),
+            read_tape,
+        ),
+        (
+            "progress",
+            progress[2].clone(),
+            progress[4].clone(),
+            read_progress,
+        ),
+        (
+            "tdg",
+            tdg.clone(),
+            TdgFile::from_graph("x", tdg_graph()).to_json(),
+            read_tdg,
+        ),
+        ("spec", spec_fixture(), store[0].clone(), read_spec),
+    ];
+    let mut rng = Rng(2024);
+    let mut outcomes = Vec::new();
+    for (name, doc, donor, read) in &docs {
+        let mut inputs: Vec<Vec<u8>> = (0..=doc.len())
+            .map(|cut| doc.as_bytes()[..cut].to_vec())
+            .collect();
+        for _ in 0..250 {
+            let mut flipped = doc.clone().into_bytes();
+            flipped[rng.below(doc.len())] ^= 1 + rng.below(255) as u8;
+            inputs.push(flipped);
+            let (a, b) = (1 + rng.below(doc.len() - 1), rng.below(donor.len()));
+            inputs.push([&doc.as_bytes()[..a], &donor.as_bytes()[b..]].concat());
+        }
+        for input in &inputs {
+            outcomes.push(match std::str::from_utf8(input) {
+                Ok(text) => format!("{name} {}", read(text)),
+                Err(_) => format!("{name} not UTF-8"),
+            });
+        }
+    }
+    let ok = outcomes.iter().filter(|o| o.contains(" ok ")).count();
+    let all = outcomes.join("\n");
+    assert_eq!(
+        (outcomes.len(), ok, fnv1a_hex(all.bytes())),
+        (6968, 304, "9509e35631d7efbe".to_string()),
+        "{}",
+        outcomes
+            .iter()
+            .step_by(97)
+            .cloned()
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 }
