@@ -21,7 +21,7 @@
 
 use super::error::ExpError;
 use super::store::JsonlLines;
-use serde::{DeError, Deserialize, Serialize, Serializer, Value};
+use serde::{DeError, Deserialize, Deserializer, Field, Serialize, Serializer};
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -207,33 +207,104 @@ impl Serialize for ProgressRecord {
 }
 
 impl Deserialize for ProgressRecord {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map_for("ProgressRecord")?;
-        let kind: String = serde::field(m, "kind", "ProgressRecord")?;
+    fn deserialize(d: &mut dyn Deserializer) -> Result<Self, DeError> {
+        const TY: &str = "ProgressRecord";
+        // Which event fields count depends on `kind`, wherever it stands
+        // in the line. So every value is read into a slot with its error
+        // kept, and the slots are checked once the map is closed: `kind`,
+        // then its event's fields, then the header.
+        const STRS: [&str; 5] = ["kind", "schema", "name", "spec_digest", "cell"];
+        const U64S: [&str; 12] = [
+            "shard",
+            "unix_ms",
+            "index",
+            "done",
+            "total",
+            "arrivals",
+            "admitted",
+            "completed",
+            "dropped",
+            "in_flight",
+            "p99_ps",
+            "sim_time_ps",
+        ];
+        const FIELDS: [&str; 19] = [
+            "kind",
+            "schema",
+            "name",
+            "spec_digest",
+            "cell",
+            "shard",
+            "unix_ms",
+            "index",
+            "done",
+            "total",
+            "arrivals",
+            "admitted",
+            "completed",
+            "dropped",
+            "in_flight",
+            "p99_ps",
+            "sim_time_ps",
+            "ok",
+            "wall_s",
+        ];
+        type Slot<T> = Option<Result<T, DeError>>;
+        let mut strs: [Slot<String>; 5] = Default::default();
+        let mut u64s: [Slot<u64>; 12] = Default::default();
+        let (mut ok, mut wall_s): (Slot<bool>, Slot<f64>) = (None, None);
+        let mut seen = [false; 19];
+        d.map_begin(TY)?;
+        while let Some(field) = d.field(&FIELDS, &mut seen)? {
+            let Field::Present(i) = field else { continue };
+            let key = FIELDS[i];
+            match i {
+                0..=4 => strs[i] = Some(serde::attempt(d, |d| serde::field(d, TY, key))?),
+                5..=16 => u64s[i - 5] = Some(serde::attempt(d, |d| serde::field(d, TY, key))?),
+                17 => ok = Some(serde::attempt(d, |d| serde::field(d, TY, key))?),
+                _ => wall_s = Some(serde::attempt(d, |d| serde::field(d, TY, key))?),
+            }
+        }
+        fn take<T: Deserialize>(slot: &mut Slot<T>, key: &str) -> Result<T, DeError> {
+            slot.take()
+                .unwrap_or_else(|| serde::missing("ProgressRecord", key))
+        }
+        let mut str_of = |key: &str| {
+            let i = STRS.iter().position(|k| *k == key).expect("a string field");
+            take(&mut strs[i], key)
+        };
+        let kind = str_of("kind")?;
+        let mut u64_of = |key: &str| {
+            let i = U64S
+                .iter()
+                .position(|k| *k == key)
+                .expect("an integer field");
+            take(&mut u64s[i], key)
+        };
         let event = match kind.as_str() {
             "cell-start" => ProgressEvent::CellStart {
-                index: serde::field(m, "index", "ProgressRecord")?,
-                name: serde::field(m, "name", "ProgressRecord")?,
-                spec_digest: serde::field(m, "spec_digest", "ProgressRecord")?,
+                index: u64_of("index")?,
+                name: str_of("name")?,
+                spec_digest: str_of("spec_digest")?,
             },
             "cell-finish" => ProgressEvent::CellFinish {
-                index: serde::field(m, "index", "ProgressRecord")?,
-                cell: serde::field(m, "cell", "ProgressRecord")?,
-                ok: serde::field(m, "ok", "ProgressRecord")?,
-                wall_s: serde::field(m, "wall_s", "ProgressRecord")?,
+                index: u64_of("index")?,
+                cell: str_of("cell")?,
+                ok: take(&mut ok, "ok")?,
+                wall_s: take(&mut wall_s, "wall_s")?,
             },
             "grid" => ProgressEvent::GridProgress {
-                done: serde::field(m, "done", "ProgressRecord")?,
-                total: serde::field(m, "total", "ProgressRecord")?,
+                done: u64_of("done")?,
+                total: u64_of("total")?,
             },
             "service" => ProgressEvent::ServiceSnapshot {
-                arrivals: serde::field(m, "arrivals", "ProgressRecord")?,
-                admitted: serde::field(m, "admitted", "ProgressRecord")?,
-                completed: serde::field(m, "completed", "ProgressRecord")?,
-                dropped: serde::field(m, "dropped", "ProgressRecord")?,
-                in_flight: serde::field(m, "in_flight", "ProgressRecord")?,
-                p99_ps: serde::field(m, "p99_ps", "ProgressRecord")?,
-                sim_time_ps: serde::field(m, "sim_time_ps", "ProgressRecord")?,
+                arrivals: u64_of("arrivals")?,
+                admitted: u64_of("admitted")?,
+                completed: u64_of("completed")?,
+                dropped: u64_of("dropped")?,
+                in_flight: u64_of("in_flight")?,
+                p99_ps: u64_of("p99_ps")?,
+                sim_time_ps: u64_of("sim_time_ps")?,
             },
             other => {
                 return Err(DeError::new(format!(
@@ -242,9 +313,9 @@ impl Deserialize for ProgressRecord {
             }
         };
         Ok(ProgressRecord {
-            schema: serde::field(m, "schema", "ProgressRecord")?,
-            shard: serde::field(m, "shard", "ProgressRecord")?,
-            unix_ms: serde::field(m, "unix_ms", "ProgressRecord")?,
+            schema: str_of("schema")?,
+            shard: u64_of("shard")?,
+            unix_ms: u64_of("unix_ms")?,
             event,
         })
     }

@@ -13,7 +13,7 @@ use cata_sim::time::SimDuration;
 use cata_sim::trace::TraceMode;
 use cata_tdg::{TaskGraph, TdgFile, TdgHandle};
 use cata_workloads::{generate, micro, Benchmark, Scale};
-use serde::{DeError, Deserialize, Serialize, Serializer, Value};
+use serde::{DeError, Deserialize, Deserializer, Kind, Serialize, Serializer};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -69,12 +69,12 @@ impl Serialize for Backend {
 }
 
 impl Deserialize for Backend {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => s.parse().map_err(DeError::new),
+    fn deserialize(d: &mut dyn Deserializer) -> Result<Self, DeError> {
+        match d.kind()? {
+            Kind::Str => d.str()?.parse().map_err(DeError::new),
             other => Err(DeError::new(format!(
                 "Backend: expected a string, found {}",
-                other.kind()
+                other.name()
             ))),
         }
     }

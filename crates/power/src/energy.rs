@@ -4,7 +4,7 @@ use crate::params::PowerParams;
 use cata_sim::activity::Activity;
 use cata_sim::machine::Machine;
 use cata_sim::time::SimDuration;
-use serde::{DeError, Deserialize, Serialize, Serializer, Value};
+use serde::{DeError, Deserialize, Deserializer, Kind, Serialize, Serializer};
 
 /// How an [`EnergyReport`]'s joules were obtained — the provenance tag that
 /// makes sim and native cells comparable in one table. Serialized as a
@@ -61,9 +61,9 @@ impl Serialize for Measurement {
 }
 
 impl Deserialize for Measurement {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => match s.as_str() {
+    fn deserialize(d: &mut dyn Deserializer) -> Result<Self, DeError> {
+        match d.kind()? {
+            Kind::Str => match d.str()? {
                 "simulated" => Ok(Measurement::Simulated),
                 "modeled" => Ok(Measurement::Modeled),
                 "modeled-scaled" => Ok(Measurement::ModeledScaled),
@@ -74,7 +74,7 @@ impl Deserialize for Measurement {
             },
             other => Err(DeError::new(format!(
                 "Measurement: expected a string, found {}",
-                other.kind()
+                other.name()
             ))),
         }
     }

@@ -11,7 +11,7 @@
 //! [`LatencyHistogram::QUANTILE_ERROR`] (1/128) below the exact value.
 
 use crate::time::SimDuration;
-use serde::{DeError, Deserialize, Serialize, Serializer, Value};
+use serde::{DeError, Deserialize, Deserializer, Field, Kind, Serialize, Serializer};
 use std::fmt;
 
 /// Sub-bucket resolution of [`LatencyHistogram`]: each power-of-two octave
@@ -218,10 +218,11 @@ impl LatencyHistogram {
     }
 
     /// Folds a legacy per-sample list (`{"samples_ps": [...]}`) in.
-    fn from_samples(samples: &[Value]) -> Result<Self, DeError> {
+    fn read_samples(d: &mut dyn Deserializer) -> Result<Self, DeError> {
         let mut h = LatencyHistogram::new();
-        for v in samples {
-            h.record(SimDuration::from_ps(u64::from_value(v)?));
+        d.seq_begin("LatencyHistogram.samples_ps")?;
+        while d.seq_next()? {
+            h.record(SimDuration::from_ps(u64::deserialize(d)?));
         }
         Ok(h)
     }
@@ -257,42 +258,73 @@ impl Serialize for LatencyHistogram {
 }
 
 impl Deserialize for LatencyHistogram {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
+    fn deserialize(d: &mut dyn Deserializer) -> Result<Self, DeError> {
         const TY: &str = "LatencyHistogram";
-        if let Some(samples) = v.get("samples_ps") {
-            return Self::from_samples(samples.as_seq_for("LatencyHistogram.samples_ps")?);
+        const FIELDS: &[&str] = &[
+            "samples_ps",
+            "sum_ps",
+            "total",
+            "min_ps",
+            "max_ps",
+            "sub_buckets",
+            "buckets",
+        ];
+        // A legacy sample list wins over every other key, wherever it
+        // stands in the map. So each other value is read into a slot with
+        // its error kept, and the slots are checked in a fixed order once
+        // the map is closed: `sum_ps`, the three counters, then the
+        // buckets pair by pair.
+        let mut samples = None;
+        let mut sum_ps = None;
+        let mut counters: [Option<Result<u64, DeError>>; 3] = [None, None, None];
+        let mut tagged = false;
+        let mut buckets = None;
+        let mut seen = [false; 7];
+        d.map_begin(TY)?;
+        while let Some(field) = d.field(FIELDS, &mut seen)? {
+            let Field::Present(i) = field else { continue };
+            match i {
+                0 => samples = Some(Self::read_samples(d)),
+                1 => sum_ps = Some(serde::attempt(d, read_sum)?),
+                2..=4 => {
+                    let key = FIELDS[i];
+                    counters[i - 2] = Some(serde::attempt(d, |d| serde::field(d, TY, key))?);
+                }
+                5 => {
+                    tagged = true;
+                    d.skip()?;
+                }
+                _ => {
+                    let mut pairs = Vec::new();
+                    let read = serde::attempt(d, |d| read_pairs(d, &mut pairs))?;
+                    buckets = Some((pairs, read));
+                }
+            }
         }
-        let m = v.as_map_for(TY)?;
-        let sum_ps = match v.get("sum_ps") {
-            Some(Value::Str(s)) => s
-                .parse()
-                .map_err(|e| DeError::new(format!("{TY}.sum_ps {s:?}: {e}")))?,
-            Some(other) => u128::from(u64::from_value(other)?),
-            None => return Err(DeError::new(format!("{TY}: missing field `sum_ps`"))),
-        };
+        if let Some(samples) = samples {
+            return samples;
+        }
+        let sum_ps =
+            sum_ps.ok_or_else(|| DeError::new(format!("{TY}: missing field `sum_ps`")))??;
+        let [total, min_ps, max_ps] = [2, 3, 4].map(|i| {
+            counters[i - 2]
+                .take()
+                .unwrap_or_else(|| serde::missing(TY, FIELDS[i]))
+        });
         let mut h = LatencyHistogram {
             counts: Vec::new(),
-            total: serde::field(m, "total", TY)?,
+            total: total?,
             sum_ps,
-            min_ps: serde::field(m, "min_ps", TY)?,
-            max_ps: serde::field(m, "max_ps", TY)?,
+            min_ps: min_ps?,
+            max_ps: max_ps?,
         };
         // Tagged buckets carry their floor; untagged ones are legacy
         // 16-sub-bucket indices, decoded to their floor. Either way the
         // floor is re-bucketed by value, never by index.
-        let tagged = v.get("sub_buckets").is_some();
-        let pairs = match v.get("buckets") {
-            Some(b) => b.as_seq_for("LatencyHistogram.buckets")?,
-            None => return Err(DeError::new(format!("{TY}: missing field `buckets`"))),
-        };
+        let (pairs, read) =
+            buckets.ok_or_else(|| DeError::new(format!("{TY}: missing field `buckets`")))?;
         let mut restored = 0u64;
-        for pair in pairs {
-            let p = pair.as_seq_for("LatencyHistogram bucket pair")?;
-            let [key, count] = p else {
-                return Err(DeError::new(format!("{TY} bucket pair must be [b, n]")));
-            };
-            let key = u64::from_value(key)?;
-            let count = u64::from_value(count)?;
+        for (key, count) in pairs {
             restored = restored
                 .checked_add(count)
                 .ok_or_else(|| DeError::new(format!("{TY}: bucket counts overflow")))?;
@@ -305,6 +337,9 @@ impl Deserialize for LatencyHistogram {
             };
             h.add_to_bucket(floor, count);
         }
+        // The pairs before a bad one come first, as a pair-by-pair read
+        // meets them.
+        read?;
         if restored != h.total {
             return Err(DeError::new(format!(
                 "{TY}: bucket counts sum to {restored}, total says {}",
@@ -313,6 +348,33 @@ impl Deserialize for LatencyHistogram {
         }
         Ok(h)
     }
+}
+
+/// A histogram's `sum_ps`: an integer, or a decimal string past `u64`.
+fn read_sum(d: &mut dyn Deserializer) -> Result<u128, DeError> {
+    if d.kind()? == Kind::Str {
+        let s = d.str()?;
+        return s
+            .parse()
+            .map_err(|e| DeError::new(format!("LatencyHistogram.sum_ps {s:?}: {e}")));
+    }
+    u64::deserialize(d).map(u128::from)
+}
+
+/// A histogram's `[key, count]` bucket pairs, into `pairs` until the
+/// first bad one.
+fn read_pairs(d: &mut dyn Deserializer, pairs: &mut Vec<(u64, u64)>) -> Result<(), DeError> {
+    d.seq_begin("LatencyHistogram.buckets")?;
+    while d.seq_next()? {
+        let len = d.seq_begin("LatencyHistogram bucket pair")?;
+        if len.is_some_and(|n| n != 2) {
+            return Err(DeError::new("LatencyHistogram bucket pair must be [b, n]"));
+        }
+        let pair = (serde::element(d)?, serde::element(d)?);
+        serde::tuple_end(d)?;
+        pairs.push(pair);
+    }
+    Ok(())
 }
 
 impl fmt::Display for LatencyHistogram {
@@ -374,6 +436,7 @@ impl Counters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn empty_stats_are_zero() {

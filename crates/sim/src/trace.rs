@@ -19,7 +19,7 @@
 
 use crate::machine::{CoreId, PowerLevel};
 use crate::time::SimTime;
-use serde::{DeError, Deserialize, Serialize, Serializer, Value};
+use serde::{DeError, Deserialize, Deserializer, Kind, Serialize, Serializer};
 
 /// One traced simulation event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -111,13 +111,16 @@ impl Serialize for TraceMode {
 }
 
 impl Deserialize for TraceMode {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
+    fn deserialize(d: &mut dyn Deserializer) -> Result<Self, DeError> {
+        match d.kind()? {
             // Back-compat: specs used to carry `trace: bool`, and an
             // omitted field (Null) means the default.
-            Value::Null | Value::Bool(false) => Ok(TraceMode::Off),
-            Value::Bool(true) => Ok(TraceMode::Full),
-            Value::Str(s) => match s.as_str() {
+            Kind::Null => d.null().map(|()| TraceMode::Off),
+            Kind::Bool => Ok(match d.bool()? {
+                true => TraceMode::Full,
+                false => TraceMode::Off,
+            }),
+            Kind::Str => match d.str()? {
                 "off" | "Off" => Ok(TraceMode::Off),
                 "counters" | "Counters" => Ok(TraceMode::Counters),
                 "full" | "Full" => Ok(TraceMode::Full),
@@ -125,7 +128,7 @@ impl Deserialize for TraceMode {
             },
             other => Err(DeError::new(format!(
                 "trace mode: expected a string or bool, found {}",
-                other.kind()
+                other.name()
             ))),
         }
     }

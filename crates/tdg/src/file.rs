@@ -19,7 +19,7 @@
 use crate::graph::TaskGraph;
 use crate::task::{TaskId, TaskType, TypeId};
 use cata_sim::progress::ExecProfile;
-use serde::{DeError, Deserialize, Serialize, Serializer, Value};
+use serde::{DeError, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -334,8 +334,8 @@ impl Serialize for TdgHandle {
 }
 
 impl Deserialize for TdgHandle {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        TdgFile::from_value(v).map(TdgHandle::new)
+    fn deserialize(d: &mut dyn Deserializer) -> Result<Self, DeError> {
+        TdgFile::deserialize(d).map(TdgHandle::new)
     }
 }
 

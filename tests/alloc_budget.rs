@@ -1,4 +1,5 @@
-//! Allocation budget of the simulation engine's per-task hooks.
+//! Allocation budgets of the simulation engine's per-task hooks and of
+//! reading a task graph.
 //!
 //! Every hook the engine calls per task — criticality estimation, the
 //! acceleration decision and its cost model, the progress model — must
@@ -8,9 +9,15 @@
 //! presets on this test's thread. What remains is the fixed cost of
 //! building a run (machine, policies, report), so each preset must stay
 //! under 0.1 allocations per task.
+//!
+//! Reading a `.tdg.json` allocates what the file holds: the task list,
+//! each task's dependence list and the type names, and nothing per key or
+//! per number. The six Small-scale exports must read under 2 allocations
+//! per task.
 
 use cata_core::exp::{default_registries, ScenarioSpec, WorkloadSpec};
 use cata_core::SimExecutor;
+use cata_tdg::file::TdgFile;
 use cata_workloads::{Benchmark, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -99,4 +106,34 @@ fn warm_runs_allocate_under_a_tenth_per_task() {
             *allocs as f64 / *tasks as f64
         );
     }
+}
+
+#[test]
+fn tdg_reads_allocate_under_two_per_task() {
+    let exports: Vec<(Benchmark, String, usize)> = Benchmark::all()
+        .into_iter()
+        .map(|bench| {
+            let (graph, tdg) = WorkloadSpec::parsec(bench, Scale::Small, 1)
+                .capture()
+                .expect("generator captures");
+            (bench, tdg.to_json_pretty(), graph.num_tasks())
+        })
+        .collect();
+    let mut table = String::new();
+    let (mut allocs, mut tasks) = (0, 0);
+    for (bench, text, n) in &exports {
+        let before = ALLOCS.with(Cell::get);
+        let file = TdgFile::from_json(text).expect("export reads back");
+        let made = ALLOCS.with(Cell::get) - before;
+        assert_eq!(file.num_tasks(), *n);
+        table += &format!("\n  {bench:?}: {made} allocations, {n} tasks");
+        allocs += made;
+        tasks += *n as u64;
+    }
+    assert!(tasks > 5_000, "{tasks} tasks{table}");
+    assert!(
+        allocs < 2 * tasks,
+        "{:.2} allocations per task{table}",
+        allocs as f64 / tasks as f64
+    );
 }
