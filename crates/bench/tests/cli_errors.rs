@@ -1,7 +1,8 @@
 //! Bad `repro` input ends in one `error: …` line and exit status 2, never
 //! a panic: an output path that cannot be written, a spec file that does
 //! not parse or validate (a number out of `f64`'s range included), and a
-//! removed flag.
+//! removed flag. Power parameters whose energy overflows fail the run and leave the
+//! store readable.
 
 use cata_core::exp::{ScenarioSpec, WorkloadSpec};
 use std::path::PathBuf;
@@ -140,4 +141,49 @@ fn event_queue_flag_is_gone() {
         "heap",
     ]));
     assert_eq!(line, "error: unknown argument --event-queue");
+}
+
+/// A power parameter must be finite and non-negative, and one whose
+/// energy overflows fails its run without writing a record: the store
+/// still takes a valid run afterwards, and still merges.
+#[test]
+fn power_parameters_that_overflow_leave_the_store_readable() {
+    let spec =
+        ScenarioSpec::preset("CATA", 8, WorkloadSpec::Chain { n: 4, cycles: 10 }).expect("preset");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let write = |name: &str, text: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write the spec");
+        path.to_string_lossy().into_owned()
+    };
+    let text = spec.to_json();
+    assert!(text.contains(r#""c_eff_nf":1.0"#), "{text}");
+    let negative = write(
+        "cli-errors-negative-power.json",
+        text.replace(r#""c_eff_nf":1.0"#, r#""c_eff_nf":-1.0"#),
+    );
+    let line = error_line(&repro(&["run", &negative]));
+    assert!(line.contains("power parameter c_eff_nf"), "{line}");
+
+    let store = dir.join("cli-errors-power.jsonl");
+    let _ = std::fs::remove_file(&store);
+    let store = store.to_string_lossy().into_owned();
+    let huge = write(
+        "cli-errors-huge-power.json",
+        text.replace(r#""c_eff_nf":1.0"#, r#""c_eff_nf":1.7e308"#),
+    );
+    let out = repro(&["run", &huge, "--store", &store]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("the power parameters (c_eff_nf=1.7e308"),
+        "{stderr}"
+    );
+    let valid = write("cli-errors-valid-power.json", text);
+    let out = repro(&["run", &valid, "--store", &store]);
+    assert!(out.status.success(), "{out:?}");
+    let out = repro(&["merge", &store]);
+    assert!(out.status.success(), "{out:?}");
+    let merged = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(merged.matches("CATA ").count(), 1, "{merged}");
 }

@@ -842,6 +842,16 @@ impl ScenarioSpec {
         if let Some(ref memory) = self.memory {
             memory.validate()?;
         }
+        if let Some((name, v)) = self
+            .power
+            .named()
+            .into_iter()
+            .find(|(_, v)| !(v.is_finite() && *v >= 0.0))
+        {
+            return Err(ExpError::InvalidSpec(format!(
+                "power parameter {name} must be finite and non-negative, got {v}"
+            )));
+        }
         Ok(())
     }
 

@@ -81,18 +81,33 @@ fn assert_analytic_bound(spec: &ScenarioSpec, report: &RunReport) {
     );
 }
 
-/// Runs one scenario and, in debug builds, checks the result against the
-/// fault-aware analytic bound before handing it back.
+/// Runs one scenario and checks the result before handing it back. Its
+/// energy must be finite: finite power parameters can still multiply out
+/// to an infinity, which a store would write as `null` and then fail to
+/// read back. In debug builds, the makespan must also respect the
+/// fault-aware analytic bound.
 fn execute_checked<E: Executor + ?Sized>(
     executor: &E,
     scenario: &Scenario,
 ) -> Result<RunReport, ExpError> {
-    let result = executor.execute(scenario);
-    #[cfg(debug_assertions)]
-    if let Ok(report) = &result {
-        assert_analytic_bound(scenario.spec(), report);
+    let report = executor.execute(scenario)?;
+    if let Some((field, v)) = report.energy.non_finite() {
+        let params: Vec<String> = scenario
+            .spec()
+            .power
+            .named()
+            .iter()
+            .map(|(name, v)| format!("{name}={v:?}"))
+            .collect();
+        return Err(ExpError::InvalidSpec(format!(
+            "{}: the power parameters ({}) make {field} {v}, which a results store cannot hold",
+            report.label,
+            params.join(", ")
+        )));
     }
-    result
+    #[cfg(debug_assertions)]
+    assert_analytic_bound(scenario.spec(), &report);
+    Ok(report)
 }
 
 /// How [`Suite::shard_ordered`] assigns cells to shards.

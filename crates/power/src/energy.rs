@@ -157,6 +157,26 @@ impl EnergyReport {
         self
     }
 
+    /// The first of the report's numbers that is not finite, by name. A
+    /// writer writes such a number as `null`, which no reader reads back
+    /// as a number.
+    pub fn non_finite(&self) -> Option<(&'static str, f64)> {
+        let b = &self.breakdown;
+        [
+            ("time_s", self.time_s),
+            ("energy_j", self.energy_j),
+            ("edp", self.edp),
+            ("avg_power_w", self.avg_power_w),
+            ("core_busy_j", b.core_busy_j),
+            ("core_idle_j", b.core_idle_j),
+            ("core_halt_j", b.core_halt_j),
+            ("core_static_j", b.core_static_j),
+            ("uncore_j", b.uncore_j),
+        ]
+        .into_iter()
+        .find(|(_, v)| !v.is_finite())
+    }
+
     /// True when the report actually carries energy (nonzero, finite).
     pub fn has_energy(&self) -> bool {
         self.energy_j.is_finite() && self.energy_j > 0.0

@@ -46,6 +46,19 @@ impl PowerParams {
         }
     }
 
+    /// Every constant, by name, in declaration order.
+    pub fn named(&self) -> [(&'static str, f64); 7] {
+        [
+            ("c_eff_nf", self.c_eff_nf),
+            ("i_leak_a", self.i_leak_a),
+            ("leak_v_sensitivity", self.leak_v_sensitivity),
+            ("busy_activity", self.busy_activity),
+            ("idle_activity", self.idle_activity),
+            ("halt_activity", self.halt_activity),
+            ("uncore_w", self.uncore_w),
+        ]
+    }
+
     /// Dynamic power of one core at `level` with the given activity, in watts.
     pub fn dynamic_w(&self, level: PowerLevel, activity: Activity) -> f64 {
         let alpha = match activity {
