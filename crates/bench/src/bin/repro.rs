@@ -689,9 +689,17 @@ fn parse_duration(text: &str) -> Option<SimDuration> {
     Some(SimDuration::from_ps((v * ps_per_unit).round() as u64))
 }
 
+/// Exits 2 with `error: {msg}` and the usage text: for a bad command line.
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}\n");
     print_help();
+    std::process::exit(2);
+}
+
+/// Exits 2 with `error: {msg}` alone: for a file, a store or a run that
+/// failed, where the usage text would bury the one line that matters.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
@@ -734,12 +742,12 @@ fn print_help() {
 
 /// Writes `text` to `path`, or exits with an error naming the path.
 fn write_file(path: &str, text: &str) {
-    std::fs::write(path, text).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+    std::fs::write(path, text).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
 }
 
 /// Writes `table` as `DIR/NAME.csv`, creating `DIR` if needed.
 fn write_csv(dir: &str, name: &str, table: &Table) {
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("cannot write {dir}: {e}")));
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(&format!("cannot write {dir}: {e}")));
     let path = format!("{dir}/{name}.csv");
     write_file(&path, &table.to_csv());
     println!("[wrote {path}]");
@@ -755,7 +763,7 @@ fn emit(opts: &Opts, name: &str, table: &Table, title: &str) {
 /// Reads, parses and validates a spec file, or exits naming the path.
 fn load_spec(path: &str) -> ScenarioSpec {
     let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let parsed = if path.ends_with(".toml") {
         ScenarioSpec::from_toml(&text)
     } else {
@@ -763,7 +771,7 @@ fn load_spec(path: &str) -> ScenarioSpec {
     };
     parsed
         .and_then(|spec| spec.validate().map(|()| spec))
-        .unwrap_or_else(|e| die(&format!("{path}: {e}")))
+        .unwrap_or_else(|e| fail(&format!("{path}: {e}")))
 }
 
 /// The run-summary table every suite/merge rendering shares. Energy-less
@@ -849,8 +857,8 @@ fn fault_overlay(opts: &Opts) -> Option<FaultSpec> {
     let mut spec = match &opts.faults {
         Some(path) => {
             let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-            FaultSpec::from_json(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")))
+                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+            FaultSpec::from_json(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
         }
         None => FaultSpec::default(),
     };
@@ -996,7 +1004,7 @@ fn run_specs(opts: &Opts, specs: Vec<ScenarioSpec>) {
     let specs = apply_memory(opts, specs);
     let specs = expand_backends(opts, specs);
     let calibration = opts.calibrate_costs.as_ref().map(|path| {
-        let (records, _) = ResultsStore::load(path).unwrap_or_else(|e| die(&e.to_string()));
+        let (records, _) = ResultsStore::load(path).unwrap_or_else(|e| fail(&e.to_string()));
         let cal = CostCalibration::fit(&records, &specs);
         println!(
             "[calibrated {} cost families from {} of {} records in {path}]",
@@ -1019,7 +1027,7 @@ fn run_specs(opts: &Opts, specs: Vec<ScenarioSpec>) {
     let exec = dispatch_executor(opts);
     let results = match &opts.store {
         Some(path) => {
-            let store = ResultsStore::open(path).unwrap_or_else(|e| die(&e.to_string()));
+            let store = ResultsStore::open(path).unwrap_or_else(|e| fail(&e.to_string()));
             if store.recovered_torn_tail() {
                 eprintln!("[store {path}: discarded a torn trailing line]");
             }
@@ -1063,7 +1071,7 @@ fn run_specs(opts: &Opts, specs: Vec<ScenarioSpec>) {
 fn progress_writer(opts: &Opts) -> Option<ProgressWriter> {
     let path = opts.progress.first()?;
     let shard = opts.shard.map(|(k, _)| k as u64).unwrap_or(0);
-    Some(ProgressWriter::open(path, shard).unwrap_or_else(|e| die(&e.to_string())))
+    Some(ProgressWriter::open(path, shard).unwrap_or_else(|e| fail(&e.to_string())))
 }
 
 /// `repro serve TARGET`: run the open-system service engine — graph
@@ -1107,8 +1115,8 @@ fn serve_service(opts: &Opts) {
         }
         reject_conflicting_sources(opts, "serve");
         let text = std::fs::read_to_string(target)
-            .unwrap_or_else(|e| die(&format!("cannot read {target}: {e}")));
-        ServiceSpec::from_json(&text).unwrap_or_else(|e| die(&format!("{target}: {e}")))
+            .unwrap_or_else(|e| fail(&format!("cannot read {target}: {e}")));
+        ServiceSpec::from_json(&text).unwrap_or_else(|e| fail(&format!("{target}: {e}")))
     } else {
         if opts.rate.is_none() && opts.tape.is_none() {
             die(&format!(
@@ -1165,7 +1173,8 @@ fn serve_service(opts: &Opts) {
     let t0 = Instant::now();
     let report = match &opts.tape {
         Some(path) => {
-            let (tape, truncated) = TrafficTape::load(path).unwrap_or_else(|e| die(&e.to_string()));
+            let (tape, truncated) =
+                TrafficTape::load(path).unwrap_or_else(|e| fail(&e.to_string()));
             if truncated {
                 eprintln!("[tape {path}: discarded a torn trailing record]");
             }
@@ -1189,7 +1198,7 @@ fn serve_service(opts: &Opts) {
                 default_admission_registry(),
                 progress.as_ref(),
             )
-            .unwrap_or_else(|e| die(&e.to_string()))
+            .unwrap_or_else(|e| fail(&e.to_string()))
         }
         None => {
             if matches!(spec.arrival, ArrivalSpec::Tape { .. }) {
@@ -1204,7 +1213,7 @@ fn serve_service(opts: &Opts) {
                 default_admission_registry(),
                 progress.as_ref(),
             )
-            .unwrap_or_else(|e| die(&e.to_string()));
+            .unwrap_or_else(|e| fail(&e.to_string()));
             if let Some(out) = &opts.record_tape {
                 write_file(out, &tape.to_jsonl());
                 println!(
@@ -1245,7 +1254,7 @@ fn serve_service(opts: &Opts) {
     println!("{}", table.render());
 
     if let Some(path) = &opts.store {
-        let store = ResultsStore::open(path).unwrap_or_else(|e| die(&e.to_string()));
+        let store = ResultsStore::open(path).unwrap_or_else(|e| fail(&e.to_string()));
         let digest = spec.digest();
         // Service runs are single cells, not suite-grid members: the
         // spec digest is both the cell's identity and its "grid", and
@@ -1273,7 +1282,7 @@ fn serve_service(opts: &Opts) {
         };
         store
             .append(&record)
-            .unwrap_or_else(|e| die(&e.to_string()));
+            .unwrap_or_else(|e| fail(&e.to_string()));
         println!("[stored service cell {} in {path}]", record.cell);
     }
 }
@@ -1285,7 +1294,7 @@ fn merge_stores(opts: &Opts) {
     if opts.args.is_empty() {
         die("merge needs at least one store file");
     }
-    let merged = ResultsStore::merge_files(&opts.args).unwrap_or_else(|e| die(&e.to_string()));
+    let merged = ResultsStore::merge_files(&opts.args).unwrap_or_else(|e| fail(&e.to_string()));
     if merged.truncated_shards > 0 {
         eprintln!(
             "[warning: {} shard(s) ended in a torn line — those cells are missing]",
@@ -1348,14 +1357,14 @@ fn merge_stores(opts: &Opts) {
         write_csv(dir, "merged", &table);
     }
     if let Some(out) = &opts.out {
-        ResultsStore::write_all(out, &merged.records).unwrap_or_else(|e| die(&e.to_string()));
+        ResultsStore::write_all(out, &merged.records).unwrap_or_else(|e| fail(&e.to_string()));
         println!("[wrote {out}]");
     }
     if let Some(bpath) = &opts.baseline {
         let text = std::fs::read_to_string(bpath)
-            .unwrap_or_else(|e| die(&format!("cannot read {bpath}: {e}")));
+            .unwrap_or_else(|e| fail(&format!("cannot read {bpath}: {e}")));
         let base = cata_bench::perf::PerfReport::from_json(&text)
-            .unwrap_or_else(|e| die(&format!("{bpath}: {e}")));
+            .unwrap_or_else(|e| fail(&format!("{bpath}: {e}")));
         let Some(base_medium) = base.medium() else {
             eprintln!("[gate skipped: {bpath} has no medium summary]");
             return;
@@ -1407,11 +1416,11 @@ fn render_figure_from_records(opts: &Opts, fig: &str, records: &[CellRecord]) {
             continue;
         }
         let m = MatrixResult::from_records(subset.iter().copied())
-            .unwrap_or_else(|e| die(&format!("--fig {fig} [{backend}]: {e}")));
+            .unwrap_or_else(|e| fail(&format!("--fig {fig} [{backend}]: {e}")));
         let benches = m.benchmarks();
         let fasts = m.fast_core_counts();
         if benches.is_empty() || fasts.is_empty() {
-            die(&format!(
+            fail(&format!(
                 "--fig {fig} [{backend}]: the merged store has no paper-benchmark cells"
             ));
         }
@@ -1421,7 +1430,7 @@ fn render_figure_from_records(opts: &Opts, fig: &str, records: &[CellRecord]) {
             .filter(|l| m.labels().iter().any(|have| have == l))
             .collect();
         if !present.contains(&"FIFO") {
-            die(&format!(
+            fail(&format!(
                 "--fig {fig} [{backend}]: the store has no FIFO cells to normalize against"
             ));
         }
@@ -1439,7 +1448,7 @@ fn render_figure_from_records(opts: &Opts, fig: &str, records: &[CellRecord]) {
             }
         }
         if !missing.is_empty() {
-            die(&format!(
+            fail(&format!(
                 "--fig {fig} [{backend}]: store is not a complete grid — merge all \
                  shards first ({} missing cell(s), e.g. {})",
                 missing.len(),
@@ -1482,7 +1491,7 @@ fn base_workload(opts: &Opts) -> WorkloadSpec {
                     opts.generator_flags.join("/")
                 ));
             }
-            WorkloadSpec::tdg_file_pinned(path).unwrap_or_else(|e| die(&e.to_string()))
+            WorkloadSpec::tdg_file_pinned(path).unwrap_or_else(|e| fail(&e.to_string()))
         }
         None => WorkloadSpec::parsec(opts.bench, opts.scale, opts.seed),
     }
@@ -1551,7 +1560,7 @@ fn export_tdg(opts: &Opts) {
     // `capture()` produces the artifact from one workload load — a
     // separate graph build + label lookup would read an unpinned file
     // twice and could mix revisions.
-    let (_graph, tdg) = workload.capture().unwrap_or_else(|e| die(&e.to_string()));
+    let (_graph, tdg) = workload.capture().unwrap_or_else(|e| fail(&e.to_string()));
     let out = opts
         .out
         .clone()
@@ -1616,7 +1625,7 @@ fn record_tdg(opts: &Opts) {
     let exec = dispatch_executor(opts);
     let (report, captured) = exec
         .execute_captured(&scenario)
-        .unwrap_or_else(|e| die(&e.to_string()));
+        .unwrap_or_else(|e| fail(&e.to_string()));
     println!("{}", report.summary());
     // The default name is distinct from `export`'s `{name}.tdg.json`, so
     // `record CATA --tdg Dedup.tdg.json` cannot clobber the replay
@@ -1667,7 +1676,7 @@ fn gc_store(opts: &Opts) {
     let specs: Vec<ScenarioSpec> = spec_paths.iter().map(|p| load_spec(p)).collect();
     let suite = Suite::from_specs(expand_backends(opts, specs));
     let (kept, dropped) =
-        ResultsStore::gc(store_path, &suite.grid_pairs()).unwrap_or_else(|e| die(&e.to_string()));
+        ResultsStore::gc(store_path, &suite.grid_pairs()).unwrap_or_else(|e| fail(&e.to_string()));
     println!("[gc {store_path}: kept {kept}, dropped {dropped} stale record(s)]");
 }
 
@@ -1725,7 +1734,7 @@ fn replay_stored_cell(opts: &Opts) {
         die("replay needs --store FILE.jsonl naming the results store");
     };
     let (records, truncated) =
-        ResultsStore::load(store_path).unwrap_or_else(|e| die(&e.to_string()));
+        ResultsStore::load(store_path).unwrap_or_else(|e| fail(&e.to_string()));
     if truncated {
         eprintln!("[store {store_path}: discarded a torn trailing line]");
     }
@@ -1738,13 +1747,13 @@ fn replay_stored_cell(opts: &Opts) {
         .find(|r| r.cell == **key || Some(r.index) == index)
         .unwrap_or_else(|| {
             let known: Vec<&str> = records.iter().map(|r| r.cell.as_str()).take(8).collect();
-            die(&format!(
+            fail(&format!(
                 "no cell {key:?} in {store_path} (first cells: {})",
                 known.join(", ")
             ))
         });
     let Some(spec) = &record.spec else {
-        die(&format!(
+        fail(&format!(
             "cell {} carries no embedded spec — records from pre-observability \
              sweeps and `serve` cells cannot be replayed (re-run the sweep to \
              stamp specs into the store)",
@@ -1752,7 +1761,7 @@ fn replay_stored_cell(opts: &Opts) {
         ));
     };
     if spec_digest(spec) != record.spec_digest {
-        die(&format!(
+        fail(&format!(
             "cell {}: embedded spec digests to {} but the record pins {} — \
              the store is corrupt",
             record.cell,
@@ -1761,7 +1770,7 @@ fn replay_stored_cell(opts: &Opts) {
         ));
     }
     if spec.backend == Backend::Native {
-        die(&format!(
+        fail(&format!(
             "cell {} ran on the native backend, which is host-timed and not \
              bit-replayable; only sim cells replay deterministically",
             record.cell
@@ -1773,7 +1782,7 @@ fn replay_stored_cell(opts: &Opts) {
     );
     let fresh = SimExecutor
         .execute(&Scenario::from_spec(spec.clone()))
-        .unwrap_or_else(|e| die(&e.to_string()));
+        .unwrap_or_else(|e| fail(&e.to_string()));
     let fresh_json = serde_json::to_string(&fresh).expect("report serializes");
     let stored_json = serde_json::to_string(&record.report).expect("report serializes");
     if fresh_json == stored_json {
@@ -1980,9 +1989,9 @@ fn main() {
             let mut report = cata_bench::perf::run_perf(opts.smoke, opts.reps);
             if let Some(path) = &opts.baseline {
                 let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+                    .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
                 let base = cata_bench::perf::PerfReport::from_json(&text)
-                    .unwrap_or_else(|e| die(&format!("{path}: {e}")));
+                    .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
                 report = report.with_baseline(&base);
                 // Regression gate, per size: every workload size present
                 // in both reports must hold `--min-ratio` of the
@@ -2018,7 +2027,7 @@ fn main() {
             println!("[wrote {out}]");
             if let Some(path) = &opts.trajectory {
                 cata_bench::perf::append_trajectory(path, &report)
-                    .unwrap_or_else(|e| die(&format!("{path}: {e}")));
+                    .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
                 println!("[appended trajectory point to {path}]");
             }
             eprintln!("[done in {:.1}s]", t0.elapsed().as_secs_f64());

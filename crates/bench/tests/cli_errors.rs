@@ -1,7 +1,8 @@
 //! Bad `repro` input ends in one `error: …` line and exit status 2, never
 //! a panic: an output path that cannot be written, a spec file that does
 //! not parse or validate (a number out of `f64`'s range included), and a
-//! removed flag. Power parameters whose energy overflows fail the run and leave the
+//! removed flag. Only a bad command line also prints the usage text.
+//! Power parameters whose energy overflows fail the run and leave the
 //! store readable.
 
 use cata_core::exp::{ScenarioSpec, WorkloadSpec};
@@ -55,6 +56,21 @@ fn unwritable_perf_report_is_an_error() {
         line.starts_with(&format!("error: cannot write {path}: ")),
         "{line}"
     );
+}
+
+/// The usage text follows an argument error, not an error about a file.
+#[test]
+fn only_argument_errors_print_the_usage() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-errors-torn-spec.json");
+    std::fs::write(&path, r#"{"name": "#).expect("write the spec");
+    let out = repro(&["run", &path.to_string_lossy()]);
+    error_line(&out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    let out = repro(&["run", "--jobs", "many"]);
+    assert_eq!(error_line(&out), "error: bad --jobs");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
 
 #[test]
