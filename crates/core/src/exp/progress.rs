@@ -228,6 +228,8 @@ impl Deserialize for ProgressRecord {
             "p99_ps",
             "sim_time_ps",
         ];
+        // `STRS`, then `U64S`, then `ok` and `wall_s`: a field's index
+        // picks its slot.
         const FIELDS: [&str; 19] = [
             "kind",
             "schema",
