@@ -284,7 +284,8 @@ impl Deserialize for LatencyHistogram {
         while let Some(field) = d.field(FIELDS, &mut seen)? {
             let Field::Present(i) = field else { continue };
             match i {
-                0 => samples = Some(Self::read_samples(d)),
+                // A bad sample is the error, whatever else the map holds.
+                0 => samples = Some(Self::read_samples(d)?),
                 1 => sum_ps = Some(serde::attempt(d, read_sum)?),
                 2..=4 => {
                     let key = FIELDS[i];
@@ -302,7 +303,7 @@ impl Deserialize for LatencyHistogram {
             }
         }
         if let Some(samples) = samples {
-            return samples;
+            return Ok(samples);
         }
         let sum_ps =
             sum_ps.ok_or_else(|| DeError::new(format!("{TY}: missing field `sum_ps`")))??;
@@ -597,6 +598,16 @@ mod tests {
             want.record(SimDuration::from_ps(s));
         }
         assert_eq!(LatencyHistogram::from_value(&legacy).unwrap(), want);
+        // A bad sample is the error, whatever else the map holds.
+        let bad = map(&[
+            ("total", Value::Str("x".into())),
+            (
+                "samples_ps",
+                Value::Seq(vec![Value::U64(1), Value::Str("2".into())]),
+            ),
+        ]);
+        let err = LatencyHistogram::from_value(&bad).unwrap_err();
+        assert_eq!(err.to_string(), "expected an integer, found string");
     }
 
     #[test]
