@@ -81,16 +81,14 @@
 //! powercap counters are readable.
 //!
 //! Sharded/stored suites (`run`/`preset`): `--shard K/N` keeps the
-//! deterministic `K`-th of `N` slices of the cell grid (`--shard-order
-//! snake` deals cells cost-aware serpentine instead of `i % N` striping;
-//! `--calibrate-costs PRIOR.jsonl` fits the ranking's generator cost
-//! weights from a prior sweep's recorded wall times — pass the same store
-//! to every shard), `--store FILE` streams each completed cell into a
-//! JSONL results store
-//! and *resumes* from it (already-completed cells are loaded, not
-//! re-run). `merge` combines shard stores, prints the suite table from
-//! the store, writes `--out FILE` if given, renders paper-figure panels
-//! from the records with `--fig fig4|fig5`, and — with `--baseline
+//! deterministic `K`-th of `N` slices of the cell grid, dealt serpentine
+//! by grid index (`Suite::shard`), `--store FILE` streams each completed
+//! cell into a JSONL results store and *resumes* from it
+//! (already-completed cells are loaded, not re-run; the store line
+//! counts resumed, executed and failed cells). `merge` combines shard
+//! stores, prints the suite table from the store, writes `--out FILE` if
+//! given, renders paper-figure panels from the records with `--fig
+//! fig4|fig5`, and — with `--baseline
 //! BENCH_engine.json` — fails (exit 1) when merged events/sec drops below
 //! `--min-ratio` (default 0.75) of the baseline's medium summary: the CI
 //! perf gate. `gc STORE SPEC... [--spec FILE]` rewrites a store keeping
@@ -132,9 +130,8 @@ use cata_bench::matrix::{run_matrix, MatrixResult, DEFAULT_SEED};
 use cata_bench::sweeps;
 use cata_bench::tables::{fmt_energy, Table};
 use cata_core::exp::{
-    spec_digest, Backend, BackendDispatch, CellRecord, CostCalibration, EnergySource, Executor,
-    NativeExecutor, ProgressWriter, ResultsStore, Scenario, ScenarioSpec, ShardOrder, Suite,
-    WorkloadSpec, STORE_SCHEMA,
+    spec_digest, Backend, BackendDispatch, CellRecord, EnergySource, Executor, NativeExecutor,
+    ProgressWriter, ResultsStore, Scenario, ScenarioSpec, Suite, WorkloadSpec, STORE_SCHEMA,
 };
 use cata_core::fault::FaultSpec;
 use cata_core::mem::{default_arbitration_registry, MemorySpec};
@@ -171,12 +168,7 @@ struct Opts {
     out: Option<String>,
     baseline: Option<String>,
     shard: Option<(usize, usize)>,
-    shard_order: ShardOrder,
     store: Option<String>,
-    /// `--calibrate-costs FILE.jsonl`: fit snake-shard cost multipliers
-    /// from a prior sweep's recorded wall times (every shard of one grid
-    /// must pass the same store).
-    calibrate_costs: Option<String>,
     min_ratio: f64,
     trajectory: Option<String>,
     /// `--progress FILE`: heartbeat sidecars. Emitters (`run`/`preset`
@@ -294,9 +286,7 @@ fn parse_args() -> Opts {
     let mut out = None;
     let mut baseline = None;
     let mut shard = None;
-    let mut shard_order = ShardOrder::Striped;
     let mut store = None;
-    let mut calibrate_costs = None;
     let mut min_ratio = 0.75f64;
     let mut trajectory = None;
     let mut progress = Vec::new();
@@ -394,18 +384,6 @@ fn parse_args() -> Opts {
             }
             "--store" => {
                 store = Some(args.next().unwrap_or_else(|| die("missing --store path")));
-            }
-            "--calibrate-costs" => {
-                calibrate_costs = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("missing --calibrate-costs store")),
-                );
-            }
-            "--shard-order" => {
-                let text = args
-                    .next()
-                    .unwrap_or_else(|| die("missing --shard-order striped|snake"));
-                shard_order = text.parse().unwrap_or_else(|e: String| die(&e));
             }
             "--backend" => {
                 backend = Some(match args.next().as_deref() {
@@ -630,9 +608,7 @@ fn parse_args() -> Opts {
         out,
         baseline,
         shard,
-        shard_order,
         store,
-        calibrate_costs,
         min_ratio,
         trajectory,
         progress,
@@ -711,8 +687,7 @@ fn print_help() {
          \x20         sweep-threshold multilevel all\n\
          \x20         run SPEC.json|SPEC.toml...   preset LABEL...   spec LABEL\n\
          \x20             [--backend sim|native|both] [--native-energy auto|model]\n\
-         \x20             [--shard K/N] [--shard-order striped|snake] [--store FILE.jsonl]\n\
-         \x20             [--calibrate-costs PRIOR.jsonl]  (fit snake costs from wall times)\n\
+         \x20             [--shard K/N] [--store FILE.jsonl]\n\
          \x20             [--tdg FILE.tdg.json]  (preset/spec: replay this TDG as the workload)\n\
          \x20         serve LABEL|SPEC.json [--rate R | --tape FILE.tape.jsonl]\n\
          \x20             [--arrival poisson|fixed] [--duration T] [--admission P]\n\
@@ -1003,25 +978,9 @@ fn run_specs(opts: &Opts, specs: Vec<ScenarioSpec>) {
     let specs = apply_faults(opts, specs);
     let specs = apply_memory(opts, specs);
     let specs = expand_backends(opts, specs);
-    let calibration = opts.calibrate_costs.as_ref().map(|path| {
-        let (records, _) = ResultsStore::load(path).unwrap_or_else(|e| fail(&e.to_string()));
-        let cal = CostCalibration::fit(&records, &specs);
-        println!(
-            "[calibrated {} cost families from {} of {} records in {path}]",
-            cal.scale.len(),
-            cal.observations,
-            records.len()
-        );
-        cal
-    });
     let mut suite = Suite::from_specs(specs).jobs(opts.jobs);
-    if let Some(cal) = calibration {
-        suite = suite.calibrate_costs(cal);
-    }
     if let Some((k, n)) = opts.shard {
-        suite = suite
-            .shard_ordered(k, n, opts.shard_order)
-            .unwrap_or_else(|e| die(&e.to_string()));
+        suite = suite.shard(k, n).unwrap_or_else(|e| die(&e.to_string()));
         println!("[shard {k}/{n}: {} of the grid's cells]", suite.len());
     }
     let exec = dispatch_executor(opts);
@@ -1033,9 +992,13 @@ fn run_specs(opts: &Opts, specs: Vec<ScenarioSpec>) {
             }
             let progress = progress_writer(opts);
             let outcome = suite.run_with_store_observed(&exec, &store, progress.as_ref());
+            // Resumed cells always load; every failure is an executed
+            // cell that left no record.
+            let failed = outcome.results.iter().filter(|r| r.is_err()).count();
             println!(
-                "[store {path}: {} resumed, {} executed]",
-                outcome.resumed, outcome.executed
+                "[store {path}: {} resumed, {} executed, {failed} failed]",
+                outcome.resumed,
+                outcome.executed - failed
             );
             outcome.results
         }

@@ -1,7 +1,7 @@
 //! Bad `repro` input ends in one `error: …` line and exit status 2, never
 //! a panic: an output path that cannot be written, a spec file that does
-//! not parse or validate (a number out of `f64`'s range included), and a
-//! removed flag. Only a bad command line also prints the usage text.
+//! not parse or validate (a number out of `f64`'s range included), and
+//! removed flags. Only a bad command line also prints the usage text.
 //! Power parameters whose energy overflows fail the run and leave the
 //! store readable.
 
@@ -159,9 +159,23 @@ fn event_queue_flag_is_gone() {
     assert_eq!(line, "error: unknown argument --event-queue");
 }
 
+/// Sharding has one deal, so its order and cost-calibration flags are
+/// gone.
+#[test]
+fn shard_order_and_calibration_flags_are_gone() {
+    for (flag, value) in [("--shard-order", "snake"), ("--calibrate-costs", "x.jsonl")] {
+        let line = error_line(&repro(&[
+            "preset", "CATA", "--bench", "dedup", "--scale", "tiny", "--fast", "8", "--shard",
+            "1/2", flag, value,
+        ]));
+        assert_eq!(line, format!("error: unknown argument {flag}"));
+    }
+}
+
 /// A power parameter must be finite and non-negative, and one whose
 /// energy overflows fails its run without writing a record: the store
-/// still takes a valid run afterwards, and still merges.
+/// line counts it as failed, not executed, and the store still takes a
+/// valid run afterwards, and still merges.
 #[test]
 fn power_parameters_that_overflow_leave_the_store_readable() {
     let spec =
@@ -195,9 +209,19 @@ fn power_parameters_that_overflow_leave_the_store_readable() {
         stderr.contains("the power parameters (c_eff_nf=1.7e308"),
         "{stderr}"
     );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!("[store {store}: 0 resumed, 0 executed, 1 failed]")),
+        "{stdout}"
+    );
     let valid = write("cli-errors-valid-power.json", text);
     let out = repro(&["run", &valid, "--store", &store]);
     assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!("[store {store}: 0 resumed, 1 executed, 0 failed]")),
+        "{stdout}"
+    );
     let out = repro(&["merge", &store]);
     assert!(out.status.success(), "{out:?}");
     let merged = String::from_utf8_lossy(&out.stdout);

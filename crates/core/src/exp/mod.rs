@@ -55,7 +55,6 @@
 //! assert_eq!(reports.len(), 6);
 //! ```
 
-pub mod calibrate;
 pub mod error;
 pub mod executor;
 pub mod progress;
@@ -65,7 +64,6 @@ pub mod spec;
 pub mod store;
 pub mod suite;
 
-pub use calibrate::CostCalibration;
 pub use error::ExpError;
 pub use executor::{BackendDispatch, CapturedGraph, EnergySource, Executor, NativeExecutor};
 pub use progress::{
@@ -79,7 +77,7 @@ pub use registry::{
 pub use scenario::Scenario;
 pub use spec::{Backend, PolicyParams, RuntimeCosts, ScenarioSpec, WorkloadSpec};
 pub use store::{spec_digest, CellRecord, MergedRecords, ResultsStore, STORE_SCHEMA};
-pub use suite::{derive_seed, ShardOrder, StoreRunOutcome, Suite};
+pub use suite::{derive_seed, StoreRunOutcome, Suite};
 
 // Trace collection is selected per spec (`ScenarioSpec::trace`); re-export
 // the mode enum so facade users don't need a `cata_sim` import for it.

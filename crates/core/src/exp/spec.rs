@@ -493,61 +493,6 @@ impl WorkloadSpec {
             }
         }
     }
-
-    /// A deterministic estimate of this workload's total work in cycles —
-    /// used only for cost-aware shard assignment
-    /// ([`Suite::shard_ordered`](super::suite::Suite::shard_ordered)).
-    /// Generator estimates are coarse shape guesses (cheap: no graph
-    /// generation, stable across processes). `Inline`/`File` workloads
-    /// carry their profiles, so their estimate is *exact* — the sum of
-    /// per-task work — which is what lets snake sharding order replayed
-    /// grids correctly (a shape guess for a concrete graph would rank a
-    /// heavy captured app below a tiny generated one).
-    ///
-    /// The `Err` case exists for `File` workloads whose file cannot be
-    /// read: snake sharding *must* fail loudly there — a host that
-    /// silently ranked the cell at 0 would deal the grid differently
-    /// from its peer shards, breaking the disjoint/covering guarantee.
-    pub fn try_cost_estimate(&self) -> Result<u64, ExpError> {
-        Ok(match *self {
-            // PARSECSs generators repeat a per-benchmark frame pattern
-            // `scale.factor()` times; a few hundred tasks of ~100k cycles
-            // per factor unit is the right order of magnitude.
-            WorkloadSpec::Parsec { scale, .. } => scale.factor() as u64 * 256 * 200_000,
-            WorkloadSpec::Chain { n, cycles } => (n as u64).saturating_mul(cycles),
-            WorkloadSpec::ForkJoin {
-                waves,
-                width,
-                cycles,
-            } => (waves as u64)
-                .saturating_mul(width as u64)
-                .saturating_mul(cycles),
-            WorkloadSpec::SkewedDiamond {
-                width,
-                cycles,
-                skew,
-            } => (width as u64).saturating_add(skew).saturating_mul(cycles),
-            WorkloadSpec::RandomDag {
-                n,
-                min_cycles,
-                max_cycles,
-                ..
-            } => (n as u64).saturating_mul(min_cycles / 2 + max_cycles / 2),
-            WorkloadSpec::Inline(ref tdg) => tdg.total_work_cycles(),
-            WorkloadSpec::File {
-                ref path,
-                ref digest,
-            } => load_tdg_cached(path, digest.as_deref())?.total_work_cycles(),
-        })
-    }
-
-    /// Infallible form of [`try_cost_estimate`](Self::try_cost_estimate):
-    /// an unreadable `File` ranks 0. Fine for display and local
-    /// heuristics; cross-process shard assignment must use the fallible
-    /// form (and does).
-    pub fn cost_estimate(&self) -> u64 {
-        self.try_cost_estimate().unwrap_or(0)
-    }
 }
 
 /// Runtime cost constants (Nanos++-scale).
@@ -1011,23 +956,6 @@ mod tests {
             }
             other => panic!("wrong result: {other:?}"),
         }
-    }
-
-    #[test]
-    fn cost_estimate_is_deterministic_and_scales() {
-        let small = WorkloadSpec::Parsec {
-            bench: Benchmark::Dedup,
-            scale: Scale::Small,
-            seed: 1,
-        };
-        let paper = WorkloadSpec::Parsec {
-            bench: Benchmark::Dedup,
-            scale: Scale::Paper,
-            seed: 1,
-        };
-        assert!(paper.cost_estimate() > small.cost_estimate());
-        assert_eq!(small.cost_estimate(), small.cost_estimate());
-        assert_eq!(WorkloadSpec::Chain { n: 10, cycles: 7 }.cost_estimate(), 70);
     }
 
     #[test]

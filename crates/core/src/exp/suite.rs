@@ -7,15 +7,14 @@
 //! matches input order.
 //!
 //! Every cell carries a stable *global index* in the full grid.
-//! [`shard`](Suite::shard) keeps a deterministic `1/N`th of the grid by
-//! that index, so independent processes (CI jobs, cluster nodes) each
-//! compute a disjoint slice into their own JSONL store, and
-//! [`ResultsStore::merge_files`] recombines them.
+//! [`shard`](Suite::shard) keeps a deterministic `1/N`th of the grid,
+//! dealt serpentine by that index, so independent processes (CI jobs,
+//! cluster nodes) each compute a disjoint slice into their own JSONL
+//! store, and [`ResultsStore::merge_files`] recombines them.
 //! [`run_with_store`](Suite::run_with_store) streams each completed cell
 //! to the store and, on a re-run, loads completed cells instead of
 //! recomputing them — the resume path for interrupted sweeps.
 
-use super::calibrate::CostCalibration;
 use super::error::ExpError;
 use super::executor::Executor;
 use super::progress::{host_fingerprint, now_unix_ms, ProgressEvent, ProgressWriter};
@@ -29,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Derives the `index`-th run seed from a suite base seed (splitmix64).
+/// Derives the `index`-th seed from a base seed (splitmix64).
 /// Deterministic and stable across platforms — the workspace-shared
 /// construction, re-exported on the historical path.
 pub use cata_sim::seeded::derive_seed;
@@ -110,51 +109,6 @@ fn execute_checked<E: Executor + ?Sized>(
     Ok(report)
 }
 
-/// How [`Suite::shard_ordered`] assigns cells to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardOrder {
-    /// `i % n` striping by cell index — the default, bit-identical to the
-    /// historical behaviour.
-    #[default]
-    Striped,
-    /// Cost-aware snake order: cells are ranked by estimated workload cost
-    /// (descending, index-ascending tie-break) and dealt to shards
-    /// serpentine-style (1..n, then n..1, …), so a grid whose cell costs
-    /// are very skewed — one paper-scale workload among tiny ones — still
-    /// balances. Deterministic: every process ranks identically.
-    Snake,
-}
-
-impl std::str::FromStr for ShardOrder {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "striped" => Ok(ShardOrder::Striped),
-            "snake" => Ok(ShardOrder::Snake),
-            other => Err(format!(
-                "unknown shard order `{other}` (want striped|snake)"
-            )),
-        }
-    }
-}
-
-/// Sharding bookkeeping a filtered suite carries so later [`Suite::push`]es
-/// stay disjoint across shards.
-#[derive(Debug, Clone, Copy)]
-struct ShardInfo {
-    /// 0-based shard id.
-    rem: u64,
-    /// Total shard count.
-    of: u64,
-    /// Assignment discipline the grid was split with.
-    order: ShardOrder,
-    /// One past the largest index of the full grid at shard time: pushed
-    /// cells on a snake shard start here (snake shards own arbitrary index
-    /// sets inside the grid, so only indices past it are provably free).
-    grid_len: u64,
-}
-
 /// What a store-backed suite run did: the full in-order results plus how
 /// many cells were served from the store versus freshly executed.
 #[derive(Debug)]
@@ -163,7 +117,8 @@ pub struct StoreRunOutcome {
     pub results: Vec<Result<RunReport, ExpError>>,
     /// Cells skipped because the store already held their record.
     pub resumed: usize,
-    /// Cells executed (and appended to the store) by this run.
+    /// Cells executed by this run, failed ones included; only the cells
+    /// that succeeded were appended to the store.
     pub executed: usize,
 }
 
@@ -174,32 +129,14 @@ pub struct Suite {
     /// Global cell index of each scenario within the full (unsharded)
     /// grid. Stable under [`shard`](Self::shard); the store keys on it.
     indices: Vec<u64>,
-    /// Set once [`shard`](Self::shard) filtered this suite;
-    /// [`push`](Self::push) then picks indices no other shard can own.
-    shard_of: Option<ShardInfo>,
     /// The *full* grid's digest, captured by [`shard`](Self::shard)
     /// before filtering, so every shard stamps its records with the same
     /// provenance tag (unsharded suites compute it from their own cells).
     grid: Option<String>,
-    /// Wall-time-fitted cost multipliers applied by snake sharding's cost
-    /// ranking (see [`calibrate_costs`](Self::calibrate_costs)).
-    calibration: Option<CostCalibration>,
     jobs: usize,
 }
 
 impl Suite {
-    /// An empty suite (serial by default).
-    pub fn new() -> Self {
-        Suite {
-            scenarios: Vec::new(),
-            indices: Vec::new(),
-            shard_of: None,
-            grid: None,
-            calibration: None,
-            jobs: 1,
-        }
-    }
-
     /// A suite over specs, resolved through the default registries.
     pub fn from_specs(specs: Vec<ScenarioSpec>) -> Self {
         Self::from_specs_with(specs, None)
@@ -224,50 +161,9 @@ impl Suite {
         Suite {
             scenarios,
             indices,
-            shard_of: None,
             grid: None,
-            calibration: None,
             jobs: 1,
         }
-    }
-
-    /// Installs wall-time-fitted cost multipliers
-    /// ([`CostCalibration::fit`]) for snake sharding's cost ranking.
-    /// Every shard process of one grid must install the *same*
-    /// calibration (fit from the same records, or one shipped fit) —
-    /// shards ranking cells by different costs would deal overlapping,
-    /// non-covering hands. Striped sharding and execution ignore it.
-    pub fn calibrate_costs(mut self, calibration: CostCalibration) -> Self {
-        self.calibration = Some(calibration);
-        self
-    }
-
-    /// Adds one scenario at the next free grid index. On a striped shard
-    /// the index advances *within the shard's residue class* (by `of`
-    /// instead of 1); on a snake shard — whose cells are arbitrary grid
-    /// indices — pushes land past the grid, in the shard's residue class.
-    /// Either way, pushed cells can never collide with an index another
-    /// shard owns.
-    pub fn push(&mut self, scenario: Scenario) {
-        let next = match (self.indices.iter().max(), self.shard_of) {
-            (max, Some(info)) if info.order == ShardOrder::Snake => {
-                // First index in this shard's residue class at or past both
-                // the grid and everything already queued.
-                let min = info.grid_len.max(max.map_or(0, |&m| m + 1));
-                let r = min % info.of;
-                if r <= info.rem {
-                    min - r + info.rem
-                } else {
-                    min - r + info.of + info.rem
-                }
-            }
-            (Some(&m), Some(info)) => m + info.of,
-            (Some(&m), None) => m + 1,
-            (None, Some(info)) => info.rem,
-            (None, None) => 0,
-        };
-        self.scenarios.push(scenario);
-        self.indices.push(next);
     }
 
     /// Sets the worker-thread count (`0` ⇒ the host's parallelism).
@@ -310,108 +206,39 @@ impl Suite {
     }
 
     /// Keeps the deterministic `shard`-th of `of` slices of the cell grid
-    /// (1-based): cell `i` belongs to shard `(i % of) + 1`. Shards of the
-    /// same grid are disjoint and together cover it exactly, so `N`
-    /// processes each running one shard into their own store compute the
-    /// whole suite with no coordination.
+    /// (1-based), dealt serpentine by grid index: cell `i` sits in row
+    /// `i / of` and column `i % of`, and goes to shard `column + 1` on
+    /// even rows and `of - column` on odd rows. Every two rows give each
+    /// shard two cells whose places in their rows sum to `of - 1`, so a
+    /// cost that drifts along the grid evens out instead of piling onto
+    /// the last shard. The deal reads nothing but the indices: shards of
+    /// the same grid are disjoint and together cover it exactly in every
+    /// process, so `N` processes each running one shard into their own
+    /// store compute the whole suite with no coordination.
     pub fn shard(self, shard: usize, of: usize) -> Result<Self, ExpError> {
-        self.shard_ordered(shard, of, ShardOrder::Striped)
-    }
-
-    /// [`shard`](Self::shard) with an explicit assignment discipline.
-    /// `Striped` is the historical `i % of` split; `Snake` deals cells to
-    /// shards in cost-ranked serpentine order, fixing the load skew
-    /// striping suffers when cell costs vary wildly. Both are
-    /// deterministic, disjoint, and covering; every shard of one grid must
-    /// use the same order.
-    pub fn shard_ordered(
-        self,
-        shard: usize,
-        of: usize,
-        order: ShardOrder,
-    ) -> Result<Self, ExpError> {
         if of == 0 || shard == 0 || shard > of {
             return Err(ExpError::InvalidSpec(format!(
                 "shard {shard}/{of}: want 1 <= shard <= of"
             )));
         }
-        let rem = shard as u64 - 1;
+        let (of, column) = (of as u64, shard as u64 - 1);
+        let owner = |i: u64| match (i / of % 2, i % of) {
+            (0, col) => col,
+            (_, col) => of - 1 - col,
+        };
         // Capture the *full* grid's provenance digest before filtering,
         // so every shard stamps its store records identically.
         let grid = Some(self.grid.clone().unwrap_or_else(|| self.own_grid_digest()));
-        let grid_len = self.indices.iter().max().map_or(0, |&m| m + 1);
-        let keep: Vec<bool> = match order {
-            ShardOrder::Striped => self.indices.iter().map(|&i| i % of as u64 == rem).collect(),
-            ShardOrder::Snake => {
-                // Rank positions by estimated cost (heaviest first; grid
-                // index breaks ties so the ranking is total and identical
-                // in every process), then deal serpentine: row r of `of`
-                // cells runs forward on even rows, backward on odd ones,
-                // so no shard collects all the heavy heads.
-                //
-                // Cost lookup is the *fallible* form, and unpinned TDG
-                // files are refused outright: every shard of one grid
-                // must rank cells identically, so a `File` the host
-                // cannot read must abort the deal (a silent 0 would rank
-                // differently than where the file resolves), and an
-                // unpinned file has no cross-host content identity at
-                // all — peer shards reading different revisions would
-                // deal from different rankings, breaking the
-                // disjoint/covering guarantee with no error anywhere.
-                let costs: Vec<u64> = self
-                    .scenarios
-                    .iter()
-                    .map(|s| match &s.spec().workload {
-                        crate::exp::spec::WorkloadSpec::File { path, digest: None } => {
-                            Err(ExpError::Workload(format!(
-                                "snake sharding requires digest-pinned TDG files: {path} is \
-                             unpinned, so peer shards could rank different revisions \
-                             (pin it, or use --shard-order striped)"
-                            )))
-                        }
-                        // Calibrated when a fit is installed — same
-                        // failure surface either way (`calibrated_cost`
-                        // delegates to `try_cost_estimate`).
-                        w => match &self.calibration {
-                            Some(cal) => cal.calibrated_cost(w),
-                            None => w.try_cost_estimate(),
-                        }
-                        .map_err(|e| {
-                            ExpError::Workload(format!(
-                                "snake sharding needs every cell's cost: {e}"
-                            ))
-                        }),
-                    })
-                    .collect::<Result<_, _>>()?;
-                let mut rank: Vec<usize> = (0..self.scenarios.len()).collect();
-                rank.sort_by_key(|&p| (std::cmp::Reverse(costs[p]), self.indices[p]));
-                let mut keep = vec![false; self.scenarios.len()];
-                for (pos, &p) in rank.iter().enumerate() {
-                    let (row, col) = (pos / of, pos % of);
-                    let assigned = if row % 2 == 0 { col } else { of - 1 - col };
-                    keep[p] = assigned as u64 == rem;
-                }
-                keep
-            }
-        };
         let (scenarios, indices) = self
             .scenarios
             .into_iter()
             .zip(self.indices)
-            .zip(keep)
-            .filter_map(|(cell, keep)| keep.then_some(cell))
+            .filter(|&(_, i)| owner(i) == column)
             .unzip();
         Ok(Suite {
             scenarios,
             indices,
-            shard_of: Some(ShardInfo {
-                rem,
-                of: of as u64,
-                order,
-                grid_len,
-            }),
             grid,
-            calibration: self.calibration,
             jobs: self.jobs,
         })
     }
@@ -429,16 +256,6 @@ impl Suite {
                 .copied()
                 .zip(digests.iter().map(String::as_str)),
         )
-    }
-
-    /// Reseeds each cell with `derive_seed(base, index)` over its *global*
-    /// grid index — one knob for a deterministic sweep over
-    /// otherwise-identical specs that stays consistent across shards.
-    pub fn reseed(mut self, base: u64) -> Self {
-        for (i, s) in self.scenarios.iter_mut().enumerate() {
-            s.spec_mut().seed = derive_seed(base, self.indices[i]);
-        }
-        self
     }
 
     /// Runs every scenario on `executor`, fanning across the configured
@@ -822,151 +639,12 @@ mod tests {
         assert_eq!(all.cell_indices(), &[0, 1, 2, 3, 4, 5]);
         let a = all.clone().shard(1, 2).unwrap();
         let b = all.clone().shard(2, 2).unwrap();
-        assert_eq!(a.cell_indices(), &[0, 2, 4]);
-        assert_eq!(b.cell_indices(), &[1, 3, 5]);
+        // Rows (0, 1), (2, 3), (4, 5): forward, backward, forward.
+        assert_eq!(a.cell_indices(), &[0, 3, 4]);
+        assert_eq!(b.cell_indices(), &[1, 2, 5]);
         assert_eq!(a.len() + b.len(), all.len());
         assert!(all.clone().shard(0, 2).is_err());
         assert!(all.clone().shard(3, 2).is_err());
         assert!(all.shard(1, 0).is_err());
-    }
-
-    #[test]
-    fn snake_shards_are_disjoint_covering_and_cost_balanced() {
-        // Six cells with wildly skewed costs, heaviest first: striping by
-        // `i % 2` would give shard 1 all of {6000, 400, 20} = 6420 and
-        // shard 2 {5000, 30, 10} = 5040; snake deals 6000+30+20=6050 vs
-        // 5000+400+10=5410 — and, crucially, never both giants to one.
-        let costs = [6000u64, 5000, 400, 30, 20, 10];
-        let specs: Vec<ScenarioSpec> = costs
-            .iter()
-            .map(|&c| {
-                ScenarioSpec::new(format!("w{c}"), WorkloadSpec::Chain { n: 1, cycles: c })
-                    .with_small_machine(2, 1)
-            })
-            .collect();
-        let all = Suite::from_specs(specs);
-        let a = all.clone().shard_ordered(1, 2, ShardOrder::Snake).unwrap();
-        let b = all.clone().shard_ordered(2, 2, ShardOrder::Snake).unwrap();
-        let mut union: Vec<u64> = a
-            .cell_indices()
-            .iter()
-            .chain(b.cell_indices())
-            .copied()
-            .collect();
-        union.sort_unstable();
-        assert_eq!(union, vec![0, 1, 2, 3, 4, 5], "disjoint + covering");
-        // Serpentine deal: ranked [0,1,2,3,4,5] → rows (0,1),(3,2),(4,5).
-        assert_eq!(a.cell_indices(), &[0, 3, 4]);
-        assert_eq!(b.cell_indices(), &[1, 2, 5]);
-        // Cells stay in input order within each shard.
-        assert!(a.cell_indices().windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn calibration_reorders_the_snake_deal() {
-        // Chain and diamond cells with equal built-in estimates (1000
-        // cycles each): uncalibrated, ranking falls back to grid-index
-        // tie-breaks. A calibration that weighs diamonds 8x must pull
-        // both diamonds apart onto different shards.
-        let mk = |w: WorkloadSpec, name: &str| ScenarioSpec::new(name, w).with_small_machine(2, 1);
-        let specs = vec![
-            mk(WorkloadSpec::Chain { n: 1, cycles: 1000 }, "c0"),
-            mk(
-                WorkloadSpec::SkewedDiamond {
-                    width: 99,
-                    cycles: 10,
-                    skew: 1,
-                },
-                "d1",
-            ),
-            mk(WorkloadSpec::Chain { n: 2, cycles: 500 }, "c2"),
-            mk(
-                WorkloadSpec::SkewedDiamond {
-                    width: 49,
-                    cycles: 20,
-                    skew: 1,
-                },
-                "d3",
-            ),
-        ];
-        let mut cal = super::super::calibrate::CostCalibration::identity();
-        cal.scale
-            .insert("diamond".into(), 8 * super::super::calibrate::SCALE_ONE);
-        let all = Suite::from_specs(specs);
-        let deal = |shard| {
-            Suite::clone(&all)
-                .calibrate_costs(cal.clone())
-                .shard_ordered(shard, 2, ShardOrder::Snake)
-                .unwrap()
-                .cell_indices()
-                .to_vec()
-        };
-        // Ranked by calibrated cost: d1 (8000), d3 (8000, later index),
-        // c0/c2 (1000 each) → rows (d1,d3),(c2,c0): one diamond per shard.
-        assert_eq!(deal(1), vec![1, 2]);
-        assert_eq!(deal(2), vec![0, 3]);
-    }
-
-    #[test]
-    fn striped_shard_is_bit_identical_to_the_default() {
-        let all = Suite::from_specs(small_matrix());
-        let explicit = all
-            .clone()
-            .shard_ordered(1, 2, ShardOrder::Striped)
-            .unwrap();
-        let default = all.shard(1, 2).unwrap();
-        assert_eq!(explicit.cell_indices(), default.cell_indices());
-    }
-
-    #[test]
-    fn pushes_after_snake_shard_stay_disjoint() {
-        let all = Suite::from_specs(small_matrix());
-        let mut a = all.clone().shard_ordered(1, 2, ShardOrder::Snake).unwrap();
-        let mut b = all.shard_ordered(2, 2, ShardOrder::Snake).unwrap();
-        let extra = || {
-            Scenario::from_spec(
-                ScenarioSpec::new("extra", WorkloadSpec::Chain { n: 1, cycles: 1 })
-                    .with_small_machine(2, 1),
-            )
-        };
-        for _ in 0..3 {
-            a.push(extra());
-            b.push(extra());
-        }
-        let pushed_a: Vec<u64> = a
-            .cell_indices()
-            .iter()
-            .copied()
-            .filter(|&i| i >= 6)
-            .collect();
-        let pushed_b: Vec<u64> = b
-            .cell_indices()
-            .iter()
-            .copied()
-            .filter(|&i| i >= 6)
-            .collect();
-        assert_eq!(pushed_a.len(), 3);
-        assert_eq!(pushed_b.len(), 3);
-        assert!(
-            pushed_a.iter().all(|i| !pushed_b.contains(i)),
-            "pushed cells collide: {pushed_a:?} vs {pushed_b:?}"
-        );
-    }
-
-    #[test]
-    fn reseed_matches_across_sharding() {
-        let full = Suite::from_specs(small_matrix()).reseed(7);
-        let sharded = Suite::from_specs(small_matrix())
-            .shard(2, 2)
-            .unwrap()
-            .reseed(7);
-        // Shard 2/2 holds global cells 1, 3, 5; seeds must match the
-        // unsharded suite's cells at those indices.
-        let full_seeds: Vec<u64> = full.scenarios.iter().map(|s| s.spec().seed).collect();
-        let shard_seeds: Vec<u64> = sharded.scenarios.iter().map(|s| s.spec().seed).collect();
-        assert_eq!(
-            shard_seeds,
-            vec![full_seeds[1], full_seeds[3], full_seeds[5]]
-        );
     }
 }

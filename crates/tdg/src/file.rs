@@ -217,16 +217,6 @@ impl TdgFile {
         self.tasks.len()
     }
 
-    /// Exact total work in cycles — Σ `cpu_cycles` over every task. The
-    /// basis of cost-aware shard ordering for replayed workloads (memory
-    /// and block time are excluded: ordering only needs a consistent
-    /// rank, and cycles dominate every shipped workload).
-    pub fn total_work_cycles(&self) -> u64 {
-        self.tasks
-            .iter()
-            .fold(0u64, |acc, t| acc.saturating_add(t.profile.cpu_cycles))
-    }
-
     /// Serializes to compact JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("TDG file serializes")
@@ -429,13 +419,6 @@ mod tests {
         file.tasks[2].ty = 9;
         file.refresh_digest();
         assert!(matches!(file.to_graph(), Err(TdgFileError::Structure(_))));
-    }
-
-    #[test]
-    fn total_work_sums_profiles_exactly() {
-        let file = TdgFile::from_graph("sample", &sample_graph());
-        assert_eq!(file.total_work_cycles(), 1_000 + 9_000 + 2_000 + 500);
-        assert_eq!(file.num_tasks(), 4);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use cata_core::exp::{
     spec_digest, CapturedGraph, Executor, ExpError, NativeExecutor, ResultsStore, Scenario,
-    ScenarioSpec, ShardOrder, Suite, WorkloadSpec,
+    ScenarioSpec, Suite, WorkloadSpec,
 };
 use cata_core::SimExecutor;
 use cata_sim::progress::ExecProfile;
@@ -76,15 +76,6 @@ proptest! {
         let reparsed = TdgFile::from_json(&file.to_json_pretty()).unwrap();
         prop_assert_eq!(&reparsed, &file);
         prop_assert_eq!(&reparsed.to_graph().unwrap(), &g);
-    }
-
-    /// The inline cost estimate is exact: the sum of per-task cycles.
-    #[test]
-    fn inline_cost_estimate_is_exact(n in 0usize..40, seed in any::<u64>()) {
-        let g = random_graph(n, 0.2, seed);
-        let want: u64 = g.tasks().map(|t| t.profile.cpu_cycles).sum();
-        let w = WorkloadSpec::Inline(TdgFile::from_graph("prop", &g).into());
-        prop_assert_eq!(w.cost_estimate(), want);
     }
 }
 
@@ -263,18 +254,12 @@ fn file_digest_pins_are_enforced() {
         other => panic!("stale pin must fail: {other:?}"),
     }
 
-    // A missing file errors cleanly too. The infallible cost form ranks
-    // it 0 (display/local heuristics); the fallible one surfaces it.
+    // A missing file errors cleanly too.
     let gone = WorkloadSpec::File {
         path: tmp("not-there.tdg.json").to_string_lossy().into_owned(),
         digest: None,
     };
     assert!(matches!(gone.try_build_graph(), Err(ExpError::Workload(_))));
-    assert_eq!(gone.cost_estimate(), 0);
-    assert!(matches!(
-        gone.try_cost_estimate(),
-        Err(ExpError::Workload(_))
-    ));
 }
 
 /// Caches never mask edits. An inline TDG whose embedded digest went
@@ -337,53 +322,35 @@ fn caches_never_serve_stale_graphs() {
     }
 }
 
-/// Snake sharding refuses a grid with an unreadable `File` cost: a host
-/// that silently ranked it 0 would deal the serpentine differently from
-/// a peer that can read the file, and the shards would no longer be
-/// disjoint and covering. Striped sharding never consults costs and is
-/// untouched.
+/// Sharding deals by grid index and never reads a workload, so a grid
+/// holding a missing `File` or an unpinned one shards like any other:
+/// the missing file fails only when its cell runs.
 #[test]
-fn snake_sharding_errors_on_unreadable_file_costs() {
+fn shard_never_reads_a_workload() {
+    let g = random_graph(6, 0.2, 21);
+    let path = tmp("shard-unpinned.tdg.json");
+    std::fs::write(&path, TdgFile::from_graph("unpinned", &g).to_json_pretty()).unwrap();
+    let unpinned = WorkloadSpec::File {
+        path: path.to_string_lossy().into_owned(),
+        digest: None,
+    };
     let gone = WorkloadSpec::File {
         path: tmp("never-written.tdg.json").to_string_lossy().into_owned(),
         digest: None,
     };
-    let specs = vec![
-        ScenarioSpec::new("ok", WorkloadSpec::Chain { n: 2, cycles: 10 }).with_small_machine(2, 1),
-        ScenarioSpec::new("gone", gone).with_small_machine(2, 1),
-    ];
-    let suite = Suite::from_specs(specs);
-    match suite.clone().shard_ordered(1, 2, ShardOrder::Snake) {
-        Err(ExpError::Workload(msg)) => assert!(msg.contains("snake"), "{msg}"),
-        other => panic!("snake shard over an unreadable cost must fail: {other:?}"),
-    }
-    suite.shard(1, 2).unwrap();
-
-    // A *readable but unpinned* File is refused too: without a content
-    // pin, peer shards could read different revisions of the file and
-    // deal from different rankings. Pinning the same file makes the
-    // identical grid shard fine.
-    let g = random_graph(6, 0.2, 21);
-    let path = tmp("snake-pin.tdg.json");
-    std::fs::write(&path, TdgFile::from_graph("snake-pin", &g).to_json_pretty()).unwrap();
-    let path_str = path.to_string_lossy().into_owned();
-    let grid = |workload: WorkloadSpec| {
-        Suite::from_specs(vec![
-            ScenarioSpec::new("ok", WorkloadSpec::Chain { n: 2, cycles: 10 })
-                .with_small_machine(2, 1),
-            ScenarioSpec::new("tdg", workload).with_small_machine(2, 1),
-        ])
-    };
-    let unpinned = WorkloadSpec::File {
-        path: path_str.clone(),
-        digest: None,
-    };
-    match grid(unpinned).shard_ordered(1, 2, ShardOrder::Snake) {
-        Err(ExpError::Workload(msg)) => assert!(msg.contains("pin"), "{msg}"),
-        other => panic!("snake shard over an unpinned file must fail: {other:?}"),
-    }
-    let pinned = WorkloadSpec::tdg_file_pinned(path_str).unwrap();
-    grid(pinned).shard_ordered(1, 2, ShardOrder::Snake).unwrap();
+    let cell = |name: &str, w: WorkloadSpec| ScenarioSpec::new(name, w).with_small_machine(2, 1);
+    let suite = Suite::from_specs(vec![
+        cell("ok", WorkloadSpec::Chain { n: 2, cycles: 10 }),
+        cell("gone", gone),
+        cell("unpinned", unpinned),
+    ]);
+    let a = suite.clone().shard(1, 2).unwrap();
+    let b = suite.shard(2, 2).unwrap();
+    assert_eq!(a.cell_indices(), &[0]);
+    assert_eq!(b.cell_indices(), &[1, 2]);
+    let results = b.run(&SimExecutor);
+    assert!(matches!(results[0], Err(ExpError::Workload(_))));
+    assert!(results[1].is_ok());
 }
 
 /// Replayed workloads flow through suites, stores and resume exactly like
