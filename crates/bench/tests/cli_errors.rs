@@ -73,6 +73,111 @@ fn only_argument_errors_print_the_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
 
+/// A flag the command does not read, or one that breaks a rule relating
+/// flags to each other, is a bad command line: exit 2, one `error:` line
+/// containing the given text, then the usage.
+#[test]
+fn flag_rules_print_one_error_and_the_usage() {
+    let preset = [
+        "preset", "CATA", "--bench", "dedup", "--scale", "tiny", "--fast", "8",
+    ];
+    let cases: &[(&[&str], &str)] = &[
+        (&["merge", "s.jsonl", "--fault-rate", "0.05"], "fault"),
+        (&["export", "--mem-slots", "1"], "mem"),
+        (
+            &[
+                "serve",
+                "CATA",
+                "--rate",
+                "100",
+                "--fault-rate",
+                "0.05",
+                "--fault-axis",
+            ],
+            "--fault-axis",
+        ),
+        (
+            &[
+                "serve",
+                "CATA",
+                "--rate",
+                "100",
+                "--mem-slots",
+                "1",
+                "--mem-axis",
+            ],
+            "--mem-axis",
+        ),
+        (&[&preset[..], &["--fault-axis"]].concat(), "--fault-axis"),
+        (
+            &[&preset[..], &["--arbitration", "crit-first"]].concat(),
+            "--arbitration",
+        ),
+        (&["run", "a.json", "--tdg", "g.tdg.json"], "--tdg"),
+        (&["gc", "s.jsonl", "a.json", "--bench", "dedup"], "--bench"),
+        (&["merge", "s.jsonl", "--progress", "p.jsonl"], "--progress"),
+        (&[&preset[..], &["--once"]].concat(), "--once"),
+        (
+            &["serve", "CATA", "--rate", "100", "--tape", "t.jsonl"],
+            "--rate",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = repro(args);
+        let line = error_line(&out);
+        assert!(line.contains(flag), "{args:?}: {line}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+        assert_eq!(errors, 1, "{args:?}: {stderr}");
+        let usage = stderr.find("usage: repro").expect("usage follows");
+        assert!(usage > stderr.find(&line).expect("error line"), "{stderr}");
+    }
+}
+
+/// Faults, then memory, make the grid: each preset's fault-free cells
+/// come first, and under each, the memory-free twin, then one cell per
+/// arbitration key.
+#[test]
+fn fault_and_memory_axes_order_the_grid() {
+    let out = repro(&[
+        "preset",
+        "CATA",
+        "FIFO",
+        "--bench",
+        "dedup",
+        "--scale",
+        "tiny",
+        "--fast",
+        "8",
+        "--jobs",
+        "1",
+        "--fault-rate",
+        "0.05",
+        "--fault-axis",
+        "--mem-slots",
+        "1",
+        "--arbitration",
+        "fifo,crit-first",
+        "--mem-axis",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let labels: Vec<&str> = stdout
+        .lines()
+        .filter(|l| !l.starts_with("fault:") && !l.starts_with("memory:"))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let mut want = Vec::new();
+    for preset in ["CATA", "FIFO"] {
+        for faults in ["", "+faults"] {
+            for mem in ["", "+mem1/fifo", "+mem1/crit-first"] {
+                want.push(format!("{preset}{faults}{mem}"));
+            }
+        }
+    }
+    assert_eq!(labels, want, "{stdout}");
+}
+
 #[test]
 fn spec_parse_error_names_the_character() {
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-errors-bad-spec.json");
