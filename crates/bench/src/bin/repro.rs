@@ -29,7 +29,9 @@
 //! `--csv DIR` (also writes CSV files), `--jobs N` (parallel suite
 //! workers; 0 = all host cores, default 0), `--bench NAME` (workload for
 //! `preset`/`spec`), `--fast N` (fast cores for `preset`/`spec`),
-//! `--toml` (emit TOML from `spec`).
+//! `--toml` (emit TOML from `spec`). Each flag is one row of the flag
+//! table, which names the commands that read it; a flag given to any
+//! other command is a usage error.
 //!
 //! TDG capture & replay: `export` serializes a workload's task graph —
 //! the `--bench`/`--scale`/`--seed` generator, or the workload of a given
@@ -56,22 +58,25 @@
 //! JSONL cell. The report adds p50/p99/p999 response time, queue-wait
 //! vs service-time split, sustained graphs/sec, and drop accounting.
 //!
-//! Fault injection (`run`/`preset`/`serve`): `--faults FILE.json` loads a
-//! `FaultSpec`, `--fault-cores 0@1ms,3@2ms+5ms` schedules core fail-stop /
-//! fail-recover events, `--fault-rate P` injects transient task faults,
-//! `--recovery KEY` picks the displaced-work policy (`retry-same-core`,
-//! `reroute-prefer-fast`, `shed-noncritical-on-degraded`). Faulted runs
-//! print a `fault:` accounting line ending in the deterministic
-//! `FaultReport` digest; `--fault-axis` (run/preset) pairs every cell
-//! with its fault-free twin in the grid.
+//! Fault injection (`run`/`preset`/`serve`/`gc`): `--faults FILE.json`
+//! loads a `FaultSpec`, `--fault-cores 0@1ms,3@2ms+5ms` schedules core
+//! fail-stop / fail-recover events, `--fault-rate P` injects transient
+//! task faults, `--recovery KEY` picks the displaced-work policy
+//! (`retry-same-core`, `reroute-prefer-fast`,
+//! `shed-noncritical-on-degraded`). Faulted runs print a `fault:`
+//! accounting line ending in the deterministic `FaultReport` digest;
+//! `--fault-axis` (run/preset/gc) pairs every cell with its fault-free
+//! twin in the grid.
 //!
-//! Memory interference (`run`/`preset`/`serve`): `--mem-slots N` bounds
-//! the shared memory subsystem's concurrent accesses (comma list expands
-//! the grid; `inf` = uncontended), `--arbitration KEY` picks who waits
-//! (`fifo`, `crit-first`, `round-robin`). Contended runs print a
+//! Memory interference (`run`/`preset`/`serve`/`gc`): `--mem-slots N`
+//! bounds the shared memory subsystem's concurrent accesses (comma list
+//! expands the grid; `inf` = uncontended), `--arbitration KEY` picks who
+//! waits (`fifo`, `crit-first`, `round-robin`). Contended runs print a
 //! `memory:` accounting line ending in the deterministic `MemoryReport`
-//! digest; `--mem-axis` (run/preset) keeps every cell's memory-free twin
-//! first in the grid.
+//! digest; `--mem-axis` (run/preset/gc) keeps every cell's memory-free
+//! twin first in the grid. The fault, memory and backend overlays build
+//! every grid, in that order, through one step that `run`, `preset` and
+//! `gc` share; `serve` and `record` take the one cell it makes.
 //!
 //! Backends (`run`/`preset`/`gc`): `--backend sim|native|both` selects the
 //! executor per cell (`both` duplicates every spec into a sim + native
@@ -92,7 +97,9 @@
 //! BENCH_engine.json` — fails (exit 1) when merged events/sec drops below
 //! `--min-ratio` (default 0.75) of the baseline's medium summary: the CI
 //! perf gate. `gc STORE SPEC... [--spec FILE]` rewrites a store keeping
-//! only records whose `(index, spec_digest)` the given grid still names.
+//! only records whose `(index, spec_digest)` the given grid still names,
+//! the grid built from the spec files under the same overlay flags as
+//! `run`.
 //!
 //! `perf` options: `--smoke` (CI-sized), `--reps N` (timing repetitions,
 //! default 5), `--out FILE` (default `BENCH_engine.json`), `--baseline
@@ -133,8 +140,8 @@ use cata_core::exp::{
     spec_digest, Backend, BackendDispatch, CellRecord, EnergySource, Executor, NativeExecutor,
     ProgressWriter, ResultsStore, Scenario, ScenarioSpec, Suite, WorkloadSpec, STORE_SCHEMA,
 };
-use cata_core::fault::FaultSpec;
-use cata_core::mem::{default_arbitration_registry, MemorySpec};
+use cata_core::fault::{CoreFailure, FaultSpec};
+use cata_core::mem::{default_arbitration_registry, MemorySpec, DEFAULT_ARBITRATION};
 use cata_core::service::{
     default_admission_registry, replay_tape_observed, run_service_observed, AdmissionParams,
     ArrivalSpec, ServiceSpec, TrafficTape,
@@ -148,98 +155,240 @@ use cata_obs::{run_watch, WatchConfig};
 use cata_sim::time::SimDuration;
 use cata_tdg::TdgFile;
 use cata_workloads::{Benchmark, Scale};
+use std::any::Any;
 use std::sync::Arc;
 use std::time::Instant;
 
-struct Opts {
-    cmd: String,
-    /// Spec files (`run`/`gc`), preset labels (`preset`/`spec`), or shard
-    /// stores (`merge`).
-    args: Vec<String>,
-    scale: Scale,
-    seed: u64,
-    csv_dir: Option<String>,
-    jobs: usize,
-    bench: Benchmark,
-    fast: usize,
-    emit_toml: bool,
-    smoke: bool,
-    reps: usize,
-    out: Option<String>,
-    baseline: Option<String>,
-    shard: Option<(usize, usize)>,
-    store: Option<String>,
-    min_ratio: f64,
-    trajectory: Option<String>,
-    /// `--progress FILE`: heartbeat sidecars. Emitters (`run`/`preset`
-    /// with `--store`, `serve`) accept exactly one; `watch` tails many
-    /// (repeat the flag, one per shard).
-    progress: Vec<String>,
-    /// `watch --once`: render one headless frame and exit.
-    watch_once: bool,
-    /// `watch --until-done`: poll headlessly until the grid completes.
-    watch_until_done: bool,
-    /// `watch --timeout S`: give up on `--until-done` after S seconds.
-    watch_timeout_s: Option<u64>,
-    /// `watch --interval-ms N`: tail-poll cadence (default 250).
-    watch_interval_ms: Option<u64>,
-    /// `watch --width N` / `--height N`: frame-size overrides.
-    watch_width: Option<usize>,
-    watch_height: Option<usize>,
-    /// Which backend(s) `run`/`preset`/`gc` grids use. `None` (no
-    /// `--backend` flag) keeps each spec's own backend field — a spec
-    /// file that says `"backend": "native"` runs native; `both`
-    /// duplicates every spec into a sim + native pair.
-    backend: Option<BackendSel>,
-    /// Native energy policy (`auto` = RAPL when readable, else model).
-    native_energy: EnergySource,
-    /// `--spec FILE` grid files for `gc`.
-    spec_files: Vec<String>,
-    /// `merge --fig fig4|fig5`: render figure panels from the merged store.
-    fig: Option<String>,
-    /// `--tdg FILE`: replay this TDG file as the workload of
-    /// `preset`/`spec`/`serve` (content-digest pinned at parse time).
-    tdg: Option<String>,
-    /// `serve --rate R`: generated arrival rate, graph instances/sec.
-    rate: Option<f64>,
-    /// `serve --arrival poisson|fixed`: shape of generated traffic.
-    arrival: Option<ArrivalKind>,
-    /// `serve --tape FILE`: replay this traffic tape instead of
-    /// generating arrivals (mutually exclusive with `--rate`).
-    tape: Option<String>,
-    /// `serve --duration T`: arrival window (`50ms`, `2s`, `500us`;
-    /// a bare number is milliseconds).
-    duration: Option<SimDuration>,
-    /// `serve --admission P`: admission-policy registry key.
-    admission: Option<String>,
-    /// `serve --queue-cap N`: in-flight cap for the bounded policies.
-    queue_cap: Option<usize>,
-    /// `serve --record-tape FILE`: save the generated traffic tape.
-    record_tape: Option<String>,
-    /// `--faults FILE.json`: load a [`FaultSpec`] file (run/preset/serve).
-    faults: Option<String>,
-    /// `--fault-cores LIST`: core fail-stop shorthand (`0@1ms,3@2ms+5ms`).
-    fault_cores: Option<String>,
-    /// `--fault-rate P`: transient task-fault probability per completion.
-    fault_rate: Option<f64>,
-    /// `--recovery KEY`: recovery-policy registry key for displaced work.
-    recovery: Option<String>,
-    /// `--fault-axis`: run each cell twice — fault-free twin, then the
-    /// faulted cell — side by side in the suite grid.
-    fault_axis: bool,
-    /// `--mem-slots LIST`: shared-memory bandwidth slots (`1`, `2,4`,
-    /// `inf`; `inf`/`0` = uncontended). A comma list expands the grid.
-    mem_slots: Option<Vec<u64>>,
-    /// `--arbitration LIST`: memory arbitration keys (comma list expands
-    /// the grid; default `fifo`).
-    arbitration: Option<Vec<String>>,
-    /// `--mem-axis`: keep each cell's memory-free twin first, then the
-    /// contended variants — side by side in the suite grid.
-    mem_axis: bool,
-    /// Generator flags the user passed *explicitly* (`--bench`,
-    /// `--scale`, `--seed`), so commands that take a SPEC file can
-    /// reject them instead of silently ignoring a conflicting source.
-    generator_flags: Vec<&'static str>,
+/// A flag's value, checked and converted as the command line is read;
+/// [`Opts::get`] reads it back as the type its row's parser made.
+type Value = Box<dyn Any>;
+
+/// Reads and checks a flag's value. The error is the text that follows
+/// `bad --flag` in the message.
+type Parse = fn(&str) -> Result<Value, String>;
+
+/// One command-line flag: its name, how its value is read (`None` for a
+/// switch), and the space-separated commands that read it.
+struct Flag {
+    name: &'static str,
+    parse: Option<Parse>,
+    cmds: &'static str,
+}
+
+const fn value(name: &'static str, parse: Parse, cmds: &'static str) -> Flag {
+    Flag {
+        name,
+        parse: Some(parse),
+        cmds,
+    }
+}
+
+const fn switch(name: &'static str, cmds: &'static str) -> Flag {
+    Flag {
+        name,
+        parse: None,
+        cmds,
+    }
+}
+
+/// Every flag, once. A flag given to a command its row does not name is a
+/// usage error, so no command silently ignores a flag. (`serve` reads
+/// `--shard` only to number its heartbeat stream.)
+const FLAGS: &[Flag] = &[
+    value(
+        "--scale",
+        scale,
+        "preset spec export record serve all fig4 fig5 latency sweep-budget sweep-latency sweep-threshold multilevel",
+    ),
+    value("--seed", num::<u64>, "preset spec export record serve all fig4 fig5 latency"),
+    value("--bench", bench, "preset spec export record serve"),
+    value("--tdg", text, "preset spec export record serve"),
+    value("--fast", num::<usize>, "preset spec record serve"),
+    value("--jobs", num::<usize>, "run preset all fig4 fig5 latency"),
+    value(
+        "--csv",
+        text,
+        "run preset merge all fig4 fig5 latency sweep-budget sweep-latency sweep-threshold multilevel",
+    ),
+    switch("--toml", "spec"),
+    value("--backend", backends, "run preset gc record"),
+    value("--native-energy", energy, "run preset record"),
+    value("--shard", shard, "run preset serve"),
+    value("--store", text, "run preset serve watch replay"),
+    value("--progress", text, "run preset serve watch"),
+    value("--spec", text, "gc"),
+    value("--faults", text, "run preset serve gc"),
+    value("--fault-cores", fault_cores, "run preset serve gc"),
+    value("--fault-rate", probability, "run preset serve gc"),
+    value("--recovery", text, "run preset serve gc"),
+    switch("--fault-axis", "run preset gc"),
+    value("--mem-slots", mem_slots, "run preset serve gc"),
+    value("--arbitration", arbitration, "run preset serve gc"),
+    switch("--mem-axis", "run preset gc"),
+    value("--rate", positive, "serve"),
+    value("--arrival", arrival, "serve"),
+    value("--tape", text, "serve"),
+    value("--duration", duration, "serve"),
+    value("--admission", text, "serve"),
+    value("--queue-cap", num::<usize>, "serve"),
+    value("--record-tape", text, "serve"),
+    value("--out", text, "export record merge perf"),
+    value("--baseline", text, "merge perf"),
+    value("--min-ratio", positive, "merge perf"),
+    value("--fig", fig, "merge"),
+    switch("--smoke", "perf"),
+    value("--reps", num::<usize>, "perf"),
+    value("--trajectory", text, "perf watch"),
+    switch("--once", "watch"),
+    switch("--until-done", "watch"),
+    value("--timeout", num::<u64>, "watch"),
+    value("--interval-ms", num::<u64>, "watch"),
+    value("--width", num::<usize>, "watch"),
+    value("--height", num::<usize>, "watch"),
+];
+
+/// Commands that take positional arguments; the others take flags only.
+const WITH_ARGS: &str = "run preset spec serve export record merge gc watch replay";
+const WITHOUT_ARGS: &str =
+    "all table1 fig4 fig5 latency rsu-overhead sweep-budget sweep-latency sweep-threshold multilevel perf";
+
+fn boxed<T: Any>(v: T) -> Value {
+    Box::new(v)
+}
+
+fn text(s: &str) -> Result<Value, String> {
+    Ok(boxed(s.to_string()))
+}
+
+fn num<T: std::str::FromStr + Any>(s: &str) -> Result<Value, String> {
+    s.parse::<T>().map(boxed).map_err(|_| String::new())
+}
+
+/// A finite number above zero (`--rate`, `--min-ratio`).
+fn positive(s: &str) -> Result<Value, String> {
+    match s.parse::<f64>() {
+        Ok(x) if x.is_finite() && x > 0.0 => Ok(boxed(x)),
+        _ => Err(format!(" {s} (want a number above 0)")),
+    }
+}
+
+fn probability(s: &str) -> Result<Value, String> {
+    match s.parse::<f64>() {
+        Ok(p) if (0.0..=1.0).contains(&p) => Ok(boxed(p)),
+        _ => Err(format!(" {s} (want a probability in [0, 1])")),
+    }
+}
+
+/// One of `words`, as the value paired with it.
+fn choice<T: Any + Copy>(s: &str, words: &[(&str, T)]) -> Result<Value, String> {
+    match words.iter().find(|(w, _)| *w == s) {
+        Some(&(_, v)) => Ok(boxed(v)),
+        None => {
+            let want: Vec<&str> = words.iter().map(|(w, _)| *w).collect();
+            Err(format!(" {s} (want {})", want.join("|")))
+        }
+    }
+}
+
+fn scale(s: &str) -> Result<Value, String> {
+    choice(
+        s,
+        &[
+            ("tiny", Scale::Tiny),
+            ("small", Scale::Small),
+            ("paper", Scale::Paper),
+        ],
+    )
+}
+
+fn bench(s: &str) -> Result<Value, String> {
+    let all = Benchmark::all();
+    match all.iter().find(|b| b.name().eq_ignore_ascii_case(s)) {
+        Some(&b) => Ok(boxed(b)),
+        None => {
+            let want: Vec<String> = all.iter().map(|b| b.name().to_lowercase()).collect();
+            Err(format!(" {s} (want {})", want.join("|")))
+        }
+    }
+}
+
+/// The backends each spec runs on, in grid order.
+fn backends(s: &str) -> Result<Value, String> {
+    let both: &[Backend] = &[Backend::Sim, Backend::Native];
+    choice(
+        s,
+        &[("sim", &both[..1]), ("native", &both[1..]), ("both", both)],
+    )
+}
+
+fn energy(s: &str) -> Result<Value, String> {
+    choice(
+        s,
+        &[("auto", EnergySource::Auto), ("model", EnergySource::Model)],
+    )
+}
+
+fn arrival(s: &str) -> Result<Value, String> {
+    choice(
+        s,
+        &[
+            ("poisson", ArrivalKind::Poisson),
+            ("fixed", ArrivalKind::Fixed),
+        ],
+    )
+}
+
+/// `K/N`: the `K`-th of `N` slices of the grid.
+fn shard(s: &str) -> Result<Value, String> {
+    let (k, n) = s.split_once('/').ok_or_else(|| format!(" {s}"))?;
+    match (k.parse::<usize>(), n.parse::<usize>()) {
+        (Ok(k), Ok(n)) => Ok(boxed((k, n))),
+        _ => Err(format!(" {s}")),
+    }
+}
+
+fn duration(s: &str) -> Result<Value, String> {
+    parse_duration(s)
+        .map(boxed)
+        .ok_or_else(|| format!(" {s} (e.g. 50ms, 2s, 500us)"))
+}
+
+fn fault_cores(s: &str) -> Result<Value, String> {
+    FaultSpec::parse_cores(s)
+        .map(boxed)
+        .map_err(|e| format!(": {e}"))
+}
+
+/// Bandwidth slot counts (`1`, `2,4`, `inf`); `inf` is stored as 0, the
+/// uncontended model.
+fn mem_slots(s: &str) -> Result<Value, String> {
+    let slots = s
+        .split(',')
+        .map(|n| match n.trim() {
+            "inf" | "unlimited" => Ok(0),
+            n => n.parse::<u64>().map_err(|_| format!(" entry {n:?}")),
+        })
+        .collect::<Result<Vec<u64>, String>>()?;
+    Ok(boxed(slots))
+}
+
+/// Arbitration keys, each checked against the registry here so a typo
+/// fails before a suite starts.
+fn arbitration(s: &str) -> Result<Value, String> {
+    let keys: Vec<String> = s.split(',').map(|k| k.trim().to_string()).collect();
+    for key in &keys {
+        default_arbitration_registry()
+            .build(key, &MemorySpec::default())
+            .map_err(|e| format!(": {e}"))?;
+    }
+    Ok(boxed(keys))
+}
+
+fn fig(s: &str) -> Result<Value, String> {
+    match figure_labels(s) {
+        Some(_) => Ok(boxed(s.to_string())),
+        None => Err(format!(" {s} (want fig4|fig5)")),
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,398 +397,123 @@ enum ArrivalKind {
     Fixed,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BackendSel {
-    Sim,
-    Native,
-    Both,
+/// A command line: the command, its positional arguments (spec files,
+/// preset labels, stores, …), and the flags given, in order, with their
+/// checked values.
+struct Opts {
+    cmd: String,
+    args: Vec<String>,
+    given: Vec<(&'static Flag, Value)>,
 }
 
-impl BackendSel {
-    /// Expands one spec into the selected backend cells (`both` keeps the
-    /// sim cell first, then its native twin — side by side in the grid).
-    fn expand(self, spec: ScenarioSpec) -> Vec<ScenarioSpec> {
-        match self {
-            BackendSel::Sim => vec![spec.with_backend(Backend::Sim)],
-            BackendSel::Native => vec![spec.with_backend(Backend::Native)],
-            BackendSel::Both => vec![
-                spec.clone().with_backend(Backend::Sim),
-                spec.with_backend(Backend::Native),
-            ],
-        }
+impl Opts {
+    /// The value last given for `flag`.
+    fn get<T: Any>(&self, flag: &str) -> Option<&T> {
+        self.all(flag).last()
+    }
+
+    /// Every value given for `flag`, in order (`--progress`, `--spec`).
+    fn all<'a, T: Any>(&'a self, flag: &str) -> impl Iterator<Item = &'a T> {
+        let name = row(flag).name;
+        self.given
+            .iter()
+            .filter(move |(f, _)| f.name == name)
+            .map(|(_, v)| {
+                v.downcast_ref()
+                    .expect("a flag is read as its parser's type")
+            })
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        let name = row(flag).name;
+        self.given.iter().any(|(f, _)| f.name == name)
+    }
+
+    fn scale(&self) -> Scale {
+        self.get("--scale").copied().unwrap_or(Scale::Paper)
+    }
+
+    fn seed(&self) -> u64 {
+        self.get("--seed").copied().unwrap_or(DEFAULT_SEED)
+    }
+
+    fn fast(&self) -> usize {
+        self.get("--fast").copied().unwrap_or(16)
+    }
+
+    fn jobs(&self) -> usize {
+        self.get("--jobs").copied().unwrap_or(0)
+    }
+
+    fn min_ratio(&self) -> f64 {
+        self.get("--min-ratio").copied().unwrap_or(0.75)
+    }
+
+    fn text(&self, flag: &str) -> Option<&str> {
+        self.get::<String>(flag).map(String::as_str)
     }
 }
 
+/// Reads the command line against [`FLAGS`]: each value is checked as it
+/// is read, and a flag the command does not read is an error.
 fn parse_args() -> Opts {
-    let mut args = std::env::args().skip(1);
-    let mut cmd = None;
-    let mut rest = Vec::new();
-    let mut scale = Scale::Paper;
-    let mut seed = DEFAULT_SEED;
-    let mut csv_dir = None;
-    let mut jobs = 0usize;
-    let mut bench = Benchmark::Dedup;
-    let mut fast = 16usize;
-    let mut emit_toml = false;
-    let mut smoke = false;
-    let mut reps = 5usize;
-    let mut out = None;
-    let mut baseline = None;
-    let mut shard = None;
-    let mut store = None;
-    let mut min_ratio = 0.75f64;
-    let mut trajectory = None;
-    let mut progress = Vec::new();
-    let mut watch_once = false;
-    let mut watch_until_done = false;
-    let mut watch_timeout_s = None;
-    let mut watch_interval_ms = None;
-    let mut watch_width = None;
-    let mut watch_height = None;
-    let mut backend = None;
-    let mut native_energy = EnergySource::Auto;
-    let mut spec_files = Vec::new();
-    let mut fig = None;
-    let mut tdg = None;
-    let mut rate = None;
-    let mut arrival = None;
-    let mut tape = None;
-    let mut duration = None;
-    let mut admission = None;
-    let mut queue_cap = None;
-    let mut record_tape = None;
-    let mut faults = None;
-    let mut fault_cores = None;
-    let mut fault_rate = None;
-    let mut recovery = None;
-    let mut fault_axis = false;
-    let mut mem_slots = None;
-    let mut arbitration = None;
-    let mut mem_axis = false;
-    let mut generator_flags = Vec::new();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                generator_flags.push("--scale");
-                scale = match args.next().as_deref() {
-                    Some("tiny") => Scale::Tiny,
-                    Some("small") => Scale::Small,
-                    Some("paper") => Scale::Paper,
-                    other => die(&format!("bad --scale {other:?}")),
+    let mut argv = std::env::args().skip(1);
+    let mut cmd: Option<String> = None;
+    let mut args = Vec::new();
+    let mut given = Vec::new();
+    while let Some(a) = argv.next() {
+        if a == "--help" || a == "-h" {
+            eprintln!("{USAGE}");
+            std::process::exit(0);
+        }
+        if let Some(flag) = FLAGS.iter().find(|f| f.name == a) {
+            let value = match flag.parse {
+                None => boxed(()),
+                Some(parse) => {
+                    let text = argv
+                        .next()
+                        .unwrap_or_else(|| die(&format!("missing {a} value")));
+                    parse(&text).unwrap_or_else(|e| die(&format!("bad {a}{e}")))
                 }
+            };
+            given.push((flag, value));
+        } else if a.starts_with('-') {
+            die(&format!("unknown argument {a}"));
+        } else if let Some(c) = &cmd {
+            if !WITH_ARGS.split(' ').any(|w| w == c) {
+                die(&format!("unknown argument {a}"));
             }
-            "--seed" => {
-                generator_flags.push("--seed");
-                seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("bad --seed"));
-            }
-            "--csv" => {
-                csv_dir = Some(args.next().unwrap_or_else(|| die("missing --csv dir")));
-            }
-            "--jobs" => {
-                jobs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("bad --jobs"));
-            }
-            "--fast" => {
-                fast = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("bad --fast"));
-            }
-            "--bench" => {
-                generator_flags.push("--bench");
-                let name = args.next().unwrap_or_else(|| die("missing --bench name"));
-                bench = Benchmark::all()
-                    .into_iter()
-                    .find(|b| b.name().eq_ignore_ascii_case(&name))
-                    .unwrap_or_else(|| die(&format!("unknown benchmark {name}")));
-            }
-            "--toml" => emit_toml = true,
-            "--smoke" => smoke = true,
-            "--reps" => {
-                reps = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("bad --reps"));
-            }
-            "--out" => {
-                out = Some(args.next().unwrap_or_else(|| die("missing --out path")));
-            }
-            "--baseline" => {
-                baseline = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("missing --baseline path")),
-                );
-            }
-            "--shard" => {
-                let text = args.next().unwrap_or_else(|| die("missing --shard K/N"));
-                let parsed = text
-                    .split_once('/')
-                    .and_then(|(k, n)| Some((k.parse::<usize>().ok()?, n.parse::<usize>().ok()?)));
-                shard = Some(parsed.unwrap_or_else(|| die(&format!("bad --shard {text}"))));
-            }
-            "--store" => {
-                store = Some(args.next().unwrap_or_else(|| die("missing --store path")));
-            }
-            "--backend" => {
-                backend = Some(match args.next().as_deref() {
-                    Some("sim") => BackendSel::Sim,
-                    Some("native") => BackendSel::Native,
-                    Some("both") => BackendSel::Both,
-                    other => die(&format!("bad --backend {other:?} (want sim|native|both)")),
-                });
-            }
-            "--native-energy" => {
-                native_energy = match args.next().as_deref() {
-                    Some("auto") => EnergySource::Auto,
-                    Some("model") => EnergySource::Model,
-                    other => die(&format!("bad --native-energy {other:?} (want auto|model)")),
-                };
-            }
-            "--spec" => {
-                spec_files.push(args.next().unwrap_or_else(|| die("missing --spec file")));
-            }
-            "--tdg" => {
-                tdg = Some(args.next().unwrap_or_else(|| die("missing --tdg file")));
-            }
-            "--rate" => {
-                let r: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("bad --rate (want arrivals/sec)"));
-                if !r.is_finite() || r <= 0.0 {
-                    die(&format!("bad --rate {r} (want a positive arrivals/sec)"));
-                }
-                rate = Some(r);
-            }
-            "--arrival" => {
-                arrival = Some(match args.next().as_deref() {
-                    Some("poisson") => ArrivalKind::Poisson,
-                    Some("fixed") => ArrivalKind::Fixed,
-                    other => die(&format!("bad --arrival {other:?} (want poisson|fixed)")),
-                });
-            }
-            "--tape" => {
-                tape = Some(args.next().unwrap_or_else(|| die("missing --tape file")));
-            }
-            "--duration" => {
-                let text = args
-                    .next()
-                    .unwrap_or_else(|| die("missing --duration (e.g. 50ms, 2s, 500us)"));
-                duration = Some(
-                    parse_duration(&text).unwrap_or_else(|| die(&format!("bad --duration {text}"))),
-                );
-            }
-            "--admission" => {
-                admission = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("missing --admission key")),
-                );
-            }
-            "--queue-cap" => {
-                queue_cap = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("bad --queue-cap")),
-                );
-            }
-            "--record-tape" => {
-                record_tape = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("missing --record-tape path")),
-                );
-            }
-            "--faults" => {
-                faults = Some(args.next().unwrap_or_else(|| die("missing --faults file")));
-            }
-            "--fault-cores" => {
-                fault_cores =
-                    Some(args.next().unwrap_or_else(|| {
-                        die("missing --fault-cores list (e.g. 0@1ms,3@2ms+5ms)")
-                    }));
-            }
-            "--fault-rate" => {
-                let p: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("bad --fault-rate (want a probability)"));
-                if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                    die(&format!(
-                        "bad --fault-rate {p} (want a probability in [0, 1])"
-                    ));
-                }
-                fault_rate = Some(p);
-            }
-            "--recovery" => {
-                recovery = Some(args.next().unwrap_or_else(|| die("missing --recovery key")));
-            }
-            "--fault-axis" => fault_axis = true,
-            "--mem-slots" => {
-                let text = args
-                    .next()
-                    .unwrap_or_else(|| die("missing --mem-slots list (e.g. 1 or 2,4,inf)"));
-                let parsed: Vec<u64> = text
-                    .split(',')
-                    .map(|s| match s.trim() {
-                        "inf" | "unlimited" => 0,
-                        n => n
-                            .parse()
-                            .unwrap_or_else(|_| die(&format!("bad --mem-slots entry {n:?}"))),
-                    })
-                    .collect();
-                if parsed.is_empty() {
-                    die("empty --mem-slots list");
-                }
-                mem_slots = Some(parsed);
-            }
-            "--arbitration" => {
-                let text = args
-                    .next()
-                    .unwrap_or_else(|| die("missing --arbitration key(s)"));
-                let keys: Vec<String> = text.split(',').map(|s| s.trim().to_string()).collect();
-                // Validate up front so a typo dies naming the known
-                // policies instead of failing mid-suite.
-                for key in &keys {
-                    default_arbitration_registry()
-                        .build(key, &MemorySpec::default())
-                        .unwrap_or_else(|e| die(&e.to_string()));
-                }
-                arbitration = Some(keys);
-            }
-            "--mem-axis" => mem_axis = true,
-            "--fig" => {
-                let name = args.next().unwrap_or_else(|| die("missing --fig name"));
-                if figure_labels(&name).is_none() {
-                    die(&format!("bad --fig {name} (want fig4|fig5)"));
-                }
-                fig = Some(name);
-            }
-            "--min-ratio" => {
-                min_ratio = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("bad --min-ratio"));
-            }
-            "--trajectory" => {
-                trajectory = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("missing --trajectory path")),
-                );
-            }
-            "--progress" => {
-                progress.push(
-                    args.next()
-                        .unwrap_or_else(|| die("missing --progress path")),
-                );
-            }
-            "--once" => watch_once = true,
-            "--until-done" => watch_until_done = true,
-            "--timeout" => {
-                watch_timeout_s = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("bad --timeout (want seconds)")),
-                );
-            }
-            "--interval-ms" => {
-                watch_interval_ms = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("bad --interval-ms")),
-                );
-            }
-            "--width" => {
-                watch_width = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("bad --width")),
-                );
-            }
-            "--height" => {
-                watch_height = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("bad --height")),
-                );
-            }
-            "--help" | "-h" => {
-                print_help();
-                std::process::exit(0);
-            }
-            other if cmd.is_none() && !other.starts_with('-') => cmd = Some(other.to_string()),
-            other
-                if matches!(
-                    cmd.as_deref(),
-                    Some(
-                        "run"
-                            | "preset"
-                            | "spec"
-                            | "merge"
-                            | "gc"
-                            | "export"
-                            | "record"
-                            | "serve"
-                            | "watch"
-                            | "replay"
-                    )
-                ) && !other.starts_with('-') =>
-            {
-                rest.push(other.to_string())
-            }
-            other => die(&format!("unknown argument {other}")),
+            args.push(a);
+        } else {
+            cmd = Some(a);
         }
     }
-    Opts {
-        cmd: cmd.unwrap_or_else(|| "all".into()),
-        args: rest,
-        scale,
-        seed,
-        csv_dir,
-        jobs,
-        bench,
-        fast,
-        emit_toml,
-        smoke,
-        reps,
-        out,
-        baseline,
-        shard,
-        store,
-        min_ratio,
-        trajectory,
-        progress,
-        watch_once,
-        watch_until_done,
-        watch_timeout_s,
-        watch_interval_ms,
-        watch_width,
-        watch_height,
-        backend,
-        native_energy,
-        spec_files,
-        fig,
-        tdg,
-        rate,
-        arrival,
-        tape,
-        duration,
-        admission,
-        queue_cap,
-        record_tape,
-        faults,
-        fault_cores,
-        fault_rate,
-        recovery,
-        fault_axis,
-        mem_slots,
-        arbitration,
-        mem_axis,
-        generator_flags,
+    let cmd = cmd.unwrap_or_else(|| "all".into());
+    if !WITH_ARGS
+        .split(' ')
+        .chain(WITHOUT_ARGS.split(' '))
+        .any(|c| c == cmd)
+    {
+        die(&format!("unknown command {cmd}"));
     }
+    for (flag, _) in &given {
+        if !flag.cmds.split(' ').any(|c| c == cmd) {
+            die(&format!(
+                "{} is not used by `{cmd}` (used by {})",
+                flag.name,
+                flag.cmds.replace(' ', "/")
+            ));
+        }
+    }
+    Opts { cmd, args, given }
+}
+
+/// The row of `name` in [`FLAGS`]; the program reads no other flag.
+fn row(name: &str) -> &'static Flag {
+    FLAGS
+        .iter()
+        .find(|f| f.name == name)
+        .expect("a flag of the table")
 }
 
 /// Parses a human duration (`50ms`, `2s`, `500us`, `1000ns`, `250ps`);
@@ -667,8 +541,7 @@ fn parse_duration(text: &str) -> Option<SimDuration> {
 
 /// Exits 2 with `error: {msg}` and the usage text: for a bad command line.
 fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}\n");
-    print_help();
+    eprintln!("error: {msg}\n\n{USAGE}");
     std::process::exit(2);
 }
 
@@ -679,9 +552,9 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn print_help() {
-    eprintln!(
-        "usage: repro [COMMAND] [ARGS] [--scale tiny|small|paper] [--seed N] [--csv DIR]\n\
+/// The usage text: every flag of [`FLAGS`] appears in it.
+const USAGE: &str =
+    "usage: repro [COMMAND] [ARGS] [--scale tiny|small|paper] [--seed N] [--csv DIR]\n\
          \x20             [--jobs N] [--bench NAME] [--fast N] [--toml]\n\
          commands: table1 fig4 fig5 latency rsu-overhead sweep-budget sweep-latency\n\
          \x20         sweep-threshold multilevel all\n\
@@ -692,17 +565,18 @@ fn print_help() {
          \x20         serve LABEL|SPEC.json [--rate R | --tape FILE.tape.jsonl]\n\
          \x20             [--arrival poisson|fixed] [--duration T] [--admission P]\n\
          \x20             [--queue-cap N] [--record-tape FILE] [--store FILE.jsonl]\n\
-         \x20         run/preset/serve fault injection: [--faults FILE.json]\n\
+         \x20         run/preset/serve/gc fault injection: [--faults FILE.json]\n\
          \x20             [--fault-cores 0@1ms,3@2ms+5ms] [--fault-rate P] [--recovery KEY]\n\
-         \x20             [--fault-axis]  (run/preset: add the fault-free twin cells)\n\
-         \x20         run/preset/serve memory interference: [--mem-slots 1|2,4,inf]\n\
+         \x20             [--fault-axis]  (run/preset/gc: add the fault-free twin cells)\n\
+         \x20         run/preset/serve/gc memory interference: [--mem-slots 1|2,4,inf]\n\
          \x20             [--arbitration fifo|crit-first|round-robin]\n\
-         \x20             [--mem-axis]  (run/preset: add the memory-free twin cells)\n\
+         \x20             [--mem-axis]  (run/preset/gc: add the memory-free twin cells)\n\
          \x20         export [SPEC.json] [--out FILE.tdg.json]   (workload -> TDG file)\n\
          \x20         record LABEL|SPEC.json [--backend sim|native] [--out FILE.tdg.json]\n\
          \x20         merge STORE.jsonl... [--out FILE] [--baseline FILE] [--min-ratio R]\n\
          \x20             [--fig fig4|fig5]\n\
          \x20         gc STORE.jsonl SPEC... [--spec FILE] [--backend sim|native|both]\n\
+         \x20             [fault and memory flags]  (the grid the store should hold)\n\
          \x20         perf [--smoke] [--reps N] [--out FILE] [--baseline FILE]\n\
          \x20             [--trajectory FILE]\n\
          \x20         watch [STORE.jsonl...] [--progress FILE]... [--trajectory FILE]\n\
@@ -711,9 +585,8 @@ fn print_help() {
          \x20         replay CELL_KEY|INDEX --store FILE.jsonl   (re-run a stored cell\n\
          \x20             bit-identically on the sim backend; exit 1 on divergence)\n\
          \x20         run/preset (with --store) and serve emit heartbeats with\n\
-         \x20             [--progress FILE.progress.jsonl]  (cata-progress/v1 sidecar)"
-    );
-}
+         \x20             [--progress FILE.progress.jsonl]  (cata-progress/v1 sidecar)\n\
+         a flag the command does not read is an error";
 
 /// Writes `text` to `path`, or exits with an error naming the path.
 fn write_file(path: &str, text: &str) {
@@ -730,7 +603,7 @@ fn write_csv(dir: &str, name: &str, table: &Table) {
 
 fn emit(opts: &Opts, name: &str, table: &Table, title: &str) {
     println!("== {title} ==\n{}", table.render());
-    if let Some(dir) = &opts.csv_dir {
+    if let Some(dir) = opts.text("--csv") {
         write_csv(dir, name, table);
     }
 }
@@ -790,18 +663,6 @@ fn report_table<'a>(reports: impl IntoIterator<Item = &'a RunReport>) -> Table {
     table
 }
 
-/// Expands a spec list across the selected backends. Without `--backend`
-/// each spec keeps its own backend field (a spec file that names
-/// `"backend": "native"` runs native — and `gc` keeps its records);
-/// `--backend both` interleaves each spec's sim and native cells so they
-/// sit side by side in the grid and in every rendered table.
-fn expand_backends(opts: &Opts, specs: Vec<ScenarioSpec>) -> Vec<ScenarioSpec> {
-    match opts.backend {
-        None => specs,
-        Some(sel) => specs.into_iter().flat_map(|s| sel.expand(s)).collect(),
-    }
-}
-
 /// The backend-aware executor `run`/`preset` fan suites across: sim cells
 /// hit the simulator, native cells the thread-pool runtime driving a mock
 /// DVFS backend (a real sysfs backend needs root; the mock records the
@@ -812,42 +673,9 @@ fn dispatch_executor(opts: &Opts) -> BackendDispatch {
         .unwrap_or(4);
     BackendDispatch::new().with_native(
         NativeExecutor::new()
-            .energy_source(opts.native_energy)
+            .energy_source(opts.get("--native-energy").copied().unwrap_or_default())
             .backend(Arc::new(MockDvfs::new(workers, 1_000_000)) as Arc<dyn DvfsBackend>),
     )
-}
-
-/// The fault schedule the CLI flags describe, if any: `--faults FILE`
-/// loads a [`FaultSpec`] JSON file, then `--fault-cores`, `--fault-rate`
-/// and `--recovery` overlay individual fields (flags-only works too —
-/// the rest of the spec defaults).
-fn fault_overlay(opts: &Opts) -> Option<FaultSpec> {
-    if opts.faults.is_none()
-        && opts.fault_cores.is_none()
-        && opts.fault_rate.is_none()
-        && opts.recovery.is_none()
-    {
-        return None;
-    }
-    let mut spec = match &opts.faults {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-            FaultSpec::from_json(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
-        }
-        None => FaultSpec::default(),
-    };
-    if let Some(text) = &opts.fault_cores {
-        spec.core_failures = FaultSpec::parse_cores(text)
-            .unwrap_or_else(|e| die(&format!("bad --fault-cores: {e}")));
-    }
-    if let Some(p) = opts.fault_rate {
-        spec.task_fault_p = p;
-    }
-    if let Some(key) = &opts.recovery {
-        spec.recovery = key.clone();
-    }
-    Some(spec)
 }
 
 /// Prints a run's fault accounting — the summary line plus the report
@@ -856,59 +684,6 @@ fn print_fault(report: &RunReport) {
     if let Some(f) = &report.fault {
         println!("fault: {} digest {}", f.summary(), f.digest());
     }
-}
-
-/// Applies the CLI fault schedule to a spec grid. With `--fault-axis`
-/// each cell expands into its fault-free twin followed by the faulted
-/// cell (named `LABEL+faults`), side by side in the grid — the
-/// degradation comparison as one suite.
-fn apply_faults(opts: &Opts, specs: Vec<ScenarioSpec>) -> Vec<ScenarioSpec> {
-    let Some(f) = fault_overlay(opts) else {
-        if opts.fault_axis {
-            die("--fault-axis needs a fault schedule (--faults/--fault-cores/--fault-rate)");
-        }
-        return specs;
-    };
-    specs
-        .into_iter()
-        .flat_map(|spec| {
-            let mut faulted = spec.clone();
-            faulted.faults = Some(f.clone());
-            if opts.fault_axis {
-                faulted.name = format!("{}+faults", faulted.name);
-                vec![spec, faulted]
-            } else {
-                vec![faulted]
-            }
-        })
-        .collect()
-}
-
-/// The shared-memory configurations the CLI flags describe: the cross
-/// product of `--mem-slots` and `--arbitration` (default `fifo`).
-/// `--arbitration` alone is rejected — a policy needs contention to
-/// arbitrate.
-fn memory_overlay(opts: &Opts) -> Option<Vec<MemorySpec>> {
-    let Some(slots) = &opts.mem_slots else {
-        if opts.arbitration.is_some() {
-            die("--arbitration needs --mem-slots N (a policy needs contention to arbitrate)");
-        }
-        return None;
-    };
-    let keys = opts
-        .arbitration
-        .clone()
-        .unwrap_or_else(|| vec![cata_core::mem::DEFAULT_ARBITRATION.to_string()]);
-    let mut specs = Vec::new();
-    for &n in slots {
-        for key in &keys {
-            specs.push(MemorySpec {
-                slots: n,
-                arbitration: key.clone(),
-            });
-        }
-    }
-    Some(specs)
 }
 
 /// `inf` for the unlimited sentinel, the count otherwise — the cell-name
@@ -921,51 +696,146 @@ fn fmt_slots(slots: u64) -> String {
     }
 }
 
-/// Applies the CLI memory configurations to a spec grid. One
-/// configuration replaces each cell in place (same name — the
-/// uncontended digest check in CI relies on `slots=inf` serializing yet
-/// reporting identically); several, or `--mem-axis`, expand each cell
-/// into named `LABEL+memN/KEY` variants — with the memory-free twin kept
-/// first under `--mem-axis` — side by side in the grid.
-fn apply_memory(opts: &Opts, specs: Vec<ScenarioSpec>) -> Vec<ScenarioSpec> {
-    let Some(mems) = memory_overlay(opts) else {
-        if opts.mem_axis {
-            die("--mem-axis needs --mem-slots N (and optionally --arbitration)");
-        }
-        return specs;
-    };
-    let rename = opts.mem_axis || mems.len() > 1;
-    specs
-        .into_iter()
-        .flat_map(|spec| {
-            let mut cells = Vec::new();
-            if opts.mem_axis {
-                cells.push(spec.clone());
-            }
-            for m in &mems {
-                let mut contended = spec.clone();
-                if rename {
-                    contended.name = format!(
-                        "{}+mem{}/{}",
-                        contended.name,
-                        fmt_slots(m.slots),
-                        m.arbitration
-                    );
-                }
-                contended.memory = Some(m.clone());
-                cells.push(contended);
-            }
-            cells
-        })
-        .collect()
-}
-
 /// Prints a run's memory-interference accounting — the summary line plus
 /// the report digest CI greps to compare arbitration policies.
 fn print_memory(report: &RunReport) {
     if let Some(m) = &report.memory {
         println!("memory: {} digest {}", m.summary(), m.digest());
     }
+}
+
+/// The spec component an overlay variant sets.
+enum Component {
+    Faults(FaultSpec),
+    Memory(MemorySpec),
+    Backend(Backend),
+}
+
+/// One grid axis laid over every cell: the variants it makes of each (a
+/// name suffix and the component it sets), after the component-free twin
+/// when `twin_first`.
+struct Overlay {
+    twin_first: bool,
+    variants: Vec<(String, Component)>,
+}
+
+/// The overlays the flags describe, in grid order: faults, then memory,
+/// then backend. `--faults FILE` loads a [`FaultSpec`], and
+/// `--fault-cores`, `--fault-rate` and `--recovery` set single fields of
+/// it (or of the default). `--mem-slots` × `--arbitration` (default
+/// `fifo`) are the memory variants; one variant keeps the cell's name (the
+/// uncontended digest check in CI relies on `slots=inf` serializing yet
+/// reporting identically), several or `--mem-axis` name each
+/// `LABEL+memN/KEY`. `--backend` keeps names: the cell key carries the
+/// backend.
+fn overlays(opts: &Opts) -> Vec<Overlay> {
+    let mut out = Vec::new();
+    let fault_axis = opts.has("--fault-axis");
+    let fault_flags = ["--faults", "--fault-cores", "--fault-rate", "--recovery"];
+    if fault_flags.iter().any(|f| opts.has(f)) {
+        let mut f = match opts.text("--faults") {
+            Some(path) => {
+                let text = std::fs::read_to_string(path)
+                    .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+                FaultSpec::from_json(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
+            }
+            None => FaultSpec::default(),
+        };
+        if let Some(cores) = opts.get::<Vec<CoreFailure>>("--fault-cores") {
+            f.core_failures = cores.clone();
+        }
+        if let Some(&p) = opts.get::<f64>("--fault-rate") {
+            f.task_fault_p = p;
+        }
+        if let Some(key) = opts.text("--recovery") {
+            f.recovery = key.to_string();
+        }
+        let suffix = if fault_axis { "+faults" } else { "" };
+        out.push(Overlay {
+            twin_first: fault_axis,
+            variants: vec![(suffix.to_string(), Component::Faults(f))],
+        });
+    } else if fault_axis {
+        die("--fault-axis needs a fault schedule (--faults/--fault-cores/--fault-rate)");
+    }
+
+    let mem_axis = opts.has("--mem-axis");
+    if let Some(slots) = opts.get::<Vec<u64>>("--mem-slots") {
+        let default = [DEFAULT_ARBITRATION.to_string()];
+        let keys = opts
+            .get::<Vec<String>>("--arbitration")
+            .map_or(&default[..], Vec::as_slice);
+        let named = mem_axis || slots.len() * keys.len() > 1;
+        let mut variants = Vec::new();
+        for &n in slots {
+            for key in keys {
+                let suffix = if named {
+                    format!("+mem{}/{key}", fmt_slots(n))
+                } else {
+                    String::new()
+                };
+                let memory = MemorySpec {
+                    slots: n,
+                    arbitration: key.clone(),
+                };
+                variants.push((suffix, Component::Memory(memory)));
+            }
+        }
+        out.push(Overlay {
+            twin_first: mem_axis,
+            variants,
+        });
+    } else if opts.has("--arbitration") {
+        die("--arbitration needs --mem-slots N (a policy needs contention to arbitrate)");
+    } else if mem_axis {
+        die("--mem-axis needs --mem-slots N (and optionally --arbitration)");
+    }
+
+    if let Some(backends) = opts.get::<&[Backend]>("--backend") {
+        out.push(Overlay {
+            twin_first: false,
+            variants: backends
+                .iter()
+                .map(|&b| (String::new(), Component::Backend(b)))
+                .collect(),
+        });
+    }
+    out
+}
+
+/// The cell grid of `specs` under the flags' overlays, each laid over
+/// every cell the one before it made: how `run`, `preset` and `gc` build
+/// their grids.
+fn grid(opts: &Opts, specs: Vec<ScenarioSpec>) -> Vec<ScenarioSpec> {
+    overlays(opts).iter().fold(specs, |cells, overlay| {
+        let mut out = Vec::new();
+        for spec in cells {
+            if overlay.twin_first {
+                out.push(spec.clone());
+            }
+            for (suffix, component) in &overlay.variants {
+                let mut cell = spec.clone();
+                cell.name.push_str(suffix);
+                match component {
+                    Component::Faults(f) => cell.faults = Some(f.clone()),
+                    Component::Memory(m) => cell.memory = Some(m.clone()),
+                    Component::Backend(b) => cell.backend = *b,
+                }
+                out.push(cell);
+            }
+        }
+        out
+    })
+}
+
+/// The one cell a single-run command (`serve`, `record`) builds from
+/// `spec`; a flag that makes more is an error, `why`.
+fn one_cell(opts: &Opts, spec: ScenarioSpec, why: &str) -> ScenarioSpec {
+    let mut cells = grid(opts, vec![spec]);
+    if cells.len() != 1 {
+        die(why);
+    }
+    cells.pop().expect("one cell")
 }
 
 /// `repro run a.json b.toml …`: parse specs, fan them across the suite —
@@ -975,16 +845,13 @@ fn run_specs(opts: &Opts, specs: Vec<ScenarioSpec>) {
     if specs.is_empty() {
         die("no specs given");
     }
-    let specs = apply_faults(opts, specs);
-    let specs = apply_memory(opts, specs);
-    let specs = expand_backends(opts, specs);
-    let mut suite = Suite::from_specs(specs).jobs(opts.jobs);
-    if let Some((k, n)) = opts.shard {
+    let mut suite = Suite::from_specs(grid(opts, specs)).jobs(opts.jobs());
+    if let Some(&(k, n)) = opts.get::<(usize, usize)>("--shard") {
         suite = suite.shard(k, n).unwrap_or_else(|e| die(&e.to_string()));
         println!("[shard {k}/{n}: {} of the grid's cells]", suite.len());
     }
     let exec = dispatch_executor(opts);
-    let results = match &opts.store {
+    let results = match opts.text("--store") {
         Some(path) => {
             let store = ResultsStore::open(path).unwrap_or_else(|e| fail(&e.to_string()));
             if store.recovered_torn_tail() {
@@ -1020,7 +887,7 @@ fn run_specs(opts: &Opts, specs: Vec<ScenarioSpec>) {
             }
         }
     }
-    if let Some(dir) = &opts.csv_dir {
+    if let Some(dir) = opts.text("--csv") {
         write_csv(dir, "runs", &report_table(&ok));
     }
     if failed > 0 {
@@ -1032,8 +899,10 @@ fn run_specs(opts: &Opts, specs: Vec<ScenarioSpec>) {
 /// writer's shard id matches `--shard K/N` so a multi-shard watch can
 /// tell the streams apart; emission itself is best-effort downstream.
 fn progress_writer(opts: &Opts) -> Option<ProgressWriter> {
-    let path = opts.progress.first()?;
-    let shard = opts.shard.map(|(k, _)| k as u64).unwrap_or(0);
+    let path = opts.text("--progress")?;
+    let shard = opts
+        .get::<(usize, usize)>("--shard")
+        .map_or(0, |&(k, _)| k as u64);
     Some(ProgressWriter::open(path, shard).unwrap_or_else(|e| fail(&e.to_string())))
 }
 
@@ -1050,24 +919,24 @@ fn serve_service(opts: &Opts) {
     // The two traffic sources are mutually exclusive — and the flags
     // that shape *generated* traffic make no sense next to a tape,
     // whose records already are the window and the arrival pattern.
-    if opts.tape.is_some() {
-        if opts.rate.is_some() {
+    if opts.has("--tape") {
+        if opts.has("--rate") {
             die(
                 "serve: --rate conflicts with --tape — generate traffic at a rate, \
                  or replay a recorded tape, but not both (pick one source)",
             );
         }
-        if opts.arrival.is_some() {
+        if opts.has("--arrival") {
             die("serve: --arrival shapes generated traffic and conflicts with --tape");
         }
-        if opts.duration.is_some() {
+        if opts.has("--duration") {
             die("serve: --duration conflicts with --tape — the tape is the observation window");
         }
-        if opts.record_tape.is_some() {
+        if opts.has("--record-tape") {
             die("serve: --record-tape conflicts with --tape — the run would re-record its input");
         }
     }
-    if opts.arrival.is_some() && opts.rate.is_none() {
+    if opts.has("--arrival") && !opts.has("--rate") {
         die("serve: --arrival needs --rate R to generate traffic");
     }
 
@@ -1081,15 +950,15 @@ fn serve_service(opts: &Opts) {
             .unwrap_or_else(|e| fail(&format!("cannot read {target}: {e}")));
         ServiceSpec::from_json(&text).unwrap_or_else(|e| fail(&format!("{target}: {e}")))
     } else {
-        if opts.rate.is_none() && opts.tape.is_none() {
+        if !opts.has("--rate") && !opts.has("--tape") {
             die(&format!(
                 "serve {target}: pass --rate R (generated traffic) or --tape FILE \
                  (replayed traffic)"
             ));
         }
-        let mut base = ScenarioSpec::preset(target, opts.fast, base_workload(opts))
+        let mut base = ScenarioSpec::preset(target, opts.fast(), base_workload(opts))
             .unwrap_or_else(|e| die(&e.to_string()));
-        base.seed = opts.seed;
+        base.seed = opts.seed();
         // The arrival fields below are overwritten by the flag block;
         // the placeholder only exists so tape-only runs validate.
         ServiceSpec::new(
@@ -1101,40 +970,36 @@ fn serve_service(opts: &Opts) {
         )
     };
 
-    if let Some(rate_hz) = opts.rate {
-        spec.arrival = match opts.arrival.unwrap_or(ArrivalKind::Poisson) {
+    if let Some(&rate_hz) = opts.get("--rate") {
+        spec.arrival = match opts.get("--arrival").unwrap_or(&ArrivalKind::Poisson) {
             ArrivalKind::Poisson => ArrivalSpec::Poisson { rate_hz },
             ArrivalKind::Fixed => ArrivalSpec::Fixed { rate_hz },
         };
-        if opts.duration.is_none() && !is_spec_file {
+        if !opts.has("--duration") && !is_spec_file {
             println!("[no --duration given: defaulting to 100ms of arrivals]");
         }
     }
-    if let Some(d) = opts.duration {
+    if let Some(&d) = opts.get("--duration") {
         spec.duration = d;
     }
-    if let Some(key) = &opts.admission {
-        spec.admission = key.clone();
+    if let Some(key) = opts.text("--admission") {
+        spec.admission = key.to_string();
     }
-    if let Some(cap) = opts.queue_cap {
+    if let Some(&cap) = opts.get("--queue-cap") {
         spec.admission_params = Some(AdmissionParams {
             queue_cap: Some(cap),
         });
     }
-    if let Some(f) = fault_overlay(opts) {
-        spec.base.faults = Some(f);
-    }
-    if let Some(mems) = memory_overlay(opts) {
-        if mems.len() > 1 {
-            die("serve is a single run — pass one --mem-slots value and one --arbitration key");
-        }
-        spec.base.memory = mems.into_iter().next();
-    }
+    spec.base = one_cell(
+        opts,
+        spec.base.clone(),
+        "serve is a single run — pass one --mem-slots value and one --arbitration key",
+    );
 
     let progress = progress_writer(opts);
     let started_ms = now_unix_ms();
     let t0 = Instant::now();
-    let report = match &opts.tape {
+    let report = match opts.text("--tape") {
         Some(path) => {
             let (tape, truncated) =
                 TrafficTape::load(path).unwrap_or_else(|e| fail(&e.to_string()));
@@ -1177,7 +1042,7 @@ fn serve_service(opts: &Opts) {
                 progress.as_ref(),
             )
             .unwrap_or_else(|e| fail(&e.to_string()));
-            if let Some(out) = &opts.record_tape {
+            if let Some(out) = opts.text("--record-tape") {
                 write_file(out, &tape.to_jsonl());
                 println!(
                     "[recorded tape: {} arrivals, digest {} -> {out}]",
@@ -1216,7 +1081,7 @@ fn serve_service(opts: &Opts) {
     }
     println!("{}", table.render());
 
-    if let Some(path) = &opts.store {
+    if let Some(path) = opts.text("--store") {
         let store = ResultsStore::open(path).unwrap_or_else(|e| fail(&e.to_string()));
         let digest = spec.digest();
         // Service runs are single cells, not suite-grid members: the
@@ -1313,17 +1178,17 @@ fn merge_stores(opts: &Opts) {
         }
         println!("== memory interference ==\n{}", mem_table.render());
     }
-    if let Some(fig) = &opts.fig {
+    if let Some(fig) = opts.text("--fig") {
         render_figure_from_records(opts, fig, &merged.records);
     }
-    if let Some(dir) = &opts.csv_dir {
+    if let Some(dir) = opts.text("--csv") {
         write_csv(dir, "merged", &table);
     }
-    if let Some(out) = &opts.out {
+    if let Some(out) = opts.text("--out") {
         ResultsStore::write_all(out, &merged.records).unwrap_or_else(|e| fail(&e.to_string()));
         println!("[wrote {out}]");
     }
-    if let Some(bpath) = &opts.baseline {
+    if let Some(bpath) = opts.text("--baseline") {
         let text = std::fs::read_to_string(bpath)
             .unwrap_or_else(|e| fail(&format!("cannot read {bpath}: {e}")));
         let base = cata_bench::perf::PerfReport::from_json(&text)
@@ -1340,14 +1205,15 @@ fn merge_stores(opts: &Opts) {
         let wall: f64 = merged.records.iter().map(|r| r.wall_s).sum();
         let eps = events as f64 / wall.max(1e-12);
         let ratio = eps / base_medium.events_per_sec.max(1e-12);
+        let min_ratio = opts.min_ratio();
         println!(
-            "[gate: merged {eps:.0} events/sec vs baseline {:.0} = {ratio:.2}x (min {:.2})]",
-            base_medium.events_per_sec, opts.min_ratio
+            "[gate: merged {eps:.0} events/sec vs baseline {:.0} = {ratio:.2}x (min {min_ratio:.2})]",
+            base_medium.events_per_sec
         );
-        if ratio < opts.min_ratio {
+        if ratio < min_ratio {
             eprintln!(
                 "error: merged throughput regressed below {:.0}% of the baseline",
-                opts.min_ratio * 100.0
+                min_ratio * 100.0
             );
             std::process::exit(1);
         }
@@ -1442,22 +1308,37 @@ fn render_figure_from_records(opts: &Opts, fig: &str, records: &[CellRecord]) {
 /// `--bench/--scale/--seed` generator, or — with `--tdg FILE` — the
 /// digest-pinned replay of a TDG file.
 fn base_workload(opts: &Opts) -> WorkloadSpec {
-    match &opts.tdg {
+    match opts.text("--tdg") {
         Some(path) => {
             // Same rule as the SPEC-file guard: an explicit generator
             // flag next to --tdg would be silently ignored — the TDG
             // file already pins the whole graph.
-            if !opts.generator_flags.is_empty() {
+            let flags = workload_flags(opts);
+            if !flags.is_empty() {
                 die(&format!(
-                    "{} conflict(s) with --tdg — the TDG file already pins the \
-                     workload (pick one source)",
-                    opts.generator_flags.join("/")
+                    "{flags} conflict(s) with --tdg — the TDG file already pins the \
+                     workload (pick one source)"
                 ));
             }
             WorkloadSpec::tdg_file_pinned(path).unwrap_or_else(|e| fail(&e.to_string()))
         }
-        None => WorkloadSpec::parsec(opts.bench, opts.scale, opts.seed),
+        None => {
+            let bench = opts.get("--bench").copied().unwrap_or(Benchmark::Dedup);
+            WorkloadSpec::parsec(bench, opts.scale(), opts.seed())
+        }
     }
+}
+
+/// The generator flags given (`--bench`, `--scale`, `--seed`), in order,
+/// joined by `/`; empty when there are none.
+fn workload_flags(opts: &Opts) -> String {
+    let flags: Vec<&str> = opts
+        .given
+        .iter()
+        .map(|(flag, _)| flag.name)
+        .filter(|name| matches!(*name, "--bench" | "--scale" | "--seed"))
+        .collect();
+    flags.join("/")
 }
 
 /// A SPEC-file argument fully determines the workload; any *explicit*
@@ -1465,16 +1346,16 @@ fn base_workload(opts: &Opts) -> WorkloadSpec {
 /// `--seed`) would be silently ignored — reject the combination instead
 /// so the user never exports/records a different graph than they named.
 fn reject_conflicting_sources(opts: &Opts, cmd: &str) {
-    if opts.tdg.is_some() {
+    if opts.has("--tdg") {
         die(&format!(
             "{cmd}: --tdg conflicts with a SPEC argument (pick one workload source)"
         ));
     }
-    if !opts.generator_flags.is_empty() {
+    let flags = workload_flags(opts);
+    if !flags.is_empty() {
         die(&format!(
-            "{cmd}: {} conflict(s) with a SPEC argument — the spec file already \
-             pins the workload (pick one source)",
-            opts.generator_flags.join("/")
+            "{cmd}: {flags} conflict(s) with a SPEC argument — the spec file already \
+             pins the workload (pick one source)"
         ));
     }
 }
@@ -1525,14 +1406,13 @@ fn export_tdg(opts: &Opts) {
     // twice and could mix revisions.
     let (_graph, tdg) = workload.capture().unwrap_or_else(|e| fail(&e.to_string()));
     let out = opts
-        .out
-        .clone()
-        .unwrap_or_else(|| format!("{}.tdg.json", tdg.name));
+        .text("--out")
+        .map_or_else(|| format!("{}.tdg.json", tdg.name), String::from);
     // The default name can collide with the very file the workload came
     // from (`export --tdg app.tdg.json` for a TDG named "app") — refuse
     // to clobber the source unless --out names it explicitly.
-    if opts.out.is_none() {
-        let source = opts.tdg.as_deref().or(match &workload {
+    if !opts.has("--out") {
+        let source = opts.text("--tdg").or(match &workload {
             WorkloadSpec::File { path, .. } => Some(path.as_str()),
             _ => None,
         });
@@ -1564,26 +1444,28 @@ fn record_tdg(opts: &Opts) {
     let Some(target) = opts.args.first() else {
         die("record needs a preset label or a spec file");
     };
-    let mut spec = if target.ends_with(".json") || target.ends_with(".toml") {
+    let spec = if target.ends_with(".json") || target.ends_with(".toml") {
         reject_conflicting_sources(opts, "record");
         load_spec(target)
     } else {
-        ScenarioSpec::preset(target, opts.fast, base_workload(opts))
+        ScenarioSpec::preset(target, opts.fast(), base_workload(opts))
             .unwrap_or_else(|e| die(&e.to_string()))
     };
-    match opts.backend {
-        None => {}
-        Some(BackendSel::Sim) => spec.backend = Backend::Sim,
-        Some(BackendSel::Native) => spec.backend = Backend::Native,
-        Some(BackendSel::Both) => die("record captures one run; use --backend sim|native"),
-    }
+    let spec = one_cell(
+        opts,
+        spec,
+        "record captures one run; use --backend sim|native",
+    );
     // The path the workload replays from, if any — `--tdg FILE`, or a
     // SPEC file whose workload is `File { path }` — so the output guard
     // below can refuse to clobber it.
-    let replay_source: Option<String> = opts.tdg.clone().or(match &spec.workload {
-        WorkloadSpec::File { path, .. } => Some(path.clone()),
-        _ => None,
-    });
+    let replay_source: Option<String> =
+        opts.text("--tdg")
+            .map(String::from)
+            .or(match &spec.workload {
+                WorkloadSpec::File { path, .. } => Some(path.clone()),
+                _ => None,
+            });
     let scenario = Scenario::from_spec(spec);
     let exec = dispatch_executor(opts);
     let (report, captured) = exec
@@ -1596,11 +1478,11 @@ fn record_tdg(opts: &Opts) {
     // `--tdg` or a spec whose `File` workload names one) would default
     // to its own input path, so the collision is checked explicitly like
     // `export` does.
-    let out = opts
-        .out
-        .clone()
-        .unwrap_or_else(|| format!("{}.recorded.tdg.json", captured.tdg.name));
-    if opts.out.is_none() {
+    let out = opts.text("--out").map_or_else(
+        || format!("{}.recorded.tdg.json", captured.tdg.name),
+        String::from,
+    );
+    if !opts.has("--out") {
         if let Some(src) = replay_source.as_deref() {
             if same_file(src, &out) {
                 die(&format!(
@@ -1626,18 +1508,19 @@ fn record_tdg(opts: &Opts) {
 }
 
 /// `repro gc STORE SPEC…`: drop records whose `(index, spec_digest)` no
-/// longer appears in the grid the spec files (expanded across `--backend`)
-/// describe — store hygiene after spec edits or grid reshapes.
+/// longer appears in the grid the spec files describe under the overlay
+/// flags, as `run` would build it — store hygiene after spec edits or
+/// grid reshapes.
 fn gc_store(opts: &Opts) {
     let Some((store_path, rest)) = opts.args.split_first() else {
         die("gc needs a store file (repro gc STORE.jsonl SPEC... [--spec FILE])");
     };
-    let spec_paths: Vec<&String> = rest.iter().chain(&opts.spec_files).collect();
+    let spec_paths: Vec<&String> = rest.iter().chain(opts.all("--spec")).collect();
     if spec_paths.is_empty() {
         die("gc needs at least one spec file describing the current grid");
     }
     let specs: Vec<ScenarioSpec> = spec_paths.iter().map(|p| load_spec(p)).collect();
-    let suite = Suite::from_specs(expand_backends(opts, specs));
+    let suite = Suite::from_specs(grid(opts, specs));
     let (kept, dropped) =
         ResultsStore::gc(store_path, &suite.grid_pairs()).unwrap_or_else(|e| fail(&e.to_string()));
     println!("[gc {store_path}: kept {kept}, dropped {dropped} stale record(s)]");
@@ -1650,34 +1533,37 @@ fn gc_store(opts: &Opts) {
 fn watch_dashboard(opts: &Opts) {
     let mut stores: Vec<std::path::PathBuf> =
         opts.args.iter().map(std::path::PathBuf::from).collect();
-    if let Some(s) = &opts.store {
+    if let Some(s) = opts.text("--store") {
         stores.push(std::path::PathBuf::from(s));
     }
-    let progress: Vec<std::path::PathBuf> =
-        opts.progress.iter().map(std::path::PathBuf::from).collect();
-    let trajectory = opts.trajectory.as_ref().map(std::path::PathBuf::from);
+    let progress: Vec<std::path::PathBuf> = opts
+        .all::<String>("--progress")
+        .map(std::path::PathBuf::from)
+        .collect();
+    let trajectory = opts.text("--trajectory").map(std::path::PathBuf::from);
     if stores.is_empty() && progress.is_empty() && trajectory.is_none() {
         die(
             "watch needs something to tail: store files (positional or --store), \
              --progress FILE sidecars, or a --trajectory FILE",
         );
     }
-    if opts.watch_once && opts.watch_until_done {
+    let (once, until_done) = (opts.has("--once"), opts.has("--until-done"));
+    if once && until_done {
         die("watch: --once renders immediately and conflicts with --until-done");
     }
-    if opts.watch_timeout_s.is_some() && !opts.watch_until_done {
+    if opts.has("--timeout") && !until_done {
         die("watch: --timeout only bounds --until-done");
     }
     let cfg = WatchConfig {
         stores,
         progress,
         trajectory,
-        interval_ms: opts.watch_interval_ms.unwrap_or(250),
-        once: opts.watch_once,
-        until_done: opts.watch_until_done,
-        timeout_s: opts.watch_timeout_s,
-        width: opts.watch_width,
-        height: opts.watch_height,
+        interval_ms: opts.get("--interval-ms").copied().unwrap_or(250),
+        once,
+        until_done,
+        timeout_s: opts.get("--timeout").copied(),
+        width: opts.get("--width").copied(),
+        height: opts.get("--height").copied(),
     };
     if let Err(e) = run_watch(&cfg) {
         eprintln!("error: {e}");
@@ -1693,7 +1579,7 @@ fn replay_stored_cell(opts: &Opts) {
     let Some(key) = opts.args.first() else {
         die("replay needs a cell key (or grid index) from the store");
     };
-    let Some(store_path) = &opts.store else {
+    let Some(store_path) = opts.text("--store") else {
         die("replay needs --store FILE.jsonl naming the results store");
     };
     let (records, truncated) =
@@ -1767,97 +1653,21 @@ fn replay_stored_cell(opts: &Opts) {
 
 fn main() {
     let opts = parse_args();
-    // `--tdg` replaces the generator workload of the commands that build
-    // one; accepting it anywhere else would silently run something other
-    // than what the user asked to replay (`run`/`gc` take spec files —
-    // put the TDG in the spec's workload there).
-    if opts.tdg.is_some()
-        && !matches!(
-            opts.cmd.as_str(),
-            "preset" | "spec" | "export" | "record" | "serve"
-        )
-    {
-        die(&format!(
-            "--tdg is not used by `{}` (only preset/spec/export/record/serve replay a TDG file)",
-            opts.cmd
-        ));
-    }
-    // Fault flags only shape run/preset/serve cells; anywhere else they
-    // would be silently ignored.
-    let has_fault_flags = opts.faults.is_some()
-        || opts.fault_cores.is_some()
-        || opts.fault_rate.is_some()
-        || opts.recovery.is_some()
-        || opts.fault_axis;
-    if has_fault_flags && !matches!(opts.cmd.as_str(), "run" | "preset" | "serve") {
-        die(&format!(
-            "fault flags are not used by `{}` (only run/preset/serve inject faults)",
-            opts.cmd
-        ));
-    }
-    if opts.fault_axis && opts.cmd == "serve" {
-        die("--fault-axis expands suite grids; `serve` is a single run (drop the flag)");
-    }
-    // Memory flags gate the same way: only run/preset/serve build the
-    // cells they shape.
-    let has_mem_flags = opts.mem_slots.is_some() || opts.arbitration.is_some() || opts.mem_axis;
-    if has_mem_flags && !matches!(opts.cmd.as_str(), "run" | "preset" | "serve") {
-        die(&format!(
-            "memory flags are not used by `{}` (only run/preset/serve model interference)",
-            opts.cmd
-        ));
-    }
-    if opts.mem_axis && opts.cmd == "serve" {
-        die("--mem-axis expands suite grids; `serve` is a single run (drop the flag)");
-    }
-    // Same silent-ignore class: `run`/`gc` operate on spec files whose
-    // workloads are fully pinned, so an explicit generator flag next to
-    // them would change nothing — reject it rather than run a workload
-    // other than the one the flags described.
-    if matches!(opts.cmd.as_str(), "run" | "gc") && !opts.generator_flags.is_empty() {
-        die(&format!(
-            "{} have no effect on `{}` — its spec files already pin the workload",
-            opts.generator_flags.join("/"),
-            opts.cmd
-        ));
-    }
-    // Heartbeat sidecars: only run/preset/serve emit them and only watch
-    // tails them; anywhere else the flag would be silently ignored.
-    if !opts.progress.is_empty()
-        && !matches!(opts.cmd.as_str(), "run" | "preset" | "serve" | "watch")
-    {
-        die(&format!(
-            "--progress is not used by `{}` (run/preset/serve emit heartbeats, watch tails them)",
-            opts.cmd
-        ));
-    }
+    // Emitters write one heartbeat stream, and `run`/`preset` write it
+    // beside a store.
     if matches!(opts.cmd.as_str(), "run" | "preset" | "serve") {
-        if opts.progress.len() > 1 {
+        if opts.all::<String>("--progress").count() > 1 {
             die(&format!(
                 "`{}` emits one heartbeat stream — pass --progress once (watch tails many)",
                 opts.cmd
             ));
         }
-        if !opts.progress.is_empty() && opts.cmd != "serve" && opts.store.is_none() {
+        if opts.has("--progress") && opts.cmd != "serve" && !opts.has("--store") {
             die(&format!(
                 "`{}` --progress rides the store path — add --store FILE.jsonl",
                 opts.cmd
             ));
         }
-    }
-    // Watch presentation flags shape only the dashboard loop.
-    let has_watch_flags = opts.watch_once
-        || opts.watch_until_done
-        || opts.watch_timeout_s.is_some()
-        || opts.watch_interval_ms.is_some()
-        || opts.watch_width.is_some()
-        || opts.watch_height.is_some();
-    if has_watch_flags && opts.cmd != "watch" {
-        die(&format!(
-            "--once/--until-done/--timeout/--interval-ms/--width/--height only shape \
-             `watch`, not `{}`",
-            opts.cmd
-        ));
     }
     let benches = Benchmark::all();
     let t0 = Instant::now();
@@ -1889,7 +1699,7 @@ fn main() {
             let specs = labels
                 .iter()
                 .map(|label| {
-                    ScenarioSpec::preset(label, opts.fast, workload.clone())
+                    ScenarioSpec::preset(label, opts.fast(), workload.clone())
                         .unwrap_or_else(|e| die(&e.to_string()))
                 })
                 .collect();
@@ -1900,9 +1710,9 @@ fn main() {
         "spec" => {
             let label = opts.args.first().map(String::as_str).unwrap_or("CATA");
             let workload = base_workload(&opts);
-            let spec = ScenarioSpec::preset(label, opts.fast, workload)
+            let spec = ScenarioSpec::preset(label, opts.fast(), workload)
                 .unwrap_or_else(|e| die(&e.to_string()));
-            if opts.emit_toml {
+            if opts.has("--toml") {
                 println!("{}", spec.to_toml());
             } else {
                 println!("{}", spec.to_json_pretty());
@@ -1944,13 +1754,15 @@ fn main() {
             return;
         }
         "perf" => {
+            let smoke = opts.has("--smoke");
+            let reps = opts.get("--reps").copied().unwrap_or(5);
+            let min_ratio = opts.min_ratio();
             println!(
-                "[perf: {} mode, {} reps per cell, trace off]",
-                if opts.smoke { "smoke" } else { "full" },
-                opts.reps
+                "[perf: {} mode, {reps} reps per cell, trace off]",
+                if smoke { "smoke" } else { "full" },
             );
-            let mut report = cata_bench::perf::run_perf(opts.smoke, opts.reps);
-            if let Some(path) = &opts.baseline {
+            let mut report = cata_bench::perf::run_perf(smoke, reps);
+            if let Some(path) = opts.text("--baseline") {
                 let text = std::fs::read_to_string(path)
                     .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
                 let base = cata_bench::perf::PerfReport::from_json(&text)
@@ -1967,10 +1779,10 @@ fn main() {
                     };
                     let ratio = cur.events_per_sec / b.events_per_sec.max(1e-12);
                     println!(
-                        "[gate {}: {:.0} vs baseline {:.0} events/sec = {ratio:.2}x (min {:.2})]",
-                        cur.workload, cur.events_per_sec, b.events_per_sec, opts.min_ratio
+                        "[gate {}: {:.0} vs baseline {:.0} events/sec = {ratio:.2}x (min {min_ratio:.2})]",
+                        cur.workload, cur.events_per_sec, b.events_per_sec
                     );
-                    if ratio < opts.min_ratio && worst.is_none_or(|(_, w)| ratio < w) {
+                    if ratio < min_ratio && worst.is_none_or(|(_, w)| ratio < w) {
                         worst = Some((&cur.workload, ratio));
                     }
                 }
@@ -1979,16 +1791,16 @@ fn main() {
                         "error: {size} throughput regressed to {:.0}% of the baseline \
                          (min {:.0}%)",
                         ratio * 100.0,
-                        opts.min_ratio * 100.0
+                        min_ratio * 100.0
                     );
                     std::process::exit(1);
                 }
             }
             print!("{}", report.render());
-            let out = opts.out.as_deref().unwrap_or("BENCH_engine.json");
+            let out = opts.text("--out").unwrap_or("BENCH_engine.json");
             write_file(out, &report.to_json_pretty());
             println!("[wrote {out}]");
-            if let Some(path) = &opts.trajectory {
+            if let Some(path) = opts.text("--trajectory") {
                 cata_bench::perf::append_trajectory(path, &report)
                     .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
                 println!("[appended trajectory point to {path}]");
@@ -1999,6 +1811,7 @@ fn main() {
         _ => {}
     }
 
+    let (scale, seed, jobs) = (opts.scale(), opts.seed(), opts.jobs());
     if all || opts.cmd == "table1" {
         println!(
             "== Table I: processor configuration ==\n{}",
@@ -2010,17 +1823,10 @@ fn main() {
         println!(
             "[fig4: running 4 configs x 6 benchmarks x {:?} fast cores at {} scale, jobs={}]",
             FAST_CORE_COUNTS,
-            opts.scale.name(),
-            opts.jobs
+            scale.name(),
+            jobs
         );
-        let m = run_matrix(
-            &benches,
-            &FAST_CORE_COUNTS,
-            fig4_configs,
-            opts.scale,
-            opts.seed,
-            opts.jobs,
-        );
+        let m = run_matrix(&benches, &FAST_CORE_COUNTS, fig4_configs, scale, seed, jobs);
         let labels = ["FIFO", "CATS+BL", "CATS+SA", "CATA"];
         emit(
             &opts,
@@ -2040,17 +1846,10 @@ fn main() {
         println!(
             "[fig5: running 4 configs x 6 benchmarks x {:?} fast cores at {} scale, jobs={}]",
             FAST_CORE_COUNTS,
-            opts.scale.name(),
-            opts.jobs
+            scale.name(),
+            jobs
         );
-        let m = run_matrix(
-            &benches,
-            &FAST_CORE_COUNTS,
-            fig5_configs,
-            opts.scale,
-            opts.seed,
-            opts.jobs,
-        );
+        let m = run_matrix(&benches, &FAST_CORE_COUNTS, fig5_configs, scale, seed, jobs);
         if all || opts.cmd == "fig5" {
             let labels = ["CATA", "CATA+RSU", "TurboMode"];
             emit(
@@ -2087,11 +1886,7 @@ fn main() {
         emit(
             &opts,
             "sweep_budget",
-            &sweeps::budget_sweep(
-                Benchmark::Swaptions,
-                opts.scale,
-                &[4, 8, 12, 16, 20, 24, 28, 32],
-            ),
+            &sweeps::budget_sweep(Benchmark::Swaptions, scale, &[4, 8, 12, 16, 20, 24, 28, 32]),
             "Ablation A1: power-budget sweep (Swaptions, CATA+RSU)",
         );
     }
@@ -2100,11 +1895,7 @@ fn main() {
         emit(
             &opts,
             "sweep_latency",
-            &sweeps::latency_sweep(
-                Benchmark::Fluidanimate,
-                opts.scale,
-                &[1, 5, 25, 100, 400, 1000],
-            ),
+            &sweeps::latency_sweep(Benchmark::Fluidanimate, scale, &[1, 5, 25, 100, 400, 1000]),
             "Ablation A2: DVFS transition latency sweep (Fluidanimate, 16 fast)",
         );
     }
@@ -2113,11 +1904,7 @@ fn main() {
         emit(
             &opts,
             "sweep_threshold",
-            &sweeps::threshold_sweep(
-                Benchmark::Bodytrack,
-                opts.scale,
-                &[0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
-            ),
+            &sweeps::threshold_sweep(Benchmark::Bodytrack, scale, &[0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
             "Ablation A3: bottom-level criticality threshold sweep (Bodytrack)",
         );
     }
@@ -2126,27 +1913,38 @@ fn main() {
         emit(
             &opts,
             "multilevel",
-            &sweeps::multilevel_sweep(Benchmark::Swaptions, opts.scale),
+            &sweeps::multilevel_sweep(Benchmark::Swaptions, scale),
             "Ablation A4: multi-level DVFS extension (Swaptions)",
         );
     }
 
-    if !all
-        && ![
-            "table1",
-            "fig4",
-            "fig5",
-            "latency",
-            "rsu-overhead",
-            "sweep-budget",
-            "sweep-latency",
-            "sweep-threshold",
-            "multilevel",
-        ]
-        .contains(&opts.cmd.as_str())
-    {
-        die(&format!("unknown command {}", opts.cmd));
-    }
-
     eprintln!("[done in {:.1}s]", t0.elapsed().as_secs_f64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The usage text names every flag of the table as a whole word, the
+    /// table holds each flag once, and its rows name only commands.
+    #[test]
+    fn usage_and_table_agree() {
+        let mut seen = std::collections::HashSet::new();
+        for flag in FLAGS {
+            assert!(
+                seen.insert(flag.name),
+                "{} is in the table twice",
+                flag.name
+            );
+            let named = USAGE.match_indices(flag.name).any(|(i, _)| {
+                let rest = &USAGE[i + flag.name.len()..];
+                !rest.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+            });
+            assert!(named, "the usage text does not name {}", flag.name);
+            for cmd in flag.cmds.split(' ') {
+                let mut known = WITH_ARGS.split(' ').chain(WITHOUT_ARGS.split(' '));
+                assert!(known.any(|c| c == cmd), "{}: {cmd}", flag.name);
+            }
+        }
+    }
 }

@@ -3,7 +3,8 @@
 //! not parse or validate (a number out of `f64`'s range included), and
 //! removed flags. Only a bad command line also prints the usage text.
 //! Power parameters whose energy overflows fail the run and leave the
-//! store readable.
+//! store readable. The fault and memory overlays order the grid, and `gc`
+//! builds the same grid as `run`.
 
 use cata_core::exp::{ScenarioSpec, WorkloadSpec};
 use std::path::PathBuf;
@@ -73,17 +74,27 @@ fn only_argument_errors_print_the_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
 
-/// A flag the command does not read, or one that breaks a rule relating
-/// flags to each other, is a bad command line: exit 2, one `error:` line
-/// containing the given text, then the usage.
+/// A flag the command does not read, a flag that breaks a rule relating
+/// flags to each other, or a bad value is a bad command line: exit 2, one
+/// `error:` line containing the given text, then the usage. A `--min-ratio`
+/// that is not a finite number above 0 would disable the throughput gates
+/// of `merge` and `perf`, since no ratio compares below NaN.
 #[test]
 fn flag_rules_print_one_error_and_the_usage() {
     let preset = [
         "preset", "CATA", "--bench", "dedup", "--scale", "tiny", "--fast", "8",
     ];
     let cases: &[(&[&str], &str)] = &[
-        (&["merge", "s.jsonl", "--fault-rate", "0.05"], "fault"),
-        (&["export", "--mem-slots", "1"], "mem"),
+        (
+            &["merge", "s.jsonl", "--fault-rate", "0.05"],
+            "--fault-rate",
+        ),
+        (&["export", "--mem-slots", "1"], "--mem-slots"),
+        (
+            &["fig4", "--bench", "dedup", "--fast", "8", "--toml"],
+            "--bench",
+        ),
+        (&["spec", "CATA", "--jobs", "3", "--csv", "x"], "--jobs"),
         (
             &[
                 "serve",
@@ -120,6 +131,25 @@ fn flag_rules_print_one_error_and_the_usage() {
         (
             &["serve", "CATA", "--rate", "100", "--tape", "t.jsonl"],
             "--rate",
+        ),
+        (
+            &[
+                "merge",
+                "s.jsonl",
+                "--baseline",
+                "b.json",
+                "--min-ratio",
+                "NaN",
+            ],
+            "bad --min-ratio",
+        ),
+        (
+            &["perf", "--smoke", "--min-ratio", "inf"],
+            "bad --min-ratio",
+        ),
+        (
+            &["merge", "s.jsonl", "--min-ratio", "-1"],
+            "bad --min-ratio",
         ),
     ];
     for (args, flag) in cases {
@@ -176,6 +206,36 @@ fn fault_and_memory_axes_order_the_grid() {
         }
     }
     assert_eq!(labels, want, "{stdout}");
+}
+
+/// `gc` builds its grid through the same overlays as `run`, so a store
+/// written under fault or memory flags keeps every cell when `gc` is given
+/// the same flags.
+#[test]
+fn gc_keeps_the_cells_of_overlaid_grids() {
+    let spec =
+        ScenarioSpec::preset("CATA", 8, WorkloadSpec::Chain { n: 4, cycles: 10 }).expect("preset");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join("cli-errors-gc-spec.json");
+    std::fs::write(&path, spec.to_json()).expect("write the spec");
+    let path = path.to_string_lossy().into_owned();
+    for (name, flags) in [
+        ("mem", &["--mem-slots", "1,2"][..]),
+        ("faults", &["--fault-rate", "0.05", "--fault-axis"]),
+    ] {
+        let store = dir.join(format!("cli-errors-gc-{name}.jsonl"));
+        let _ = std::fs::remove_file(&store);
+        let store = store.to_string_lossy().into_owned();
+        let out = repro(&[&["run", &path, "--store", &store][..], flags].concat());
+        assert!(out.status.success(), "{out:?}");
+        let out = repro(&[&["gc", &store, &path][..], flags].concat());
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains(&format!("[gc {store}: kept 2, dropped 0 stale record(s)]")),
+            "{name}: {stdout}"
+        );
+    }
 }
 
 #[test]
