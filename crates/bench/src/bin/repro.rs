@@ -314,11 +314,10 @@ fn bench(s: &str) -> Result<Value, String> {
 
 /// The backends each spec runs on, in grid order.
 fn backends(s: &str) -> Result<Value, String> {
-    let both: &[Backend] = &[Backend::Sim, Backend::Native];
-    choice(
-        s,
-        &[("sim", &both[..1]), ("native", &both[1..]), ("both", both)],
-    )
+    const SIM: &[Backend] = &[Backend::Sim];
+    const NATIVE: &[Backend] = &[Backend::Native];
+    const BOTH: &[Backend] = &[Backend::Sim, Backend::Native];
+    choice(s, &[("sim", SIM), ("native", NATIVE), ("both", BOTH)])
 }
 
 fn energy(s: &str) -> Result<Value, String> {
@@ -554,14 +553,15 @@ fn fail(msg: &str) -> ! {
 
 /// The usage text: every flag of [`FLAGS`] appears in it.
 const USAGE: &str =
-    "usage: repro [COMMAND] [ARGS] [--scale tiny|small|paper] [--seed N] [--csv DIR]\n\
-         \x20             [--jobs N] [--bench NAME] [--fast N] [--toml]\n\
+    "usage: repro [COMMAND] [ARGS] [FLAGS]   (a flag the command does not read is an error)\n\
          commands: table1 fig4 fig5 latency rsu-overhead sweep-budget sweep-latency\n\
-         \x20         sweep-threshold multilevel all\n\
-         \x20         run SPEC.json|SPEC.toml...   preset LABEL...   spec LABEL\n\
-         \x20             [--backend sim|native|both] [--native-energy auto|model]\n\
-         \x20             [--shard K/N] [--store FILE.jsonl]\n\
-         \x20             [--tdg FILE.tdg.json]  (preset/spec: replay this TDG as the workload)\n\
+         \x20         sweep-threshold multilevel all   [--scale tiny|small|paper] [--csv DIR]\n\
+         \x20             [--seed N] [--jobs N]  (fig4/fig5/latency/all)\n\
+         \x20         run SPEC.json|SPEC.toml...   preset LABEL...   spec LABEL [--toml]\n\
+         \x20             [--jobs N] [--csv DIR] [--backend sim|native|both]\n\
+         \x20             [--native-energy auto|model] [--shard K/N] [--store FILE.jsonl]\n\
+         \x20         preset/spec/export/record/serve workload: [--bench NAME] [--fast N]\n\
+         \x20             [--scale tiny|small|paper] [--seed N], or [--tdg FILE.tdg.json]\n\
          \x20         serve LABEL|SPEC.json [--rate R | --tape FILE.tape.jsonl]\n\
          \x20             [--arrival poisson|fixed] [--duration T] [--admission P]\n\
          \x20             [--queue-cap N] [--record-tape FILE] [--store FILE.jsonl]\n\
@@ -585,8 +585,7 @@ const USAGE: &str =
          \x20         replay CELL_KEY|INDEX --store FILE.jsonl   (re-run a stored cell\n\
          \x20             bit-identically on the sim backend; exit 1 on divergence)\n\
          \x20         run/preset (with --store) and serve emit heartbeats with\n\
-         \x20             [--progress FILE.progress.jsonl]  (cata-progress/v1 sidecar)\n\
-         a flag the command does not read is an error";
+         \x20             [--progress FILE.progress.jsonl]  (cata-progress/v1 sidecar)";
 
 /// Writes `text` to `path`, or exits with an error naming the path.
 fn write_file(path: &str, text: &str) {
