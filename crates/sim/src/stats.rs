@@ -14,6 +14,9 @@ use crate::time::SimDuration;
 use serde::{DeError, Deserialize, Deserializer, Field, Kind, Serialize, Serializer};
 use std::fmt;
 
+#[cfg(test)]
+mod reference;
+
 /// Sub-bucket resolution of [`LatencyHistogram`]: each power-of-two octave
 /// is split into `2^7 = 128` linear sub-buckets.
 const SUB_BITS: u32 = 7;
