@@ -9,14 +9,14 @@ use super::{apply_transition, AccelEffects, AccelManager, ReconfigStats};
 use cata_rsu::engine::Cmd;
 use cata_rsu::unit::{Rsu, RsuConfig};
 use cata_sim::machine::{CoreId, Machine};
-use cata_sim::stats::{Counters, LatencyHistogram};
+use cata_sim::stats::{Counters, LatencyHistogram, LatencyRecorder};
 use cata_sim::time::{SimDuration, SimTime};
 
 /// The RSU-backed CATA manager.
 #[derive(Debug)]
 pub struct RsuCata {
     rsu: Rsu,
-    op_costs: LatencyHistogram,
+    op_costs: LatencyRecorder,
     overhead: SimDuration,
 }
 
@@ -34,7 +34,7 @@ impl RsuCata {
                 non_accel_level: cfg.slow_level,
                 op_cycles: 32,
             }),
-            op_costs: LatencyHistogram::new(),
+            op_costs: LatencyRecorder::new(),
             overhead: SimDuration::ZERO,
         }
     }
@@ -136,7 +136,7 @@ impl AccelManager for RsuCata {
     fn stats(&self) -> ReconfigStats {
         ReconfigStats {
             lock_waits: LatencyHistogram::new(), // lock-free by construction
-            latencies: self.op_costs.clone(),
+            latencies: self.op_costs.histogram(),
             overhead_total: self.overhead,
         }
     }

@@ -131,8 +131,8 @@ impl AccelManager for SoftwareCata {
 
     fn stats(&self) -> ReconfigStats {
         ReconfigStats {
-            lock_waits: self.path.lock_waits.clone(),
-            latencies: self.path.latencies.clone(),
+            lock_waits: self.path.lock_waits.histogram(),
+            latencies: self.path.latencies.histogram(),
             overhead_total: self.overhead,
         }
     }

@@ -18,7 +18,7 @@
 //! queueing delays that §V-C measures (ms-scale lock waits when barrier
 //! bursts pile 32 requests onto the lock).
 
-use cata_sim::stats::LatencyHistogram;
+use cata_sim::stats::LatencyRecorder;
 use cata_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -141,11 +141,12 @@ pub struct SoftwareDvfsPath {
     params: SoftwarePathParams,
     hw_transition: SimDuration,
     busy_until: SimTime,
-    /// Lock-wait distribution (paper §V-C: maxima of 4.8–15 ms).
-    pub lock_waits: LatencyHistogram,
+    /// Lock-wait distribution (paper §V-C: maxima of 4.8–15 ms), one
+    /// sample per request.
+    pub lock_waits: LatencyRecorder,
     /// End-to-end reconfiguration latency distribution (paper §V-C:
-    /// averages of 11–65 µs).
-    pub latencies: LatencyHistogram,
+    /// averages of 11–65 µs), one sample per request that writes.
+    pub latencies: LatencyRecorder,
 }
 
 impl SoftwareDvfsPath {
@@ -156,8 +157,8 @@ impl SoftwareDvfsPath {
             params,
             hw_transition,
             busy_until: SimTime::ZERO,
-            lock_waits: LatencyHistogram::new(),
-            latencies: LatencyHistogram::new(),
+            lock_waits: LatencyRecorder::new(),
+            latencies: LatencyRecorder::new(),
         }
     }
 
@@ -257,9 +258,9 @@ mod tests {
         assert_eq!(g.returns_at, SimTime::from_ns(300)); // rsm section only
         assert_eq!(g.writes, 0);
         // Pure decisions do not count as reconfiguration latencies…
-        assert_eq!(p.latencies.count(), 0);
+        assert_eq!(p.latencies.histogram().count(), 0);
         // …but they do contend on the lock.
-        assert_eq!(p.lock_waits.count(), 1);
+        assert_eq!(p.lock_waits.histogram().count(), 1);
     }
 
     #[test]
@@ -295,7 +296,7 @@ mod tests {
         // 31 × 3.3 µs = 102.3 µs of queueing for the last request; repeated
         // overlapping bursts are what drive the paper's ms-scale maxima.
         assert_eq!(worst, SimDuration::from_ns(102_300));
-        assert!(p.lock_waits.max().as_us() >= 100);
+        assert!(p.lock_waits.histogram().max().as_us() >= 100);
     }
 
     #[test]
@@ -324,8 +325,8 @@ mod tests {
         for i in 0..10 {
             p.request(SimTime::from_us(i));
         }
-        assert_eq!(p.latencies.count(), 10);
-        assert_eq!(p.lock_waits.count(), 10);
-        assert!(p.latencies.mean() >= SimDuration::from_ns(3_300));
+        assert_eq!(p.latencies.histogram().count(), 10);
+        assert_eq!(p.lock_waits.histogram().count(), 10);
+        assert!(p.latencies.histogram().mean() >= SimDuration::from_ns(3_300));
     }
 }

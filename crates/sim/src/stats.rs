@@ -9,6 +9,14 @@
 //! lock waits, and its report stays the same size. Count, sum, min and max
 //! are exact; interior quantiles read at most
 //! [`LatencyHistogram::QUANTILE_ERROR`] (1/128) below the exact value.
+//!
+//! A [`LatencyHistogram`] holds only its occupied buckets, so its memory
+//! is proportional to the number of distinct buckets its samples reach
+//! (52 on average in a Small-scale report), not to the span of values.
+//! Recording is a binary search. A site that records once or more per
+//! task — the software DVFS path's lock waits, the RSU's decision costs —
+//! uses a [`LatencyRecorder`] instead: the same buckets as a dense array,
+//! O(1) per sample, turned into a histogram once, when the run reports.
 
 use crate::time::SimDuration;
 use serde::{DeError, Deserialize, Deserializer, Field, Kind, Serialize, Serializer};
@@ -49,28 +57,34 @@ fn bucket_floor(sub_bits: u32, b: u64) -> Option<u64> {
     (exp < 64).then(|| (sub + b % sub) << (exp - u64::from(sub_bits)))
 }
 
+/// The lower bound of occupied bucket `b`.
+fn floor(b: u64) -> u64 {
+    bucket_floor(SUB_BITS, b).expect("occupied buckets are in range")
+}
+
 /// A streaming log-bucketed duration histogram.
 ///
 /// Buckets are log-linear (HdrHistogram-style): 128 linear sub-buckets
-/// per power-of-two octave, and one bucket per value below 128 ps.
-/// `record` is O(1) with no allocation beyond the one-time growth of the
-/// bucket array to the highest occupied bucket (at most 7424 entries).
-/// Quantiles are deterministic bucket lower bounds, so an interior
-/// quantile reads at most [`QUANTILE_ERROR`](Self::QUANTILE_ERROR) below
-/// the exact nearest-rank value and never above it. Count, sum, min and
-/// max are tracked exactly on the side, so the extremes and the mean are
-/// exact.
+/// per power-of-two octave, and one bucket per value below 128 ps. Only
+/// occupied buckets are stored, as `(bucket, count)` pairs sorted by
+/// bucket, so memory is proportional to the occupied buckets (at most
+/// 7424). `record` is a binary search over them; for a site that records
+/// once or more per task, use a [`LatencyRecorder`]. Quantiles are
+/// deterministic bucket lower bounds, so an interior quantile reads at
+/// most [`QUANTILE_ERROR`](Self::QUANTILE_ERROR) below the exact
+/// nearest-rank value and never above it. Count, sum, min and max are
+/// tracked exactly on the side, so the extremes and the mean are exact.
 ///
-/// The serialized form is self-describing: buckets are stored as
-/// `[floor_ps, count]` pairs under a `sub_buckets` resolution tag, and a
-/// reader re-buckets each floor by value. Two older forms fold in on
-/// read: a per-sample list (`samples_ps`), and 16-sub-bucket histograms
-/// whose buckets are stored by index (no `sub_buckets` tag).
+/// The serialized form is the stored one: buckets are `[floor_ps, count]`
+/// pairs under a `sub_buckets` resolution tag, and a reader re-buckets
+/// each floor by value. Two older forms fold in on read: a per-sample
+/// list (`samples_ps`), and 16-sub-bucket histograms whose buckets are
+/// stored by index (no `sub_buckets` tag).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyHistogram {
-    /// `counts[b]` = samples in bucket `b`; grown lazily to the highest
-    /// occupied bucket.
-    counts: Vec<u64>,
+    /// `(bucket, count)` for each occupied bucket, sorted by bucket, with
+    /// no zero counts.
+    buckets: Vec<(u64, u64)>,
     total: u64,
     sum_ps: u128,
     min_ps: u64,
@@ -87,21 +101,8 @@ impl LatencyHistogram {
         Self::default()
     }
 
-    /// Adds `count` samples to the bucket holding `ps`, leaving the exact
-    /// side statistics alone.
-    fn add_to_bucket(&mut self, ps: u64, count: u64) {
-        let b = bucket_of(ps);
-        if b >= self.counts.len() {
-            self.counts.resize(b + 1, 0);
-        }
-        self.counts[b] += count;
-    }
-
-    /// Records one sample. O(1); never allocates per sample once the
-    /// bucket array has grown to cover the value range.
-    pub fn record(&mut self, d: SimDuration) {
-        let ps = d.as_ps();
-        self.add_to_bucket(ps, 1);
+    /// Counts one sample of `ps` in the exact side statistics only.
+    fn note(&mut self, ps: u64) {
         self.total += 1;
         self.sum_ps += u128::from(ps);
         self.max_ps = self.max_ps.max(ps);
@@ -110,6 +111,18 @@ impl LatencyHistogram {
         } else {
             self.min_ps.min(ps)
         };
+    }
+
+    /// Records one sample: a binary search over the occupied buckets, and
+    /// an insertion the first time a bucket is reached.
+    pub fn record(&mut self, d: SimDuration) {
+        let ps = d.as_ps();
+        let b = bucket_of(ps) as u64;
+        match self.buckets.binary_search_by_key(&b, |&(k, _)| k) {
+            Ok(i) => self.buckets[i].1 += 1,
+            Err(i) => self.buckets.insert(i, (b, 1)),
+        }
+        self.note(ps);
     }
 
     /// Number of samples.
@@ -164,18 +177,13 @@ impl LatencyHistogram {
         }
         let rank = ((self.total - 1) as f64 * q).round() as u64;
         let mut seen = 0u64;
-        for (b, &c) in self.counts.iter().enumerate() {
+        for &(b, c) in &self.buckets {
             seen += c;
             if seen > rank {
-                return SimDuration::from_ps(self.floor(b).max(self.min_ps));
+                return SimDuration::from_ps(floor(b).max(self.min_ps));
             }
         }
         self.max()
-    }
-
-    /// The lower bound of occupied bucket `b`.
-    fn floor(&self, b: usize) -> u64 {
-        bucket_floor(SUB_BITS, b as u64).expect("occupied buckets are in range")
     }
 
     /// The `q`-quantile as printed, followed by its error bound:
@@ -192,24 +200,42 @@ impl LatencyHistogram {
     /// ascending value order — the shape a renderer needs to draw the
     /// latency distribution without reaching into the bucket encoding.
     pub fn occupied_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(b, &c)| (self.floor(b), c))
+        self.buckets.iter().map(|&(b, c)| (floor(b), c))
     }
 
-    /// Merges another histogram into this one.
+    /// Merges another histogram into this one: the two sorted bucket runs
+    /// merge into one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         if other.total == 0 {
             return;
         }
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
+        let (a, b) = (&self.buckets, &other.buckets);
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let pair = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if x.0 == y.0 => {
+                    i += 1;
+                    j += 1;
+                    (x.0, x.1 + y.1)
+                }
+                (Some(&x), Some(&y)) if x.0 < y.0 => {
+                    i += 1;
+                    x
+                }
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (_, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (None, None) => break,
+            };
+            merged.push(pair);
         }
-        for (dst, &src) in self.counts.iter_mut().zip(&other.counts) {
-            *dst += src;
-        }
+        self.buckets = merged;
         self.min_ps = if self.total == 0 {
             other.min_ps
         } else {
@@ -231,11 +257,60 @@ impl LatencyHistogram {
     }
 }
 
-// Hand-written serde: the bucket array is mostly zeros, so it is stored
-// sparsely as `[floor_ps, count]` pairs. An empty histogram has no buckets
-// to interpret and omits the `sub_buckets` tag, so it serializes exactly
-// as it did before the tag existed. A sum beyond `u64` is written as a
-// decimal string. Round-trips bit-exactly.
+/// A [`LatencyHistogram`] being recorded at a site that records once or
+/// more per task: the same buckets as a dense array of counts, grown once
+/// to the highest occupied bucket (at most 7424 entries), so `record` is
+/// O(1) and allocates nothing once the array covers the value range.
+/// [`histogram`](Self::histogram) builds the compact value a report
+/// keeps. Sites that record less often (once per service instance or per
+/// re-executed task) record straight into a [`LatencyHistogram`].
+#[derive(Debug, Clone, Default)]
+pub struct LatencyRecorder {
+    /// `counts[b]` = samples in bucket `b`.
+    counts: Vec<u64>,
+    /// The exact side statistics; its buckets stay empty.
+    exact: LatencyHistogram,
+}
+
+impl LatencyRecorder {
+    /// Creates an empty recorder.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one sample.
+    pub fn record(&mut self, d: SimDuration) {
+        let ps = d.as_ps();
+        let b = bucket_of(ps);
+        if b >= self.counts.len() {
+            self.counts.resize(b + 1, 0);
+        }
+        self.counts[b] += 1;
+        self.exact.note(ps);
+    }
+
+    /// The samples so far as a histogram, equal to recording them
+    /// straight into one.
+    pub fn histogram(&self) -> LatencyHistogram {
+        let occupied = self.counts.iter().filter(|&&c| c != 0).count();
+        let mut buckets = Vec::with_capacity(occupied);
+        for (b, &c) in self.counts.iter().enumerate() {
+            if c != 0 {
+                buckets.push((b as u64, c));
+            }
+        }
+        LatencyHistogram {
+            buckets,
+            ..self.exact.clone()
+        }
+    }
+}
+
+// Hand-written serde: buckets are written sparsely as `[floor_ps, count]`
+// pairs. An empty histogram has no buckets to interpret and omits the
+// `sub_buckets` tag, so it serializes exactly as it did before the tag
+// existed. A sum beyond `u64` is written as a decimal string. Round-trips
+// bit-exactly.
 impl Serialize for LatencyHistogram {
     fn serialize(&self, s: &mut dyn Serializer) {
         s.map_begin();
@@ -315,42 +390,52 @@ impl Deserialize for LatencyHistogram {
                 .take()
                 .unwrap_or_else(|| serde::missing(TY, FIELDS[i]))
         });
-        let mut h = LatencyHistogram {
-            counts: Vec::new(),
-            total: total?,
-            sum_ps,
-            min_ps: min_ps?,
-            max_ps: max_ps?,
-        };
-        // Tagged buckets carry their floor; untagged ones are legacy
-        // 16-sub-bucket indices, decoded to their floor. Either way the
-        // floor is re-bucketed by value, never by index.
-        let (pairs, read) =
+        let (total, min_ps, max_ps) = (total?, min_ps?, max_ps?);
+        // The pairs read become the buckets, decoded in place now that the
+        // tag is known: tagged keys are floors, untagged ones legacy
+        // 16-sub-bucket indices decoded to their floor, and either floor is
+        // re-bucketed by value, never by index.
+        let (mut pairs, read) =
             buckets.ok_or_else(|| DeError::new(format!("{TY}: missing field `buckets`")))?;
         let mut restored = 0u64;
-        for (key, count) in pairs {
+        for (key, count) in &mut pairs {
             restored = restored
-                .checked_add(count)
+                .checked_add(*count)
                 .ok_or_else(|| DeError::new(format!("{TY}: bucket counts overflow")))?;
             let floor = if tagged {
-                key
+                *key
             } else {
-                bucket_floor(LEGACY_SUB_BITS, key).ok_or_else(|| {
+                bucket_floor(LEGACY_SUB_BITS, *key).ok_or_else(|| {
                     DeError::new(format!("{TY}: legacy bucket index {key} out of range"))
                 })?
             };
-            h.add_to_bucket(floor, count);
+            *key = bucket_of(floor) as u64;
         }
         // The pairs before a bad one come first, as a pair-by-pair read
         // meets them.
         read?;
-        if restored != h.total {
+        if restored != total {
             return Err(DeError::new(format!(
-                "{TY}: bucket counts sum to {restored}, total says {}",
-                h.total
+                "{TY}: bucket counts sum to {restored}, total says {total}"
             )));
         }
-        Ok(h)
+        // Floors may come in any order and repeat, and counts may be zero.
+        pairs.sort_unstable_by_key(|&(b, _)| b);
+        pairs.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        pairs.retain(|&(_, c)| c != 0);
+        Ok(LatencyHistogram {
+            buckets: pairs,
+            total,
+            sum_ps,
+            min_ps,
+            max_ps,
+        })
     }
 }
 

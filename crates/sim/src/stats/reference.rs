@@ -1,7 +1,9 @@
 //! The dense latency histogram the sparse [`super::LatencyHistogram`]
 //! replaced, kept as a test reference: one `u64` count per bucket up to
 //! the highest occupied one. The sparse histogram must agree with it on
-//! every statistic, every serialized byte and every read outcome.
+//! every statistic, every serialized byte and every read outcome, and a
+//! [`super::LatencyRecorder`] must build the histogram that recording the
+//! same samples straight into one builds.
 
 use crate::time::SimDuration;
 use serde::{DeError, Deserialize, Deserializer, Field, Kind, Serialize, Serializer};
@@ -283,10 +285,11 @@ fn read_pairs(d: &mut dyn Deserializer, pairs: &mut Vec<(u64, u64)>) -> Result<(
 }
 
 /// The histogram in use against the dense one, over random sample
-/// multisets, merges, and serialized forms both well-formed and not.
+/// multisets, merges, and serialized forms both well-formed and not; and
+/// the recorder against the histogram.
 mod differential {
     use super::{bucket_floor, LatencyHistogram as Dense, SUB, SUB_BITS};
-    use crate::stats::LatencyHistogram;
+    use crate::stats::{LatencyHistogram, LatencyRecorder};
     use crate::time::SimDuration;
     use proptest::prelude::*;
     use serde::Deserialize;
@@ -536,13 +539,16 @@ mod differential {
             let xs = samples(&draws.iter().map(|&(k, raw, _)| (k, raw)).collect::<Vec<_>>());
             let mut new: Vec<LatencyHistogram> = vec![LatencyHistogram::new(); 4];
             let mut old: Vec<Dense> = vec![Dense::new(); 4];
+            let mut recorders: Vec<LatencyRecorder> = vec![LatencyRecorder::new(); 4];
             for (&x, &(_, _, into)) in xs.iter().zip(&draws) {
                 let d = SimDuration::from_ps(x);
                 new[usize::from(into)].record(d);
                 old[usize::from(into)].record(d);
+                recorders[usize::from(into)].record(d);
             }
-            for (h, r) in new.iter().zip(&old) {
+            for ((h, r), rec) in new.iter().zip(&old).zip(&recorders) {
                 agree(h, r);
+                prop_assert_eq!(&rec.histogram(), h);
             }
             for (into, from) in merges {
                 let (into, from) = (usize::from(into), usize::from(from));
