@@ -429,6 +429,7 @@ impl Deserialize for LatencyHistogram {
             same
         });
         pairs.retain(|&(_, c)| c != 0);
+        pairs.shrink_to_fit();
         Ok(LatencyHistogram {
             buckets: pairs,
             total,

@@ -14,46 +14,60 @@
 //! each task's dependence list and the type names, and nothing per key or
 //! per number. The six Small-scale exports must read under 2 allocations
 //! per task.
+//!
+//! A store line read back holds its report's latency histograms as their
+//! occupied buckets, so a parsed record leaves at most twice the line's
+//! length live on the heap: a closed Dedup-tiny cell and a 1 s service
+//! cell at 150 arrivals/s, both made here. A dense bucket array per
+//! histogram left 15.4 and 7.0 times the line.
 
-use cata_core::exp::{default_registries, ScenarioSpec, WorkloadSpec};
+use cata_bench::matrix::DEFAULT_SEED;
+use cata_core::exp::{default_registries, CellRecord, ScenarioSpec, WorkloadSpec};
+use cata_core::service::{default_admission_registry, run_service, ArrivalSpec, ServiceSpec};
 use cata_core::SimExecutor;
+use cata_sim::time::SimDuration;
 use cata_tdg::file::TdgFile;
 use cata_workloads::{Benchmark, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
-/// calls of the calling thread.
+/// The system allocator, counting the calling thread's `alloc`,
+/// `alloc_zeroed` and `realloc` calls, and the bytes it holds: what it
+/// allocated less what it freed.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// Counts one heap call that takes `grow` bytes (negative: gives back).
+fn count(calls: u64, grow: i64) {
     // `try_with`: a thread's last frees can run after its locals are gone.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + calls));
+    let _ = LIVE.try_with(|n| n.set(n.get() + grow));
 }
 
-// SAFETY: every call forwards to `System` unchanged; the counter is a
-// const-initialized thread local, which never allocates.
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// const-initialized thread locals, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(1, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(1, layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(1, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -136,4 +150,57 @@ fn tdg_reads_allocate_under_two_per_task() {
         "{:.2} allocations per task{table}",
         allocs as f64 / tasks as f64
     );
+}
+
+/// Heap bytes a record read from `line` holds, over the line's length.
+fn parsed_heap_per_byte(line: &str) -> f64 {
+    let before = LIVE.with(Cell::get);
+    let record: CellRecord = serde_json::from_str(line).expect("the line reads back");
+    let live = LIVE.with(Cell::get) - before;
+    drop(record);
+    live as f64 / line.len() as f64
+}
+
+#[test]
+fn parsed_store_lines_hold_under_twice_their_length() {
+    let workload = WorkloadSpec::parsec(Benchmark::Dedup, Scale::Tiny, DEFAULT_SEED);
+    let spec = ScenarioSpec::preset("CATA", 8, workload).expect("preset");
+    let (report, _) = SimExecutor
+        .run_spec(&spec, default_registries())
+        .expect("run");
+    let closed = CellRecord::new(0, &spec, "grid".into(), 0.01, report)
+        .with_host("0123456789abcdef".into())
+        .with_times(1, 2)
+        .with_spec(spec.clone());
+
+    let mut base = ScenarioSpec::preset(
+        "CATA",
+        16,
+        WorkloadSpec::parsec(Benchmark::Dedup, Scale::Tiny, 42),
+    )
+    .expect("preset");
+    base.seed = 42;
+    let service = ServiceSpec::new(
+        base,
+        ArrivalSpec::Poisson { rate_hz: 150.0 },
+        SimDuration::from_ms(1_000),
+    );
+    let (report, _) = run_service(&service, default_registries(), default_admission_registry())
+        .expect("service run");
+    let served = CellRecord::new(1, &service.base, "grid".into(), 0.01, report);
+
+    let measured: Vec<_> = [("CATA Dedup-tiny", closed), ("serve 1 s", served)]
+        .into_iter()
+        .map(|(name, record)| {
+            let line = serde_json::to_string(&record).expect("the record writes");
+            (name, line.len(), parsed_heap_per_byte(&line))
+        })
+        .collect();
+    let table: String = measured
+        .iter()
+        .map(|(name, len, ratio)| format!("\n  {name}: {len}-byte line, {ratio:.2} bytes per byte"))
+        .collect();
+    for (name, _, ratio) in &measured {
+        assert!(*ratio <= 2.0, "{name}{table}");
+    }
 }
