@@ -192,8 +192,10 @@ const fn switch(name: &'static str, cmds: &'static str) -> Flag {
 }
 
 /// Every flag, once. A flag given to a command its row does not name is a
-/// usage error, so no command silently ignores a flag. (`serve` reads
-/// `--shard` only to number its heartbeat stream.)
+/// usage error, so no command silently ignores a flag; nor does one that
+/// only acts with another: `--min-ratio` needs `--baseline`, `serve`'s
+/// `--shard` (which only numbers its heartbeat stream) needs
+/// `--progress`, and `--native-energy` needs a native cell in the grid.
 const FLAGS: &[Flag] = &[
     value(
         "--scale",
@@ -804,9 +806,10 @@ fn overlays(opts: &Opts) -> Vec<Overlay> {
 
 /// The cell grid of `specs` under the flags' overlays, each laid over
 /// every cell the one before it made: how `run`, `preset` and `gc` build
-/// their grids.
+/// their grids. `--native-energy` sets what native cells measure, so a
+/// grid without one is an error.
 fn grid(opts: &Opts, specs: Vec<ScenarioSpec>) -> Vec<ScenarioSpec> {
-    overlays(opts).iter().fold(specs, |cells, overlay| {
+    let cells = overlays(opts).iter().fold(specs, |cells, overlay| {
         let mut out = Vec::new();
         for spec in cells {
             if overlay.twin_first {
@@ -824,7 +827,14 @@ fn grid(opts: &Opts, specs: Vec<ScenarioSpec>) -> Vec<ScenarioSpec> {
             }
         }
         out
-    })
+    });
+    if opts.has("--native-energy") && cells.iter().all(|c| c.backend != Backend::Native) {
+        die(
+            "--native-energy sets the native cells' energy source, and the grid has none \
+             — add --backend native|both",
+        );
+    }
+    cells
 }
 
 /// The one cell a single-run command (`serve`, `record`) builds from
@@ -1667,6 +1677,15 @@ fn main() {
                 opts.cmd
             ));
         }
+        if opts.cmd == "serve" && opts.has("--shard") && !opts.has("--progress") {
+            die("`serve` --shard only numbers the heartbeat stream — add --progress FILE");
+        }
+    }
+    if opts.has("--min-ratio") && !opts.has("--baseline") {
+        die(&format!(
+            "`{}` --min-ratio bounds the ratio to a baseline — add --baseline FILE",
+            opts.cmd
+        ));
     }
     let benches = Benchmark::all();
     let t0 = Instant::now();

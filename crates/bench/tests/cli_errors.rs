@@ -2,13 +2,14 @@
 //! a panic: an output path that cannot be written, a spec file that does
 //! not parse or validate (a number out of `f64`'s range included), and
 //! removed flags. Only a bad command line also prints the usage text.
+//! The live console off a terminal fails on the terminal, not the store.
 //! Power parameters whose energy overflows fail the run and leave the
 //! store readable. The fault and memory overlays order the grid, and `gc`
 //! builds the same grid as `run`.
 
 use cata_core::exp::{ScenarioSpec, WorkloadSpec};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// A path under a regular file, which no user can create or write.
 fn unwritable(name: &str) -> String {
@@ -78,7 +79,8 @@ fn only_argument_errors_print_the_usage() {
 /// flags to each other, or a bad value is a bad command line: exit 2, one
 /// `error:` line containing the given text, then the usage. A `--min-ratio`
 /// that is not a finite number above 0 would disable the throughput gates
-/// of `merge` and `perf`, since no ratio compares below NaN.
+/// of `merge` and `perf`, since no ratio compares below NaN. A flag that
+/// acts only with another names the one it needs.
 #[test]
 fn flag_rules_print_one_error_and_the_usage() {
     let preset = [
@@ -151,6 +153,16 @@ fn flag_rules_print_one_error_and_the_usage() {
             &["merge", "s.jsonl", "--min-ratio", "-1"],
             "bad --min-ratio",
         ),
+        (&["merge", "s.jsonl", "--min-ratio", "0.5"], "--baseline"),
+        (&["perf", "--smoke", "--min-ratio", "0.5"], "--baseline"),
+        (
+            &["serve", "CATA", "--rate", "100", "--shard", "1/2"],
+            "--progress",
+        ),
+        (
+            &[&preset[..], &["--native-energy", "model"]].concat(),
+            "--backend",
+        ),
     ];
     for (args, flag) in cases {
         let out = repro(args);
@@ -162,6 +174,26 @@ fn flag_rules_print_one_error_and_the_usage() {
         let usage = stderr.find("usage: repro").expect("usage follows");
         assert!(usage > stderr.find(&line).expect("error line"), "{stderr}");
     }
+}
+
+/// `watch` with no controlling terminal fails opening `/dev/tty`: exit 1
+/// and a `terminal:` error, though the store it was given reads fine.
+#[test]
+fn watch_off_a_terminal_blames_the_terminal() {
+    let store = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-errors-watch.jsonl");
+    std::fs::write(&store, "").expect("write the store");
+    let out = Command::new("setsid")
+        .args(["-w", env!("CARGO_BIN_EXE_repro"), "watch"])
+        .arg(&store)
+        .stdin(Stdio::null())
+        .output()
+        .expect("setsid (util-linux) runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: terminal: /dev/tty: "),
+        "{stderr}"
+    );
 }
 
 /// Faults, then memory, make the grid: each preset's fault-free cells

@@ -67,6 +67,9 @@ pub enum ExpError {
     Parse(String),
     /// The results store could not be read, validated, or written.
     Store(String),
+    /// The controlling terminal or standard output could not be driven:
+    /// no `/dev/tty`, a failed `stty`, or a failed write.
+    Terminal(String),
     /// The workload's task graph could not be built — a missing,
     /// malformed, or digest-mismatched TDG file behind an
     /// `Inline`/`File` workload.
@@ -132,6 +135,7 @@ impl fmt::Display for ExpError {
             ExpError::InvalidSpec(msg) => write!(f, "invalid scenario: {msg}"),
             ExpError::Parse(msg) => write!(f, "spec parse error: {msg}"),
             ExpError::Store(msg) => write!(f, "results store: {msg}"),
+            ExpError::Terminal(msg) => write!(f, "terminal: {msg}"),
             ExpError::Workload(msg) => write!(f, "workload: {msg}"),
             ExpError::Stalled(msg) => write!(f, "stalled: {msg}"),
         }

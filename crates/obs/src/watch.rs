@@ -137,7 +137,7 @@ fn headless(cfg: &WatchConfig) -> Result<DashState, ExpError> {
     let mut out = std::io::stdout().lock();
     out.write_all(frame.to_text().as_bytes())
         .and_then(|()| out.flush())
-        .map_err(|e| ExpError::Store(format!("stdout: {e}")))?;
+        .map_err(|e| ExpError::Terminal(format!("stdout: {e}")))?;
     Ok(fo.state)
 }
 
@@ -167,14 +167,14 @@ impl Drop for TermGuard {
 /// Runs `stty` against the controlling terminal and returns its stdout.
 fn stty(args: &[&str]) -> Result<String, ExpError> {
     let tty = File::open("/dev/tty")
-        .map_err(|e| ExpError::Store(format!("/dev/tty: {e} (use --once off-terminal)")))?;
+        .map_err(|e| ExpError::Terminal(format!("/dev/tty: {e} (use --once off-terminal)")))?;
     let out = Command::new("stty")
         .args(args)
         .stdin(tty)
         .output()
-        .map_err(|e| ExpError::Store(format!("stty: {e}")))?;
+        .map_err(|e| ExpError::Terminal(format!("stty: {e}")))?;
     if !out.status.success() {
-        return Err(ExpError::Store(format!(
+        return Err(ExpError::Terminal(format!(
             "stty {args:?}: {}",
             String::from_utf8_lossy(&out.stderr).trim()
         )));
@@ -198,7 +198,8 @@ fn term_size() -> (usize, usize) {
 fn live(cfg: &WatchConfig) -> Result<DashState, ExpError> {
     let mut fo = Follower::new(cfg);
     let guard = TermGuard::enter()?;
-    let mut tty = File::open("/dev/tty").map_err(|e| ExpError::Store(format!("/dev/tty: {e}")))?;
+    let mut tty =
+        File::open("/dev/tty").map_err(|e| ExpError::Terminal(format!("/dev/tty: {e}")))?;
     let mut prev: Option<crate::frame::Frame> = None;
     let mut out = std::io::stdout();
     loop {
@@ -214,7 +215,7 @@ fn live(cfg: &WatchConfig) -> Result<DashState, ExpError> {
         if !paint.is_empty() {
             out.write_all(paint.as_bytes())
                 .and_then(|()| out.flush())
-                .map_err(|e| ExpError::Store(format!("stdout: {e}")))?;
+                .map_err(|e| ExpError::Terminal(format!("stdout: {e}")))?;
         }
         prev = Some(frame);
 
