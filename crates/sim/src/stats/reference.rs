@@ -497,6 +497,17 @@ mod differential {
         text.insert(s.next(text.len() + 1), bad.to_string());
         out.push(tagged(total, format!("[{}]", text.join(",")), tag(s)));
 
+        // A malformed pair after a fault in the pairs before it: counts
+        // that overflow, or a legacy index past the last bucket.
+        let mut fields = head(total);
+        if s.next(2) == 0 {
+            fields.push(("sub_buckets", "128".into()));
+            fields.push(("buckets", format!("[[1,1],[7,{}],{bad}]", u64::MAX)));
+        } else {
+            fields.push(("buckets", format!("[[977,1],{bad}]")));
+        }
+        out.push(doc(&fields));
+
         // Legacy 16-sub-bucket indices, a few past the last one.
         let legacy: Vec<(u64, u64)> = (0..s.next(6))
             .map(|_| (s.next(980) as u64, 1 + s.next(3) as u64))
