@@ -12,7 +12,7 @@
 //!
 //! A [`LatencyHistogram`] holds only its occupied buckets, so its memory
 //! is proportional to the number of distinct buckets its samples reach
-//! (52 on average in a Small-scale report), not to the span of values.
+//! (about 50 in all per Small-scale report), not to the span of values.
 //! Recording is a binary search. A site that records once or more per
 //! task — the software DVFS path's lock waits, the RSU's decision costs —
 //! uses a [`LatencyRecorder`] instead: the same buckets as a dense array,
@@ -203,39 +203,13 @@ impl LatencyHistogram {
         self.buckets.iter().map(|&(b, c)| (floor(b), c))
     }
 
-    /// Merges another histogram into this one: the two sorted bucket runs
-    /// merge into one.
+    /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         if other.total == 0 {
             return;
         }
-        let (a, b) = (&self.buckets, &other.buckets);
-        let mut merged = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        loop {
-            let pair = match (a.get(i), b.get(j)) {
-                (Some(&x), Some(&y)) if x.0 == y.0 => {
-                    i += 1;
-                    j += 1;
-                    (x.0, x.1 + y.1)
-                }
-                (Some(&x), Some(&y)) if x.0 < y.0 => {
-                    i += 1;
-                    x
-                }
-                (Some(&x), None) => {
-                    i += 1;
-                    x
-                }
-                (_, Some(&y)) => {
-                    j += 1;
-                    y
-                }
-                (None, None) => break,
-            };
-            merged.push(pair);
-        }
-        self.buckets = merged;
+        self.buckets.extend_from_slice(&other.buckets);
+        fold(&mut self.buckets);
         self.min_ps = if self.total == 0 {
             other.min_ps
         } else {
@@ -255,6 +229,20 @@ impl LatencyHistogram {
         }
         Ok(h)
     }
+}
+
+/// Puts `(bucket, count)` pairs in their stored form: sorted by bucket,
+/// one pair per bucket holding the sum of its counts, and no zero counts.
+fn fold(pairs: &mut Vec<(u64, u64)>) {
+    pairs.sort_unstable_by_key(|&(b, _)| b);
+    pairs.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    pairs.retain(|&(_, c)| c != 0);
 }
 
 /// A [`LatencyHistogram`] being recorded at a site that records once or
@@ -420,15 +408,7 @@ impl Deserialize for LatencyHistogram {
             )));
         }
         // Floors may come in any order and repeat, and counts may be zero.
-        pairs.sort_unstable_by_key(|&(b, _)| b);
-        pairs.dedup_by(|next, kept| {
-            let same = next.0 == kept.0;
-            if same {
-                kept.1 += next.1;
-            }
-            same
-        });
-        pairs.retain(|&(_, c)| c != 0);
+        fold(&mut pairs);
         pairs.shrink_to_fit();
         Ok(LatencyHistogram {
             buckets: pairs,
