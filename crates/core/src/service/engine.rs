@@ -19,7 +19,8 @@
 //!   instance; its queued tasks are then discarded and its running ones
 //!   complete void.
 //! - **Streaming metrics.** Completions fold into log-bucketed
-//!   [`LatencyHistogram`]s (O(1) per sample, no allocation), because an
+//!   [`LatencyHistogram`]s, which hold their occupied buckets and
+//!   allocate only when a sample reaches a new one, because an
 //!   open-system run can complete millions of instances.
 
 use super::admission::{AdmissionCtx, AdmissionPolicy, AdmissionRegistry};

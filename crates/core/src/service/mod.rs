@@ -30,7 +30,7 @@
 //!   graph instances in pooled per-instance slots, arrivals interleaved
 //!   into the ordinary event queue, completions folded into streaming
 //!   log-bucketed [`LatencyHistogram`](cata_sim::stats::LatencyHistogram)s
-//!   (no per-sample allocation).
+//!   (memory per occupied bucket, not per sample).
 //! - [`ServiceReport`] — the per-run service metrics, carried on
 //!   [`RunReport::service`](crate::RunReport) so service cells flow
 //!   through the same stores and tables as closed-system cells.
