@@ -83,7 +83,11 @@
 //! pair, side by side in the grid); native cells run the thread-pool
 //! runtime on a mock DVFS backend and report calibrated modeled energy —
 //! or RAPL-measured joules with `--native-energy auto` on a host whose
-//! powercap counters are readable.
+//! powercap counters are readable. Native cells run the spec's scheduler
+//! and estimator; of the accel keys they run `static-hetero`,
+//! `software-cata` and `rsu`, so `both` prints one line naming the
+//! native twins it leaves out (TurboMode's), and a `native` cell with
+//! another key fails.
 //!
 //! Sharded/stored suites (`run`/`preset`): `--shard K/N` keeps the
 //! deterministic `K`-th of `N` slices of the cell grid, dealt serpentine
@@ -103,7 +107,8 @@
 //!
 //! `perf` options: `--smoke` (CI-sized), `--reps N` (timing repetitions,
 //! default 5), `--out FILE` (default `BENCH_engine.json`), `--baseline
-//! FILE` (embed a previous report's medium summary + speedup),
+//! FILE` (embed a previous report's medium summary + speedup; a baseline
+//! that is the default output needs an explicit `--out`),
 //! `--trajectory FILE` (append this run as one JSONL point to the
 //! append-only perf trajectory).
 //!
@@ -137,8 +142,9 @@ use cata_bench::matrix::{run_matrix, MatrixResult, DEFAULT_SEED};
 use cata_bench::sweeps;
 use cata_bench::tables::{fmt_energy, Table};
 use cata_core::exp::{
-    spec_digest, Backend, BackendDispatch, CellRecord, EnergySource, Executor, NativeExecutor,
-    ProgressWriter, ResultsStore, Scenario, ScenarioSpec, Suite, WorkloadSpec, STORE_SCHEMA,
+    native_rsm_mode, spec_digest, Backend, BackendDispatch, CellRecord, EnergySource, Executor,
+    NativeExecutor, ProgressWriter, ResultsStore, Scenario, ScenarioSpec, Suite, WorkloadSpec,
+    STORE_SCHEMA,
 };
 use cata_core::fault::{CoreFailure, FaultSpec};
 use cata_core::mem::{default_arbitration_registry, MemorySpec, DEFAULT_ARBITRATION};
@@ -553,6 +559,9 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Where `perf` writes its report when `--out` is not given.
+const PERF_OUT: &str = "BENCH_engine.json";
+
 /// The usage text: every flag of [`FLAGS`] appears in it.
 const USAGE: &str =
     "usage: repro [COMMAND] [ARGS] [FLAGS]   (a flag the command does not read is an error)\n\
@@ -806,10 +815,13 @@ fn overlays(opts: &Opts) -> Vec<Overlay> {
 
 /// The cell grid of `specs` under the flags' overlays, each laid over
 /// every cell the one before it made: how `run`, `preset` and `gc` build
-/// their grids. `--native-energy` sets what native cells measure, so a
-/// grid without one is an error.
+/// their grids. `--backend both` leaves out the native twin of a cell
+/// whose accel key the native runtime cannot run, and says so in one
+/// line; `--backend native` keeps such a cell, which then fails.
+/// `--native-energy` sets what native cells measure, so a grid without
+/// one is an error.
 fn grid(opts: &Opts, specs: Vec<ScenarioSpec>) -> Vec<ScenarioSpec> {
-    let cells = overlays(opts).iter().fold(specs, |cells, overlay| {
+    let mut cells = overlays(opts).iter().fold(specs, |cells, overlay| {
         let mut out = Vec::new();
         for spec in cells {
             if overlay.twin_first {
@@ -828,6 +840,26 @@ fn grid(opts: &Opts, specs: Vec<ScenarioSpec>) -> Vec<ScenarioSpec> {
         }
         out
     });
+    if opts
+        .get::<&[Backend]>("--backend")
+        .is_some_and(|b| b.len() > 1)
+    {
+        let mut skipped = Vec::new();
+        cells.retain(|c| {
+            let runs = c.backend != Backend::Native || native_rsm_mode(&c.accel).is_ok();
+            if !runs {
+                skipped.push(format!("{} (accel {})", c.name, c.accel));
+            }
+            runs
+        });
+        if !skipped.is_empty() {
+            println!(
+                "[--backend both: no native twin for {}: the native backend runs \
+                 static-hetero, software-cata and rsu]",
+                skipped.join(", ")
+            );
+        }
+    }
     if opts.has("--native-energy") && cells.iter().all(|c| c.backend != Backend::Native) {
         die(
             "--native-energy sets the native cells' energy source, and the grid has none \
@@ -1687,6 +1719,13 @@ fn main() {
             opts.cmd
         ));
     }
+    if let Some(base) = opts.text("--baseline") {
+        if opts.cmd == "perf" && !opts.has("--out") && same_file(base, PERF_OUT) {
+            die(&format!(
+                "`perf` would write its report over its --baseline {base} — pass --out FILE"
+            ));
+        }
+    }
     let benches = Benchmark::all();
     let t0 = Instant::now();
     let all = opts.cmd == "all";
@@ -1815,7 +1854,7 @@ fn main() {
                 }
             }
             print!("{}", report.render());
-            let out = opts.text("--out").unwrap_or("BENCH_engine.json");
+            let out = opts.text("--out").unwrap_or(PERF_OUT);
             write_file(out, &report.to_json_pretty());
             println!("[wrote {out}]");
             if let Some(path) = opts.text("--trajectory") {

@@ -2,10 +2,12 @@
 //! a panic: an output path that cannot be written, a spec file that does
 //! not parse or validate (a number out of `f64`'s range included), and
 //! removed flags. Only a bad command line also prints the usage text.
-//! The live console off a terminal fails on the terminal, not the store.
-//! Power parameters whose energy overflows fail the run and leave the
-//! store readable. The fault and memory overlays order the grid, and `gc`
-//! builds the same grid as `run`.
+//! The live console off a terminal fails on the terminal, not the store,
+//! and a watch that times out says so. `perf` will not write its report
+//! over its baseline by default. Power parameters whose energy overflows
+//! fail the run and leave the store readable. The fault and memory
+//! overlays order the grid, `gc` builds the same grid as `run`, and
+//! `--backend both` leaves out the native twins no native run can honour.
 
 use cata_core::exp::{ScenarioSpec, WorkloadSpec};
 use std::path::PathBuf;
@@ -192,6 +194,90 @@ fn watch_off_a_terminal_blames_the_terminal() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(
         stderr.starts_with("error: terminal: /dev/tty: "),
+        "{stderr}"
+    );
+}
+
+/// `watch --until-done` over a grid that stays unfinished fails on its
+/// timeout, exit 1, and blames no store (none was given).
+#[test]
+fn watch_timeout_names_the_timeout() {
+    let sidecar = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-errors-watch-p.jsonl");
+    std::fs::write(
+        &sidecar,
+        "{\"schema\":\"cata-progress/v1\",\"shard\":0,\"unix_ms\":1,\"kind\":\"grid\",\
+         \"done\":0,\"total\":1}\n",
+    )
+    .expect("write the sidecar");
+    let sidecar = sidecar.to_string_lossy().into_owned();
+    let out = repro(&[
+        "watch",
+        "--progress",
+        &sidecar,
+        "--until-done",
+        "--timeout",
+        "1",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        "error: stalled: watch --until-done: grid still at 0/1 after 1s"
+    );
+}
+
+/// `perf --baseline F` without `--out` would write its report to the
+/// default `BENCH_engine.json`; when that is `F`, however it is spelled,
+/// it is a bad command line and the baseline keeps its bytes.
+#[test]
+fn perf_keeps_its_baseline() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-errors-perf-baseline");
+    std::fs::create_dir_all(&dir).expect("make the dir");
+    let baseline = dir.join("BENCH_engine.json");
+    let bytes = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_engine.json"
+    ))
+    .expect("read the recorded baseline");
+    std::fs::write(&baseline, &bytes).expect("copy the baseline");
+    for path in ["BENCH_engine.json", "./BENCH_engine.json"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["perf", "--smoke", "--reps", "1", "--baseline", path])
+            .current_dir(&dir)
+            .output()
+            .expect("repro runs");
+        let line = error_line(&out);
+        assert!(line.contains("--out"), "{path}: {line}");
+        assert_eq!(std::fs::read(&baseline).expect("baseline"), bytes, "{path}");
+    }
+}
+
+/// `--backend both` pairs every preset with a native twin except
+/// TurboMode's, whose `turbo` accel the native runtime cannot run: 11
+/// cells and one line naming the twin left out. `--backend native` keeps
+/// that cell, and it fails naming the key.
+#[test]
+fn backend_both_leaves_out_native_twins_it_cannot_run() {
+    let preset = [
+        "preset", "--bench", "dedup", "--scale", "tiny", "--fast", "8", "--jobs", "2",
+    ];
+    let out = repro(&[&preset[..], &["--backend", "both"]].concat());
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let skips: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("native twin"))
+        .collect();
+    assert_eq!(skips.len(), 1, "{stdout}");
+    assert!(skips[0].contains("TurboMode (accel turbo)"), "{stdout}");
+    let cells = stdout.lines().filter(|l| l.contains(" tasks=")).count();
+    assert_eq!(cells, 11, "{stdout}");
+
+    let out = repro(&[&preset[..], &["TurboMode", "--backend", "native"]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("accel `turbo` has no native twin"),
         "{stderr}"
     );
 }

@@ -74,10 +74,11 @@ pub enum ExpError {
     /// malformed, or digest-mismatched TDG file behind an
     /// `Inline`/`File` workload.
     Workload(String),
-    /// The run cannot make forward progress: injected faults removed the
-    /// capacity (or shed the work) that remaining tasks need. Unlike a
-    /// deadlock panic this is a *clean* outcome — a dying machine
-    /// terminates and reports instead of hanging.
+    /// Work did not finish: injected faults removed the capacity (or shed
+    /// the work) that a run's remaining tasks need, or a watched grid was
+    /// still incomplete when its timeout ran out. Unlike a deadlock panic
+    /// this is a *clean* outcome — a dying machine terminates and reports
+    /// instead of hanging.
     Stalled(String),
 }
 

@@ -3,9 +3,13 @@
 //! Both the deterministic discrete-event simulator ([`SimExecutor`]) and
 //! the real thread-pool runtime ([`NativeExecutor`]) take a
 //! [`Scenario`] and produce a [`RunReport`], so benches, sweeps and suites
-//! are backend-agnostic.
+//! are backend-agnostic. Both resolve the spec's scheduler and estimator
+//! through the scenario's registries; the native runtime takes the
+//! resolved policy as its ready queue, and its accel key picks one of
+//! three reconfiguration disciplines ([`native_rsm_mode`]).
 
 use super::error::ExpError;
+use super::registry::ResolvedPolicies;
 use super::scenario::Scenario;
 use super::spec::Backend;
 use crate::fault::FaultReport;
@@ -163,14 +167,41 @@ fn host_rapl() -> Option<&'static RaplReader> {
 static NATIVE_IN_FLIGHT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 static OVERLAP_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+/// Divides each task's cycle count to size its busy-work loop, so
+/// paper-scale workloads finish in test time.
+const WORK_DIVISOR: u64 = 1_000;
+
+/// The reconfiguration discipline the native runtime runs for an accel
+/// key: `static-hetero` runs the workers below the budget fast and never
+/// writes, `software-cata` holds the RSM lock across the writes (§III-A),
+/// and `rsu` holds it only for the decision (§III-B). Any other key, such
+/// as `turbo`, has no native twin. [`NativeExecutor`],
+/// [`ScenarioSpec::validate`](super::spec::ScenarioSpec::validate) for a
+/// native spec, and `repro --backend both` all decide by this function.
+pub fn native_rsm_mode(accel: &str) -> Result<RsmMode, ExpError> {
+    match accel {
+        "static-hetero" => Ok(RsmMode::Static),
+        "software-cata" => Ok(RsmMode::Software),
+        "rsu" => Ok(RsmMode::RsuEmulated),
+        other => Err(ExpError::InvalidSpec(format!(
+            "accel `{other}` has no native twin; the native backend runs \
+             static-hetero, software-cata and rsu"
+        ))),
+    }
+}
+
 /// The native thread-pool backend: really runs the scenario's task graph as
-/// busy-work closures on worker threads, with the CATA algorithm driving a
-/// DVFS backend (mock by default; sysfs where permitted).
+/// busy-work closures on worker threads. The scenario's registries build
+/// its ready queue and criticality estimator, the estimator classifies
+/// each task as it is spawned, and the accel key picks the
+/// reconfiguration discipline ([`native_rsm_mode`]). DVFS writes go to
+/// [`NullDvfs`](cata_cpufreq::backend::NullDvfs) unless
+/// [`backend`](Self::backend) sets another.
 ///
-/// The scenario's machine chooses the worker count (capped at the host's
-/// parallelism) and `fast_cores` sets the acceleration budget. Simulated
-/// task durations are scaled down by `work_divisor` so paper-scale
-/// workloads finish in test time.
+/// The scenario's machine chooses the worker count (capped at
+/// [`max_workers`](Self::max_workers)) and `fast_cores` sets the
+/// acceleration budget. Simulated task durations are scaled down by a
+/// constant divisor so paper-scale workloads finish in test time.
 ///
 /// Energy: the runtime observes per-worker busy time at each frequency
 /// class and the executor prices it through the spec's
@@ -181,10 +212,6 @@ static OVERLAP_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 /// sim-comparable energy — they used to hard-code 0 J, which made every
 /// normalized-EDP table divide by zero.
 pub struct NativeExecutor {
-    /// Reconfiguration discipline (software lock vs RSU-emulated).
-    pub rsm_mode: RsmMode,
-    /// Divides each task's cycle count to size its busy-work loop.
-    pub work_divisor: u64,
     /// Cap on worker threads (the scenario machine may name 32 cores).
     pub max_workers: usize,
     /// RAPL-vs-model policy.
@@ -195,8 +222,6 @@ pub struct NativeExecutor {
 impl Default for NativeExecutor {
     fn default() -> Self {
         NativeExecutor {
-            rsm_mode: RsmMode::RsuEmulated,
-            work_divisor: 1_000,
             max_workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
@@ -207,21 +232,10 @@ impl Default for NativeExecutor {
 }
 
 impl NativeExecutor {
-    /// A native executor with defaults (RSU-emulated RSM, mock DVFS).
+    /// A native executor with defaults (host-wide worker cap, RAPL when
+    /// readable, null DVFS).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Selects the reconfiguration discipline.
-    pub fn rsm_mode(mut self, mode: RsmMode) -> Self {
-        self.rsm_mode = mode;
-        self
-    }
-
-    /// Sets the busy-work scale divisor.
-    pub fn work_divisor(mut self, divisor: u64) -> Self {
-        self.work_divisor = divisor.max(1);
-        self
     }
 
     /// Sets the DVFS backend explicitly (sysfs, mock, null).
@@ -344,8 +358,16 @@ impl NativeExecutor {
         observed: Option<&Arc<Vec<AtomicU64>>>,
     ) -> Result<RunReport, ExpError> {
         // Both callers validate the spec before building the graph they
-        // hand in, so the spec is known-good here.
+        // hand in. Validation checks the accel key only for a `native`
+        // spec, and this executor runs `sim` ones too, so it checks the
+        // key itself before any worker starts.
         let spec = scenario.spec();
+        let rsm_mode = native_rsm_mode(&spec.accel)?;
+        let ResolvedPolicies {
+            policy,
+            mut estimator,
+            ..
+        } = scenario.registries().resolve(spec)?;
 
         let workers = spec.machine.num_cores.clamp(1, self.max_workers);
         let budget = spec.fast_cores.min(workers);
@@ -364,7 +386,8 @@ impl NativeExecutor {
 
         let mut builder = NativeRuntime::builder(workers)
             .budget(budget)
-            .rsm_mode(self.rsm_mode)
+            .rsm_mode(rsm_mode)
+            .policy(policy)
             .frequencies_khz(fast_khz, slow_khz);
         // Fault injection on the native backend: flaky DVFS writes wrap
         // whichever backend the run would have used, and the runtime gets
@@ -428,20 +451,23 @@ impl NativeExecutor {
         let mut handles = Vec::with_capacity(graph.num_tasks());
         for task in graph.tasks() {
             let deps: Vec<_> = task.preds().iter().map(|p| handles[p.index()]).collect();
-            let critical = graph.type_of(task.id).criticality > 0;
-            let iters = task.profile.cpu_cycles / self.work_divisor;
+            // The whole graph is known up front: each task is classified
+            // as it is spawned, over the tasks spawned before it.
+            estimator.on_submit(graph, task.id);
+            let level = estimator.classify_level(graph, task.id);
+            let iters = task.profile.cpu_cycles / WORK_DIVISOR;
             let h = match observed {
                 Some(slots) => {
                     let slots = Arc::clone(slots);
                     let idx = task.id.index();
-                    rt.spawn(critical, &deps, move || {
+                    rt.spawn(level, &deps, move || {
                         let t0 = Instant::now();
                         std::hint::black_box(busy_work(iters));
                         let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
                         slots[idx].store(ns, std::sync::atomic::Ordering::Relaxed);
                     })
                 }
-                None => rt.spawn(critical, &deps, move || {
+                None => rt.spawn(level, &deps, move || {
                     std::hint::black_box(busy_work(iters));
                 }),
             };
@@ -453,9 +479,7 @@ impl NativeExecutor {
         // The window is only clean if no other native run overlapped it:
         // nobody was in flight when we started, and nobody arrived since.
         let exclusive = !already_running && OVERLAP_EPOCH.load(Ordering::SeqCst) == epoch_at_start;
-        let metrics = rt.metrics();
-        let busy = rt.busy_intervals();
-        drop(rt);
+        let (metrics, busy) = rt.finish();
 
         let exec_time = SimDuration::from_ns(wall.as_nanos().min(u64::MAX as u128) as u64);
         let wall_s = exec_time.as_secs_f64();
@@ -542,6 +566,7 @@ impl NativeExecutor {
                 reconfigs_requested: metrics.reconfigs,
                 reconfigs_applied: metrics.reconfigs.saturating_sub(metrics.reconfig_failures),
                 accel_denied: metrics.accel_denied,
+                cross_queue_steals: metrics.cross_queue_steals,
                 ..Counters::default()
             },
             lock_waits,
@@ -584,7 +609,7 @@ impl Executor for NativeExecutor {
 
     /// Native capture substitutes *observed* wall durations into the
     /// profiles: each task's measured nanoseconds are scaled back up by
-    /// `work_divisor` (undoing the busy-work scale-down) and expressed as
+    /// the busy-work divisor (undoing the scale-down) and expressed as
     /// cycles at the spec machine's slow level, so a replay on the
     /// simulator reproduces the host's relative task durations at
     /// sim-comparable magnitudes.
@@ -611,13 +636,9 @@ impl Executor for NativeExecutor {
             let ns = observed[i]
                 .load(std::sync::atomic::Ordering::Relaxed)
                 .max(1);
-            // duration_at(slow) == observed_ns * work_divisor: cycles =
+            // duration_at(slow) == observed_ns * WORK_DIVISOR: cycles =
             // wall time × cycles-per-ns at the slow clock.
-            let cycles = (ns
-                .saturating_mul(self.work_divisor)
-                .saturating_mul(slow_mhz)
-                / 1000)
-                .max(1);
+            let cycles = (ns.saturating_mul(WORK_DIVISOR).saturating_mul(slow_mhz) / 1000).max(1);
             // An observed duration replaces the whole cost model; memory
             // time and blocking points are folded into what was measured.
             task.profile = ExecProfile::new(cycles, 0);
@@ -691,6 +712,87 @@ impl Executor for BackendDispatch {
 mod tests {
     use super::*;
     use crate::exp::spec::WorkloadSpec;
+    use cata_cpufreq::backend::MockDvfs;
+    use cata_workloads::{Benchmark, Scale};
+
+    /// A paper preset's keys over tiny Dedup on 4 cores, 2 of them fast.
+    fn dedup(label: &str) -> Scenario {
+        let workload = WorkloadSpec::parsec(Benchmark::Dedup, Scale::Tiny, 42);
+        let mut scenario = Scenario::preset(label, 2, workload).unwrap();
+        scenario.spec_mut().machine = cata_sim::machine::MachineConfig::small_test(4);
+        scenario
+    }
+
+    /// A dispatcher whose native cells write to a fresh mock backend.
+    fn mock_dispatch() -> (BackendDispatch, Arc<MockDvfs>) {
+        let mock = Arc::new(MockDvfs::new(4, 1_000_000));
+        let native = NativeExecutor::new()
+            .max_workers(4)
+            .energy_source(EnergySource::Model)
+            .backend(mock.clone() as Arc<dyn DvfsBackend>);
+        (BackendDispatch::new().with_native(native), mock)
+    }
+
+    /// Native cells run what their labels name: the static configurations
+    /// never write, the CATA ones reconfigure, and TurboMode, which has no
+    /// native twin, fails with an error naming its key before any write.
+    #[test]
+    fn native_cells_run_what_their_labels_say() {
+        for label in ["FIFO", "CATS+SA", "CATS+BL", "CATA", "CATA+RSU"] {
+            let (dispatch, mock) = mock_dispatch();
+            let mut scenario = dedup(label);
+            scenario.spec_mut().backend = Backend::Native;
+            let report = dispatch
+                .execute(&scenario)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let writes = mock.call_count() as u64;
+            assert_eq!(report.counters.reconfigs_requested, writes, "{label}");
+            if scenario.spec().accel == "static-hetero" {
+                assert_eq!(writes, 0, "{label} reconfigured");
+                assert!(report.summary().contains(" reconfigs=0 "), "{label}");
+            } else {
+                assert!(writes > 0, "{label} never reconfigured");
+            }
+        }
+        // A sim-backend spec passes validation, so the executor checks too.
+        for backend in [Backend::Sim, Backend::Native] {
+            let (dispatch, mock) = mock_dispatch();
+            let mut turbo = dedup("TurboMode");
+            turbo.spec_mut().backend = backend;
+            let err = match backend {
+                Backend::Sim => dispatch.native.execute(&turbo),
+                Backend::Native => dispatch.execute(&turbo),
+            }
+            .expect_err("TurboMode has no native twin");
+            assert!(err.to_string().contains("accel `turbo`"), "{err}");
+            assert_eq!(mock.call_count(), 0);
+        }
+    }
+
+    /// Under `cats-homogeneous` every worker is fast, so each level-0 task
+    /// leaves through a cross-queue steal: every task when nothing is
+    /// critical, and as many as the simulator counts under static
+    /// annotations.
+    #[test]
+    fn cats_homogeneous_steals_every_level_zero_task() {
+        let (dispatch, _) = mock_dispatch();
+        let mut scenario = dedup("CATA+RSU");
+        assert_eq!(scenario.spec().scheduler, "cats-homogeneous");
+        let graph = scenario.spec().workload.build_graph();
+        let level0 = graph
+            .tasks()
+            .filter(|t| graph.type_of(t.id).criticality == 0)
+            .count() as u64;
+        assert!(0 < level0 && level0 < graph.num_tasks() as u64);
+        let sim = dispatch.execute(&scenario).unwrap();
+        assert_eq!(sim.counters.cross_queue_steals, level0);
+        scenario.spec_mut().backend = Backend::Native;
+        let native = dispatch.execute(&scenario).unwrap();
+        assert_eq!(native.counters.cross_queue_steals, level0);
+        scenario.spec_mut().estimator = "none".into();
+        let native = dispatch.execute(&scenario).unwrap();
+        assert_eq!(native.counters.cross_queue_steals, graph.num_tasks() as u64);
+    }
 
     #[test]
     fn both_executors_share_one_call_shape() {

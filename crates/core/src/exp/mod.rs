@@ -12,8 +12,7 @@
 //!   [`CriticalityEstimator`](cata_tdg::criticality::CriticalityEstimator)
 //!   and [`AccelManager`](crate::accel::AccelManager). The six paper
 //!   configurations are pre-registered; third-party policies register a
-//!   closure under a new key and run everywhere, without touching core
-//!   enums.
+//!   closure under a new key and run without touching core enums.
 //! - [`Executor`] — one call shape over every backend:
 //!   [`SimExecutor`](crate::SimExecutor) (deterministic discrete-event
 //!   simulation) and [`NativeExecutor`] (real threads + DVFS backend).
@@ -65,7 +64,9 @@ pub mod store;
 pub mod suite;
 
 pub use error::ExpError;
-pub use executor::{BackendDispatch, CapturedGraph, EnergySource, Executor, NativeExecutor};
+pub use executor::{
+    native_rsm_mode, BackendDispatch, CapturedGraph, EnergySource, Executor, NativeExecutor,
+};
 pub use progress::{
     host_fingerprint, now_unix_ms, JsonlTail, ProgressEvent, ProgressRecord, ProgressWriter,
     PROGRESS_SCHEMA,

@@ -5,9 +5,12 @@
 //! manager — through these registries instead of matching on closed
 //! enums. The six paper configurations are pre-registered under
 //! [`PolicyRegistries::with_builtins`]; third-party policies register a
-//! factory closure under a new key and immediately work with every
-//! executor, the suite runner, and the bench harness, without touching
-//! `cata-core`.
+//! factory closure under a new key and work with the suite runner and
+//! the bench harness without touching `cata-core`. A registered scheduler
+//! or estimator works with every executor. An acceleration manager drives
+//! the simulator only: the native runtime accepts the accel keys
+//! `static-hetero`, `software-cata` and `rsu`
+//! ([`native_rsm_mode`](super::executor::native_rsm_mode)).
 
 use super::error::ExpError;
 use super::spec::{PolicyParams, ScenarioSpec};

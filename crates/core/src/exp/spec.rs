@@ -750,7 +750,7 @@ impl ScenarioSpec {
     }
 
     /// Basic structural validation (a usable machine, budget ≤ cores,
-    /// non-empty keys).
+    /// non-empty keys, and on the native backend an accel key it can run).
     pub fn validate(&self) -> Result<(), ExpError> {
         if self.machine.num_cores == 0 {
             return Err(ExpError::InvalidSpec(
@@ -786,6 +786,9 @@ impl ScenarioSpec {
         }
         if let Some(ref memory) = self.memory {
             memory.validate()?;
+        }
+        if self.backend == Backend::Native {
+            super::executor::native_rsm_mode(&self.accel)?;
         }
         if let Some((name, v)) = self
             .power

@@ -29,9 +29,10 @@
 //!   the `cata-sim` machine model — the configuration used to reproduce the
 //!   paper's figures;
 //! - [`native`]: a real thread-pool runtime executing actual closures with
-//!   dependence tracking, criticality queues and a pluggable DVFS backend
-//!   (`cata-cpufreq`), usable on real Linux hosts with the userspace
-//!   cpufreq governor.
+//!   dependence tracking, the spec's ready-queue policy and criticality
+//!   estimator, and a pluggable DVFS backend (`cata-cpufreq`), usable on
+//!   real Linux hosts with the userspace cpufreq governor. It runs every
+//!   configuration above except `TurboMode`.
 //!
 //! See the crate-level `examples/` for end-to-end usage, and `cata-bench`
 //! for the figure-regeneration harness.

@@ -6,35 +6,44 @@
 //!
 //! - OmpSs-style dependence tracking (explicit handles or declared
 //!   `in`/`out` region accesses),
-//! - the CATS dual ready queues (critical vs. non-critical),
+//! - a ready queue that is any [`SchedulerPolicy`] — the registry's
+//!   `fifo`, `cats` or `cats-homogeneous`, or a third-party one — served
+//!   to worker `i` as core `i`,
 //! - the CATA acceleration algorithm (shared [`ReconfigEngine`]) applied at
 //!   task start/end, driving a pluggable [`DvfsBackend`] — the real sysfs
 //!   cpufreq interface on a Linux host with the `userspace` governor, or a
 //!   mock elsewhere,
-//! - both reconfiguration disciplines of the paper: [`RsmMode::Software`]
-//!   holds the RSM lock across the backend writes (serialized, like the
-//!   cpufreq path), while [`RsmMode::RsuEmulated`] holds it only for the
-//!   decision and issues writes outside (the RSU's behaviour).
+//! - the paper's three ways to set core speeds: [`RsmMode::Static`] runs
+//!   the workers below the budget fast and never reconfigures,
+//!   [`RsmMode::Software`] holds the RSM lock across the backend writes
+//!   (serialized, like the cpufreq path), and [`RsmMode::RsuEmulated`]
+//!   holds it only for the decision and issues writes outside (the RSU's
+//!   behaviour).
 //!
 //! This is the "rayon tasks plus sysfs DVFS control" configuration the
 //! reproduction brief calls for; on hosts without cpufreq permissions the
 //! mock backend records the decisions instead.
 
+use crate::policy::{CatsPolicy, DispatchCtx, SchedulerPolicy};
 use cata_cpufreq::backend::DvfsBackend;
 use cata_power::{BusyIntervals, BusyTracker, FreqClass};
 use cata_rsu::engine::{Cmd, Cmds, ReconfigEngine};
+use cata_sim::machine::CoreId;
+use cata_sim::stats::Counters;
 use cata_tdg::deps::{AccessMode, DepTracker, RegionId};
 use cata_tdg::TaskId;
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// How the native RSM applies reconfigurations.
+/// How the native runtime sets core speeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RsmMode {
+    /// Statically heterogeneous: the workers below the budget run fast for
+    /// the whole run, and neither the RSM nor the DVFS backend is touched.
+    Static,
     /// Software CATA: backend writes happen *inside* the RSM critical
     /// section, serializing all reconfigurations (the paper's §III-A path).
     Software,
@@ -83,6 +92,7 @@ impl NativeMetrics {
             reconfig_exhausted: self.reconfig_exhausted.load(Ordering::Relaxed),
             accel_denied: self.accel_denied.load(Ordering::Relaxed),
             rsm_lock_ns: self.rsm_lock_ns.load(Ordering::Relaxed),
+            cross_queue_steals: 0,
         }
     }
 }
@@ -106,6 +116,9 @@ pub struct MetricsSnapshot {
     pub accel_denied: u64,
     /// Nanoseconds spent holding the RSM lock.
     pub rsm_lock_ns: u64,
+    /// Tasks the ready-queue policy served across its queues
+    /// ([`Counters::cross_queue_steals`]).
+    pub cross_queue_steals: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,16 +133,29 @@ struct TaskEntry {
     func: Option<Box<dyn FnOnce() + Send + 'static>>,
     unfinished_preds: usize,
     succs: Vec<usize>,
-    critical: bool,
+    level: u8,
     state: TaskState,
 }
 
 struct SchedState {
     tasks: Vec<TaskEntry>,
-    hprq: VecDeque<usize>,
-    lprq: VecDeque<usize>,
+    policy: Box<dyn SchedulerPolicy>,
+    /// What the policy counts while serving (its cross-queue steals).
+    counters: Counters,
+    /// Fast workers asleep for lack of work: the CATS rule keeps a slow
+    /// worker off critical work while one of them could take it.
+    idle_fast: usize,
     outstanding: usize,
     shutdown: bool,
+}
+
+impl SchedState {
+    /// Marks a task ready and queues it with the policy.
+    fn enqueue_ready(&mut self, id: usize) {
+        self.tasks[id].state = TaskState::Ready;
+        let level = self.tasks[id].level;
+        self.policy.enqueue(TaskId(id as u32), level);
+    }
 }
 
 /// Retry discipline for DVFS backend writes. The default (`max_retries
@@ -165,6 +191,9 @@ struct Inner {
     sched: Mutex<SchedState>,
     work: Condvar,
     drained: Condvar,
+    /// Some worker is slow, so the policy may refuse it work while a fast
+    /// worker idles: a new ready task wakes every worker, not just one.
+    wake_all: bool,
     rsm: Mutex<ReconfigEngine>,
     rsm_mode: RsmMode,
     backend: Arc<dyn DvfsBackend>,
@@ -182,6 +211,17 @@ struct Inner {
 }
 
 impl Inner {
+    /// Wakes workers for `ready` newly queued tasks.
+    fn wake(&self, ready: usize) {
+        if self.wake_all && ready > 0 {
+            self.work.notify_all();
+        } else {
+            for _ in 0..ready {
+                self.work.notify_one();
+            }
+        }
+    }
+
     /// Jitter in `[0, cap)` nanoseconds from the seeded draw sequence
     /// (SplitMix64 finalizer over seed ⊕ draw index).
     fn jitter_ns(&self, cap: u64) -> u64 {
@@ -260,26 +300,26 @@ impl Inner {
     }
 
     /// Runs the RSM transaction for a task event. `decide` produces the
-    /// commands under the engine lock.
+    /// commands under the engine lock. A static run has no RSM.
     fn rsm_event(&self, decide: impl FnOnce(&mut ReconfigEngine) -> Cmds) {
+        let serialized = match self.rsm_mode {
+            RsmMode::Static => return,
+            RsmMode::Software => true,
+            RsmMode::RsuEmulated => false,
+        };
         let t0 = Instant::now();
         let mut engine = self.rsm.lock();
         let cmds = decide(&mut engine);
-        match self.rsm_mode {
-            RsmMode::Software => {
-                // Paper §III-A: the whole reconfiguration is serialized.
-                self.apply_cmds(&cmds);
-                let held = t0.elapsed().as_nanos() as u64;
-                drop(engine);
-                self.metrics.rsm_lock_ns.fetch_add(held, Ordering::Relaxed);
-            }
-            RsmMode::RsuEmulated => {
-                let held = t0.elapsed().as_nanos() as u64;
-                drop(engine);
-                self.metrics.rsm_lock_ns.fetch_add(held, Ordering::Relaxed);
-                // §III-B: the unit drives the controller; writes overlap.
-                self.apply_cmds(&cmds);
-            }
+        if serialized {
+            // Paper §III-A: the whole reconfiguration is serialized.
+            self.apply_cmds(&cmds);
+        }
+        let held = t0.elapsed().as_nanos() as u64;
+        drop(engine);
+        self.metrics.rsm_lock_ns.fetch_add(held, Ordering::Relaxed);
+        if !serialized {
+            // §III-B: the unit drives the controller; writes overlap.
+            self.apply_cmds(&cmds);
         }
     }
 }
@@ -291,6 +331,7 @@ pub struct NativeRuntimeBuilder {
     fast_khz: u32,
     slow_khz: u32,
     rsm_mode: RsmMode,
+    policy: Option<Box<dyn SchedulerPolicy>>,
     backend: Option<Arc<dyn DvfsBackend>>,
     retry: RetryConfig,
 }
@@ -304,6 +345,7 @@ impl NativeRuntimeBuilder {
             fast_khz: 2_000_000,
             slow_khz: 1_000_000,
             rsm_mode: RsmMode::RsuEmulated,
+            policy: None,
             backend: None,
             retry: RetryConfig::default(),
         }
@@ -325,6 +367,18 @@ impl NativeRuntimeBuilder {
     /// Selects the reconfiguration discipline.
     pub fn rsm_mode(mut self, mode: RsmMode) -> Self {
         self.rsm_mode = mode;
+        self
+    }
+
+    /// Sets the ready-queue policy, which serves worker `i` as core `i`
+    /// (default: [`CatsPolicy::homogeneous`], critical work first on any
+    /// worker). Under [`RsmMode::Static`] the workers below the budget
+    /// are the fast ones, the rule by which the registry builds the
+    /// policy's static speed classes. A refused worker sleeps until more
+    /// work is queued or the last idle fast worker wakes, so the policy
+    /// may refuse only slow workers, as CATS does.
+    pub fn policy(mut self, policy: Box<dyn SchedulerPolicy>) -> Self {
+        self.policy = Some(policy);
         self
     }
 
@@ -355,16 +409,23 @@ impl NativeRuntimeBuilder {
         let backend = self
             .backend
             .unwrap_or_else(|| Arc::new(cata_cpufreq::backend::NullDvfs::new(self.workers)));
+        let policy = self
+            .policy
+            .unwrap_or_else(|| Box::new(CatsPolicy::homogeneous(self.workers)));
+        let is_static = self.rsm_mode == RsmMode::Static;
+        let is_fast = |wid: usize| !is_static || wid < self.budget;
         let inner = Arc::new(Inner {
             sched: Mutex::new(SchedState {
                 tasks: Vec::new(),
-                hprq: VecDeque::new(),
-                lprq: VecDeque::new(),
+                policy,
+                counters: Counters::default(),
+                idle_fast: 0,
                 outstanding: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
             drained: Condvar::new(),
+            wake_all: !(0..self.workers).all(is_fast),
             rsm: Mutex::new(ReconfigEngine::new(self.workers, self.budget)),
             rsm_mode: self.rsm_mode,
             backend,
@@ -376,13 +437,19 @@ impl NativeRuntimeBuilder {
             regions: Mutex::new(DepTracker::new()),
             busy: BusyTracker::new(self.workers),
         });
+        if is_static {
+            for wid in 0..self.budget {
+                inner.busy.set_class(wid, FreqClass::Fast);
+            }
+        }
 
         let handles = (0..self.workers)
             .map(|wid| {
                 let inner = Arc::clone(&inner);
+                let fast = is_fast(wid);
                 std::thread::Builder::new()
                     .name(format!("cata-worker-{wid}"))
-                    .spawn(move || worker_loop(wid, inner))
+                    .spawn(move || worker_loop(wid, fast, inner))
                     .expect("spawn worker")
             })
             .collect();
@@ -394,15 +461,26 @@ impl NativeRuntimeBuilder {
     }
 }
 
-fn worker_loop(wid: usize, inner: Arc<Inner>) {
+fn worker_loop(wid: usize, fast: bool, inner: Arc<Inner>) {
+    let core = CoreId(wid as u32);
     loop {
-        // Acquire work (CATS order: HPRQ first, then LPRQ).
+        // Acquire work in the order the policy serves this core.
         let (id, critical, func) = {
             let mut s = inner.sched.lock();
             let mut idle_reported = false;
             let id = loop {
-                if let Some(id) = s.hprq.pop_front().or_else(|| s.lprq.pop_front()) {
-                    break id;
+                // As in the simulator, only a slow core learns whether a
+                // fast one idles.
+                let ctx = DispatchCtx {
+                    fast_core_idle: !fast && s.idle_fast > 0,
+                };
+                if s.policy.has_work_for(core, ctx) {
+                    let SchedState {
+                        policy, counters, ..
+                    } = &mut *s;
+                    if let Some(task) = policy.dequeue(core, ctx, counters) {
+                        break task.index();
+                    }
                 }
                 if s.shutdown {
                     return;
@@ -414,15 +492,22 @@ fn worker_loop(wid: usize, inner: Arc<Inner>) {
                     parking_lot::MutexGuard::unlocked(&mut s, || {
                         inner.rsm_event(|e| e.on_core_idle(wid));
                     });
-                    continue; // re-check the queues after dropping the lock
+                    continue; // re-check the queue after dropping the lock
                 }
+                s.idle_fast += usize::from(fast);
                 inner.work.wait(&mut s);
+                s.idle_fast -= usize::from(fast);
+                if inner.wake_all && fast && s.idle_fast == 0 && !s.policy.is_empty() {
+                    // The last idle fast worker is leaving: a slow worker
+                    // the CATS rule refused may steal now.
+                    inner.work.notify_all();
+                }
             };
             let entry = &mut s.tasks[id];
             debug_assert_eq!(entry.state, TaskState::Ready);
             entry.state = TaskState::Running;
             let func = entry.func.take().expect("task body taken twice");
-            (id, entry.critical, func)
+            (id, entry.level > 0, func)
         };
 
         // CATA prologue: accelerate if possible.
@@ -451,12 +536,7 @@ fn worker_loop(wid: usize, inner: Arc<Inner>) {
             let e = &mut s.tasks[succ];
             e.unfinished_preds -= 1;
             if e.unfinished_preds == 0 && e.state == TaskState::Waiting {
-                e.state = TaskState::Ready;
-                if e.critical {
-                    s.hprq.push_back(succ);
-                } else {
-                    s.lprq.push_back(succ);
-                }
+                s.enqueue_ready(succ);
                 woke += 1;
             }
         }
@@ -464,9 +544,7 @@ fn worker_loop(wid: usize, inner: Arc<Inner>) {
         if s.outstanding == 0 {
             inner.drained.notify_all();
         }
-        for _ in 0..woke {
-            inner.work.notify_one();
-        }
+        inner.wake(woke);
     }
 }
 
@@ -485,11 +563,13 @@ impl NativeRuntime {
         NativeRuntimeBuilder::new(workers)
     }
 
-    /// Spawns a task depending on explicit `deps`. `critical` routes it to
-    /// the HPRQ and makes it eligible for acceleration under contention.
+    /// Spawns a task depending on explicit `deps`. `level` is its
+    /// criticality level (0 = non-critical), by which the policy queues
+    /// it; a level above 0 makes it eligible for acceleration under
+    /// contention.
     pub fn spawn(
         &self,
-        critical: bool,
+        level: u8,
         deps: &[TaskHandle],
         f: impl FnOnce() + Send + 'static,
     ) -> TaskHandle {
@@ -509,27 +589,18 @@ impl NativeRuntime {
             unfinished += 1;
         }
 
-        let ready = unfinished == 0;
         s.tasks.push(TaskEntry {
             func: Some(Box::new(f)),
             unfinished_preds: unfinished,
             succs: Vec::new(),
-            critical,
-            state: if ready {
-                TaskState::Ready
-            } else {
-                TaskState::Waiting
-            },
+            level,
+            state: TaskState::Waiting,
         });
         s.outstanding += 1;
-        if ready {
-            if critical {
-                s.hprq.push_back(id);
-            } else {
-                s.lprq.push_back(id);
-            }
+        if unfinished == 0 {
+            s.enqueue_ready(id);
             drop(s);
-            self.inner.work.notify_one();
+            self.inner.wake(1);
         }
         TaskHandle(id)
     }
@@ -538,7 +609,7 @@ impl NativeRuntime {
     /// accesses, OmpSs style (`in`/`out`/`inout`).
     pub fn spawn_with_accesses(
         &self,
-        critical: bool,
+        level: u8,
         accesses: &[(RegionId, AccessMode)],
         f: impl FnOnce() + Send + 'static,
     ) -> TaskHandle {
@@ -555,7 +626,7 @@ impl NativeRuntime {
                 .map(|t| TaskHandle(t.index()))
                 .collect()
         };
-        self.spawn(critical, &deps, f)
+        self.spawn(level, &deps, f)
     }
 
     /// Blocks until every spawned task has completed.
@@ -568,7 +639,10 @@ impl NativeRuntime {
 
     /// Current counter values.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot()
+        MetricsSnapshot {
+            cross_queue_steals: self.inner.sched.lock().counters.cross_queue_steals,
+            ..self.inner.metrics.snapshot()
+        }
     }
 
     /// Per-worker busy seconds at each frequency class, as observed around
@@ -587,19 +661,30 @@ impl NativeRuntime {
     pub fn budget(&self) -> usize {
         self.inner.rsm.lock().budget()
     }
-}
 
-impl Drop for NativeRuntime {
-    fn drop(&mut self) {
+    /// Waits for every spawned task, stops the workers, and returns the
+    /// final counters and busy intervals. Unlike [`metrics`](Self::metrics)
+    /// read after [`wait_all`](Self::wait_all), the counters include the
+    /// writes a worker issues as it goes idle after the last task.
+    pub(crate) fn finish(mut self) -> (MetricsSnapshot, Vec<BusyIntervals>) {
+        self.stop();
+        (self.metrics(), self.busy_intervals())
+    }
+
+    /// Waits for every spawned task, then stops and joins the workers.
+    fn stop(&mut self) {
         self.wait_all();
-        {
-            let mut s = self.inner.sched.lock();
-            s.shutdown = true;
-        }
+        self.inner.sched.lock().shutdown = true;
         self.inner.work.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
+    }
+}
+
+impl Drop for NativeRuntime {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -625,7 +710,7 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         for i in 0..100 {
             let c = Arc::clone(&counter);
-            rt.spawn(i % 4 == 0, &[], move || {
+            rt.spawn(u8::from(i % 4 == 0), &[], move || {
                 c.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -639,11 +724,11 @@ mod tests {
         let (rt, _) = runtime(4, 2, RsmMode::Software);
         let log = Arc::new(Mutex::new(Vec::new()));
         let l1 = Arc::clone(&log);
-        let a = rt.spawn(false, &[], move || l1.lock().push("a"));
+        let a = rt.spawn(0, &[], move || l1.lock().push("a"));
         let l2 = Arc::clone(&log);
-        let b = rt.spawn(false, &[a], move || l2.lock().push("b"));
+        let b = rt.spawn(0, &[a], move || l2.lock().push("b"));
         let l3 = Arc::clone(&log);
-        rt.spawn(true, &[a, b], move || l3.lock().push("c"));
+        rt.spawn(1, &[a, b], move || l3.lock().push("c"));
         rt.wait_all();
         assert_eq!(*log.lock(), vec!["a", "b", "c"]);
     }
@@ -653,18 +738,18 @@ mod tests {
         let (rt, _) = runtime(4, 4, RsmMode::RsuEmulated);
         let sum = Arc::new(AtomicUsize::new(0));
         let s1 = Arc::clone(&sum);
-        let root = rt.spawn(false, &[], move || {
+        let root = rt.spawn(0, &[], move || {
             s1.fetch_add(1, Ordering::Relaxed);
         });
         let mut branches = Vec::new();
         for _ in 0..2 {
             let s = Arc::clone(&sum);
-            branches.push(rt.spawn(false, &[root], move || {
+            branches.push(rt.spawn(0, &[root], move || {
                 s.fetch_add(10, Ordering::Relaxed);
             }));
         }
         let s2 = Arc::clone(&sum);
-        rt.spawn(true, &branches, move || {
+        rt.spawn(1, &branches, move || {
             // Both branches must have run.
             assert_eq!(s2.load(Ordering::Relaxed), 21);
             s2.fetch_add(100, Ordering::Relaxed);
@@ -679,11 +764,11 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let r = RegionId(7);
         let l1 = Arc::clone(&log);
-        rt.spawn_with_accesses(false, &[(r, AccessMode::Out)], move || {
+        rt.spawn_with_accesses(0, &[(r, AccessMode::Out)], move || {
             l1.lock().push("writer");
         });
         let l2 = Arc::clone(&log);
-        rt.spawn_with_accesses(false, &[(r, AccessMode::In)], move || {
+        rt.spawn_with_accesses(0, &[(r, AccessMode::In)], move || {
             l2.lock().push("reader");
         });
         rt.wait_all();
@@ -694,7 +779,7 @@ mod tests {
     fn backend_receives_reconfigurations() {
         let (rt, mock) = runtime(2, 1, RsmMode::Software);
         for _ in 0..10 {
-            rt.spawn(true, &[], || {});
+            rt.spawn(1, &[], || {});
         }
         rt.wait_all();
         assert!(mock.call_count() > 0, "no DVFS writes recorded");
@@ -716,7 +801,7 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..20 {
             let c = Arc::clone(&counter);
-            rt.spawn(true, &[], move || {
+            rt.spawn(1, &[], move || {
                 c.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -741,7 +826,7 @@ mod tests {
             .build();
         let ran = Arc::new(AtomicUsize::new(0));
         let r = Arc::clone(&ran);
-        rt.spawn(true, &[], move || {
+        rt.spawn(1, &[], move || {
             r.fetch_add(1, Ordering::Relaxed);
         });
         rt.wait_all();
@@ -768,7 +853,7 @@ mod tests {
             })
             .build();
         for _ in 0..5 {
-            rt.spawn(true, &[], || {});
+            rt.spawn(1, &[], || {});
         }
         rt.wait_all();
         let m = rt.metrics();
@@ -782,11 +867,11 @@ mod tests {
     #[test]
     fn completed_dependences_do_not_block() {
         let (rt, _) = runtime(2, 1, RsmMode::RsuEmulated);
-        let a = rt.spawn(false, &[], || {});
+        let a = rt.spawn(0, &[], || {});
         rt.wait_all(); // `a` is done
         let ran = Arc::new(AtomicUsize::new(0));
         let r = Arc::clone(&ran);
-        rt.spawn(false, &[a], move || {
+        rt.spawn(0, &[a], move || {
             r.fetch_add(1, Ordering::Relaxed);
         });
         rt.wait_all();
@@ -798,7 +883,7 @@ mod tests {
         for mode in [RsmMode::Software, RsmMode::RsuEmulated] {
             let (rt, _) = runtime(4, 2, mode);
             for _ in 0..50 {
-                rt.spawn(true, &[], || {});
+                rt.spawn(1, &[], || {});
             }
             rt.wait_all();
             let m = rt.metrics();
@@ -806,11 +891,165 @@ mod tests {
         }
     }
 
+    /// A backend that counts the writes in flight, holding each for 1 ms.
+    #[derive(Default)]
+    struct SlowWrites {
+        in_flight: AtomicUsize,
+        max_in_flight: AtomicUsize,
+        writes: AtomicUsize,
+    }
+
+    impl DvfsBackend for SlowWrites {
+        fn name(&self) -> &'static str {
+            "slow-writes"
+        }
+
+        fn set_speed(&self, _cpu: usize, _khz: u32) -> std::io::Result<()> {
+            let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            self.max_in_flight.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            self.writes.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        }
+
+        fn get_speed(&self, _cpu: usize) -> std::io::Result<u32> {
+            Ok(1_000_000)
+        }
+
+        fn num_cpus(&self) -> usize {
+            4
+        }
+    }
+
+    /// §III-A: software CATA holds the RSM lock across every write, so no
+    /// two writes are ever in flight together.
+    #[test]
+    fn software_discipline_serializes_writes() {
+        let backend = Arc::new(SlowWrites::default());
+        let rt = NativeRuntime::builder(4)
+            .budget(2)
+            .rsm_mode(RsmMode::Software)
+            .backend(backend.clone() as Arc<dyn DvfsBackend>)
+            .build();
+        for _ in 0..64 {
+            rt.spawn(1, &[], || {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            });
+        }
+        rt.wait_all();
+        drop(rt);
+        assert!(backend.writes.load(Ordering::SeqCst) > 0, "no writes");
+        assert_eq!(backend.max_in_flight.load(Ordering::SeqCst), 1);
+    }
+
+    /// One worker held by a gate task: every task spawned meanwhile is
+    /// queued before the worker serves any, so it runs them in exactly
+    /// the order the registry's policy gives when drained directly, and
+    /// counts the same cross-queue steals.
+    #[test]
+    fn a_gated_worker_drains_in_the_policy_order() {
+        use crate::exp::{native_rsm_mode, PolicyRegistries, ScenarioSpec, WorkloadSpec};
+        let levels: Vec<u8> = (0..24u8).map(|i| (i * 7) % 3).collect();
+        let regs = PolicyRegistries::with_builtins();
+        for (scheduler, accel, fast) in [
+            ("fifo", "static-hetero", 1),
+            ("cats", "static-hetero", 1),
+            ("cats", "static-hetero", 0),
+            ("cats-homogeneous", "rsu", 1),
+        ] {
+            let spec = ScenarioSpec {
+                scheduler: scheduler.into(),
+                accel: accel.into(),
+                ..ScenarioSpec::new("gate", WorkloadSpec::Chain { n: 0, cycles: 0 })
+            }
+            .with_small_machine(1, fast);
+            let policy = || regs.resolve(&spec).expect("builtin keys").policy;
+            let rt = NativeRuntime::builder(1)
+                .budget(fast)
+                .rsm_mode(native_rsm_mode(accel).expect("native accel key"))
+                .policy(policy())
+                .build();
+            let (started, gate_up) = std::sync::mpsc::channel();
+            let (release, gate_down) = std::sync::mpsc::channel::<()>();
+            rt.spawn(0, &[], move || {
+                started.send(()).expect("test waits");
+                gate_down.recv().expect("test releases");
+            });
+            gate_up.recv().expect("gate runs");
+            let log = Arc::new(Mutex::new(Vec::new()));
+            for (i, &level) in levels.iter().enumerate() {
+                let log = Arc::clone(&log);
+                rt.spawn(level, &[], move || log.lock().push(i as u32 + 1));
+            }
+            release.send(()).expect("gate waits");
+            rt.wait_all();
+
+            let mut direct = policy();
+            let (core, mut counters) = (CoreId(0), Counters::default());
+            let ctx = DispatchCtx {
+                fast_core_idle: false,
+            };
+            direct.enqueue(TaskId(0), 0);
+            assert_eq!(direct.dequeue(core, ctx, &mut counters), Some(TaskId(0)));
+            for (i, &level) in levels.iter().enumerate() {
+                direct.enqueue(TaskId(i as u32 + 1), level);
+            }
+            let want: Vec<u32> = std::iter::from_fn(|| direct.dequeue(core, ctx, &mut counters))
+                .map(|t| t.0)
+                .collect();
+            let label = format!("{scheduler}/{accel}/fast={fast}");
+            assert_eq!(want.len(), levels.len(), "{label}");
+            assert_eq!(*log.lock(), want, "{label}");
+            assert_eq!(
+                rt.metrics().cross_queue_steals,
+                counters.cross_queue_steals,
+                "{label}"
+            );
+        }
+    }
+
+    /// `Static` books the workers below the budget fast and never touches
+    /// the RSM or the backend; the slow workers still get the work the
+    /// CATS rule lets them take, so a mixed graph finishes.
+    #[test]
+    fn static_discipline_never_reconfigures() {
+        let mock = Arc::new(MockDvfs::new(4, 1_000_000));
+        let rt = NativeRuntime::builder(4)
+            .budget(1)
+            .rsm_mode(RsmMode::Static)
+            .policy(Box::new(CatsPolicy::new(&[true, false, false, false])))
+            .backend(mock.clone() as Arc<dyn DvfsBackend>)
+            .build();
+        let counter = Arc::new(AtomicUsize::new(0));
+        let mut last = None;
+        for i in 0..300u32 {
+            let c = Arc::clone(&counter);
+            let deps: Vec<TaskHandle> = last.into_iter().collect();
+            let h = rt.spawn((i % 3) as u8, &deps, move || {
+                c.fetch_add(1, Ordering::Relaxed);
+            });
+            if i % 5 == 0 {
+                last = Some(h);
+            }
+        }
+        rt.wait_all();
+        assert_eq!(counter.load(Ordering::Relaxed), 300);
+        let m = rt.metrics();
+        assert_eq!((m.reconfigs, m.rsm_lock_ns, m.accel_denied), (0, 0, 0));
+        assert_eq!(mock.call_count(), 0);
+        let iv = rt.busy_intervals();
+        assert_eq!(iv[0].busy_slow_s, 0.0, "the fast worker ran slow");
+        for w in &iv[1..] {
+            assert_eq!(w.busy_fast_s, 0.0, "a slow worker ran fast");
+        }
+    }
+
     #[test]
     fn busy_intervals_are_observed_around_task_bodies() {
         let (rt, _) = runtime(2, 1, RsmMode::RsuEmulated);
         for _ in 0..4 {
-            rt.spawn(true, &[], || {
+            rt.spawn(1, &[], || {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             });
         }
@@ -834,7 +1073,7 @@ mod tests {
         for i in 0..500 {
             let c = Arc::clone(&counter);
             let deps: Vec<TaskHandle> = last.into_iter().collect();
-            let h = rt.spawn(i % 7 == 0, &deps, move || {
+            let h = rt.spawn(u8::from(i % 7 == 0), &deps, move || {
                 c.fetch_add(1, Ordering::Relaxed);
             });
             if i % 3 == 0 {

@@ -100,7 +100,8 @@ impl Follower {
 
 /// Runs the watch in the mode the config selects. Returns the final
 /// state (tests and callers inspect it); errors are I/O problems on the
-/// tailed files or the TTY.
+/// tailed files or the TTY, or an `--until-done` grid that outlasted its
+/// timeout ([`ExpError::Stalled`]).
 pub fn run_watch(cfg: &WatchConfig) -> Result<DashState, ExpError> {
     if cfg.once || cfg.until_done {
         headless(cfg)
@@ -121,7 +122,7 @@ fn headless(cfg: &WatchConfig) -> Result<DashState, ExpError> {
         }
         if let Some(d) = deadline {
             if Instant::now() >= d {
-                return Err(ExpError::Store(format!(
+                return Err(ExpError::Stalled(format!(
                     "watch --until-done: grid still at {}/{} after {}s",
                     fo.state.grid_done(),
                     fo.state.grid_total(),

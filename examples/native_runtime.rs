@@ -2,14 +2,17 @@
 //!
 //! Act 1 — the facade: the *same* `Scenario` runs on the simulator and on
 //! the native thread-pool runtime through the one `Executor` call shape;
-//! only the backend changes.
+//! only the backend changes. Both build the spec's scheduler and
+//! estimator from the registries, and the native run takes its
+//! reconfiguration discipline from the accel key (`rsu` here).
 //!
 //! Act 2 — the lower-level library API a downstream user adopts directly:
-//! spawn dependent tasks with criticality annotations and OmpSs-style
-//! region accesses, and let the runtime apply the CATA algorithm through a
-//! cpufreq backend. On a Linux host whose cores expose a writable
-//! `scaling_setspeed` (userspace governor), the runtime drives the real
-//! sysfs files; everywhere else a recording mock keeps the example running.
+//! hand the runtime a ready-queue policy, spawn dependent tasks with
+//! criticality levels and OmpSs-style region accesses, and let the
+//! runtime apply the CATA algorithm through a cpufreq backend. On a Linux
+//! host whose cores expose a writable `scaling_setspeed` (userspace
+//! governor), the runtime drives the real sysfs files; everywhere else a
+//! recording mock keeps the example running.
 //!
 //! ```text
 //! cargo run --release --example native_runtime
@@ -17,6 +20,7 @@
 
 use cata_core::exp::{Executor, NativeExecutor, Scenario, WorkloadSpec};
 use cata_core::native::{NativeRuntime, RsmMode};
+use cata_core::policy::CatsPolicy;
 use cata_core::SimExecutor;
 use cata_cpufreq::backend::{DvfsBackend, MockDvfs, SysfsDvfs};
 use cata_tdg::deps::{AccessMode, RegionId};
@@ -69,9 +73,11 @@ fn main() {
     };
     println!("\nDVFS backend: {kind}");
 
+    // The CATA queue: critical work first, on any worker.
     let rt = NativeRuntime::builder(workers)
         .budget(2)
         .rsm_mode(RsmMode::RsuEmulated)
+        .policy(Box::new(CatsPolicy::homogeneous(workers)))
         .backend(backend)
         .build();
 
@@ -81,14 +87,14 @@ fn main() {
     let accum = Arc::new(AtomicU64::new(0));
 
     let a = Arc::clone(&accum);
-    rt.spawn_with_accesses(false, &[(data, AccessMode::Out)], move || {
+    rt.spawn_with_accesses(0, &[(data, AccessMode::Out)], move || {
         a.fetch_add(busy_work(200_000) & 0xFF, Ordering::Relaxed);
     });
 
     for _ in 0..3 {
         let a = Arc::clone(&accum);
-        // Critical chain: each step rewrites the shared region.
-        rt.spawn_with_accesses(true, &[(data, AccessMode::InOut)], move || {
+        // Critical chain (level 1): each step rewrites the shared region.
+        rt.spawn_with_accesses(1, &[(data, AccessMode::InOut)], move || {
             a.fetch_add(busy_work(800_000) & 0xFF, Ordering::Relaxed);
         });
     }
@@ -96,13 +102,13 @@ fn main() {
     for i in 0..8 {
         let a = Arc::clone(&accum);
         let region = RegionId(100 + i);
-        rt.spawn_with_accesses(false, &[(region, AccessMode::Out)], move || {
+        rt.spawn_with_accesses(0, &[(region, AccessMode::Out)], move || {
             a.fetch_add(busy_work(300_000) & 0xFF, Ordering::Relaxed);
         });
     }
 
     let a = Arc::clone(&accum);
-    rt.spawn_with_accesses(false, &[(data, AccessMode::In)], move || {
+    rt.spawn_with_accesses(0, &[(data, AccessMode::In)], move || {
         a.fetch_add(busy_work(100_000) & 0xFF, Ordering::Relaxed);
     });
 

@@ -221,3 +221,35 @@ fn native_executor_shares_the_call_shape() {
     assert_eq!(report.counters.tasks_completed, 14);
     assert_eq!(report.label, "CATA+RSU");
 }
+
+/// A scheduler registered in custom registries runs on the native backend
+/// too: the native executor builds its ready queue from the scenario's
+/// registries, so the key resolves there and nowhere else.
+#[test]
+fn custom_scheduler_runs_on_the_native_backend() {
+    let built = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let mut registries = PolicyRegistries::with_builtins();
+    let counter = Arc::clone(&built);
+    registries.register_scheduler("lifo", false, move |_ctx| {
+        counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        Ok(Box::new(LifoPolicy::default()))
+    });
+    let spec = ScenarioSpec {
+        scheduler: "lifo".into(),
+        ..ScenarioSpec::new("LIFO-native", tiny_workload())
+    }
+    .with_small_machine(4, 2);
+    let native = NativeExecutor::new().max_workers(2);
+
+    let report = Scenario::from_spec(spec.clone())
+        .with_registries(Arc::new(registries))
+        .run(&native)
+        .expect("custom policy runs natively");
+    let expect = tiny_workload().build_graph().num_tasks() as u64;
+    assert_eq!(report.counters.tasks_completed, expect, "LIFO lost tasks");
+    assert_eq!(built.load(std::sync::atomic::Ordering::SeqCst), 1);
+    assert!(matches!(
+        Scenario::from_spec(spec).run(&native),
+        Err(ExpError::UnknownScheduler { .. })
+    ));
+}

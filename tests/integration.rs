@@ -284,8 +284,8 @@ fn native_runtime_executes_a_generated_graph() {
         let done = Arc::clone(&done);
         let id = task.id.index();
         let pred_ids: Vec<usize> = task.preds().iter().map(|p| p.index()).collect();
-        let critical = graph.type_of(task.id).criticality > 0;
-        let h = rt.spawn(critical, &deps, move || {
+        let level = graph.type_of(task.id).criticality;
+        let h = rt.spawn(level, &deps, move || {
             for &p in &pred_ids {
                 assert_eq!(done[p].load(Ordering::SeqCst), 1, "dependence violated");
             }
