@@ -16,15 +16,33 @@ use cata_sim::stats::Counters;
 use cata_sim::time::SimTime;
 
 /// The TurboMode hardware controller.
+///
+/// The per-core state is two bitsets of one word per 64 cores, so the
+/// halt hook counts and finds its candidates a word at a time instead of
+/// walking the cores.
 #[derive(Debug)]
 pub struct TurboModeCtl {
-    accel: Vec<bool>,
-    halted: Vec<bool>,
+    /// Accelerated cores: core `c` is bit `c % 64` of word `c / 64`.
+    accel: Vec<u64>,
+    /// Halted (C1) cores, laid out like `accel`.
+    halted: Vec<u64>,
+    num_cores: usize,
     budget: usize,
     accel_count: usize,
     fast: PowerLevel,
     slow: PowerLevel,
     rng: u64,
+}
+
+/// Word index and bit mask of `core`.
+fn slot(core: usize) -> (usize, u64) {
+    (core / 64, 1 << (core % 64))
+}
+
+/// Sets or clears `core`'s bit.
+fn assign(bits: &mut [u64], core: usize, on: bool) {
+    let (w, bit) = slot(core);
+    bits[w] = (bits[w] & !bit) | if on { bit } else { 0 };
 }
 
 impl TurboModeCtl {
@@ -33,9 +51,11 @@ impl TurboModeCtl {
     pub fn new(machine: &Machine, budget: usize, seed: u64) -> Self {
         let cfg = machine.config();
         assert!(budget <= cfg.num_cores);
+        let words = cfg.num_cores.div_ceil(64);
         TurboModeCtl {
-            accel: vec![false; cfg.num_cores],
-            halted: vec![false; cfg.num_cores],
+            accel: vec![0; words],
+            halted: vec![0; words],
+            num_cores: cfg.num_cores,
             budget,
             accel_count: 0,
             fast: cfg.fast_level,
@@ -49,6 +69,12 @@ impl TurboModeCtl {
         self.accel_count
     }
 
+    /// True if `core` is accelerated.
+    fn is_accel(&self, core: usize) -> bool {
+        let (w, bit) = slot(core);
+        self.accel[w] & bit != 0
+    }
+
     fn next_rand(&mut self) -> u64 {
         // xorshift64: deterministic, no external dependency.
         let mut x = self.rng;
@@ -60,19 +86,35 @@ impl TurboModeCtl {
     }
 
     /// Picks a random active (C0), non-accelerated core: the `r`-th of the
-    /// candidates in core order, counted twice rather than collected.
+    /// candidates in core order, with `r` drawn below their popcount. No
+    /// draw is made when there is no candidate.
     fn pick_random_active(&mut self) -> Option<usize> {
-        let count = self.candidates().count();
+        let count: u32 = (0..self.accel.len())
+            .map(|w| self.candidates(w).count_ones())
+            .sum();
         if count == 0 {
             return None;
         }
-        let r = self.next_rand() as usize % count;
-        self.candidates().nth(r)
+        let mut r = (self.next_rand() % u64::from(count)) as u32;
+        for w in 0..self.accel.len() {
+            let mut set = self.candidates(w);
+            let here = set.count_ones();
+            if r < here {
+                for _ in 0..r {
+                    set &= set - 1; // drop the lowest candidate
+                }
+                return Some(64 * w + set.trailing_zeros() as usize);
+            }
+            r -= here;
+        }
+        unreachable!("the draw is below the candidate count")
     }
 
-    /// Active (C0), non-accelerated cores, in core order.
-    fn candidates(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.accel.len()).filter(|&c| !self.halted[c] && !self.accel[c])
+    /// Active (C0), non-accelerated cores of word `w`.
+    fn candidates(&self, w: usize) -> u64 {
+        // Mask off the bits past the last core (word `w` holds at least one).
+        let cores = (self.num_cores - 64 * w).min(64);
+        !(self.accel[w] | self.halted[w]) & (u64::MAX >> (64 - cores))
     }
 }
 
@@ -87,7 +129,7 @@ impl AccelManager for TurboModeCtl {
         let mut effects = AccelEffects::none();
         let mut counters = Counters::default();
         for core in 0..self.budget {
-            self.accel[core] = true;
+            assign(&mut self.accel, core, true);
             self.accel_count += 1;
             apply_transition(
                 machine,
@@ -131,13 +173,13 @@ impl AccelManager for TurboModeCtl {
         counters: &mut Counters,
     ) -> AccelEffects {
         let c = core.index();
-        self.halted[c] = true;
+        assign(&mut self.halted, c, true);
         let mut effects = AccelEffects::none();
-        if self.accel[c] {
-            self.accel[c] = false;
+        if self.is_accel(c) {
+            assign(&mut self.accel, c, false);
             apply_transition(machine, core, self.slow, now, &mut effects, counters);
             if let Some(lucky) = self.pick_random_active() {
-                self.accel[lucky] = true;
+                assign(&mut self.accel, lucky, true);
                 apply_transition(
                     machine,
                     CoreId(lucky as u32),
@@ -161,10 +203,10 @@ impl AccelManager for TurboModeCtl {
         counters: &mut Counters,
     ) -> AccelEffects {
         let c = core.index();
-        self.halted[c] = false;
+        assign(&mut self.halted, c, false);
         let mut effects = AccelEffects::none();
-        if !self.accel[c] && self.accel_count < self.budget {
-            self.accel[c] = true;
+        if !self.is_accel(c) && self.accel_count < self.budget {
+            assign(&mut self.accel, c, true);
             self.accel_count += 1;
             apply_transition(machine, core, self.fast, now, &mut effects, counters);
         }
@@ -204,8 +246,8 @@ mod tests {
         // accelerates.
         assert_eq!(e.settles.len(), 2);
         assert_eq!(t.accelerated_count(), 2);
-        assert!(!t.accel[0]);
-        assert!(t.accel[2] || t.accel[3]);
+        assert!(!t.is_accel(0));
+        assert!(t.is_accel(2) || t.is_accel(3));
     }
 
     #[test]
@@ -226,7 +268,7 @@ mod tests {
         t.on_core_halt(CoreId(0), SimTime::from_us(1), &mut m, &mut c); // budget moves on
         let e = t.on_core_wake(CoreId(0), SimTime::from_us(2), &mut m, &mut c);
         assert!(e.settles.is_empty(), "no budget left for the waking core");
-        assert!(!t.accel[0]);
+        assert!(!t.is_accel(0));
     }
 
     #[test]
@@ -239,6 +281,50 @@ mod tests {
         assert!(e.settles.is_empty());
     }
 
+    /// The pick as it was: one walk over per-core flags to count the
+    /// candidates, a draw, and a second walk to the `r`-th.
+    fn two_pass_pick(accel: &[bool], halted: &[bool], rng: &mut u64) -> Option<usize> {
+        let candidates = || (0..accel.len()).filter(|&c| !halted[c] && !accel[c]);
+        let count = candidates().count();
+        if count == 0 {
+            return None;
+        }
+        let mut x = *rng;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *rng = x;
+        candidates().nth(x as usize % count)
+    }
+
+    #[test]
+    fn pick_matches_the_two_pass_walk() {
+        let mut states = cata_sim::seeded::SplitMix64::new(11);
+        for cores in [1, 3, 63, 64, 65, 128, 130, 200] {
+            let m = Machine::new(MachineConfig::small_test(cores));
+            for round in 0..40 {
+                let mut t = TurboModeCtl::new(&m, 0, states.next_u64());
+                // Densities from every core a candidate to none.
+                let p_accel = f64::from(round % 5) / 4.0;
+                let p_halted = f64::from(round % 3) / 2.0;
+                let mut accel = vec![false; cores];
+                let mut halted = vec![false; cores];
+                for c in 0..cores {
+                    accel[c] = states.next_unit() < p_accel;
+                    halted[c] = states.next_unit() < p_halted;
+                    assign(&mut t.accel, c, accel[c]);
+                    assign(&mut t.halted, c, halted[c]);
+                }
+                for _ in 0..4 {
+                    let mut rng = t.rng;
+                    let old = two_pass_pick(&accel, &halted, &mut rng);
+                    assert_eq!(t.pick_random_active(), old, "{cores} cores, round {round}");
+                    assert_eq!(t.rng, rng, "{cores} cores, round {round}: draws differ");
+                }
+            }
+        }
+    }
+
     #[test]
     fn reallocation_is_deterministic_per_seed() {
         let picks_with = |seed| {
@@ -247,7 +333,7 @@ mod tests {
             t.on_init(&mut m, SimTime::ZERO);
             let mut c = Counters::default();
             t.on_core_halt(CoreId(0), SimTime::from_us(1), &mut m, &mut c);
-            (0..4).find(|&i| t.accel[i]).unwrap()
+            (0..4).find(|&i| t.is_accel(i)).unwrap()
         };
         assert_eq!(picks_with(7), picks_with(7));
     }

@@ -165,13 +165,8 @@ pub fn replay_tape_observed(
             .map(|t| est.classify_level(&graph, t))
             .collect();
         let critical = levels.iter().any(|&l| l > 0);
-        // One SoA snapshot per *distinct* workload, shared by every
-        // instance: arrivals seed indegrees from its predecessor counts
-        // and completions walk its CSR successor spans.
-        let view = GraphView::from_graph(&graph);
         graphs.push(GraphEntry {
             graph,
-            view,
             label,
             levels,
             critical,
@@ -212,6 +207,10 @@ pub fn replay_tape_observed(
     let bufs = EngineBufs::default();
     let source = Open {
         graphs: &graphs,
+        views: graphs
+            .iter()
+            .map(|g| GraphView::from_graph(&g.graph))
+            .collect(),
         records: &tape.records,
         stride,
         admission,
@@ -246,8 +245,6 @@ pub fn replay_tape_observed(
 /// One distinct workload: its graph plus the precomputed classification.
 struct GraphEntry {
     graph: Arc<TaskGraph>,
-    /// SoA snapshot of `graph` (CSR successors, predecessor counts).
-    view: GraphView,
     label: String,
     /// Per-task criticality level (estimator's steady-state view).
     levels: Vec<u8>,
@@ -281,6 +278,10 @@ struct Slot {
 /// gate into pooled instance slots, with streaming service metrics.
 struct Open<'g> {
     graphs: &'g [GraphEntry],
+    /// The columns of each workload's graph, shared by every instance:
+    /// arrivals seed indegrees from its predecessor counts and
+    /// completions walk its successor lists.
+    views: Vec<GraphView<'g>>,
     records: &'g [TapeRecord],
     stride: u32,
     admission: Box<dyn AdmissionPolicy>,
@@ -340,6 +341,12 @@ impl<'g> Open<'g> {
         &graphs[self.slots[slot].graph as usize]
     }
 
+    /// The graph columns of a slot's instance.
+    #[inline]
+    fn view(&self, slot: usize) -> GraphView<'g> {
+        self.views[self.slots[slot].graph as usize]
+    }
+
     /// Takes a slot off the free list (or grows the pool) and stamps it
     /// for one instance of `graph`.
     fn alloc_slot(&mut self, graph: u32, now: SimTime, ready: &mut Ready<'_>) -> u32 {
@@ -354,11 +361,8 @@ impl<'g> Open<'g> {
         s.arrival = now;
         s.started = None;
         s.shed = false;
-        // Indegree seeding is a copy of the view's predecessor-count
-        // array — one memcpy per arriving instance instead of a
-        // vector-length read per task.
         s.indegree.clear();
-        s.indegree.extend_from_slice(entry.view.pred_counts());
+        s.indegree.extend(self.views[graph as usize].pred_counts());
         ready.grow(self.slots.len() * self.stride as usize);
         idx
     }
@@ -434,13 +438,13 @@ impl<'g> Source<'g> for Open<'g> {
     #[inline]
     fn profile(&self, task: TaskId) -> &'g ExecProfile {
         let (slot, local) = self.split(task);
-        &self.entry(slot).graph.task(local).profile
+        self.view(slot).profile(local)
     }
 
     #[inline]
     fn mem_ps(&self, task: TaskId) -> u64 {
         let (slot, local) = self.split(task);
-        self.entry(slot).view.mem_ps(local)
+        self.view(slot).mem_ps(local)
     }
 
     fn level(&mut self, task: TaskId) -> u8 {
@@ -458,9 +462,9 @@ impl<'g> Source<'g> for Open<'g> {
         let (slot, local) = self.split(task);
         let entry = self.entry(slot);
         let base = slot as u32 * self.stride;
-        // CSR successor walk over the shared view — `entry` borrows the
-        // `'g` workload table, not `self`, so the walk can mutate slots.
-        for &s in entry.view.succs(local) {
+        // The successor slice borrows the `'g` graph, not `self`, so the
+        // walk can mutate slots.
+        for &s in self.view(slot).succs(local) {
             let d = &mut self.slots[slot].indegree[s.index()];
             debug_assert!(*d > 0, "indegree underflow at {s}");
             *d -= 1;

@@ -482,9 +482,6 @@ pub(crate) struct EngineBufs {
 #[derive(Debug, Default)]
 struct EngineScratch {
     bufs: EngineBufs,
-    /// SoA snapshot of the run's graph (CSR successors, predecessor
-    /// counts, criticality levels, work scalars), rebuilt per run.
-    view: GraphView,
     indegree: Vec<u32>,
 }
 
@@ -514,15 +511,14 @@ fn run_with_scratch(
     SCRATCH.with(|cell| {
         let EngineScratch {
             mut bufs,
-            mut view,
             mut indegree,
         } = cell.take();
         // Reused buffers keep their allocation from the previous run on
         // this thread; the queue grows to the pending depth, not the graph.
         bufs.events.reset();
-        view.rebuild(graph);
+        let view = GraphView::from_graph(graph);
         indegree.clear();
-        indegree.extend_from_slice(view.pred_counts());
+        indegree.extend(view.pred_counts());
         let source = |estimator: Box<dyn CriticalityEstimator>| Closed {
             graph,
             est_static: estimator.is_annotation_static(),
@@ -539,13 +535,12 @@ fn run_with_scratch(
             events,
             crit,
             idle,
-            src: Closed { view, indegree, .. },
+            src: Closed { indegree, .. },
             trace,
             ..
         } = engine;
         cell.replace(EngineScratch {
             bufs: EngineBufs { events, crit, idle },
-            view,
             indegree,
         });
         result.map(|report| (report, trace))
@@ -603,11 +598,11 @@ struct Closed<'g> {
     graph: &'g TaskGraph,
     estimator: Box<dyn CriticalityEstimator>,
     /// The estimator's `classify_level` is the task type's static
-    /// annotation (cached once — `classify` then reads the view's level
-    /// array instead of making a virtual call per ready task).
+    /// annotation (cached once — `classify` then reads the graph's level
+    /// column instead of making a virtual call per ready task).
     est_static: bool,
-    /// SoA snapshot of `graph` (owned via scratch; returned after the run).
-    view: GraphView,
+    /// The columns of `graph` the dispatch path reads.
+    view: GraphView<'g>,
     /// Remaining unfinished predecessors per task.
     indegree: Vec<u32>,
     costs: RuntimeCosts,
@@ -624,8 +619,8 @@ impl Closed<'_> {
     }
 
     /// Criticality level of a task becoming ready. Annotation-static
-    /// estimators (the `+SA` configurations) equal the view's precomputed
-    /// level array by definition; dynamic ones (bottom-level) and the
+    /// estimators (the `+SA` configurations) equal the graph's level
+    /// column by definition; dynamic ones (bottom-level) and the
     /// always-zero baseline keep the virtual call.
     fn classify(&mut self, task: TaskId) -> u8 {
         if self.est_static {
@@ -657,7 +652,7 @@ impl<'g> Source<'g> for Closed<'g> {
 
     #[inline]
     fn profile(&self, task: TaskId) -> &'g ExecProfile {
-        &self.graph.task(task).profile
+        self.view.profile(task)
     }
 
     #[inline]
@@ -672,12 +667,9 @@ impl<'g> Source<'g> for Closed<'g> {
     fn complete(&mut self, task: TaskId, _now: SimTime, ready: &mut Ready<'_>) {
         self.done += 1;
         self.estimator.on_complete(self.graph, task);
-        // Successor walk over the view's CSR arrays: one contiguous span
-        // instead of a pointer chase into the task's own `succs` vector.
-        // The span is a `Copy` range, so `classify` can borrow `self`
-        // mutably between element reads.
-        for i in self.view.succ_span(task) {
-            let s = self.view.succ_at(i);
+        // The successor slice borrows the graph, not `self`, so
+        // `classify` can borrow `self` mutably inside the walk.
+        for &s in self.view.succs(task) {
             let d = &mut self.indegree[s.index()];
             debug_assert!(*d > 0, "indegree underflow at {s}");
             *d -= 1;

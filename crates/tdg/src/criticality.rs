@@ -50,7 +50,7 @@ pub trait CriticalityEstimator: Send {
     /// True when [`classify_level`](Self::classify_level) equals the task
     /// type's static `criticality(c)` annotation for every task,
     /// independent of submission/completion history. Engines use this to
-    /// serve levels from a precomputed per-task array
+    /// serve levels from the graph's per-task level column
     /// ([`GraphView::crit_level`](crate::view::GraphView::crit_level))
     /// instead of making a virtual call per ready task. Dynamic
     /// estimators (bottom-level) and estimators that *ignore* the

@@ -143,7 +143,8 @@ impl TdgFile {
     /// The structural half of [`to_graph`](Self::to_graph), for a file
     /// whose header is verified.
     fn build_graph(&self) -> Result<TaskGraph, TdgFileError> {
-        let mut graph = TaskGraph::with_capacity(self.tasks.len());
+        let edges = self.tasks.iter().map(|t| t.deps.len()).sum();
+        let mut graph = TaskGraph::with_capacity(self.tasks.len(), edges);
         for ty in &self.types {
             graph.add_type(ty.name.clone(), ty.criticality);
         }

@@ -10,11 +10,11 @@
 //!   execution profiles;
 //! - [`graph`]: the TDG itself, built incrementally in submission order —
 //!   dependences may only point at already-submitted tasks, so the graph is
-//!   acyclic by construction, exactly like a real task runtime;
-//! - [`view`]: a structure-of-arrays snapshot of the dispatch-hot graph
-//!   fields (CSR successor lists, predecessor counts, criticality levels,
-//!   profile work) that the engines rebuild once per run so their inner
-//!   loops touch contiguous memory instead of per-task structs;
+//!   acyclic by construction, exactly like a real task runtime. It stores
+//!   its tasks as columns (types, criticality levels, profiles, and CSR
+//!   predecessor and successor lists);
+//! - [`view`]: the dispatch-hot columns borrowed as one `Copy` bundle of
+//!   slices, which the engines' inner loops read directly;
 //! - [`deps`]: OmpSs-style derivation of edges from `in`/`out`/`inout` data
 //!   accesses (RAW, WAR and WAW dependences over named regions);
 //! - [`bottom_level`]: the incremental bottom-level computation of

@@ -1,5 +1,6 @@
 //! Task instances and task types.
 
+use crate::graph::TaskGraph;
 use cata_sim::progress::ExecProfile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -48,28 +49,41 @@ pub struct TaskType {
     pub criticality: u8,
 }
 
-/// One task instance in the TDG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Task {
+/// One task instance in the TDG: a by-value view of the graph's columns
+/// at one task id, as [`TaskGraph::task`] and [`TaskGraph::tasks`] return
+/// it.
+#[derive(Clone, Copy)]
+pub struct Task<'g> {
     /// This task's id.
     pub id: TaskId,
     /// Its type (annotation site).
     pub ty: TypeId,
     /// Its execution cost model.
-    pub profile: ExecProfile,
-    pub(crate) preds: Vec<TaskId>,
-    pub(crate) succs: Vec<TaskId>,
+    pub profile: &'g ExecProfile,
+    pub(crate) graph: &'g TaskGraph,
 }
 
-impl Task {
+impl<'g> Task<'g> {
     /// Tasks this one depends on (must complete first).
-    pub fn preds(&self) -> &[TaskId] {
-        &self.preds
+    pub fn preds(&self) -> &'g [TaskId] {
+        self.graph.preds(self.id)
     }
 
     /// Tasks that depend on this one.
-    pub fn succs(&self) -> &[TaskId] {
-        &self.succs
+    pub fn succs(&self) -> &'g [TaskId] {
+        self.graph.succs(self.id)
+    }
+}
+
+impl fmt::Debug for Task<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Task")
+            .field("id", &self.id)
+            .field("ty", &self.ty)
+            .field("profile", self.profile)
+            .field("preds", &self.preds())
+            .field("succs", &self.succs())
+            .finish()
     }
 }
 

@@ -1,150 +1,77 @@
-//! [`GraphView`]: a structure-of-arrays snapshot of the dispatch-hot
-//! graph fields.
+//! [`GraphView`]: the dispatch-hot columns of a [`TaskGraph`], borrowed
+//! as one `Copy` bundle of slices.
 //!
-//! [`TaskGraph`] stores tasks as an array of structs — each `Task` carries
-//! its own `preds`/`succs` vectors, profile and type id — which is the
-//! right shape for incremental construction and for the digest-pinned
-//! `.tdg.json` serialization, but the wrong shape for the engines' inner
-//! loop: every completion chases a per-task heap pointer to reach the
-//! successor list, and every instance start walks `preds` vectors just to
-//! count them.
+//! The graph already stores its tasks as columns — successor lists as one
+//! CSR pair, predecessor offsets, criticality levels and profiles, each
+//! indexed by task id — so an engine's inner loop touches contiguous
+//! memory without copying anything:
 //!
-//! `GraphView` flattens exactly the fields the dispatch path touches into
-//! parallel arrays sized once per run:
+//! - a completion's successor walk is one contiguous slice;
+//! - the indegree seed is the difference of adjacent predecessor offsets;
+//! - the static `criticality(c)` level of each task's type is an array
+//!   read, so annotation-static estimators classify without a call;
+//! - the profile, and its work scalars, are one index away.
 //!
-//! - successor lists as one CSR pair (`succ_off`/`succ`), so a
-//!   completion's successor walk is a contiguous slice;
-//! - predecessor *counts* (the indegree seed), so per-run/per-instance
-//!   indegree initialization is a `memcpy` instead of `n` vector-length
-//!   reads;
-//! - the static `criticality(c)` level of each task's type, so
-//!   annotation-static estimators classify with an array read;
-//! - the profile work scalars (`cpu_cycles`, `mem_ps`), the per-task
-//!   weights a work-partitioner (ROADMAP: conservative parallel
-//!   simulation) splits on.
-//!
-//! The graph itself is never mutated after submission closes, so the view
-//! is a pure snapshot: [`rebuild`](GraphView::rebuild) reuses its buffers
-//! across runs (the engines keep one in their per-thread scratch), and
-//! [`from_graph`](GraphView::from_graph) builds a fresh one for callers
-//! that hold it long-term (one per distinct service workload).
+//! Building a view costs five slice borrows (and, the first time anyone
+//! reads a graph's successors, the transpose of its predecessors), so the
+//! engines take one per run and the open system one per workload.
 
 use crate::graph::TaskGraph;
 use crate::task::TaskId;
-use std::ops::Range;
+use cata_sim::progress::ExecProfile;
 
-/// Parallel-array snapshot of a [`TaskGraph`]'s dispatch-hot fields.
+/// The dispatch-hot columns of a [`TaskGraph`], borrowed.
 ///
-/// See the [module docs](self) for what belongs here and why. The view
-/// borrows nothing: it can outlive engine borrows of the graph and be
-/// rebuilt in place for the next run.
-#[derive(Debug, Clone, Default)]
-pub struct GraphView {
-    /// CSR offsets into `succ`: task `t`'s successors are
-    /// `succ[succ_off[t] .. succ_off[t + 1]]`. Length `n + 1`.
-    succ_off: Vec<u32>,
-    /// All successor lists, concatenated in task order (each list keeps
-    /// the graph's edge order, so ready-queue insertion order — and with
-    /// it every digest — is unchanged).
-    succ: Vec<TaskId>,
-    /// Number of predecessors per task — the indegree seed.
-    pred_count: Vec<u32>,
+/// See the [module docs](self) for what belongs here and why. Every
+/// accessor returns data at the graph's lifetime `'g`, not the view's, so
+/// a caller can hold a successor slice while it mutates its own state.
+#[derive(Debug, Clone, Copy)]
+pub struct GraphView<'g> {
+    /// Predecessor offsets: task `t` has `pred_off[t + 1] - pred_off[t]`
+    /// predecessors. Length `n + 1`.
+    pred_off: &'g [u32],
+    /// CSR offsets into `succ`. Length `n + 1`.
+    succ_off: &'g [u32],
+    /// All successor lists, concatenated in task order, each in ascending
+    /// id — the order ready-queue insertion, and every digest, rests on.
+    succ: &'g [TaskId],
     /// Static `criticality(c)` annotation of each task's type.
-    crit_level: Vec<u8>,
-    /// Frequency-scaled CPU work per task, in cycles.
-    cpu_cycles: Vec<u64>,
-    /// Frequency-invariant memory time per task, in picoseconds.
-    mem_ps: Vec<u64>,
+    levels: &'g [u8],
+    /// Each task's execution profile.
+    profiles: &'g [ExecProfile],
 }
 
-impl GraphView {
-    /// An empty view (no tasks). Use [`rebuild`](Self::rebuild) to point
-    /// it at a graph.
-    pub fn new() -> Self {
-        GraphView::default()
-    }
-
-    /// A fresh view of `graph`.
-    pub fn from_graph(graph: &TaskGraph) -> Self {
-        let mut view = GraphView::default();
-        view.rebuild(graph);
-        view
-    }
-
-    /// Re-snapshots `graph` into this view's buffers. Allocation-free
-    /// once the buffers have grown to the largest graph a thread has
-    /// seen — the engines call this once per run from reused scratch.
-    pub fn rebuild(&mut self, graph: &TaskGraph) {
-        let n = graph.num_tasks();
-        self.succ_off.clear();
-        self.succ.clear();
-        self.pred_count.clear();
-        self.crit_level.clear();
-        self.cpu_cycles.clear();
-        self.mem_ps.clear();
-        self.succ_off.reserve(n + 1);
-        self.succ.reserve(graph.num_edges());
-        self.pred_count.reserve(n);
-        self.crit_level.reserve(n);
-        self.cpu_cycles.reserve(n);
-        self.mem_ps.reserve(n);
-
-        self.succ_off.push(0);
-        for t in graph.task_ids() {
-            self.succ.extend_from_slice(graph.succs(t));
-            self.succ_off.push(self.succ.len() as u32);
-            self.pred_count.push(graph.preds(t).len() as u32);
-            self.crit_level.push(graph.type_of(t).criticality);
-            let profile = &graph.task(t).profile;
-            self.cpu_cycles.push(profile.cpu_cycles);
-            self.mem_ps.push(profile.mem_ps);
+impl<'g> GraphView<'g> {
+    /// The columns of `graph`.
+    pub fn from_graph(graph: &'g TaskGraph) -> Self {
+        let succs = graph.succ_csr();
+        GraphView {
+            pred_off: &graph.preds.off,
+            succ_off: &succs.off,
+            succ: &succs.ids,
+            levels: &graph.level,
+            profiles: &graph.profile,
         }
     }
 
-    /// Number of tasks in the snapshot.
+    /// Number of tasks.
     #[inline]
     pub fn num_tasks(&self) -> usize {
-        self.pred_count.len()
+        self.levels.len()
     }
 
-    /// Number of dependence edges in the snapshot.
+    /// `task`'s successors, in ascending id.
     #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.succ.len()
+    pub fn succs(&self, task: TaskId) -> &'g [TaskId] {
+        let t = task.index();
+        &self.succ[self.succ_off[t] as usize..self.succ_off[t + 1] as usize]
     }
 
-    /// `task`'s successors, in the graph's edge order.
+    /// Predecessor counts for all tasks, in task order — extend an
+    /// indegree vector with them.
     #[inline]
-    pub fn succs(&self, task: TaskId) -> &[TaskId] {
-        let Range { start, end } = self.succ_span(task);
-        &self.succ[start as usize..end as usize]
-    }
-
-    /// The CSR index range of `task`'s successors — a `Copy` value, so
-    /// an engine that owns its view can walk successors while mutating
-    /// sibling state between [`succ_at`](Self::succ_at) reads.
-    #[inline]
-    pub fn succ_span(&self, task: TaskId) -> Range<u32> {
-        self.succ_off[task.index()]..self.succ_off[task.index() + 1]
-    }
-
-    /// The successor at CSR index `i` (from [`succ_span`](Self::succ_span)).
-    #[inline]
-    pub fn succ_at(&self, i: u32) -> TaskId {
-        self.succ[i as usize]
-    }
-
-    /// Predecessor counts for all tasks, in task order — copy this slice
-    /// to seed an indegree vector.
-    #[inline]
-    pub fn pred_counts(&self) -> &[u32] {
-        &self.pred_count
-    }
-
-    /// `task`'s predecessor count.
-    #[inline]
-    pub fn pred_count(&self, task: TaskId) -> u32 {
-        self.pred_count[task.index()]
+    pub fn pred_counts(&self) -> impl Iterator<Item = u32> + 'g {
+        self.pred_off.windows(2).map(|w| w[1] - w[0])
     }
 
     /// The static `criticality(c)` level of `task`'s type. Equals
@@ -153,40 +80,38 @@ impl GraphView {
     /// estimators.
     #[inline]
     pub fn crit_level(&self, task: TaskId) -> u8 {
-        self.crit_level[task.index()]
+        self.levels[task.index()]
     }
 
     /// Static criticality levels for all tasks, in task order.
     #[inline]
-    pub fn crit_levels(&self) -> &[u8] {
-        &self.crit_level
+    pub fn crit_levels(&self) -> &'g [u8] {
+        self.levels
     }
 
-    /// `task`'s CPU work in cycles.
+    /// `task`'s execution profile.
     #[inline]
-    pub fn cpu_cycles(&self, task: TaskId) -> u64 {
-        self.cpu_cycles[task.index()]
+    pub fn profile(&self, task: TaskId) -> &'g ExecProfile {
+        &self.profiles[task.index()]
     }
 
     /// `task`'s memory time in picoseconds.
     #[inline]
     pub fn mem_ps(&self, task: TaskId) -> u64 {
-        self.mem_ps[task.index()]
+        self.profiles[task.index()].mem_ps
     }
 
-    /// Total CPU work over all tasks, saturating — the weight a
-    /// work-balancing partitioner splits on.
+    /// Total CPU work over all tasks, saturating.
     pub fn total_cpu_cycles(&self) -> u64 {
-        self.cpu_cycles
+        self.profiles
             .iter()
-            .fold(0u64, |acc, &c| acc.saturating_add(c))
+            .fold(0u64, |acc, p| acc.saturating_add(p.cpu_cycles))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cata_sim::progress::ExecProfile;
 
     fn diamond() -> TaskGraph {
         let mut g = TaskGraph::new();
@@ -204,41 +129,15 @@ mod tests {
         let g = diamond();
         let v = GraphView::from_graph(&g);
         assert_eq!(v.num_tasks(), g.num_tasks());
-        assert_eq!(v.num_edges(), g.num_edges());
+        let counts: Vec<u32> = v.pred_counts().collect();
         for t in g.task_ids() {
             assert_eq!(v.succs(t), g.succs(t), "succs of {t}");
-            assert_eq!(v.pred_count(t), g.preds(t).len() as u32, "preds of {t}");
+            assert_eq!(counts[t.index()], g.preds(t).len() as u32, "preds of {t}");
             assert_eq!(v.crit_level(t), g.type_of(t).criticality);
-            assert_eq!(v.cpu_cycles(t), g.task(t).profile.cpu_cycles);
+            assert_eq!(v.profile(t), g.task(t).profile);
             assert_eq!(v.mem_ps(t), g.task(t).profile.mem_ps);
         }
+        assert_eq!(v.crit_levels(), &[0, 2, 0, 0]);
         assert_eq!(v.total_cpu_cycles(), 1000);
-    }
-
-    #[test]
-    fn span_walk_matches_slice() {
-        let g = diamond();
-        let v = GraphView::from_graph(&g);
-        for t in g.task_ids() {
-            let walked: Vec<TaskId> = v.succ_span(t).map(|i| v.succ_at(i)).collect();
-            assert_eq!(walked, v.succs(t));
-        }
-    }
-
-    #[test]
-    fn rebuild_reuses_buffers_and_resnapshots() {
-        let big = diamond();
-        let mut v = GraphView::from_graph(&big);
-        let mut small = TaskGraph::new();
-        let ty = small.add_type("only", 1);
-        small.add_task(ty, ExecProfile::new(7, 0), &[]);
-        v.rebuild(&small);
-        assert_eq!(v.num_tasks(), 1);
-        assert_eq!(v.num_edges(), 0);
-        assert_eq!(v.pred_counts(), &[0]);
-        assert_eq!(v.crit_levels(), &[1]);
-        v.rebuild(&big);
-        assert_eq!(v.num_tasks(), 4);
-        assert_eq!(v.succs(TaskId(0)), &[TaskId(1), TaskId(2)]);
     }
 }

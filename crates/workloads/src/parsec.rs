@@ -67,16 +67,20 @@ impl Benchmark {
 }
 
 /// Generates the TDG for `bench` at `scale` with a deterministic `seed`.
+/// Generated graphs are kept (sweeps cache them), so they come back
+/// shrunk to fit.
 pub fn generate(bench: Benchmark, scale: Scale, seed: u64) -> TaskGraph {
     let mut rng = StdRng::seed_from_u64(seed ^ ((bench as u64) << 32));
-    match bench {
+    let mut g = match bench {
         Benchmark::Blackscholes => blackscholes(scale, &mut rng),
         Benchmark::Swaptions => swaptions(scale, &mut rng),
         Benchmark::Fluidanimate => fluidanimate(scale, &mut rng),
         Benchmark::Bodytrack => bodytrack(scale, &mut rng),
         Benchmark::Dedup => dedup(scale, &mut rng),
         Benchmark::Ferret => ferret(scale, &mut rng),
-    }
+    };
+    g.shrink_to_fit();
+    g
 }
 
 /// Blackscholes: `NUM_RUNS` iterations over a big option array, each split

@@ -13,7 +13,15 @@
 //! Reading a `.tdg.json` allocates what the file holds: the task list,
 //! each task's dependence list and the type names, and nothing per key or
 //! per number. The six Small-scale exports must read under 2 allocations
-//! per task.
+//! per task. Building a graph from such a file allocates the graph's
+//! columns, the type names and the block list of each task that blocks,
+//! and nothing per task or per edge: besides the block lists, under 0.1
+//! allocations per task (2.4 per task when each task owned its edge
+//! lists).
+//!
+//! A graph holds its tasks as columns, so the six paper-scale graphs a
+//! sweep keeps hold at most 96 bytes of heap per task, successor lists
+//! built; per-task edge vectors held 189.
 //!
 //! A store line read back holds its report's latency histograms as their
 //! occupied buckets, so a parsed record leaves at most twice the line's
@@ -27,7 +35,8 @@ use cata_core::service::{default_admission_registry, run_service, ArrivalSpec, S
 use cata_core::SimExecutor;
 use cata_sim::time::SimDuration;
 use cata_tdg::file::TdgFile;
-use cata_workloads::{Benchmark, Scale};
+use cata_tdg::GraphView;
+use cata_workloads::{generate, Benchmark, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -149,6 +158,71 @@ fn tdg_reads_allocate_under_two_per_task() {
         allocs < 2 * tasks,
         "{:.2} allocations per task{table}",
         allocs as f64 / tasks as f64
+    );
+}
+
+#[test]
+fn tdg_graphs_build_under_a_tenth_allocation_per_task() {
+    let files: Vec<(Benchmark, TdgFile)> = Benchmark::all()
+        .into_iter()
+        .map(|bench| {
+            let (_, tdg) = WorkloadSpec::parsec(bench, Scale::Small, 1)
+                .capture()
+                .expect("generator captures");
+            (bench, tdg)
+        })
+        .collect();
+    let mut table = String::new();
+    let (mut allocs, mut blocking, mut tasks) = (0, 0, 0);
+    for (bench, file) in &files {
+        let before = ALLOCS.with(Cell::get);
+        let graph = file.to_graph().expect("export builds");
+        let made = ALLOCS.with(Cell::get) - before;
+        let n = graph.num_tasks();
+        let blocks = graph
+            .tasks()
+            .filter(|t| !t.profile.blocks.is_empty())
+            .count();
+        table += &format!("\n  {bench:?}: {made} allocations, {n} tasks, {blocks} blocking");
+        allocs += made;
+        blocking += blocks as u64;
+        tasks += n as u64;
+    }
+    assert!(tasks > 5_000, "{tasks} tasks{table}");
+    assert!(
+        (allocs - blocking) * 10 < tasks,
+        "{:.3} allocations per task besides block lists{table}",
+        (allocs - blocking) as f64 / tasks as f64
+    );
+}
+
+/// The six paper-scale graphs, as a sweep's graph cache holds them (their
+/// successor lists built), hold at most 96 bytes of heap per task.
+#[test]
+fn paper_graphs_hold_under_96_bytes_per_task() {
+    let mut table = String::new();
+    let (mut live, mut tasks) = (0, 0);
+    let mut graphs = Vec::new();
+    for bench in Benchmark::all() {
+        let before = LIVE.with(Cell::get);
+        let graph = generate(bench, Scale::Paper, 1);
+        // The first view transposes the predecessors into successor lists.
+        GraphView::from_graph(&graph);
+        let held = LIVE.with(Cell::get) - before;
+        let n = graph.num_tasks();
+        table += &format!(
+            "\n  {bench:?}: {held} bytes, {n} tasks, {} edges",
+            graph.num_edges()
+        );
+        live += held;
+        tasks += n as i64;
+        graphs.push(graph);
+    }
+    assert!(tasks > 20_000, "{tasks} tasks{table}");
+    assert!(
+        live <= 96 * tasks,
+        "{:.1} bytes per task{table}",
+        live as f64 / tasks as f64
     );
 }
 
