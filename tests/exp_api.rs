@@ -120,6 +120,78 @@ fn unknown_keys_error_cleanly() {
     ));
 }
 
+/// Every unknown-key error, in full: the family's noun, the key, and every
+/// known key in the family's order (sorted for registries, `EventBackend::ALL`
+/// order for event queues, figure order for presets).
+#[test]
+fn unknown_key_messages_name_every_known_key() {
+    fn text<T>(r: Result<T, ExpError>) -> String {
+        match r {
+            Ok(_) => panic!("`bogus` must not resolve"),
+            Err(e) => e.to_string(),
+        }
+    }
+    let base = ScenarioSpec::preset("FIFO", 8, tiny_workload()).unwrap();
+    let run = |edit: fn(&mut ScenarioSpec)| {
+        let mut s = base.clone();
+        edit(&mut s);
+        text(Scenario::from_spec(s).run(&SimExecutor))
+    };
+    let cases = [
+        (
+            run(|s| s.scheduler = "bogus".into()),
+            "unknown scheduler `bogus` (known: cats, cats-homogeneous, fifo)",
+        ),
+        (
+            run(|s| s.estimator = "bogus".into()),
+            "unknown estimator `bogus` (known: bottom-level, none, static-annotations)",
+        ),
+        (
+            run(|s| s.accel = "bogus".into()),
+            "unknown acceleration manager `bogus` (known: rsu, software-cata, static-hetero, turbo)",
+        ),
+        (
+            text(cata_core::service::default_admission_registry().build(
+                "bogus",
+                &cata_core::service::AdmissionParams::default(),
+            )),
+            "unknown admission policy `bogus` (known: admit-all, queue-cap, shed-noncritical)",
+        ),
+        (
+            text(
+                cata_core::fault::default_recovery_registry()
+                    .build("bogus", &cata_core::FaultSpec::default()),
+            ),
+            "unknown recovery policy `bogus` (known: reroute-prefer-fast, retry-same-core, \
+             shed-noncritical-on-degraded)",
+        ),
+        (
+            text(
+                cata_core::mem::default_arbitration_registry()
+                    .build("bogus", &cata_core::MemorySpec::default()),
+            ),
+            "unknown arbitration policy `bogus` (known: crit-first, fifo, round-robin)",
+        ),
+        (
+            text(
+                ScenarioSpec {
+                    event_queue: Some("bogus".into()),
+                    ..base.clone()
+                }
+                .validate(),
+            ),
+            "unknown event-queue backend `bogus` (known: heap, calendar-wheel)",
+        ),
+        (
+            text(ScenarioSpec::preset("bogus", 8, tiny_workload())),
+            "unknown preset `bogus` (known: FIFO, CATS+BL, CATS+SA, CATA, CATA+RSU, TurboMode)",
+        ),
+    ];
+    for (got, want) in cases {
+        assert_eq!(got, want);
+    }
+}
+
 /// Same spec + same seed ⇒ bit-identical `RunReport`, whether the suite
 /// runs serially or fanned across a thread pool.
 #[test]
