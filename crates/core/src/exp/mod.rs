@@ -10,9 +10,10 @@
 //! - [`PolicyRegistries`] — string-keyed factories for
 //!   [`SchedulerPolicy`](crate::policy::SchedulerPolicy),
 //!   [`CriticalityEstimator`](cata_tdg::criticality::CriticalityEstimator)
-//!   and [`AccelManager`](crate::accel::AccelManager). The six paper
-//!   configurations are pre-registered; third-party policies register a
-//!   closure under a new key and run without touching core enums.
+//!   and [`AccelManager`](crate::accel::AccelManager), each family a
+//!   [`Registry`]. The six paper configurations are pre-registered;
+//!   third-party policies register a closure under a new key and run
+//!   without touching core enums.
 //! - [`Executor`] — one call shape over every backend:
 //!   [`SimExecutor`](crate::SimExecutor) (deterministic discrete-event
 //!   simulation) and [`NativeExecutor`] (real threads + DVFS backend).
@@ -71,10 +72,7 @@ pub use progress::{
     host_fingerprint, now_unix_ms, JsonlTail, ProgressEvent, ProgressRecord, ProgressWriter,
     PROGRESS_SCHEMA,
 };
-pub use registry::{
-    default_registries, AccelEntry, AllNonCritical, EstimatorEntry, FactoryCtx, PolicyCaps,
-    PolicyRegistries, SchedulerEntry,
-};
+pub use registry::{default_registries, AllNonCritical, FactoryCtx, PolicyRegistries, Registry};
 pub use scenario::Scenario;
 pub use spec::{Backend, PolicyParams, RuntimeCosts, ScenarioSpec, WorkloadSpec};
 pub use store::{spec_digest, CellRecord, MergedRecords, ResultsStore, STORE_SCHEMA};

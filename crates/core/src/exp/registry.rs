@@ -1,9 +1,17 @@
 //! String-keyed registries of policy factories.
 //!
-//! The experiment facade resolves the three policy dimensions of a
-//! [`ScenarioSpec`] — scheduler, criticality estimator, acceleration
-//! manager — through these registries instead of matching on closed
-//! enums. The six paper configurations are pre-registered under
+//! Every pluggable family of the workspace resolves a spec's string key
+//! through one type, [`Registry`]: a sorted map from key to entry whose
+//! lookup fails with [`ExpError::UnknownKey`], naming the family, the key
+//! and every registered key. The families are the three policy
+//! dimensions of a [`ScenarioSpec`] held in [`PolicyRegistries`] —
+//! scheduler, criticality estimator, acceleration manager — plus memory
+//! arbitration ([`ArbitrationRegistry`](crate::mem::ArbitrationRegistry)),
+//! fault recovery ([`RecoveryRegistry`](crate::fault::RecoveryRegistry))
+//! and service admission
+//! ([`AdmissionRegistry`](crate::service::AdmissionRegistry)).
+//!
+//! The six paper configurations are pre-registered under
 //! [`PolicyRegistries::with_builtins`]; third-party policies register a
 //! factory closure under a new key and work with the suite runner and
 //! the bench harness without touching `cata-core`. A registered scheduler
@@ -21,6 +29,53 @@ use cata_tdg::criticality::{BottomLevelEstimator, CriticalityEstimator, StaticAn
 use cata_tdg::{TaskGraph, TaskId};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
+
+/// A family of entries under string keys, sorted by key. A family's
+/// entry is its factory, as an `Arc<dyn Fn…>`, paired with any flag the
+/// engine reads before building.
+#[derive(Clone)]
+pub struct Registry<T> {
+    kind: &'static str,
+    entries: BTreeMap<String, T>,
+}
+
+impl<T> Registry<T> {
+    /// An empty registry; `kind` is the family's noun in its unknown-key
+    /// error (`"scheduler"`, `"arbitration policy"`, …).
+    pub fn new(kind: &'static str) -> Self {
+        Registry {
+            kind,
+            entries: BTreeMap::new(),
+        }
+    }
+
+    /// Registers (or replaces) `entry` under `key`.
+    pub fn insert(&mut self, key: impl Into<String>, entry: T) {
+        self.entries.insert(key.into(), entry);
+    }
+
+    /// The registered keys, sorted.
+    pub fn keys(&self) -> Vec<String> {
+        self.entries.keys().cloned().collect()
+    }
+
+    /// The entry under `key`, or [`ExpError::UnknownKey`] naming the known
+    /// keys.
+    pub fn get(&self, key: &str) -> Result<&T, ExpError> {
+        self.entries.get(key).ok_or_else(|| ExpError::UnknownKey {
+            kind: self.kind,
+            key: key.to_string(),
+            known: self.keys(),
+        })
+    }
+}
+
+/// Prints the registered keys.
+impl<T> std::fmt::Debug for Registry<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.entries.keys()).finish()
+    }
+}
 
 /// Estimator for configurations that ignore criticality: every task is
 /// non-critical (FIFO's single queue; TurboMode).
@@ -57,77 +112,23 @@ type EstFactory =
 type AccelFactory =
     dyn Fn(&FactoryCtx<'_>) -> Result<Box<dyn AccelManager>, ExpError> + Send + Sync;
 
-/// Capabilities and dispatch metadata of a registered policy — the struct
-/// the registry's former loose `prefer_fast`/`static_hetero` bools grew
-/// into once replayed-graph dispatch became a second consumer. A scheduler
-/// entry contributes `prefer_fast`, an accel entry `static_hetero`;
-/// [`PolicyRegistries::resolve`] merges both into the single
-/// [`ResolvedPolicies::caps`] every executor reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PolicyCaps {
-    /// The executor's dispatch loop should offer idle *fast* cores first
-    /// (CATS exploits core speeds; FIFO is blind).
-    pub prefer_fast: bool,
-    /// The machine is built with statically heterogeneous cores (the
-    /// first `fast_cores` run fast permanently; no reconfiguration).
-    pub static_hetero: bool,
-}
-
-impl PolicyCaps {
-    /// Scheduler-side caps: only the dispatch preference is meaningful.
-    pub fn scheduler(prefer_fast: bool) -> Self {
-        PolicyCaps {
-            prefer_fast,
-            ..Default::default()
-        }
-    }
-
-    /// Accel-side caps: only the machine build is meaningful.
-    pub fn accel(static_hetero: bool) -> Self {
-        PolicyCaps {
-            static_hetero,
-            ..Default::default()
-        }
-    }
-}
-
-/// A registered scheduler: factory plus dispatch metadata.
-#[derive(Clone)]
-pub struct SchedulerEntry {
-    factory: Arc<SchedFactory>,
-    /// Dispatch capabilities (only `prefer_fast` is scheduler-owned).
-    pub caps: PolicyCaps,
-}
-
-/// A registered estimator.
-#[derive(Clone)]
-pub struct EstimatorEntry {
-    factory: Arc<EstFactory>,
-}
-
-/// A registered acceleration manager: factory plus machine metadata.
-#[derive(Clone)]
-pub struct AccelEntry {
-    factory: Arc<AccelFactory>,
-    /// Machine-build capabilities (only `static_hetero` is accel-owned).
-    pub caps: PolicyCaps,
-}
-
-/// The three policy registries of the experiment facade.
-#[derive(Clone)]
+/// The three policy registries of the experiment facade. A scheduler is
+/// registered with its `prefer_fast` flag, an acceleration manager with
+/// its `static_hetero` flag.
+#[derive(Clone, Debug)]
 pub struct PolicyRegistries {
-    schedulers: BTreeMap<String, SchedulerEntry>,
-    estimators: BTreeMap<String, EstimatorEntry>,
-    accels: BTreeMap<String, AccelEntry>,
+    schedulers: Registry<(bool, Arc<SchedFactory>)>,
+    estimators: Registry<Arc<EstFactory>>,
+    accels: Registry<(bool, Arc<AccelFactory>)>,
 }
 
 impl PolicyRegistries {
     /// Empty registries (useful for fully custom matrices).
     pub fn empty() -> Self {
         PolicyRegistries {
-            schedulers: BTreeMap::new(),
-            estimators: BTreeMap::new(),
-            accels: BTreeMap::new(),
+            schedulers: Registry::new("scheduler"),
+            estimators: Registry::new("estimator"),
+            accels: Registry::new("acceleration manager"),
         }
     }
 
@@ -194,13 +195,8 @@ impl PolicyRegistries {
             + Sync
             + 'static,
     ) {
-        self.schedulers.insert(
-            key.into(),
-            SchedulerEntry {
-                factory: Arc::new(factory),
-                caps: PolicyCaps::scheduler(prefer_fast),
-            },
-        );
+        self.schedulers
+            .insert(key, (prefer_fast, Arc::new(factory)));
     }
 
     /// Registers (or replaces) an estimator factory under `key`.
@@ -212,12 +208,7 @@ impl PolicyRegistries {
             + Sync
             + 'static,
     ) {
-        self.estimators.insert(
-            key.into(),
-            EstimatorEntry {
-                factory: Arc::new(factory),
-            },
-        );
+        self.estimators.insert(key, Arc::new(factory));
     }
 
     /// Registers (or replaces) an acceleration-manager factory under `key`.
@@ -231,28 +222,22 @@ impl PolicyRegistries {
             + Sync
             + 'static,
     ) {
-        self.accels.insert(
-            key.into(),
-            AccelEntry {
-                factory: Arc::new(factory),
-                caps: PolicyCaps::accel(static_hetero),
-            },
-        );
+        self.accels.insert(key, (static_hetero, Arc::new(factory)));
     }
 
     /// The registered scheduler keys, sorted.
     pub fn scheduler_keys(&self) -> Vec<String> {
-        self.schedulers.keys().cloned().collect()
+        self.schedulers.keys()
     }
 
     /// The registered estimator keys, sorted.
     pub fn estimator_keys(&self) -> Vec<String> {
-        self.estimators.keys().cloned().collect()
+        self.estimators.keys()
     }
 
     /// The registered acceleration-manager keys, sorted.
     pub fn accel_keys(&self) -> Vec<String> {
-        self.accels.keys().cloned().collect()
+        self.accels.keys()
     }
 
     /// Constructs a scheduler policy by key (trait-object path).
@@ -261,14 +246,7 @@ impl PolicyRegistries {
         key: &str,
         ctx: &FactoryCtx<'_>,
     ) -> Result<Box<dyn SchedulerPolicy>, ExpError> {
-        let entry = self
-            .schedulers
-            .get(key)
-            .ok_or_else(|| ExpError::UnknownScheduler {
-                key: key.to_string(),
-                known: self.scheduler_keys(),
-            })?;
-        (entry.factory)(ctx)
+        (self.schedulers.get(key)?.1)(ctx)
     }
 
     /// Constructs a criticality estimator by key (trait-object path).
@@ -277,14 +255,7 @@ impl PolicyRegistries {
         key: &str,
         ctx: &FactoryCtx<'_>,
     ) -> Result<Box<dyn CriticalityEstimator>, ExpError> {
-        let entry = self
-            .estimators
-            .get(key)
-            .ok_or_else(|| ExpError::UnknownEstimator {
-                key: key.to_string(),
-                known: self.estimator_keys(),
-            })?;
-        (entry.factory)(ctx)
+        self.estimators.get(key)?(ctx)
     }
 
     /// Constructs an acceleration manager by key (trait-object path).
@@ -293,29 +264,7 @@ impl PolicyRegistries {
         key: &str,
         ctx: &FactoryCtx<'_>,
     ) -> Result<Box<dyn AccelManager>, ExpError> {
-        let entry = self.accels.get(key).ok_or_else(|| ExpError::UnknownAccel {
-            key: key.to_string(),
-            known: self.accel_keys(),
-        })?;
-        (entry.factory)(ctx)
-    }
-
-    /// The dispatch metadata of a scheduler key.
-    pub fn scheduler_entry(&self, key: &str) -> Result<&SchedulerEntry, ExpError> {
-        self.schedulers
-            .get(key)
-            .ok_or_else(|| ExpError::UnknownScheduler {
-                key: key.to_string(),
-                known: self.scheduler_keys(),
-            })
-    }
-
-    /// The machine metadata of an acceleration-manager key.
-    pub fn accel_entry(&self, key: &str) -> Result<&AccelEntry, ExpError> {
-        self.accels.get(key).ok_or_else(|| ExpError::UnknownAccel {
-            key: key.to_string(),
-            known: self.accel_keys(),
-        })
+        (self.accels.get(key)?.1)(ctx)
     }
 
     /// Resolves a spec's policy triple into engine-ready parts: builds the
@@ -329,15 +278,8 @@ impl PolicyRegistries {
                 "fast_cores {fast_cores} exceeds machine size {n_cores}"
             )));
         }
-        let accel_entry = self.accel_entry(&spec.accel)?;
-        let sched_entry = self.scheduler_entry(&spec.scheduler)?;
-        // The merged capability view: scheduler dispatch preference plus
-        // accel machine build, in one struct.
-        let caps = PolicyCaps {
-            prefer_fast: sched_entry.caps.prefer_fast,
-            static_hetero: accel_entry.caps.static_hetero,
-        };
-        let static_hetero = caps.static_hetero;
+        let &(static_hetero, ref accel) = self.accels.get(&spec.accel)?;
+        let &(prefer_fast, ref scheduler) = self.schedulers.get(&spec.scheduler)?;
         let machine = if static_hetero {
             Machine::new_static_hetero(spec.machine.clone(), fast_cores)
         } else {
@@ -354,16 +296,16 @@ impl PolicyRegistries {
             seed: spec.seed,
             params: &params,
         };
-        let policy = self.build_scheduler(&spec.scheduler, &ctx)?;
+        let policy = scheduler(&ctx)?;
         let estimator = self.build_estimator(&spec.estimator, &ctx)?;
-        let accel = self.build_accel(&spec.accel, &ctx)?;
+        let accel = accel(&ctx)?;
         Ok(ResolvedPolicies {
             policy,
             estimator,
             accel,
             machine,
             is_fast_static,
-            caps,
+            prefer_fast,
         })
     }
 }
@@ -371,16 +313,6 @@ impl PolicyRegistries {
 impl Default for PolicyRegistries {
     fn default() -> Self {
         Self::with_builtins()
-    }
-}
-
-impl std::fmt::Debug for PolicyRegistries {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyRegistries")
-            .field("schedulers", &self.scheduler_keys())
-            .field("estimators", &self.estimator_keys())
-            .field("accels", &self.accel_keys())
-            .finish()
     }
 }
 
@@ -397,8 +329,9 @@ pub struct ResolvedPolicies {
     pub machine: Machine,
     /// Per-core static speed class.
     pub is_fast_static: Vec<bool>,
-    /// Merged policy capabilities (dispatch preference + machine build).
-    pub caps: PolicyCaps,
+    /// The dispatch loop offers idle fast cores first (the scheduler's
+    /// flag: CATS exploits core speeds, FIFO is blind).
+    pub prefer_fast: bool,
 }
 
 impl std::fmt::Debug for ResolvedPolicies {
@@ -407,7 +340,7 @@ impl std::fmt::Debug for ResolvedPolicies {
             .field("policy", &self.policy.name())
             .field("estimator", &self.estimator.name())
             .field("accel", &self.accel.name())
-            .field("caps", &self.caps)
+            .field("prefer_fast", &self.prefer_fast)
             .finish_non_exhaustive()
     }
 }
@@ -459,7 +392,8 @@ mod tests {
             .resolve(&keyed("fifo", "none", "warp-drive"))
             .unwrap_err();
         match err {
-            ExpError::UnknownAccel { key, known } => {
+            ExpError::UnknownKey { kind, key, known } => {
+                assert_eq!(kind, "acceleration manager");
                 assert_eq!(key, "warp-drive");
                 assert!(known.contains(&"software-cata".to_string()));
             }

@@ -674,7 +674,13 @@ impl ScenarioSpec {
             "CATA" => ("cats-homogeneous", "static-annotations", "software-cata"),
             "CATA+RSU" => ("cats-homogeneous", "static-annotations", "rsu"),
             "TurboMode" => ("fifo", "none", "turbo"),
-            other => return Err(ExpError::UnknownPreset(other.to_string())),
+            other => {
+                return Err(ExpError::UnknownKey {
+                    kind: "preset",
+                    key: other.to_string(),
+                    known: PAPER_PRESETS.map(String::from).to_vec(),
+                })
+            }
         };
         let mut spec = ScenarioSpec {
             fast_cores,
@@ -777,7 +783,8 @@ impl ScenarioSpec {
         }
         if let Some(ref key) = self.event_queue {
             key.parse::<cata_sim::EventBackend>()
-                .map_err(|_| ExpError::UnknownEventQueue {
+                .map_err(|_| ExpError::UnknownKey {
+                    kind: "event-queue backend",
                     key: key.clone(),
                     known: cata_sim::EventBackend::ALL
                         .map(|b| b.name().to_string())
@@ -881,7 +888,7 @@ mod tests {
     fn unknown_preset_is_an_error() {
         let w = WorkloadSpec::Chain { n: 2, cycles: 10 };
         let err = ScenarioSpec::preset("CATS+XL", 8, w).unwrap_err();
-        assert!(matches!(err, ExpError::UnknownPreset(_)));
+        assert!(matches!(err, ExpError::UnknownKey { kind: "preset", .. }));
     }
 
     #[test]
@@ -953,7 +960,8 @@ mod tests {
             ..spec
         };
         match bad.validate() {
-            Err(ExpError::UnknownEventQueue { key, known }) => {
+            Err(ExpError::UnknownKey { kind, key, known }) => {
+                assert_eq!(kind, "event-queue backend");
                 assert_eq!(key, "splay-tree");
                 assert_eq!(known, ["heap", "calendar-wheel"]);
             }

@@ -2,8 +2,7 @@
 //!
 //! Every other run in this repository assumes a perfect machine: cores
 //! never die, DVFS/RSU writes never fail, tasks never need re-execution.
-//! This module makes imperfection a **scenario axis**, mirroring the
-//! policy-registry idiom:
+//! This module makes imperfection a **scenario axis**:
 //!
 //! - [`FaultSpec`] — a serde description of a seeded fault schedule:
 //!   core fail-stop at time *t* (permanent) or fail-recover windows,
@@ -15,8 +14,10 @@
 //! - [`RecoveryPolicy`] / [`RecoveryRegistry`] — the pluggable decision
 //!   of what happens to displaced work (retry on the same core family,
 //!   reroute preferring fast cores, shed non-critical instances while
-//!   degraded), string-keyed like the scheduler/estimator/accel and
-//!   admission registries so external crates can register their own.
+//!   degraded): a [`Registry`] of factories, the one type every policy
+//!   family resolves its keys through, so external crates can
+//!   [`insert`](Registry::insert) their own and an unknown key fails with
+//!   [`ExpError::UnknownKey`].
 //! - [`FaultReport`] — what the run observed: injected/recovered/
 //!   displaced/re-executed counts, capacity-seconds lost, a
 //!   recovery-latency histogram, and makespan degradation vs the
@@ -29,11 +30,11 @@
 //! bit-identically, and fault draws never perturb arrival draws.
 
 use crate::exp::error::ExpError;
+use crate::exp::registry::Registry;
 use crate::exp::suite::derive_seed;
 use cata_sim::stats::LatencyHistogram;
 use cata_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// Stream tag separating fault-injection draws from every other consumer
@@ -385,66 +386,29 @@ impl RecoveryPolicy for ShedNoncriticalOnDegraded {
 pub type RecoveryFactory =
     dyn Fn(&FaultSpec) -> Result<Box<dyn RecoveryPolicy>, ExpError> + Send + Sync;
 
-/// String-keyed recovery-policy registry, mirroring
-/// [`AdmissionRegistry`](crate::service::AdmissionRegistry).
-#[derive(Clone, Default)]
-pub struct RecoveryRegistry {
-    entries: BTreeMap<String, Arc<RecoveryFactory>>,
-}
+/// The recovery-policy [`Registry`].
+pub type RecoveryRegistry = Registry<Arc<RecoveryFactory>>;
 
 impl RecoveryRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// A registry with the built-in family: `retry-same-core`,
     /// `reroute-prefer-fast`, `shed-noncritical-on-degraded`.
     pub fn with_builtins() -> Self {
-        let mut r = Self::empty();
-        r.register("retry-same-core", |_s| {
-            Ok(Box::new(RetrySameCore) as Box<dyn RecoveryPolicy>)
-        });
-        r.register("reroute-prefer-fast", |_s| {
-            Ok(Box::new(ReroutePreferFast) as Box<dyn RecoveryPolicy>)
-        });
-        r.register("shed-noncritical-on-degraded", |_s| {
-            Ok(Box::new(ShedNoncriticalOnDegraded) as Box<dyn RecoveryPolicy>)
-        });
+        let mut r = Self::new("recovery policy");
+        r.insert("retry-same-core", Arc::new(|_| Ok(Box::new(RetrySameCore))));
+        r.insert(
+            "reroute-prefer-fast",
+            Arc::new(|_| Ok(Box::new(ReroutePreferFast))),
+        );
+        r.insert(
+            "shed-noncritical-on-degraded",
+            Arc::new(|_| Ok(Box::new(ShedNoncriticalOnDegraded))),
+        );
         r
-    }
-
-    /// Registers (or replaces) a policy under `key`.
-    pub fn register<F>(&mut self, key: impl Into<String>, factory: F)
-    where
-        F: Fn(&FaultSpec) -> Result<Box<dyn RecoveryPolicy>, ExpError> + Send + Sync + 'static,
-    {
-        self.entries.insert(key.into(), Arc::new(factory));
-    }
-
-    /// Registered keys, sorted.
-    pub fn keys(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
     }
 
     /// Builds the policy registered under `key`.
     pub fn build(&self, key: &str, spec: &FaultSpec) -> Result<Box<dyn RecoveryPolicy>, ExpError> {
-        let f = self
-            .entries
-            .get(key)
-            .ok_or_else(|| ExpError::UnknownRecovery {
-                key: key.to_string(),
-                known: self.keys(),
-            })?;
-        f(spec)
-    }
-}
-
-impl std::fmt::Debug for RecoveryRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecoveryRegistry")
-            .field("keys", &self.keys())
-            .finish()
+        self.get(key)?(spec)
     }
 }
 
@@ -502,18 +466,6 @@ mod tests {
             shed.on_displaced(&ctx(false, false)),
             RecoveryAction::Requeue { prefer_fast: true },
             "nothing is shed while at full capacity"
-        );
-    }
-
-    #[test]
-    fn unknown_key_reports_the_known_set() {
-        let Err(err) = default_recovery_registry().build("nope", &FaultSpec::default()) else {
-            panic!("unknown key must not resolve");
-        };
-        let msg = err.to_string();
-        assert!(
-            msg.contains("nope") && msg.contains("retry-same-core"),
-            "{msg}"
         );
     }
 

@@ -3,8 +3,8 @@
 //! The baseline machine model lets a task's memory demand (`mem_ps`)
 //! elapse for free: memory time is folded into the blended task duration
 //! and never competes for anything. This module makes the memory
-//! subsystem an explicit, *contended* component, mirroring the
-//! fault-injection idiom:
+//! subsystem an explicit, *contended* component, a scenario axis like
+//! fault injection:
 //!
 //! - [`MemorySpec`] — a serde description of the shared memory
 //!   subsystem: how many concurrent bandwidth slots exist and which
@@ -15,11 +15,13 @@
 //!   unlimited (the uncontended legacy model) and engines bypass the
 //!   gate entirely.
 //! - [`ArbitrationRegistry`] — the pluggable decision of *which* waiter
-//!   is granted a freed slot, string-keyed like the scheduler/estimator/
-//!   accel, admission and recovery registries so external crates can
-//!   register their own. Builtins: `fifo` (arrival order), `crit-first`
-//!   (criticality-aware — the CAM idea from the paper, critical tasks
-//!   jump the queue), `round-robin` (core-indexed fairness).
+//!   is granted a freed slot: a [`Registry`] of factories, the one type
+//!   every policy family resolves its keys through, so external crates
+//!   can [`insert`](Registry::insert) their own and an unknown key fails
+//!   with [`ExpError::UnknownKey`]. Builtins: `fifo` (arrival order),
+//!   `crit-first` (criticality-aware — the CAM idea from the paper,
+//!   critical tasks jump the queue), `round-robin` (core-indexed
+//!   fairness).
 //! - [`MemoryReport`] — what the run observed at the memory gate:
 //!   request/wait counts, total and worst-case wait, the critical-task
 //!   slice of the waiting (the quantity `crit-first` exists to shrink),
@@ -31,11 +33,11 @@
 //! `cata_sim`; this module is the spec/registry/report layer on top.
 
 use crate::exp::error::ExpError;
+use crate::exp::registry::Registry;
 use cata_sim::memory::{CritFirstArbitration, FifoArbitration, RoundRobinArbitration};
 use cata_sim::time::SimDuration;
 use cata_sim::ArbitrationPolicy;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// The default arbitration-policy key.
@@ -167,46 +169,24 @@ impl MemoryReport {
 pub type ArbitrationFactory =
     dyn Fn(&MemorySpec) -> Result<Box<dyn ArbitrationPolicy>, ExpError> + Send + Sync;
 
-/// String-keyed arbitration-policy registry, mirroring
-/// [`RecoveryRegistry`](crate::fault::RecoveryRegistry).
-#[derive(Clone, Default)]
-pub struct ArbitrationRegistry {
-    entries: BTreeMap<String, Arc<ArbitrationFactory>>,
-}
+/// The arbitration-policy [`Registry`].
+pub type ArbitrationRegistry = Registry<Arc<ArbitrationFactory>>;
 
 impl ArbitrationRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// A registry with the built-in family: `fifo`, `crit-first`,
     /// `round-robin`.
     pub fn with_builtins() -> Self {
-        let mut r = Self::empty();
-        r.register("fifo", |_s| {
-            Ok(Box::new(FifoArbitration) as Box<dyn ArbitrationPolicy>)
-        });
-        r.register("crit-first", |_s| {
-            Ok(Box::new(CritFirstArbitration) as Box<dyn ArbitrationPolicy>)
-        });
-        r.register("round-robin", |_s| {
-            Ok(Box::<RoundRobinArbitration>::default() as Box<dyn ArbitrationPolicy>)
-        });
+        let mut r = Self::new("arbitration policy");
+        r.insert("fifo", Arc::new(|_| Ok(Box::new(FifoArbitration))));
+        r.insert(
+            "crit-first",
+            Arc::new(|_| Ok(Box::new(CritFirstArbitration))),
+        );
+        r.insert(
+            "round-robin",
+            Arc::new(|_| Ok(Box::<RoundRobinArbitration>::default())),
+        );
         r
-    }
-
-    /// Registers (or replaces) a policy under `key`.
-    pub fn register<F>(&mut self, key: impl Into<String>, factory: F)
-    where
-        F: Fn(&MemorySpec) -> Result<Box<dyn ArbitrationPolicy>, ExpError> + Send + Sync + 'static,
-    {
-        self.entries.insert(key.into(), Arc::new(factory));
-    }
-
-    /// Registered keys, sorted.
-    pub fn keys(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
     }
 
     /// Builds the policy registered under `key`.
@@ -215,22 +195,7 @@ impl ArbitrationRegistry {
         key: &str,
         spec: &MemorySpec,
     ) -> Result<Box<dyn ArbitrationPolicy>, ExpError> {
-        let f = self
-            .entries
-            .get(key)
-            .ok_or_else(|| ExpError::UnknownArbitration {
-                key: key.to_string(),
-                known: self.keys(),
-            })?;
-        f(spec)
-    }
-}
-
-impl std::fmt::Debug for ArbitrationRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArbitrationRegistry")
-            .field("keys", &self.keys())
-            .finish()
+        self.get(key)?(spec)
     }
 }
 
@@ -254,15 +219,6 @@ mod tests {
             let p = reg.build(key, &s).unwrap();
             assert_eq!(p.name(), key);
         }
-    }
-
-    #[test]
-    fn unknown_key_reports_the_known_set() {
-        let Err(err) = default_arbitration_registry().build("nope", &MemorySpec::default()) else {
-            panic!("unknown key must not resolve");
-        };
-        let msg = err.to_string();
-        assert!(msg.contains("nope") && msg.contains("crit-first"), "{msg}");
     }
 
     #[test]

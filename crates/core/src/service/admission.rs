@@ -2,15 +2,17 @@
 //! (or don't) before entering the system.
 //!
 //! An overloaded open system must either queue without bound or shed
-//! load. The policy family here mirrors the scheduler/estimator/accel
-//! registries: small `dyn` objects behind string keys, so experiments
-//! name their admission policy in the [`ServiceSpec`](super::ServiceSpec)
-//! and external crates can register their own.
+//! load. The policies are small `dyn` objects built by the factories of
+//! a [`Registry`], the one type every policy family resolves its keys
+//! through: experiments name their admission policy in the
+//! [`ServiceSpec`](super::ServiceSpec), external crates can
+//! [`insert`](Registry::insert) their own, and an unknown key fails with
+//! [`ExpError::UnknownKey`].
 
 use super::spec::AdmissionParams;
 use crate::exp::error::ExpError;
+use crate::exp::registry::Registry;
 use cata_sim::time::SimTime;
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// What the gate sees when an instance arrives.
@@ -96,53 +98,25 @@ impl AdmissionPolicy for CriticalityShed {
 pub type AdmissionFactory =
     dyn Fn(&AdmissionParams) -> Result<Box<dyn AdmissionPolicy>, ExpError> + Send + Sync;
 
-/// String-keyed admission-policy registry, mirroring
-/// [`PolicyRegistries`](crate::exp::PolicyRegistries).
-#[derive(Clone, Default)]
-pub struct AdmissionRegistry {
-    entries: BTreeMap<String, Arc<AdmissionFactory>>,
-}
+/// The admission-policy [`Registry`].
+pub type AdmissionRegistry = Registry<Arc<AdmissionFactory>>;
 
 impl AdmissionRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// A registry with the built-in family: `admit-all`, `queue-cap`,
     /// `shed-noncritical`.
     pub fn with_builtins() -> Self {
-        let mut r = Self::empty();
-        r.register("admit-all", |_p| {
-            Ok(Box::new(AdmitAll) as Box<dyn AdmissionPolicy>)
-        });
-        r.register("queue-cap", |p: &AdmissionParams| {
-            Ok(Box::new(QueueCap {
-                cap: p.queue_cap.unwrap_or(DEFAULT_QUEUE_CAP),
-            }) as Box<dyn AdmissionPolicy>)
-        });
-        r.register("shed-noncritical", |p: &AdmissionParams| {
-            Ok(Box::new(CriticalityShed {
-                cap: p.queue_cap.unwrap_or(DEFAULT_QUEUE_CAP),
-            }) as Box<dyn AdmissionPolicy>)
-        });
+        let cap = |p: &AdmissionParams| p.queue_cap.unwrap_or(DEFAULT_QUEUE_CAP);
+        let mut r = Self::new("admission policy");
+        r.insert("admit-all", Arc::new(|_| Ok(Box::new(AdmitAll))));
+        r.insert(
+            "queue-cap",
+            Arc::new(move |p| Ok(Box::new(QueueCap { cap: cap(p) }))),
+        );
+        r.insert(
+            "shed-noncritical",
+            Arc::new(move |p| Ok(Box::new(CriticalityShed { cap: cap(p) }))),
+        );
         r
-    }
-
-    /// Registers (or replaces) a policy under `key`.
-    pub fn register<F>(&mut self, key: impl Into<String>, factory: F)
-    where
-        F: Fn(&AdmissionParams) -> Result<Box<dyn AdmissionPolicy>, ExpError>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.entries.insert(key.into(), Arc::new(factory));
-    }
-
-    /// Registered keys, sorted.
-    pub fn keys(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
     }
 
     /// Builds the policy registered under `key`.
@@ -151,22 +125,7 @@ impl AdmissionRegistry {
         key: &str,
         params: &AdmissionParams,
     ) -> Result<Box<dyn AdmissionPolicy>, ExpError> {
-        let f = self
-            .entries
-            .get(key)
-            .ok_or_else(|| ExpError::UnknownAdmission {
-                key: key.to_string(),
-                known: self.keys(),
-            })?;
-        f(params)
-    }
-}
-
-impl std::fmt::Debug for AdmissionRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdmissionRegistry")
-            .field("keys", &self.keys())
-            .finish()
+        self.get(key)?(params)
     }
 }
 
@@ -212,15 +171,5 @@ mod tests {
             shed.admit(&ctx(2, true)),
             "critical instances bypass the cap"
         );
-    }
-
-    #[test]
-    fn unknown_key_reports_the_known_set() {
-        let Err(err) = default_admission_registry().build("nope", &AdmissionParams::default())
-        else {
-            panic!("unknown key must not resolve");
-        };
-        let msg = err.to_string();
-        assert!(msg.contains("nope") && msg.contains("queue-cap"), "{msg}");
     }
 }

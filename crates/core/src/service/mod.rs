@@ -21,9 +21,9 @@
 //!   line, content-digested). Generated runs record the tape they drew;
 //!   replaying a tape reproduces the run bit-identically.
 //! - [`AdmissionPolicy`] — the pluggable gate at the door: admit-all,
-//!   queue-cap, criticality-aware shedding; a registry
-//!   ([`AdmissionRegistry`]) keyed by name, like the scheduler /
-//!   estimator / accel registries.
+//!   queue-cap, criticality-aware shedding, keyed by name in an
+//!   [`AdmissionRegistry`] (a [`Registry`](crate::exp::Registry), like
+//!   every other policy family).
 //! - [`run_service`] / [`replay_tape`] — run a tape through the same
 //!   engine as a closed run ([`crate::sim_exec`]), with the tape as its
 //!   task source in place of the master thread: thousands of concurrent

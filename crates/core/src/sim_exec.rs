@@ -756,7 +756,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             accel,
             mut machine,
             is_fast_static,
-            caps,
+            prefer_fast,
         } = resolved;
 
         // A contended scenario attaches the shared memory subsystem to
@@ -773,7 +773,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             mut idle,
         } = bufs;
         crit.clear();
-        idle.reset(n_cores, caps.prefer_fast, &is_fast_static);
+        idle.reset(n_cores, prefer_fast, &is_fast_static);
 
         Engine {
             cfg,

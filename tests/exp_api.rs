@@ -92,7 +92,8 @@ fn unknown_keys_error_cleanly() {
     let mut s = base.clone();
     s.scheduler = "round-robin".into();
     match Scenario::from_spec(s).run(&exec) {
-        Err(ExpError::UnknownScheduler { key, known }) => {
+        Err(ExpError::UnknownKey { kind, key, known }) => {
+            assert_eq!(kind, "scheduler");
             assert_eq!(key, "round-robin");
             assert!(known.contains(&"fifo".to_string()));
         }
@@ -103,14 +104,20 @@ fn unknown_keys_error_cleanly() {
     s.estimator = "oracle".into();
     assert!(matches!(
         Scenario::from_spec(s).run(&exec),
-        Err(ExpError::UnknownEstimator { .. })
+        Err(ExpError::UnknownKey {
+            kind: "estimator",
+            ..
+        })
     ));
 
     let mut s = base.clone();
     s.accel = "overclock".into();
     assert!(matches!(
         Scenario::from_spec(s).run(&exec),
-        Err(ExpError::UnknownAccel { .. })
+        Err(ExpError::UnknownKey {
+            kind: "acceleration manager",
+            ..
+        })
     ));
 
     // Malformed spec text surfaces as a parse error, not a panic.
@@ -322,6 +329,9 @@ fn custom_scheduler_runs_on_the_native_backend() {
     assert_eq!(built.load(std::sync::atomic::Ordering::SeqCst), 1);
     assert!(matches!(
         Scenario::from_spec(spec).run(&native),
-        Err(ExpError::UnknownScheduler { .. })
+        Err(ExpError::UnknownKey {
+            kind: "scheduler",
+            ..
+        })
     ));
 }
