@@ -143,10 +143,10 @@ use cata_bench::sweeps;
 use cata_bench::tables::{fmt_energy, Table};
 use cata_core::exp::{
     native_rsm_mode, spec_digest, Backend, BackendDispatch, CellRecord, EnergySource, Executor,
-    NativeExecutor, ProgressWriter, ResultsStore, Scenario, ScenarioSpec, Suite, WorkloadSpec,
-    STORE_SCHEMA,
+    NativeExecutor, ProgressWriter, Registry, ResultsStore, Scenario, ScenarioSpec, Suite,
+    WorkloadSpec, STORE_SCHEMA,
 };
-use cata_core::fault::{CoreFailure, FaultSpec};
+use cata_core::fault::{default_recovery_registry, CoreFailure, FaultSpec};
 use cata_core::mem::{default_arbitration_registry, MemorySpec, DEFAULT_ARBITRATION};
 use cata_core::service::{
     default_admission_registry, replay_tape_observed, run_service_observed, AdmissionParams,
@@ -228,7 +228,7 @@ const FLAGS: &[Flag] = &[
     value("--faults", text, "run preset serve gc"),
     value("--fault-cores", fault_cores, "run preset serve gc"),
     value("--fault-rate", probability, "run preset serve gc"),
-    value("--recovery", text, "run preset serve gc"),
+    value("--recovery", recovery, "run preset serve gc"),
     switch("--fault-axis", "run preset gc"),
     value("--mem-slots", mem_slots, "run preset serve gc"),
     value("--arbitration", arbitration, "run preset serve gc"),
@@ -237,7 +237,7 @@ const FLAGS: &[Flag] = &[
     value("--arrival", arrival, "serve"),
     value("--tape", text, "serve"),
     value("--duration", duration, "serve"),
-    value("--admission", text, "serve"),
+    value("--admission", admission, "serve"),
     value("--queue-cap", num::<usize>, "serve"),
     value("--record-tape", text, "serve"),
     value("--out", text, "export record merge perf"),
@@ -379,16 +379,29 @@ fn mem_slots(s: &str) -> Result<Value, String> {
     Ok(boxed(slots))
 }
 
-/// Arbitration keys, each checked against the registry here so a typo
-/// fails before a suite starts.
+/// Checks `key` against its registry as the command line is read, so a
+/// typo fails before anything runs.
+fn known<T>(registry: &Registry<T>, key: &str) -> Result<(), String> {
+    registry.get(key).map(drop).map_err(|e| format!(": {e}"))
+}
+
+/// Arbitration keys, each checked against the registry.
 fn arbitration(s: &str) -> Result<Value, String> {
     let keys: Vec<String> = s.split(',').map(|k| k.trim().to_string()).collect();
     for key in &keys {
-        default_arbitration_registry()
-            .build(key, &MemorySpec::default())
-            .map_err(|e| format!(": {e}"))?;
+        known(default_arbitration_registry(), key)?;
     }
     Ok(boxed(keys))
+}
+
+fn recovery(s: &str) -> Result<Value, String> {
+    known(default_recovery_registry(), s)?;
+    text(s)
+}
+
+fn admission(s: &str) -> Result<Value, String> {
+    known(default_admission_registry(), s)?;
+    text(s)
 }
 
 fn fig(s: &str) -> Result<Value, String> {

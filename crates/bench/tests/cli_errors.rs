@@ -79,7 +79,8 @@ fn only_argument_errors_print_the_usage() {
 
 /// A flag the command does not read, a flag that breaks a rule relating
 /// flags to each other, or a bad value is a bad command line: exit 2, one
-/// `error:` line containing the given text, then the usage. A `--min-ratio`
+/// `error:` line containing the given text, then the usage. A registry key
+/// is checked against its registry as the line is read. A `--min-ratio`
 /// that is not a finite number above 0 would disable the throughput gates
 /// of `merge` and `perf`, since no ratio compares below NaN. A flag that
 /// acts only with another names the one it needs.
@@ -127,6 +128,27 @@ fn flag_rules_print_one_error_and_the_usage() {
         (
             &[&preset[..], &["--arbitration", "crit-first"]].concat(),
             "--arbitration",
+        ),
+        (
+            &[
+                &preset[..],
+                &["--fault-rate", "0.05", "--recovery", "bogus"],
+            ]
+            .concat(),
+            "bad --recovery: unknown recovery policy `bogus`",
+        ),
+        (
+            &[
+                "serve",
+                "CATA",
+                "--rate",
+                "100",
+                "--duration",
+                "10ms",
+                "--admission",
+                "bogus",
+            ],
+            "bad --admission: unknown admission policy `bogus`",
         ),
         (&["run", "a.json", "--tdg", "g.tdg.json"], "--tdg"),
         (&["gc", "s.jsonl", "a.json", "--bench", "dedup"], "--bench"),
