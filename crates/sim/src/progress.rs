@@ -59,7 +59,9 @@ impl ExecProfile {
         }
     }
 
-    /// Adds a blocking point, keeping the list sorted.
+    /// Adds a blocking point, keeping the list sorted. The list holds
+    /// exactly its points: a task has one or two, and a graph keeps a list
+    /// per blocking task.
     ///
     /// # Panics
     /// Panics if `at_progress` is outside `(0, 1)`.
@@ -68,6 +70,7 @@ impl ExecProfile {
             at_progress > 0.0 && at_progress < 1.0,
             "block point must fall strictly inside the task, got {at_progress}"
         );
+        self.blocks.reserve_exact(1);
         self.blocks.push(BlockPoint {
             at_progress,
             duration,

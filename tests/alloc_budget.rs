@@ -20,7 +20,7 @@
 //! lists).
 //!
 //! A graph holds its tasks as columns, so the six paper-scale graphs a
-//! sweep keeps hold at most 96 bytes of heap per task, successor lists
+//! sweep keeps hold at most 84 bytes of heap per task, successor lists
 //! built; per-task edge vectors held 189.
 //!
 //! A store line read back holds its report's latency histograms as their
@@ -197,9 +197,11 @@ fn tdg_graphs_build_under_a_tenth_allocation_per_task() {
 }
 
 /// The six paper-scale graphs, as a sweep's graph cache holds them (their
-/// successor lists built), hold at most 96 bytes of heap per task.
+/// successor lists built), hold at most 84 bytes of heap per task: 79.4
+/// now, so about 6% headroom. Block lists that reserve room for four
+/// points, where a generator adds one, read 84.6.
 #[test]
-fn paper_graphs_hold_under_96_bytes_per_task() {
+fn paper_graphs_hold_under_84_bytes_per_task() {
     let mut table = String::new();
     let (mut live, mut tasks) = (0, 0);
     let mut graphs = Vec::new();
@@ -220,7 +222,7 @@ fn paper_graphs_hold_under_96_bytes_per_task() {
     }
     assert!(tasks > 20_000, "{tasks} tasks{table}");
     assert!(
-        live <= 96 * tasks,
+        live <= 84 * tasks,
         "{:.1} bytes per task{table}",
         live as f64 / tasks as f64
     );
