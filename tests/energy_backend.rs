@@ -150,10 +150,12 @@ fn modeled_energy_is_a_pure_function_of_observations() {
         BusyIntervals {
             busy_fast_s: 0.031,
             busy_slow_s: 0.007,
+            idle_fast_s: 0.004,
         },
         BusyIntervals {
             busy_fast_s: 0.0,
             busy_slow_s: 0.044,
+            idle_fast_s: 0.0,
         },
     ];
     let runs: Vec<u64> = (0..3)
