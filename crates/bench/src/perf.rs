@@ -85,8 +85,8 @@ pub struct PerfPoint {
     pub unix_ms: Option<u64>,
 }
 
-/// Schema tag of [`PerfPoint`] trajectory records.
-pub const TRAJECTORY_SCHEMA: &str = "cata-perf-point/v1";
+/// Schema tag of [`PerfPoint`] trajectory records, which the console reads.
+pub use cata_obs::state::TRAJECTORY_SCHEMA;
 
 /// Appends `report` to the JSONL trajectory at `path` (one atomic line:
 /// serialize + `\n`, a single `write_all` on an append handle).

@@ -130,11 +130,6 @@ impl SimExecutor {
     pub fn run_scenario_traced(&self, scenario: &Scenario) -> Result<(RunReport, Trace), ExpError> {
         self.run_spec(scenario.spec(), scenario.registries())
     }
-
-    /// Facade execution returning only the report.
-    pub fn run_scenario(&self, scenario: &Scenario) -> Result<RunReport, ExpError> {
-        self.execute(scenario)
-    }
 }
 
 /// Where a native run's joules come from.

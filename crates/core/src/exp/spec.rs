@@ -829,12 +829,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Replaces the run seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Selects the execution backend.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;

@@ -652,11 +652,6 @@ impl NativeRuntime {
         self.inner.busy.intervals()
     }
 
-    /// Number of worker threads.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// The configured power budget.
     pub fn budget(&self) -> usize {
         self.inner.rsm.lock().budget()

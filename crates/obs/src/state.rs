@@ -18,8 +18,8 @@ use cata_core::exp::{CellRecord, ProgressEvent, ProgressRecord, PROGRESS_SCHEMA,
 use cata_core::RunReport;
 use serde::Value;
 
-/// Schema tag of `repro perf --trajectory` lines. Duplicated from
-/// `cata-bench` (which depends on this crate, so we cannot import it).
+/// Schema tag of `repro perf --trajectory` lines; `cata-bench`, which
+/// writes them, re-exports it as `perf::TRAJECTORY_SCHEMA`.
 pub const TRAJECTORY_SCHEMA: &str = "cata-perf-point/v1";
 
 /// Lifecycle of one grid cell as observed from the outside.
