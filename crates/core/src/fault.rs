@@ -470,6 +470,18 @@ mod tests {
     }
 
     #[test]
+    fn unknown_key_reports_the_known_set() {
+        let Err(err) = default_recovery_registry().build("nope", &FaultSpec::default()) else {
+            panic!("unknown key must not resolve");
+        };
+        let msg = err.to_string();
+        assert!(
+            msg.contains("nope") && msg.contains("retry-same-core"),
+            "{msg}"
+        );
+    }
+
+    #[test]
     fn spec_serde_defaults_missing_fields_and_round_trips() {
         // A minimal hand-written spec parses with defaults filled in.
         let v = serde_json::from_str::<Value>(r#"{"task_fault_p":0.25}"#).unwrap();

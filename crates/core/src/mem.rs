@@ -222,6 +222,15 @@ mod tests {
     }
 
     #[test]
+    fn unknown_key_reports_the_known_set() {
+        let Err(err) = default_arbitration_registry().build("nope", &MemorySpec::default()) else {
+            panic!("unknown key must not resolve");
+        };
+        let msg = err.to_string();
+        assert!(msg.contains("nope") && msg.contains("crit-first"), "{msg}");
+    }
+
+    #[test]
     fn spec_serde_defaults_missing_fields_and_round_trips() {
         let v = serde_json::from_str::<Value>(r#"{"slots":2}"#).unwrap();
         let s = MemorySpec::from_value(&v).unwrap();

@@ -172,4 +172,14 @@ mod tests {
             "critical instances bypass the cap"
         );
     }
+
+    #[test]
+    fn unknown_key_reports_the_known_set() {
+        let Err(err) = default_admission_registry().build("nope", &AdmissionParams::default())
+        else {
+            panic!("unknown key must not resolve");
+        };
+        let msg = err.to_string();
+        assert!(msg.contains("nope") && msg.contains("queue-cap"), "{msg}");
+    }
 }
