@@ -390,8 +390,10 @@ struct FaultState {
     /// Per-task transient-fault re-executions used (bounded by
     /// `max_retries` so a p=1 schedule still terminates).
     task_retries: Vec<u32>,
-    /// When each displaced task was displaced (recovery-latency samples).
-    displaced_at: Vec<Option<SimTime>>,
+    /// Requeued displaced tasks not yet re-dispatched, with when each was
+    /// displaced (recovery-latency samples). Only a core failure
+    /// displaces a task, so the list stays short.
+    displaced: Vec<(TaskId, SimTime)>,
     report: FaultReport,
 }
 
@@ -407,17 +409,22 @@ impl FaultState {
             fail_since: vec![None; cores],
             settle_retries: vec![0; cores],
             task_retries: Vec::new(),
-            displaced_at: Vec::new(),
+            displaced: Vec::new(),
             report: FaultReport::default(),
         }
     }
 
-    /// Grows the per-task tables to cover ids below `tasks`.
+    /// Grows the per-task table to cover ids below `tasks`.
     fn grow_tasks(&mut self, tasks: usize) {
         if tasks > self.task_retries.len() {
             self.task_retries.resize(tasks, 0);
-            self.displaced_at.resize(tasks, None);
         }
+    }
+
+    /// Takes `task`'s pending displacement, if it has one.
+    fn take_displaced(&mut self, task: TaskId) -> Option<SimTime> {
+        let i = self.displaced.iter().position(|&(t, _)| t == task)?;
+        Some(self.displaced.swap_remove(i).1)
     }
 }
 
@@ -1033,7 +1040,6 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         let critical = self.crit[task.index()];
         let fs = self.fault.as_mut().expect("fault state present");
         fs.report.displaced += 1;
-        fs.displaced_at[task.index()] = Some(now);
         let action = fs.policy.on_displaced(&RecoveryCtx {
             now,
             failed_core: i,
@@ -1053,6 +1059,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
                 false
             }
         };
+        fs.displaced.push((task, now));
         let mut level = self.src.level(task);
         if prefer_fast && level == 0 {
             level = 1;
@@ -1130,8 +1137,12 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
                 if self.policy.has_work_for(core, ctx) {
                     if let Some(task) = self.policy.dequeue(core, ctx, &mut self.counters) {
                         if self.src.is_shed(task) {
-                            // Shed work still queued: discard it and let
-                            // the same core draw again.
+                            // Shed work still queued: discard it, with
+                            // any displacement it was requeued after,
+                            // and let the same core draw again.
+                            if let Some(fs) = self.fault.as_mut() {
+                                fs.take_displaced(task);
+                            }
                             assigned = true;
                             continue;
                         }
@@ -1185,7 +1196,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         // A displaced task landing on a survivor is a re-execution; the
         // displacement→re-dispatch gap is its recovery latency.
         if let Some(fs) = self.fault.as_mut() {
-            if let Some(at) = fs.displaced_at[task.index()].take() {
+            if let Some(at) = fs.take_displaced(task) {
                 fs.report.reexecuted += 1;
                 fs.report.recovery_latency.record(now.saturating_since(at));
             }

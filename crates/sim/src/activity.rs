@@ -9,11 +9,17 @@
 //! A timeline grows by one segment per recorded change, for the whole run:
 //! the energy integral sums segment by segment, core by core, in recorded
 //! order, and the reported energy bits depend on that order. So each
-//! segment is stored in 9 bytes — its duration and one state byte (an
-//! index into a small per-timeline table of visited [`PowerLevel`]s, plus
-//! the [`Activity`]) — rather than as a 32-byte [`Segment`]. Segment start
-//! times are implied by the running sum of durations, and per-activity
-//! totals are kept as they grow, so [`ActivityTimeline::total`] and
+//! segment is stored in 5 bytes — a `u32` picosecond duration and one
+//! state byte (an index into a small per-timeline table of visited
+//! [`PowerLevel`]s, plus the [`Activity`]) — rather than as a 32-byte
+//! [`Segment`]. The two columns live in fixed blocks of 512 segments,
+//! each allocated when the previous one fills and never moved, so a long
+//! run holds no doubling slack and copies nothing as it grows. A segment
+//! of `u32::MAX` ps (about 4.29 ms) or more is rare (a core idle or
+//! halted that long); its column entry is `u32::MAX`, and its duration
+//! goes to a side list read back in order. Segment start times are
+//! implied by the running sum of durations, and per-activity totals are
+//! kept as they grow, so [`ActivityTimeline::total`] and
 //! [`ActivityTimeline::utilization`] are O(1).
 
 use crate::machine::PowerLevel;
@@ -57,14 +63,32 @@ pub struct Segment {
 const ACTIVITY_BITS: u32 = 2;
 /// Distinct power levels one timeline can hold.
 const MAX_LEVELS: usize = 1 << (8 - ACTIVITY_BITS);
+/// Segments per block.
+const BLOCK: usize = 512;
+/// The duration entry of a segment whose duration is the next one of the
+/// timeline's long list: `u32::MAX` ps or more.
+const LONG: u32 = u32::MAX;
+
+/// [`BLOCK`] closed segments: their durations in picoseconds (or
+/// [`LONG`]) and their states (`level index << ACTIVITY_BITS | activity`).
+#[derive(Debug, Clone)]
+struct Block {
+    durations: [u32; BLOCK],
+    states: [u8; BLOCK],
+}
 
 /// An append-only piece-wise-constant activity record for one core.
 #[derive(Debug, Clone)]
 pub struct ActivityTimeline {
-    /// Closed segments' durations in picoseconds, in recorded order.
-    durations: Vec<u64>,
-    /// Closed segments' states: `level index << ACTIVITY_BITS | activity`.
-    states: Vec<u8>,
+    /// Closed segments in recorded order, [`BLOCK`] to a block; only the
+    /// last block is partly filled. Boxed, so growing the list moves
+    /// pointers, never blocks.
+    #[allow(clippy::vec_box)]
+    blocks: Vec<Box<Block>>,
+    /// Closed segments recorded.
+    len: usize,
+    /// Durations of the segments marked [`LONG`], in recorded order.
+    long: Vec<u64>,
     /// The distinct levels the timeline has been in, by state index.
     levels: Vec<PowerLevel>,
     /// Closed time per activity, in picoseconds.
@@ -80,8 +104,9 @@ impl ActivityTimeline {
     /// Starts a timeline at t = 0 in the given state.
     pub fn new(level: PowerLevel, activity: Activity) -> Self {
         ActivityTimeline {
-            durations: Vec::new(),
-            states: Vec::new(),
+            blocks: Vec::new(),
+            len: 0,
+            long: Vec::new(),
             levels: vec![level],
             time_ps: [0; 3],
             open_since: SimTime::ZERO,
@@ -139,9 +164,24 @@ impl ActivityTimeline {
     fn flush(&mut self, now: SimTime) {
         let duration = now.saturating_since(self.open_since).as_ps();
         if duration != 0 {
-            self.durations.push(duration);
-            self.states
-                .push(self.level_index << ACTIVITY_BITS | self.activity as u8);
+            let entry = match u32::try_from(duration) {
+                Ok(d) if d != LONG => d,
+                _ => {
+                    self.long.push(duration);
+                    LONG
+                }
+            };
+            let slot = self.len % BLOCK;
+            if slot == 0 {
+                self.blocks.push(Box::new(Block {
+                    durations: [0; BLOCK],
+                    states: [0; BLOCK],
+                }));
+            }
+            let block = self.blocks.last_mut().expect("a block with room");
+            block.durations[slot] = entry;
+            block.states[slot] = self.level_index << ACTIVITY_BITS | self.activity as u8;
+            self.len += 1;
             self.time_ps[self.activity as usize] += duration;
         }
         self.open_since = now;
@@ -151,8 +191,10 @@ impl ActivityTimeline {
     /// [`close`](Self::close).
     pub fn segments(&self) -> Segments<'_> {
         Segments {
-            durations: self.durations.iter(),
-            states: self.states.iter(),
+            block: [].iter().zip(&[]),
+            blocks: self.blocks.iter(),
+            rest: self.len,
+            long: self.long.iter(),
             levels: &self.levels,
             start: SimTime::ZERO,
         }
@@ -177,8 +219,13 @@ impl ActivityTimeline {
 /// The segments of an [`ActivityTimeline`], decoded in recorded order.
 #[derive(Debug, Clone)]
 pub struct Segments<'a> {
-    durations: std::slice::Iter<'a, u64>,
-    states: std::slice::Iter<'a, u8>,
+    /// The undecoded columns of the current block.
+    block: std::iter::Zip<std::slice::Iter<'a, u32>, std::slice::Iter<'a, u8>>,
+    /// The blocks after the current one.
+    blocks: std::slice::Iter<'a, Box<Block>>,
+    /// Segments in `blocks`.
+    rest: usize,
+    long: std::slice::Iter<'a, u64>,
     levels: &'a [PowerLevel],
     start: SimTime,
 }
@@ -186,9 +233,25 @@ pub struct Segments<'a> {
 impl Iterator for Segments<'_> {
     type Item = Segment;
 
+    #[inline]
     fn next(&mut self) -> Option<Segment> {
-        let duration = SimDuration::from_ps(*self.durations.next()?);
-        let state = *self.states.next()?;
+        let (&entry, &state) = match self.block.next() {
+            Some(columns) => columns,
+            None => {
+                let block = self.blocks.next()?;
+                let n = self.rest.min(BLOCK);
+                self.rest -= n;
+                self.block = block.durations[..n].iter().zip(&block.states[..n]);
+                self.block.next()?
+            }
+        };
+        let duration = SimDuration::from_ps(match entry {
+            LONG => *self
+                .long
+                .next()
+                .expect("one long duration per marked segment"),
+            d => u64::from(d),
+        });
         let start = self.start;
         self.start += duration;
         Some(Segment {
@@ -200,7 +263,8 @@ impl Iterator for Segments<'_> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.durations.size_hint()
+        let left = self.block.len() + self.rest;
+        (left, Some(left))
     }
 }
 
@@ -269,6 +333,41 @@ mod tests {
         assert_eq!(tl.time_in(Activity::Busy), SimDuration::from_us(5));
         assert_eq!(tl.time_in(Activity::Halted), SimDuration::from_us(3));
         assert!((tl.utilization() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn long_durations_and_block_ends_read_back_in_order() {
+        let long = u64::from(LONG);
+        let durations: Vec<u64> = (1..=2 * BLOCK as u64 + 3)
+            .map(|i| match i % 200 {
+                0 => long - 1,
+                1 => long,
+                2 => long + 1,
+                3 => 1 << 40,
+                _ => i,
+            })
+            .collect();
+        let mut tl = ActivityTimeline::new(slow(), Activity::Idle);
+        let mut now = SimTime::ZERO;
+        for (i, d) in durations.iter().enumerate() {
+            now += SimDuration::from_ps(*d);
+            let activity = [Activity::Busy, Activity::Idle][i % 2];
+            tl.record(now, [fast(), slow()][i % 2], activity);
+        }
+        tl.close(now);
+        assert_eq!(tl.blocks.len(), 3);
+        assert_eq!(
+            tl.long.len(),
+            durations.iter().filter(|&&d| d >= long).count()
+        );
+        let segs = tl.segments();
+        assert_eq!(segs.len(), durations.len());
+        for (k, seg) in segs.enumerate() {
+            assert_eq!(seg.duration.as_ps(), durations[k], "segment {k}");
+            let state = [(slow(), Activity::Idle), (fast(), Activity::Busy)][k % 2];
+            assert_eq!((seg.level, seg.activity), state, "segment {k}");
+        }
+        assert_eq!(tl.total(), SimDuration::from_ps(durations.iter().sum()));
     }
 
     #[test]
