@@ -348,7 +348,7 @@ impl<'g> Open<'g> {
     }
 
     /// Takes a slot off the free list (or grows the pool) and stamps it
-    /// for one instance of `graph`.
+    /// for one instance of `graph`, with none of its ids' retries used.
     fn alloc_slot(&mut self, graph: u32, now: SimTime, ready: &mut Ready<'_>) -> u32 {
         let idx = self.free.pop().unwrap_or_else(|| {
             self.slots.push(Slot::default());
@@ -364,6 +364,8 @@ impl<'g> Open<'g> {
         s.indegree.clear();
         s.indegree.extend(self.views[graph as usize].pred_counts());
         ready.grow(self.slots.len() * self.stride as usize);
+        let base = idx as usize * self.stride as usize;
+        ready.reuse(base..base + self.stride as usize);
         idx
     }
 

@@ -199,6 +199,14 @@ impl Ready<'_> {
             fs.grow_tasks(ids);
         }
     }
+
+    /// Forgets the fault history of the ids in `ids`: an open run stamps
+    /// a new instance into a recycled slot's ids.
+    pub(crate) fn reuse(&mut self, ids: std::ops::Range<usize>) {
+        if let Some(fs) = self.fault.as_deref_mut() {
+            fs.task_retries[ids].fill(0);
+        }
+    }
 }
 
 /// What a core is doing, from the executor's point of view. The lifetime

@@ -318,7 +318,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("closed-failstop-mem1/crit-first", "75308894ab6244d1"),
     (
         "service-faults/shed-noncritical-on-degraded",
-        "a21a459a9a3e7ed3",
+        "23ee1ee330370c4f",
     ),
     ("service-faults-mem2/crit-first", "d37167aaf736eab2"),
     ("service-faults-mem2-cap4/crit-first", "a34bf37277ecf566"),
@@ -340,7 +340,7 @@ const INVARIANT: &[(&str, &str)] = &[
     ("closed-failstop-mem1/crit-first", "6bcdfbfb719cf2ab"),
     (
         "service-faults/shed-noncritical-on-degraded",
-        "2d77fbbf9872485b",
+        "eaffb0ebde97fb8c",
     ),
     ("service-faults-mem2/crit-first", "aa22724aece0a277"),
     ("service-faults-mem2-cap4/crit-first", "a8a513d68e7190f6"),

@@ -3,6 +3,7 @@
 //! conservation, and admission-policy behavior under overload.
 
 use cata_core::exp::{default_registries, ScenarioSpec, WorkloadSpec};
+use cata_core::fault::FaultSpec;
 use cata_core::service::{
     default_admission_registry, replay_tape, run_service, ArrivalSpec, ServiceSpec, TrafficTape,
 };
@@ -269,4 +270,32 @@ fn traced_service_runs_carry_trace_counts() {
         serde_json::to_string(&quiet).unwrap(),
         "tracing must not change the run"
     );
+}
+
+/// Transient-fault retries belong to one instance: with every completion
+/// faulting and two retries allowed, each task of every instance runs
+/// three times, including instances stamped into a recycled slot, whose
+/// global task ids an earlier instance used.
+#[test]
+fn reused_slots_start_with_fresh_retry_counts() {
+    let mut spec = ServiceSpec::new(
+        base("CATA"),
+        ArrivalSpec::Poisson { rate_hz: 4000.0 },
+        SimDuration::from_ms(2),
+    );
+    spec.base.faults = Some(FaultSpec {
+        task_fault_p: 1.0,
+        max_retries: 2,
+        ..FaultSpec::default()
+    });
+    let (report, _) = serve(&spec);
+    let s = report.service.as_ref().expect("service report");
+    let f = report.fault.as_ref().expect("fault report");
+    let completed = report.counters.tasks_completed;
+    assert_eq!(s.completed, s.arrivals, "every instance drains");
+    assert!(
+        completed > 100,
+        "want several instances, got {completed} tasks"
+    );
+    assert_eq!(f.task_faults, 2 * completed);
 }
