@@ -1,6 +1,7 @@
 //! Service-mode (open-system) integration tests: golden determinism for
 //! a fixed-seed Poisson run, record→replay bit-identity, arrival
-//! conservation, and admission-policy behavior under overload.
+//! conservation, admission-policy behavior under overload, and
+//! transient-fault retries counted per instance.
 
 use cata_core::exp::{default_registries, ScenarioSpec, WorkloadSpec};
 use cata_core::fault::FaultSpec;
