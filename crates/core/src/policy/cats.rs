@@ -166,6 +166,10 @@ impl SchedulerPolicy for CatsPolicy {
         self.hprq.len + self.lprq.len()
     }
 
+    fn is_empty(&self) -> bool {
+        self.hprq.is_empty() && self.lprq.is_empty()
+    }
+
     fn has_work_for(&self, core: CoreId, ctx: DispatchCtx) -> bool {
         if self.core_is_fast(core) {
             !self.hprq.is_empty() || !self.lprq.is_empty()

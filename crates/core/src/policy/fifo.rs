@@ -46,6 +46,10 @@ impl SchedulerPolicy for FifoPolicy {
         self.queue.len()
     }
 
+    fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
     fn has_work_for(&self, _core: CoreId, _ctx: DispatchCtx) -> bool {
         !self.queue.is_empty()
     }

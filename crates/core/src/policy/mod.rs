@@ -44,7 +44,9 @@ pub trait SchedulerPolicy: Send {
     /// Total ready tasks queued.
     fn len(&self) -> usize;
 
-    /// True if no tasks are queued.
+    /// True if no tasks are queued. The engine asks after every event; the
+    /// default goes through [`len`](Self::len), a second virtual call, so
+    /// the built-in policies answer directly.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -87,17 +89,17 @@ mod tests {
         out
     }
 
-    /// Asserts the shared drain contract on an already-boxed policy: the
-    /// `is_empty` default implementation (len == 0) must agree with
-    /// observed emptiness through the trait-object vtable, before and
-    /// after the drain.
+    /// Asserts the shared drain contract on an already-boxed policy:
+    /// `is_empty` must agree with observed emptiness through the
+    /// trait-object vtable before the fill, after each enqueue (the first
+    /// one lands in the HPRQ of a CATS policy) and after the drain.
     fn assert_drain_contract(policy: &mut Box<dyn SchedulerPolicy>, label: &str) {
         let cores: Vec<CoreId> = (0..4u32).map(CoreId).collect();
         assert!(policy.is_empty(), "{label} starts non-empty");
         for i in 0..20u32 {
             policy.enqueue(TaskId(i), u8::from(i % 3 == 0));
+            assert!(!policy.is_empty(), "{label} empty after enqueue");
         }
-        assert!(!policy.is_empty(), "{label} empty after enqueue");
         assert_eq!(policy.len(), 20);
         let drained = drain(policy.as_mut(), &cores);
         assert_eq!(drained.len(), 20, "{label} lost tasks");

@@ -119,17 +119,20 @@ impl SoftwareGrant {
     ///
     /// # Panics
     /// Panics unless `op < writes`.
+    #[inline]
     pub fn op_transition_start(&self, op: usize) -> SimTime {
         assert!(op < self.writes, "write {op} of {}", self.writes);
         self.first_transition_start + self.write_stride.saturating_mul(op as u64)
     }
 
     /// Time spent waiting for the serialized path.
+    #[inline]
     pub fn lock_wait(&self, requested_at: SimTime) -> SimDuration {
         self.acquired_at.since(requested_at)
     }
 
     /// Total latency observed by the requesting core.
+    #[inline]
     pub fn total_latency(&self, requested_at: SimTime) -> SimDuration {
         self.returns_at.since(requested_at)
     }
@@ -178,6 +181,7 @@ impl SoftwareDvfsPath {
     /// hold (a CATA displacement is two writes: decelerate the victim, then
     /// accelerate the requester). `n_ops == 0` models a pure decision — the
     /// RSM lock is still taken and still serializes, but no syscall happens.
+    #[inline]
     pub fn request_ops(&mut self, now: SimTime, n_ops: usize) -> SoftwareGrant {
         let acquired_at = now.max(self.busy_until);
         let per_op = self.params.sysfs_write

@@ -43,6 +43,7 @@ pub enum Cmd {
 
 impl Cmd {
     /// The core this command targets.
+    #[inline]
     pub fn core(self) -> usize {
         match self {
             Cmd::Accelerate(c) | Cmd::Decelerate(c) => c,
@@ -66,6 +67,7 @@ impl Cmds {
         len: 0,
     };
 
+    #[inline]
     fn one(cmd: Cmd) -> Self {
         Cmds {
             buf: [cmd, Cmd::Accelerate(0)],
@@ -73,6 +75,7 @@ impl Cmds {
         }
     }
 
+    #[inline]
     fn two(first: Cmd, second: Cmd) -> Self {
         Cmds {
             buf: [first, second],
@@ -84,6 +87,7 @@ impl Cmds {
 impl Deref for Cmds {
     type Target = [Cmd];
 
+    #[inline]
     fn deref(&self) -> &[Cmd] {
         &self.buf[..self.len as usize]
     }
@@ -107,6 +111,7 @@ struct CoreBits {
 }
 
 /// Sets `bit` of `word` when `on`, else clears it.
+#[inline]
 fn assign(word: &mut u64, bit: u64, on: bool) {
     *word = (*word & !bit) | if on { bit } else { 0 };
 }
@@ -167,6 +172,7 @@ impl ReconfigEngine {
     }
 
     /// The tracked criticality of `core`'s task.
+    #[inline]
     pub fn crit(&self, core: usize) -> TaskCrit {
         let (w, bit) = self.slot(core);
         if self.bits[w].critical & bit != 0 {
@@ -179,6 +185,7 @@ impl ReconfigEngine {
     }
 
     /// Whether `core` is accelerated.
+    #[inline]
     pub fn is_accelerated(&self, core: usize) -> bool {
         let (w, bit) = self.slot(core);
         self.bits[w].accelerated & bit != 0
@@ -186,6 +193,7 @@ impl ReconfigEngine {
 
     /// A task of the given criticality starts on `core`. Returns the
     /// commands to apply, decelerations first.
+    #[inline]
     pub fn on_task_start(&mut self, core: usize, critical: bool) -> Cmds {
         let crit = if critical {
             TaskCrit::Critical
@@ -225,6 +233,7 @@ impl ReconfigEngine {
     /// ready to execute" — the runtime reports that case through
     /// [`on_core_idle`](Self::on_core_idle), avoiding a useless
     /// decelerate/accelerate pair between back-to-back tasks.
+    #[inline]
     pub fn on_task_end(&mut self, core: usize) -> Cmds {
         self.set_crit(core, TaskCrit::NoTask);
         if !self.is_accelerated(core) {
@@ -245,6 +254,7 @@ impl ReconfigEngine {
     /// power budget to the remaining executing tasks, reducing the load
     /// imbalance"; the fork-join benchmarks have no critical annotations at
     /// all, so the reassignment cannot be criticality-gated).
+    #[inline]
     pub fn on_core_idle(&mut self, core: usize) -> Cmds {
         if !self.is_accelerated(core) {
             return Cmds::NONE;
@@ -265,6 +275,7 @@ impl ReconfigEngine {
 
     /// Directly sets a core's tracked criticality (used by the OS
     /// virtualization path; does not reconfigure anything).
+    #[inline]
     pub fn set_crit(&mut self, core: usize, crit: TaskCrit) {
         let (w, bit) = self.slot(core);
         let bits = &mut self.bits[w];
@@ -280,11 +291,13 @@ impl ReconfigEngine {
     }
 
     /// Word index and bit mask of `core`, which must be in range.
+    #[inline]
     fn slot(&self, core: usize) -> (usize, u64) {
         assert!(core < self.num_cores, "core {core} out of range");
         (core / 64, 1 << (core % 64))
     }
 
+    #[inline]
     fn set_accelerated(&mut self, core: usize, accelerated: bool) {
         let (w, bit) = self.slot(core);
         assign(&mut self.bits[w].accelerated, bit, accelerated);
@@ -302,17 +315,20 @@ impl ReconfigEngine {
     /// for displacement). A core with *no* task that is still accelerated is
     /// preferred over one doing non-critical work. The requesting core is
     /// not accelerated, so it is never its own victim.
+    #[inline]
     fn find_victim(&self) -> Option<usize> {
         self.lowest(|b| b.accelerated & !b.critical & !b.non_critical)
             .or_else(|| self.lowest(|b| b.accelerated & b.non_critical))
     }
 
     /// Lowest-numbered non-accelerated core running a critical task.
+    #[inline]
     fn find_waiting_critical(&self) -> Option<usize> {
         self.lowest(|b| !b.accelerated & b.critical)
     }
 
     /// Lowest-numbered non-accelerated core running any task.
+    #[inline]
     fn find_waiting_running(&self) -> Option<usize> {
         self.lowest(|b| !b.accelerated & b.non_critical)
     }

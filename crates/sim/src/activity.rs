@@ -117,6 +117,7 @@ impl ActivityTimeline {
     }
 
     /// Records an activity change at `now` (level unchanged).
+    #[inline]
     pub fn record(&mut self, now: SimTime, level: PowerLevel, activity: Activity) {
         debug_assert!(!self.closed, "timeline already closed");
         let same_level = level == self.levels[usize::from(self.level_index)];
@@ -131,6 +132,7 @@ impl ActivityTimeline {
     }
 
     /// The level table index of `level`, adding it on first use.
+    #[inline]
     fn intern(&mut self, level: PowerLevel) -> u8 {
         let i = match self.levels.iter().position(|&l| l == level) {
             Some(i) => i,
@@ -147,6 +149,7 @@ impl ActivityTimeline {
     }
 
     /// Records a settled DVFS level change at `now` (activity unchanged).
+    #[inline]
     pub fn record_level_change(&mut self, now: SimTime, level: PowerLevel) {
         let activity = self.activity;
         self.record(now, level, activity);
@@ -161,6 +164,7 @@ impl ActivityTimeline {
         self.closed = true;
     }
 
+    #[inline]
     fn flush(&mut self, now: SimTime) {
         let duration = now.saturating_since(self.open_since).as_ps();
         if duration != 0 {

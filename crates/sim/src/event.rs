@@ -11,10 +11,16 @@
 //! [`EventQueue`] is one `Vec` kept sorted with the earliest event last.
 //! The engines keep few events pending — about one per core plus a few
 //! timers: on the paper's 32-core grid, 79% of pops see 32–63 pending
-//! events and none sees more than 119. At that depth a back-to-front scan
+//! events and none sees more than 119. At that depth a back-to-front pass
 //! over a few cache lines costs less than the bookkeeping of structures
 //! built for deep queues, such as a binary heap or a calendar queue; the
 //! README's "Event queue" section has the measurements.
+//!
+//! A push is that one pass: walking from the back, it moves each pending
+//! event that pops before the new one up a slot and writes the new event
+//! into the gap, so no entry is read twice and no separate `memmove`
+//! follows a search. Payloads are `Copy` (the engine's events are a few
+//! words), which keeps the pass a plain copy loop in safe Rust.
 //!
 //! [`EventBackend`] and [`default_backend`] keep the names of the two
 //! retired backends (a binary heap and a calendar wheel) for callers that
@@ -70,11 +76,12 @@ pub fn default_backend() -> EventBackend {
 ///
 /// Pending events sit in a `Vec` sorted by descending `(time, push
 /// order)`: the earliest is last, so [`pop`](Self::pop) is `Vec::pop` and
-/// [`peek_time`](Self::peek_time) reads the last entry. A push scans from
-/// the back past the pending events that come earlier and inserts there,
+/// [`peek_time`](Self::peek_time) reads the last entry. A
+/// [`push`](Self::push) moves each pending event that pops before the new
+/// one up a slot, from the back, and writes the new event into the gap,
 /// so it costs time linear in the number of pending events earlier than
 /// the new one. That is cheap at the engines' depth of about one event per
-/// core: even on 128- and 512-core machines, where pushes scan further,
+/// core: even on 128- and 512-core machines, where pushes reach further,
 /// the engine ran the paper presets in about 0.82× of a calendar queue's
 /// time.
 ///
@@ -119,28 +126,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `payload` for delivery at `time`.
-    ///
-    /// # Panics
-    /// Panics if `time` is earlier than the time of the last popped event:
-    /// scheduling into the past is always a simulator bug.
-    #[inline]
-    pub fn push(&mut self, time: SimTime, payload: E) {
-        assert!(
-            time >= self.now,
-            "event scheduled in the past: {time} < now {now}",
-            now = self.now
-        );
-        // Pending events at the same time were pushed earlier and pop
-        // first, so the new one goes in front of them.
-        let at = self
-            .pending
-            .iter()
-            .rposition(|&(t, _)| t > time)
-            .map_or(0, |i| i + 1);
-        self.pending.insert(at, (time, payload));
-    }
-
     /// Removes and returns the earliest pending event, advancing the clock.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -180,6 +165,38 @@ impl<E> EventQueue<E> {
     pub fn reset(&mut self) {
         self.pending.clear();
         self.now = SimTime::ZERO;
+    }
+}
+
+impl<E: Copy> EventQueue<E> {
+    /// Schedules `payload` for delivery at `time`.
+    ///
+    /// # Panics
+    /// Panics if `time` is earlier than the time of the last popped event:
+    /// scheduling into the past is always a simulator bug.
+    #[inline]
+    pub fn push(&mut self, time: SimTime, payload: E) {
+        assert!(
+            time >= self.now,
+            "event scheduled in the past: {time} < now {now}",
+            now = self.now
+        );
+        // One backward pass: each pending event no later than `time` moves
+        // up one slot, and the new event goes into the gap. Events at the
+        // same time were pushed earlier and pop first, so they move too.
+        self.pending.push((time, payload));
+        let mut tail = self.pending.as_mut_slice();
+        while let [.., prev, last] = tail {
+            if prev.0 > time {
+                break;
+            }
+            *last = *prev;
+            let n = tail.len() - 1;
+            tail = &mut tail[..n];
+        }
+        if let [.., gap] = tail {
+            *gap = (time, payload);
+        }
     }
 }
 

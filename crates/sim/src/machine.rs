@@ -209,37 +209,44 @@ pub struct Core {
 
 impl Core {
     /// This core's id.
+    #[inline]
     pub fn id(&self) -> CoreId {
         self.id
     }
 
     /// The operating point currently applied to the rails.
+    #[inline]
     pub fn level(&self) -> PowerLevel {
         self.level
     }
 
     /// The frequency the core is running at *right now* (old level during a
     /// pending transition).
+    #[inline]
     pub fn frequency(&self) -> Frequency {
         self.level.frequency
     }
 
     /// The in-flight transition, if any.
+    #[inline]
     pub fn pending_transition(&self) -> Option<Transition> {
         self.pending
     }
 
     /// The level the core will be at once any pending transition settles.
+    #[inline]
     pub fn target_level(&self) -> PowerLevel {
         self.pending.map(|t| t.target).unwrap_or(self.level)
     }
 
     /// Activity timeline for power integration.
+    #[inline]
     pub fn timeline(&self) -> &ActivityTimeline {
         &self.timeline
     }
 
     /// Number of completed DVFS transitions on this core.
+    #[inline]
     pub fn transitions_done(&self) -> u64 {
         self.transitions_done
     }
@@ -315,6 +322,7 @@ impl Machine {
     }
 
     /// Mutable access to the attached memory subsystem, if any.
+    #[inline]
     pub fn memory_mut(&mut self) -> Option<&mut MemorySubsystem> {
         self.memory.as_mut()
     }
@@ -325,6 +333,7 @@ impl Machine {
     }
 
     /// Immutable access to one core.
+    #[inline]
     pub fn core(&self, id: CoreId) -> &Core {
         &self.cores[id.index()]
     }
@@ -335,6 +344,7 @@ impl Machine {
     }
 
     /// Records that `core` changed activity (Busy/Idle/Halted) at `now`.
+    #[inline]
     pub fn set_activity(&mut self, core: CoreId, now: SimTime, activity: Activity) {
         let c = &mut self.cores[core.index()];
         c.timeline.record(now, c.level, activity);
@@ -347,6 +357,7 @@ impl Machine {
     /// call is a no-op and returns `None`. If a different transition is in
     /// flight, the new target supersedes it but the clock restarts — matching
     /// a DVFS controller that must re-ramp the rails.
+    #[inline]
     pub fn begin_transition(
         &mut self,
         core: CoreId,
@@ -367,6 +378,7 @@ impl Machine {
     /// arrived. Returns the newly applied level, or `None` if there was
     /// nothing to settle (e.g. the transition was superseded and the old
     /// completion event is stale).
+    #[inline]
     pub fn settle(&mut self, core: CoreId, now: SimTime) -> Option<PowerLevel> {
         let c = &mut self.cores[core.index()];
         match c.pending {
@@ -393,6 +405,7 @@ impl Machine {
     /// the power budget constrains. Counting targets rather than settled
     /// levels is what keeps concurrent reconfigurations from transiently
     /// exceeding the budget.
+    #[inline]
     pub fn accelerated_count(&self) -> usize {
         self.cores
             .iter()

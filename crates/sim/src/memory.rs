@@ -177,6 +177,7 @@ impl MemorySubsystem {
     }
 
     /// Acquires a slot if one is free. Returns whether it was granted.
+    #[inline]
     pub fn try_acquire(&mut self) -> bool {
         if self.in_use < self.slots {
             self.in_use += 1;
@@ -187,6 +188,7 @@ impl MemorySubsystem {
     }
 
     /// Releases a held slot.
+    #[inline]
     pub fn release(&mut self) {
         debug_assert!(self.in_use > 0, "releasing a slot that was never held");
         self.in_use = self.in_use.saturating_sub(1);
@@ -194,6 +196,7 @@ impl MemorySubsystem {
 
     /// Appends a request to the waiter queue, stamping its arrival
     /// sequence number. Returns the stamped request.
+    #[inline]
     pub fn enqueue(&mut self, core: CoreId, crit_level: u8, mem_ps: u64) -> MemRequest {
         let req = MemRequest {
             core,
@@ -209,6 +212,7 @@ impl MemorySubsystem {
     /// Grants a freed slot to the policy's pick, removing it from the
     /// queue (arrival order of the rest is preserved). Returns `None`
     /// when nothing waits or nothing is free.
+    #[inline]
     pub fn grant(&mut self, policy: &mut dyn ArbitrationPolicy) -> Option<MemRequest> {
         if self.waiters.is_empty() || self.in_use >= self.slots {
             return None;

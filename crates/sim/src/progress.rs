@@ -81,6 +81,7 @@ impl ExecProfile {
     }
 
     /// The run time (excluding blocks) of this profile at frequency `f`.
+    #[inline]
     pub fn duration_at(&self, f: Frequency) -> SimDuration {
         f.cycles_to_duration(self.cpu_cycles) + SimDuration::from_ps(self.mem_ps)
     }
@@ -110,6 +111,7 @@ pub enum Milestone {
 
 impl Milestone {
     /// The instant this milestone fires.
+    #[inline]
     pub fn time(self) -> SimTime {
         match self {
             Milestone::Completion(t) | Milestone::BlockStart(t) | Milestone::BlockEnd(t) => t,
@@ -157,6 +159,7 @@ pub struct RunningTask<'p> {
 
 impl<'p> RunningTask<'p> {
     /// Begins executing `profile` at `now` on a core running at `freq`.
+    #[inline]
     pub fn start(profile: &'p ExecProfile, now: SimTime, freq: Frequency) -> Self {
         RunningTask {
             profile,
@@ -178,6 +181,7 @@ impl<'p> RunningTask<'p> {
 
     /// Monotonic counter bumped on every state change; events scheduled
     /// against an older generation are stale and must be ignored.
+    #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -209,6 +213,7 @@ impl<'p> RunningTask<'p> {
 
     /// The progress fraction at which the task next stops running: the next
     /// block point, or 1.0 (completion).
+    #[inline]
     fn next_stop_progress(&self) -> f64 {
         self.profile
             .blocks
@@ -219,6 +224,7 @@ impl<'p> RunningTask<'p> {
 
     /// The next event the executor should schedule for this task, given the
     /// current frequency. Returns `None` once finished.
+    #[inline]
     pub fn next_milestone(&self) -> Option<Milestone> {
         match self.state {
             RunState::Finished => None,
@@ -241,6 +247,7 @@ impl<'p> RunningTask<'p> {
     ///
     /// The executor calls this when a scheduled milestone event (matching the
     /// current generation) fires.
+    #[inline]
     pub fn advance_to(&mut self, now: SimTime) -> Option<Milestone> {
         match self.state {
             RunState::Finished => None,
@@ -288,6 +295,7 @@ impl<'p> RunningTask<'p> {
 
     /// Applies a frequency change at `now`: accrues progress at the old
     /// frequency up to `now`, then switches rates. Safe to call in any state.
+    #[inline]
     pub fn set_frequency(&mut self, now: SimTime, freq: Frequency) {
         if freq == self.freq {
             return;
@@ -301,6 +309,7 @@ impl<'p> RunningTask<'p> {
         self.generation += 1;
     }
 
+    #[inline]
     fn accrue(&mut self, now: SimTime) {
         let elapsed = now.saturating_since(self.last_update);
         if self.duration.is_zero() {

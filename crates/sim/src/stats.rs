@@ -36,6 +36,7 @@ const LEGACY_SUB_BITS: u32 = 4;
 
 /// The bucket index of a picosecond value. Values below 128 get exact
 /// unit buckets; larger values go to `(octave, top 7 mantissa bits)`.
+#[inline]
 fn bucket_of(ps: u64) -> usize {
     if ps < SUB {
         return ps as usize;
@@ -102,6 +103,7 @@ impl LatencyHistogram {
     }
 
     /// Counts one sample of `ps` in the exact side statistics only.
+    #[inline]
     fn note(&mut self, ps: u64) {
         self.total += 1;
         self.sum_ps += u128::from(ps);
@@ -267,6 +269,7 @@ impl LatencyRecorder {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, d: SimDuration) {
         let ps = d.as_ps();
         let b = bucket_of(ps);

@@ -183,14 +183,27 @@ impl SimDuration {
         SimDuration(self.0.saturating_mul(factor))
     }
 
-    /// Scales the duration by a float factor (rounds to nearest picosecond).
+    /// Scales the duration by a float factor, rounding to the nearest
+    /// picosecond with halves away from zero.
     ///
     /// Used by the progress model when re-projecting a task's completion after
     /// a frequency change; `factor` is a progress fraction in `[0, 1]`.
+    /// The product is truncated and then bumped by one when its fraction is
+    /// at least one half, without a libm call: that equals `f64::round`
+    /// followed by `as u64` for every product, ties, values of 2⁵³ and
+    /// more (which are whole), values of 2⁶⁴ and more (which saturate) and
+    /// NaN (which reads 0) included.
     #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor >= 0.0, "negative duration scale {factor}");
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        let x = self.0 as f64 * factor;
+        let t = x as u64;
+        // Below 2⁵³ both `t as f64` and the subtraction are exact.
+        SimDuration(if x - t as f64 >= 0.5 {
+            t.saturating_add(1)
+        } else {
+            t
+        })
     }
 
     /// The ratio of two durations as a float (`self / denom`).
@@ -343,13 +356,19 @@ impl Frequency {
     ///
     /// Exact for frequencies that divide 10⁶ MHz·ps evenly (all paper
     /// frequencies); rounds up otherwise so work is never under-charged.
+    /// `ps = ⌈cycles · 10⁶ / mhz⌉` is divided in `u64` whenever
+    /// `cycles · 10⁶` fits (up to about 1.8·10¹³ cycles, 2.5 hours at
+    /// 2 GHz), and in `u128`, saturating, beyond.
     #[inline]
     pub fn cycles_to_duration(self, cycles: u64) -> SimDuration {
-        // ps = cycles * 1e6 / mhz, computed in u128 to avoid overflow for
-        // large tasks, rounding up.
-        let mhz = self.0 as u128;
-        let ps = (cycles as u128 * 1_000_000).div_ceil(mhz);
-        SimDuration::from_ps(ps.min(u64::MAX as u128) as u64)
+        let ps = match cycles.checked_mul(1_000_000) {
+            Some(n) => n.div_ceil(u64::from(self.0)),
+            None => {
+                let ps = (u128::from(cycles) * 1_000_000).div_ceil(u128::from(self.0));
+                ps.min(u128::from(u64::MAX)) as u64
+            }
+        };
+        SimDuration::from_ps(ps)
     }
 
     /// The number of whole cycles this core retires in `dur`.

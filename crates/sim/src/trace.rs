@@ -229,23 +229,27 @@ impl Trace {
         self.mode
     }
 
-    /// Records `event` at `time` according to the mode.
+    /// Records `event` at `time` according to the mode. Only the mode
+    /// check inlines into the engine; collection stays out of line.
     #[inline]
     pub fn record(&mut self, time: SimTime, event: TraceEvent) {
-        match self.mode {
-            TraceMode::Off => {}
-            TraceMode::Counters => self.counts.bump(&event),
-            TraceMode::Full => {
-                self.counts.bump(&event);
-                if self.records.len() >= self.capacity {
-                    // Ring behaviour: discard the oldest half in one move
-                    // (amortized O(1) per record) and keep counting.
-                    let drop = self.capacity / 2;
-                    self.records.drain(..drop);
-                    self.dropped += drop as u64;
-                }
-                self.records.push(TraceRecord { time, event });
+        if self.mode != TraceMode::Off {
+            self.collect(time, event);
+        }
+    }
+
+    /// The `Counters` and `Full` body of [`record`](Self::record).
+    fn collect(&mut self, time: SimTime, event: TraceEvent) {
+        self.counts.bump(&event);
+        if self.mode == TraceMode::Full {
+            if self.records.len() >= self.capacity {
+                // Ring behaviour: discard the oldest half in one move
+                // (amortized O(1) per record) and keep counting.
+                let drop = self.capacity / 2;
+                self.records.drain(..drop);
+                self.dropped += drop as u64;
             }
+            self.records.push(TraceRecord { time, event });
         }
     }
 

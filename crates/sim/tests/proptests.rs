@@ -242,3 +242,69 @@ proptest! {
         prop_assert_eq!(&h, &both);
     }
 }
+
+/// The largest cycle count whose picoseconds numerator, `cycles · 10⁶`,
+/// fits in a `u64`.
+const U64_CYCLES: u64 = u64::MAX / 1_000_000;
+
+/// `mul_f64` as it was computed with libm: round half away from zero,
+/// then a saturating cast.
+fn mul_f64_libm(d: u64, f: f64) -> u64 {
+    (d as f64 * f).round() as u64
+}
+
+/// `cycles_to_duration` as it was computed in `u128`: the rounded-up
+/// quotient, saturated to `u64`.
+fn cycles_to_ps_u128(f: Frequency, cycles: u64) -> u64 {
+    let ps = (u128::from(cycles) * 1_000_000).div_ceil(u128::from(f.as_mhz()));
+    ps.min(u128::from(u64::MAX)) as u64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `mul_f64`'s integer rounding equals libm's `round` and the cast for
+    /// random durations (any `u64`, and below 2⁴⁰ where products keep
+    /// their fractions) and factors in [0, 1], for ties `k + 0.5`, at and
+    /// around 2⁵³ and `u64::MAX` with a factor of 1, and for a factor of 0.
+    #[test]
+    fn mul_f64_rounds_like_libm(
+        d in any::<u64>(),
+        small in 0u64..1u64 << 40,
+        f in 0.0f64..=1.0,
+        k in 0u64..1u64 << 52,
+        near in 0u64..64,
+    ) {
+        for d in [d, small] {
+            prop_assert_eq!(SimDuration::from_ps(d).mul_f64(f).as_ps(), mul_f64_libm(d, f), "d={} f={}", d, f);
+            prop_assert_eq!(SimDuration::from_ps(d).mul_f64(0.0).as_ps(), 0);
+        }
+        // (2k + 1) · 0.5 = k + 0.5 exactly, a tie that rounds up.
+        let odd = 2 * k + 1;
+        prop_assert_eq!(SimDuration::from_ps(odd).mul_f64(0.5).as_ps(), k + 1);
+        prop_assert_eq!(mul_f64_libm(odd, 0.5), k + 1);
+        for d in [(1u64 << 53) - 32 + near, u64::MAX - near] {
+            prop_assert_eq!(SimDuration::from_ps(d).mul_f64(1.0).as_ps(), mul_f64_libm(d, 1.0), "d={}", d);
+        }
+    }
+
+    /// `cycles_to_duration` equals the `u128` rounded-up quotient on both
+    /// sides of [`U64_CYCLES`] (up to 1 000× past it, where results still
+    /// fit, and anywhere in `u64`, where they may saturate), at both
+    /// levels of the paper's machine and at random frequencies.
+    #[test]
+    fn cycles_to_duration_matches_the_u128_quotient(
+        below in 0u64..=U64_CYCLES,
+        above in U64_CYCLES + 1..=U64_CYCLES * 1_000,
+        cycles in any::<u64>(),
+        mhz in 1u32..20_000,
+    ) {
+        let paper = MachineConfig::paper_table1();
+        let levels = [paper.fast_level.frequency, paper.slow_level.frequency];
+        for f in levels.into_iter().chain([Frequency::from_mhz(mhz)]) {
+            for c in [below, above, cycles, U64_CYCLES, U64_CYCLES + 1] {
+                prop_assert_eq!(f.cycles_to_duration(c).as_ps(), cycles_to_ps_u128(f, c), "{} cycles at {}", c, f);
+            }
+        }
+    }
+}
