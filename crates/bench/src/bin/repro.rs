@@ -106,9 +106,9 @@
 //! `run`.
 //!
 //! `perf` options: `--smoke` (CI-sized), `--reps N` (timing repetitions,
-//! default 5), `--out FILE` (default `BENCH_engine.json`), `--baseline
-//! FILE` (embed a previous report's medium summary + speedup; a baseline
-//! that is the default output needs an explicit `--out`),
+//! at least 1, default 5), `--out FILE` (default `BENCH_engine.json`),
+//! `--baseline FILE` (embed a previous report's medium summary + speedup;
+//! a baseline that is the default output needs an explicit `--out`),
 //! `--trajectory FILE` (append this run as one JSONL point to the
 //! append-only perf trajectory).
 //!
@@ -133,6 +133,8 @@
 //! against the stored one — exit 0 on a bit-identical match, 1 on
 //! divergence. Records predating spec embedding (or `serve` cells, whose
 //! service spec is not a scenario spec) are refused with a clear error.
+
+#![forbid(unsafe_code)]
 
 use cata_bench::figures::{
     fig4_configs, fig5_configs, figure_labels, render_latency_analysis, render_panel,
@@ -245,7 +247,7 @@ const FLAGS: &[Flag] = &[
     value("--min-ratio", positive, "merge perf"),
     value("--fig", fig, "merge"),
     switch("--smoke", "perf"),
-    value("--reps", num::<usize>, "perf"),
+    value("--reps", count, "perf"),
     value("--trajectory", text, "perf watch"),
     switch("--once", "watch"),
     switch("--until-done", "watch"),
@@ -270,6 +272,14 @@ fn text(s: &str) -> Result<Value, String> {
 
 fn num<T: std::str::FromStr + Any>(s: &str) -> Result<Value, String> {
     s.parse::<T>().map(boxed).map_err(|_| String::new())
+}
+
+/// A whole number above zero (`--reps`).
+fn count(s: &str) -> Result<Value, String> {
+    match s.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(boxed(n)),
+        _ => Err(format!(" {s} (want a whole number above 0)")),
+    }
 }
 
 /// A finite number above zero (`--rate`, `--min-ratio`).

@@ -148,8 +148,11 @@ pub fn perf_workloads(smoke: bool) -> Vec<(&'static str, WorkloadSpec)> {
 /// Runs the full measurement matrix: every paper preset on every harness
 /// workload, `reps` timed repetitions each (plus one untimed warm-up that
 /// also populates the shared graph cache), tracing off.
+///
+/// # Panics
+/// Panics if `reps` is zero: the report states the repetitions it ran.
 pub fn run_perf(smoke: bool, reps: usize) -> PerfReport {
-    let reps = reps.max(1);
+    assert!(reps > 0, "perf needs at least one timed repetition");
     let exec = SimExecutor;
     let registries = cata_core::exp::default_registries();
     let mut runs = Vec::new();

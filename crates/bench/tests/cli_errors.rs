@@ -179,6 +179,7 @@ fn flag_rules_print_one_error_and_the_usage() {
         ),
         (&["merge", "s.jsonl", "--min-ratio", "0.5"], "--baseline"),
         (&["perf", "--smoke", "--min-ratio", "0.5"], "--baseline"),
+        (&["perf", "--smoke", "--reps", "0"], "--reps"),
         (
             &["serve", "CATA", "--rate", "100", "--shard", "1/2"],
             "--progress",

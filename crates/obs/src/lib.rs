@@ -24,6 +24,8 @@
 //!
 //! [`ResultsStore`]: cata_core::exp::ResultsStore
 
+#![forbid(unsafe_code)]
+
 pub mod dash;
 pub mod frame;
 pub mod state;

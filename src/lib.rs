@@ -3,6 +3,7 @@
 //! single dependency) can reach the whole system.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use cata_bench as bench;
 pub use cata_core as core;
