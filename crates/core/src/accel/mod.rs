@@ -154,11 +154,8 @@ pub struct ReconfigStats {
     pub overhead_total: SimDuration,
 }
 
-/// A hardware/runtime reconfiguration policy.
+/// A hardware/runtime reconfiguration policy. Its registry key names it.
 pub trait AccelManager: Send {
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
-
     /// Called once before the simulation starts (e.g. TurboMode accelerates
     /// the initially active cores).
     fn on_init(&mut self, _machine: &mut Machine, _now: SimTime) -> AccelEffects {

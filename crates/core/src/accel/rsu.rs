@@ -74,10 +74,6 @@ impl RsuCata {
 }
 
 impl AccelManager for RsuCata {
-    fn name(&self) -> &'static str {
-        "CATA+RSU"
-    }
-
     fn on_task_start(
         &mut self,
         core: CoreId,

@@ -80,10 +80,6 @@ impl SoftwareCata {
 }
 
 impl AccelManager for SoftwareCata {
-    fn name(&self) -> &'static str {
-        "CATA"
-    }
-
     fn on_task_start(
         &mut self,
         core: CoreId,

@@ -16,10 +16,6 @@ use cata_sim::time::SimTime;
 pub struct StaticAccel;
 
 impl AccelManager for StaticAccel {
-    fn name(&self) -> &'static str {
-        "static"
-    }
-
     fn on_task_start(
         &mut self,
         _core: CoreId,

@@ -119,10 +119,6 @@ impl TurboModeCtl {
 }
 
 impl AccelManager for TurboModeCtl {
-    fn name(&self) -> &'static str {
-        "TurboMode"
-    }
-
     fn on_init(&mut self, machine: &mut Machine, now: SimTime) -> AccelEffects {
         // All cores boot active (the runtime's idle loops are C0): the
         // controller hands the budget to the first `budget` cores.

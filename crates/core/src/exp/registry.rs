@@ -83,11 +83,8 @@ impl<T> std::fmt::Debug for Registry<T> {
 pub struct AllNonCritical;
 
 impl CriticalityEstimator for AllNonCritical {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-    fn classify(&mut self, _graph: &TaskGraph, _task: TaskId) -> bool {
-        false
+    fn classify_level(&mut self, _graph: &TaskGraph, _task: TaskId) -> u8 {
+        0
     }
 }
 
@@ -334,12 +331,10 @@ pub struct ResolvedPolicies {
     pub prefer_fast: bool,
 }
 
+/// Prints the flags only: the boxed policies are named by the spec's keys.
 impl std::fmt::Debug for ResolvedPolicies {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResolvedPolicies")
-            .field("policy", &self.policy.name())
-            .field("estimator", &self.estimator.name())
-            .field("accel", &self.accel.name())
             .field("prefer_fast", &self.prefer_fast)
             .finish_non_exhaustive()
     }

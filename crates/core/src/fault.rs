@@ -330,8 +330,6 @@ pub enum RecoveryAction {
 /// A recovery policy: called once per displaced task, in displacement
 /// order, so stateful policies replay deterministically.
 pub trait RecoveryPolicy: Send {
-    /// Registry key / display name.
-    fn name(&self) -> &'static str;
     /// Decides the fate of one displaced task.
     fn on_displaced(&mut self, ctx: &RecoveryCtx) -> RecoveryAction;
 }
@@ -341,9 +339,6 @@ pub trait RecoveryPolicy: Send {
 struct RetrySameCore;
 
 impl RecoveryPolicy for RetrySameCore {
-    fn name(&self) -> &'static str {
-        "retry-same-core"
-    }
     fn on_displaced(&mut self, _ctx: &RecoveryCtx) -> RecoveryAction {
         RecoveryAction::Requeue { prefer_fast: false }
     }
@@ -355,9 +350,6 @@ impl RecoveryPolicy for RetrySameCore {
 struct ReroutePreferFast;
 
 impl RecoveryPolicy for ReroutePreferFast {
-    fn name(&self) -> &'static str {
-        "reroute-prefer-fast"
-    }
     fn on_displaced(&mut self, _ctx: &RecoveryCtx) -> RecoveryAction {
         RecoveryAction::Requeue { prefer_fast: true }
     }
@@ -370,9 +362,6 @@ impl RecoveryPolicy for ReroutePreferFast {
 struct ShedNoncriticalOnDegraded;
 
 impl RecoveryPolicy for ShedNoncriticalOnDegraded {
-    fn name(&self) -> &'static str {
-        "shed-noncritical-on-degraded"
-    }
     fn on_displaced(&mut self, ctx: &RecoveryCtx) -> RecoveryAction {
         if ctx.degraded && !ctx.critical {
             RecoveryAction::Shed

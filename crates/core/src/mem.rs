@@ -216,8 +216,7 @@ mod tests {
         assert_eq!(reg.keys(), vec!["crit-first", "fifo", "round-robin"]);
         let s = MemorySpec::default();
         for key in ["fifo", "crit-first", "round-robin"] {
-            let p = reg.build(key, &s).unwrap();
-            assert_eq!(p.name(), key);
+            assert!(reg.build(key, &s).is_ok(), "{key}");
         }
     }
 

@@ -474,13 +474,11 @@ fn worker_loop(wid: usize, fast: bool, inner: Arc<Inner>) {
                 let ctx = DispatchCtx {
                     fast_core_idle: !fast && s.idle_fast > 0,
                 };
-                if s.policy.has_work_for(core, ctx) {
-                    let SchedState {
-                        policy, counters, ..
-                    } = &mut *s;
-                    if let Some(task) = policy.dequeue(core, ctx, counters) {
-                        break task.index();
-                    }
+                let SchedState {
+                    policy, counters, ..
+                } = &mut *s;
+                if let Some(task) = policy.dequeue(core, ctx, counters) {
+                    break task.index();
                 }
                 if s.shutdown {
                     return;

@@ -69,10 +69,6 @@ impl Hprq {
         }
         t
     }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 /// The dual-queue CATS policy.
@@ -116,10 +112,6 @@ impl CatsPolicy {
 }
 
 impl SchedulerPolicy for CatsPolicy {
-    fn name(&self) -> &'static str {
-        "CATS"
-    }
-
     fn enqueue(&mut self, task: TaskId, level: u8) {
         if level > 0 {
             self.hprq.push(task, level);
@@ -164,18 +156,6 @@ impl SchedulerPolicy for CatsPolicy {
 
     fn len(&self) -> usize {
         self.hprq.len + self.lprq.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.hprq.is_empty() && self.lprq.is_empty()
-    }
-
-    fn has_work_for(&self, core: CoreId, ctx: DispatchCtx) -> bool {
-        if self.core_is_fast(core) {
-            !self.hprq.is_empty() || !self.lprq.is_empty()
-        } else {
-            !self.lprq.is_empty() || (!ctx.fast_core_idle && !self.hprq.is_empty())
-        }
     }
 }
 
@@ -231,9 +211,8 @@ mod tests {
         p.enqueue(TaskId(0), 1);
         // A fast core is idle: the slow core must leave the critical task.
         assert_eq!(p.dequeue(SLOW, ctx(true), &mut c), None);
-        assert!(!p.has_work_for(SLOW, ctx(true)));
+        assert_eq!(c.cross_queue_steals, 0);
         // No fast core idle: stealing allowed.
-        assert!(p.has_work_for(SLOW, ctx(false)));
         assert_eq!(p.dequeue(SLOW, ctx(false), &mut c), Some(TaskId(0)));
         assert_eq!(c.cross_queue_steals, 1);
     }
@@ -309,7 +288,6 @@ mod tests {
                 }
                 let model_len: usize = model.by_level.values().map(|q| q.len()).sum();
                 proptest::prop_assert_eq!(real.len, model_len);
-                proptest::prop_assert_eq!(real.is_empty(), model_len == 0);
             }
             // Drain: the tails must agree too.
             loop {

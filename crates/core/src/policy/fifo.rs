@@ -25,10 +25,6 @@ impl FifoPolicy {
 }
 
 impl SchedulerPolicy for FifoPolicy {
-    fn name(&self) -> &'static str {
-        "FIFO"
-    }
-
     fn enqueue(&mut self, task: TaskId, _level: u8) {
         self.queue.push_back(task);
     }
@@ -44,14 +40,6 @@ impl SchedulerPolicy for FifoPolicy {
 
     fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    fn has_work_for(&self, _core: CoreId, _ctx: DispatchCtx) -> bool {
-        !self.queue.is_empty()
     }
 }
 

@@ -23,17 +23,16 @@ pub struct DispatchCtx {
     pub fast_core_idle: bool,
 }
 
-/// A ready-queue policy.
+/// A ready-queue policy. Its registry key names it.
 pub trait SchedulerPolicy: Send {
-    /// Short name for reports ("FIFO", "CATS").
-    fn name(&self) -> &'static str;
-
     /// Adds a ready task with its criticality *level* (0 = non-critical;
     /// higher values rank more-critical work — the `c` of `criticality(c)`).
     fn enqueue(&mut self, task: TaskId, level: u8);
 
     /// Serves a work request from `core`. `ctx` carries the idle-state
-    /// information the CATS stealing rule needs. Returns the task to run.
+    /// information the CATS stealing rule needs. Returns the task to run,
+    /// or `None` when nothing queued may go to `core` now (always when
+    /// the queues are empty).
     fn dequeue(
         &mut self,
         core: CoreId,
@@ -44,16 +43,10 @@ pub trait SchedulerPolicy: Send {
     /// Total ready tasks queued.
     fn len(&self) -> usize;
 
-    /// True if no tasks are queued. The engine asks after every event; the
-    /// default goes through [`len`](Self::len), a second virtual call, so
-    /// the built-in policies answer directly.
+    /// True if no tasks are queued.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// True if `core` could be served right now (used by the executor's
-    /// dispatch loop to avoid popping for cores that must stay idle).
-    fn has_work_for(&self, core: CoreId, ctx: DispatchCtx) -> bool;
 }
 
 #[cfg(test)]

@@ -36,8 +36,6 @@ pub struct AdmissionCtx {
 /// engine calls [`admit`](Self::admit) exactly once per arrival, in
 /// arrival order, so stateful policies replay deterministically.
 pub trait AdmissionPolicy: Send {
-    /// Registry key / display name.
-    fn name(&self) -> &'static str;
     /// `true` admits the instance; `false` drops it at the door.
     fn admit(&mut self, ctx: &AdmissionCtx) -> bool;
 }
@@ -53,9 +51,6 @@ pub const DEFAULT_QUEUE_CAP: usize = 64;
 struct AdmitAll;
 
 impl AdmissionPolicy for AdmitAll {
-    fn name(&self) -> &'static str {
-        "admit-all"
-    }
     fn admit(&mut self, _ctx: &AdmissionCtx) -> bool {
         true
     }
@@ -69,9 +64,6 @@ struct QueueCap {
 }
 
 impl AdmissionPolicy for QueueCap {
-    fn name(&self) -> &'static str {
-        "queue-cap"
-    }
     fn admit(&mut self, ctx: &AdmissionCtx) -> bool {
         ctx.in_flight < self.cap
     }
@@ -86,9 +78,6 @@ struct CriticalityShed {
 }
 
 impl AdmissionPolicy for CriticalityShed {
-    fn name(&self) -> &'static str {
-        "shed-noncritical"
-    }
     fn admit(&mut self, ctx: &AdmissionCtx) -> bool {
         ctx.in_flight < self.cap || ctx.critical
     }

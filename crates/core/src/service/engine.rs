@@ -31,11 +31,8 @@ use crate::exp::error::ExpError;
 use crate::exp::progress::{ProgressEvent, ProgressWriter};
 use crate::exp::registry::{FactoryCtx, PolicyRegistries};
 use crate::exp::suite::derive_seed;
-use crate::fault::{default_recovery_registry, RecoveryPolicy};
-use crate::mem::default_arbitration_registry;
 use crate::report::RunReport;
-use crate::sim_exec::{Engine, EngineBufs, EngineParams, Ready, Source};
-use cata_sim::memory::ArbitrationPolicy;
+use crate::sim_exec::{Engine, EngineBufs, Ready, Source};
 use cata_sim::progress::ExecProfile;
 use cata_sim::stats::LatencyHistogram;
 use cata_sim::time::{SimDuration, SimTime};
@@ -134,12 +131,6 @@ pub fn replay_tape_observed(
         &spec.admission,
         &spec.admission_params.clone().unwrap_or_default(),
     )?;
-    // Fault injection composes with admission control: admission gates
-    // arrivals, the recovery policy handles tasks displaced by failures.
-    let recovery: Option<Box<dyn RecoveryPolicy>> = match &spec.base.faults {
-        Some(f) => Some(default_recovery_registry().build(&f.recovery, f)?),
-        None => None,
-    };
 
     // Build each distinct workload once and precompute its per-task
     // criticality levels: a fresh estimator sees the whole graph
@@ -193,14 +184,6 @@ pub fn replay_tape_observed(
     } else {
         tape.name.clone()
     };
-    let engine_params = EngineParams::from(&spec.base);
-    // Shared-memory contention composes with service load the same way
-    // it does with a closed-system run: the gate slows execution, which
-    // backs up the ready queues, which admission control then sees.
-    let arbitration: Option<Box<dyn ArbitrationPolicy>> = match &engine_params.memory {
-        Some(m) => Some(default_arbitration_registry().build(&m.arbitration, m)?),
-        None => None,
-    };
     // Open runs take fresh buffers, not the closed runs' thread-local
     // scratch: they are few and long, so there is no per-run warm-up
     // worth saving.
@@ -230,16 +213,11 @@ pub fn replay_tape_observed(
         service_time: LatencyHistogram::new(),
     };
     // The engine's own estimator goes unused: levels were precomputed
-    // per workload above.
-    Engine::new(
-        &engine_params,
-        resolved,
-        |_| source,
-        bufs,
-        recovery,
-        arbitration,
-    )
-    .run(&workload_label)
+    // per workload above. Faults and memory contention compose with the
+    // service load as in a closed run: admission gates arrivals, the
+    // recovery policy handles displaced tasks, and the memory gate slows
+    // execution, which backs up the ready queues admission then sees.
+    Engine::new(&spec.base, resolved, |_| source, bufs)?.run(&workload_label)
 }
 
 /// One distinct workload: its graph plus the precomputed classification.
@@ -441,12 +419,6 @@ impl<'g> Source<'g> for Open<'g> {
     fn profile(&self, task: TaskId) -> &'g ExecProfile {
         let (slot, local) = self.split(task);
         self.view(slot).profile(local)
-    }
-
-    #[inline]
-    fn mem_ps(&self, task: TaskId) -> u64 {
-        let (slot, local) = self.split(task);
-        self.view(slot).mem_ps(local)
     }
 
     fn level(&mut self, task: TaskId) -> u8 {

@@ -45,57 +45,17 @@ use crate::mem::{default_arbitration_registry, MemoryReport, MemorySpec};
 use crate::policy::{DispatchCtx, SchedulerPolicy};
 use crate::report::RunReport;
 use crate::service::ServiceReport;
-use cata_power::{integrate_machine, PowerParams};
+use cata_power::integrate_machine;
 use cata_sim::activity::Activity;
 use cata_sim::event::EventQueue;
-use cata_sim::machine::{CoreId, Machine, MachineConfig};
-use cata_sim::memory::ArbitrationPolicy;
+use cata_sim::machine::{CoreId, Machine};
+use cata_sim::memory::{ArbitrationPolicy, MemorySubsystem};
 use cata_sim::progress::{ExecProfile, Milestone, RunningTask};
 use cata_sim::stats::Counters;
 use cata_sim::time::{SimDuration, SimTime};
 use cata_sim::trace::{Trace, TraceEvent, TraceMode};
 use cata_tdg::criticality::CriticalityEstimator;
 use cata_tdg::{GraphView, TaskGraph, TaskId};
-
-/// Every non-policy knob of a [`ScenarioSpec`] the engine needs.
-#[derive(Debug, Clone)]
-pub(crate) struct EngineParams {
-    pub label: String,
-    pub machine: MachineConfig,
-    pub fast_cores: usize,
-    pub costs: RuntimeCosts,
-    pub idle_to_halt: Option<SimDuration>,
-    pub idle_decel_delay: SimDuration,
-    pub wake_latency: SimDuration,
-    pub power: PowerParams,
-    pub trace: TraceMode,
-    pub seed: u64,
-    pub faults: Option<FaultSpec>,
-    /// Contended shared-memory model; `None` (or a noop spec, filtered at
-    /// construction) keeps the uncontended legacy machine bit-identical.
-    pub memory: Option<MemorySpec>,
-}
-
-impl From<&ScenarioSpec> for EngineParams {
-    fn from(spec: &ScenarioSpec) -> Self {
-        EngineParams {
-            label: spec.name.clone(),
-            machine: spec.machine.clone(),
-            fast_cores: spec.fast_cores,
-            costs: spec.costs,
-            idle_to_halt: spec.idle_to_halt,
-            idle_decel_delay: spec.idle_decel_delay,
-            wake_latency: spec.wake_latency,
-            power: spec.power.clone(),
-            trace: spec.trace,
-            seed: spec.seed,
-            faults: spec.faults.clone(),
-            // An unlimited-slot spec is the uncontended model: filter it
-            // here so the engine's fast path stays gate-free.
-            memory: spec.memory.clone().filter(|m| !m.is_noop()),
-        }
-    }
-}
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
@@ -139,10 +99,9 @@ pub(crate) trait Source<'g> {
     /// Handles the [`Ev::Submit`] due at `now`, releasing whatever became
     /// ready into `ready`; returns when the next one fires.
     fn submit(&mut self, now: SimTime, ready: &mut Ready<'_>) -> Option<SimTime>;
-    /// The execution profile `task` runs.
+    /// The execution profile `task` runs; its `mem_ps` is the memory time
+    /// the task demands from a contended gate.
     fn profile(&self, task: TaskId) -> &'g ExecProfile;
-    /// Memory time `task` demands from the shared gate, in ps.
-    fn mem_ps(&self, task: TaskId) -> u64;
     /// The criticality level a displaced `task` is requeued at.
     fn level(&mut self, task: TaskId) -> u8;
     /// `task` was just assigned to a core.
@@ -169,9 +128,11 @@ pub(crate) trait Source<'g> {
 }
 
 /// The engine state a [`Source`] may touch while it releases tasks: the
-/// scheduler's ready queues and the per-task tables.
+/// scheduler's ready queues, the engine's count of them, and the per-task
+/// tables.
 pub(crate) struct Ready<'a> {
     policy: &'a mut dyn SchedulerPolicy,
+    queued: &'a mut usize,
     crit: &'a mut Vec<bool>,
     fault: Option<&'a mut FaultState>,
 }
@@ -182,11 +143,12 @@ impl Ready<'_> {
     pub(crate) fn push(&mut self, task: TaskId, level: u8) {
         self.crit[task.index()] = level > 0;
         self.policy.enqueue(task, level);
+        *self.queued += 1;
     }
 
     /// Tasks waiting in the ready queues.
     pub(crate) fn queued(&self) -> usize {
-        self.policy.len()
+        *self.queued
     }
 
     /// Sizes the per-task tables for ids below `ids` (open runs grow
@@ -370,9 +332,12 @@ impl IdleIndex {
         None
     }
 
-    /// True if any static-fast core is available (idle or halted).
-    fn any_fast_available(&self) -> bool {
-        self.avail_fast > 0
+    /// What the scheduler learns when it serves `core`: a slow core is told
+    /// whether a static-fast core is available (idle or halted).
+    fn dispatch_ctx(&self, core: CoreId) -> DispatchCtx {
+        DispatchCtx {
+            fast_core_idle: self.avail_fast > 0 && !self.is_fast[core.index()],
+        }
     }
 
     /// True if `core` is currently linked as available — fault injection
@@ -389,9 +354,7 @@ struct FaultState {
     spec: FaultSpec,
     policy: Box<dyn RecoveryPolicy>,
     rng: SplitMix64,
-    /// Per-core "currently failed" flag.
-    failed: Vec<bool>,
-    /// When each currently-failed core failed (capacity accounting).
+    /// When each currently-failed core failed (`None` while it is up).
     fail_since: Vec<Option<SimTime>>,
     /// Consecutive transient failures of the core's pending DVFS settle.
     settle_retries: Vec<u32>,
@@ -406,20 +369,20 @@ struct FaultState {
 }
 
 impl FaultState {
-    /// Fresh state for `cores` cores; the per-task tables start empty and
-    /// grow with the source's id space ([`Ready::grow`]).
-    fn new(spec: &FaultSpec, policy: Box<dyn RecoveryPolicy>, seed: u64, cores: usize) -> Self {
-        FaultState {
+    /// Fresh state for `cores` cores, with the recovery policy `spec` names
+    /// (an unknown key fails); the per-task tables start empty and grow
+    /// with the source's id space ([`Ready::grow`]).
+    fn new(spec: &FaultSpec, seed: u64, cores: usize) -> Result<Self, ExpError> {
+        Ok(FaultState {
             spec: spec.clone(),
-            policy,
+            policy: default_recovery_registry().build(&spec.recovery, spec)?,
             rng: fault_rng(seed),
-            failed: vec![false; cores],
             fail_since: vec![None; cores],
             settle_retries: vec![0; cores],
             task_retries: Vec::new(),
             displaced: Vec::new(),
             report: FaultReport::default(),
-        }
+        })
     }
 
     /// Grows the per-task table to cover ids below `tasks`.
@@ -436,13 +399,14 @@ impl FaultState {
     }
 }
 
-/// Per-run memory-gate state: the arbitration policy, per-core wait/hold
+/// Per-run memory-gate state: the shared [`MemorySubsystem`] and the
+/// arbitration policy that grants its slots, per-core wait/hold
 /// bookkeeping, and the accumulating [`MemoryReport`]. Present only when
 /// the scenario carries a *contended* [`MemorySpec`]; uncontended runs
-/// never touch it (and no
-/// [`MemorySubsystem`](cata_sim::MemorySubsystem) is attached to the
-/// machine, so the legacy model stays bit-identical).
+/// never touch it, so the legacy model stays bit-identical.
 struct MemState {
+    /// The bandwidth slots and their queue of waiters.
+    sub: MemorySubsystem,
     policy: Box<dyn ArbitrationPolicy>,
     /// When each core's pending slot request was enqueued.
     wait_since: Vec<Option<SimTime>>,
@@ -458,9 +422,13 @@ struct MemState {
 }
 
 impl MemState {
-    fn new(spec: &MemorySpec, policy: Box<dyn ArbitrationPolicy>, cores: usize) -> Self {
-        MemState {
-            policy,
+    /// Fresh gate state for `cores` cores, with the arbitration policy
+    /// `spec` names (an unknown key fails). `spec` contends: at least one
+    /// slot.
+    fn new(spec: &MemorySpec, cores: usize) -> Result<Self, ExpError> {
+        Ok(MemState {
+            policy: default_arbitration_registry().build(&spec.arbitration, spec)?,
+            sub: MemorySubsystem::new(spec.slots as usize),
             wait_since: vec![None; cores],
             holding: vec![false; cores],
             cancelled: SimDuration::ZERO,
@@ -469,7 +437,7 @@ impl MemState {
                 arbitration: spec.arbitration.clone(),
                 ..MemoryReport::default()
             },
-        }
+        })
     }
 }
 
@@ -505,24 +473,17 @@ thread_local! {
         std::cell::RefCell::new(EngineScratch::default());
 }
 
-/// Runs `graph` as a closed run on the thread's scratch buffers.
+/// Runs `graph` as a closed run of `spec` on the thread's scratch buffers.
 ///
-/// Fault-free runs cannot fail; a faulted run fails cleanly when the
-/// recovery key is unknown or the injected schedule stalls the machine.
+/// A run without faults or memory contention cannot fail; otherwise it
+/// fails cleanly when the recovery or arbitration key is unknown or the
+/// injected schedule stalls the machine.
 fn run_with_scratch(
-    params: &EngineParams,
+    spec: &ScenarioSpec,
     resolved: ResolvedPolicies,
     graph: &TaskGraph,
     workload: &str,
 ) -> Result<(RunReport, Trace), ExpError> {
-    let recovery = match &params.faults {
-        Some(f) => Some(default_recovery_registry().build(&f.recovery, f)?),
-        None => None,
-    };
-    let arbitration = match &params.memory {
-        Some(m) => Some(default_arbitration_registry().build(&m.arbitration, m)?),
-        None => None,
-    };
     SCRATCH.with(|cell| {
         let EngineScratch {
             mut bufs,
@@ -540,11 +501,11 @@ fn run_with_scratch(
             estimator,
             view,
             indegree,
-            costs: params.costs,
+            costs: spec.costs,
             submitted: 0,
             done: 0,
         };
-        let mut engine = Engine::new(params, resolved, source, bufs, recovery, arbitration);
+        let mut engine = Engine::new(spec, resolved, source, bufs)?;
         let result = engine.run(workload);
         let Engine {
             events,
@@ -580,20 +541,22 @@ impl SimExecutor {
         registries: &PolicyRegistries,
     ) -> Result<(RunReport, Trace), ExpError> {
         spec.validate()?;
-        let resolve = || registries.resolve(spec);
         // Graph and report label come from one workload load, so a store
         // cell can never name a different revision of an unpinned TDG
         // file than the graph that actually ran.
         let (graph, label) = spec.workload.build_labeled_graph()?;
-        let mut engine_params = EngineParams::from(spec);
-        let (mut report, trace) = run_with_scratch(&engine_params, resolve()?, &graph, &label)?;
+        let (mut report, trace) =
+            run_with_scratch(spec, registries.resolve(spec)?, &graph, &label)?;
         // Faulted cells also run their fault-free twin (same spec, no
         // schedule) so the report carries makespan degradation — the
         // number the robustness tables plot.
         if report.fault.is_some() {
-            engine_params.faults = None;
-            engine_params.trace = TraceMode::Off;
-            let (twin, _) = run_with_scratch(&engine_params, resolve()?, &graph, &label)?;
+            let twin = ScenarioSpec {
+                faults: None,
+                trace: TraceMode::Off,
+                ..spec.clone()
+            };
+            let (twin, _) = run_with_scratch(&twin, registries.resolve(&twin)?, &graph, &label)?;
             let faulted_ps = report.exec_time.as_ps();
             if let Some(fault) = report.fault.as_mut() {
                 if twin.exec_time.as_ps() > 0 {
@@ -670,11 +633,6 @@ impl<'g> Source<'g> for Closed<'g> {
         self.view.profile(task)
     }
 
-    #[inline]
-    fn mem_ps(&self, task: TaskId) -> u64 {
-        self.view.mem_ps(task)
-    }
-
     fn level(&mut self, task: TaskId) -> u8 {
         self.classify(task)
     }
@@ -717,10 +675,15 @@ impl<'g> Source<'g> for Closed<'g> {
 /// The engine: one simulated machine running the paper's runtime over the
 /// tasks a [`Source`] releases.
 pub(crate) struct Engine<'g, S> {
-    cfg: &'g EngineParams,
+    spec: &'g ScenarioSpec,
     src: S,
     machine: Machine,
     policy: Box<dyn SchedulerPolicy>,
+    /// Tasks in the policy's ready queues: up on every enqueue, down on
+    /// every dequeue (shed discards included), so dispatch skips its walk
+    /// without asking the policy. Debug builds check it against
+    /// `policy.len()` after every dispatch.
+    queued: usize,
     accel: Box<dyn AccelManager>,
     events: EventQueue<Ev>,
     cores: Vec<CoreCtl<'g>>,
@@ -740,7 +703,6 @@ pub(crate) struct Engine<'g, S> {
     /// machine-finish instant even when an open run's trailing arrivals
     /// were dropped).
     horizon: SimTime,
-    is_fast_static: Vec<bool>,
     /// Fault-injection bookkeeping; `None` on a perfect machine.
     fault: Option<FaultState>,
     /// Memory-gate bookkeeping; `None` on the uncontended machine.
@@ -748,39 +710,40 @@ pub(crate) struct Engine<'g, S> {
 }
 
 impl<'g, S: Source<'g>> Engine<'g, S> {
-    /// Builds the machine and policies from `resolved`; `source` builds
-    /// the task source from the resolved criticality estimator.
+    /// The engine for `spec`, on the machine and policies of `resolved`;
+    /// `source` builds the task source from the resolved criticality
+    /// estimator. Fails when the spec's recovery or arbitration key is
+    /// unknown.
     pub(crate) fn new(
-        cfg: &'g EngineParams,
+        spec: &'g ScenarioSpec,
         resolved: ResolvedPolicies,
         source: impl FnOnce(Box<dyn CriticalityEstimator>) -> S,
         bufs: EngineBufs,
-        recovery: Option<Box<dyn RecoveryPolicy>>,
-        arbitration: Option<Box<dyn ArbitrationPolicy>>,
-    ) -> Self {
-        let n_cores = cfg.machine.num_cores;
+    ) -> Result<Self, ExpError> {
+        let n_cores = spec.machine.num_cores;
         assert!(
-            cfg.fast_cores <= n_cores,
+            spec.fast_cores <= n_cores,
             "fast_cores {} exceeds machine size {n_cores}",
-            cfg.fast_cores
+            spec.fast_cores
         );
+        let fault = match &spec.faults {
+            Some(f) => Some(FaultState::new(f, spec.seed, n_cores)?),
+            None => None,
+        };
+        // An unlimited-slot spec is the uncontended model: no gate.
+        let mem = match spec.memory.as_ref().filter(|m| !m.is_noop()) {
+            Some(m) => Some(MemState::new(m, n_cores)?),
+            None => None,
+        };
 
         let ResolvedPolicies {
             policy,
             estimator,
             accel,
-            mut machine,
+            machine,
             is_fast_static,
             prefer_fast,
         } = resolved;
-
-        // A contended scenario attaches the shared memory subsystem to
-        // the machine as an explicit component; uncontended runs leave
-        // the machine exactly as the registry built it.
-        let mem = cfg.memory.as_ref().zip(arbitration).map(|(spec, policy)| {
-            machine.attach_memory(spec.slots as usize);
-            MemState::new(spec, policy, n_cores)
-        });
 
         let EngineBufs {
             events,
@@ -790,11 +753,12 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         crit.clear();
         idle.reset(n_cores, prefer_fast, &is_fast_static);
 
-        Engine {
-            cfg,
+        Ok(Engine {
+            spec,
             src: source(estimator),
             machine,
             policy,
+            queued: 0,
             accel,
             events,
             cores: (0..n_cores)
@@ -809,17 +773,12 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             new_idle: (0..n_cores as u32).collect(),
             crit,
             counters: Counters::default(),
-            trace: Trace::with_mode(cfg.trace),
+            trace: Trace::with_mode(spec.trace),
             last_completion: SimTime::ZERO,
             horizon: SimTime::ZERO,
-            is_fast_static,
-            fault: cfg
-                .faults
-                .as_ref()
-                .zip(recovery)
-                .map(|(spec, policy)| FaultState::new(spec, policy, cfg.seed, n_cores)),
+            fault,
             mem,
-        }
+        })
     }
 
     /// Lends the source the ready queues and per-task tables for one hook.
@@ -827,6 +786,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
     fn with_ready<R>(&mut self, hook: impl FnOnce(&mut S, &mut Ready<'_>) -> R) -> R {
         let mut ready = Ready {
             policy: self.policy.as_mut(),
+            queued: &mut self.queued,
             crit: &mut self.crit,
             fault: self.fault.as_mut(),
         };
@@ -859,12 +819,12 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
 
         while self.src.pending() {
             let Some((now, ev)) = self.events.pop() else {
-                let ready = self.policy.len();
+                let ready = self.queued;
                 if let Some(fs) = &self.fault {
                     // An exhausted queue with work remaining is a *clean*
                     // outcome under fault injection: the schedule removed
                     // the capacity the rest of the run needed.
-                    let dead = fs.failed.iter().filter(|&&f| f).count();
+                    let dead = fs.fail_since.iter().filter(|t| t.is_some()).count();
                     return Err(ExpError::Stalled(format!(
                         "fault schedule removed the capacity the run needed: \
                          {}, {ready} ready, {dead} core(s) failed",
@@ -890,12 +850,8 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         // Close the capacity ledger: cores still failed at run end lost
         // the remainder of the window.
         let fault = self.fault.take().map(|mut fs| {
-            for i in 0..fs.failed.len() {
-                if fs.failed[i] {
-                    if let Some(t) = fs.fail_since[i].take() {
-                        fs.report.capacity_lost += end.saturating_since(t);
-                    }
-                }
+            for t in fs.fail_since.iter_mut().filter_map(Option::take) {
+                fs.report.capacity_lost += end.saturating_since(t);
             }
             fs.report
         });
@@ -903,13 +859,10 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             if cfg!(debug_assertions) {
                 // Every request is serviced (its wait included), cancelled
                 // by a core failure, or still queued behind shed work.
-                let queued = self
-                    .machine
-                    .memory()
-                    .map_or(0, |m| m.waiters().iter().map(|r| r.mem_ps).sum());
+                let waiting: u64 = ms.sub.waiters().iter().map(|r| r.mem_ps).sum();
                 let r = &ms.report;
                 assert_eq!(
-                    r.serviced + ms.cancelled + SimDuration::from_ps(queued),
+                    r.serviced + ms.cancelled + SimDuration::from_ps(waiting),
                     r.demand + r.total_wait,
                     "memory ledger: serviced + cancelled + queued != demand + wait"
                 );
@@ -929,13 +882,13 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
                 );
             }
         }
-        let energy = integrate_machine(&self.machine, end.since(SimTime::ZERO), &self.cfg.power);
+        let energy = integrate_machine(&self.machine, end.since(SimTime::ZERO), &self.spec.power);
         let stats = self.accel.stats();
         let agg_core_time = end.as_ps().saturating_mul(self.machine.num_cores() as u64);
         Ok(RunReport {
-            label: self.cfg.label.clone(),
+            label: self.spec.name.clone(),
             workload: workload.to_string(),
-            fast_cores: self.cfg.fast_cores,
+            fast_cores: self.spec.fast_cores,
             exec_time: end.since(SimTime::ZERO),
             energy,
             counters: self.counters.clone(),
@@ -993,10 +946,9 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         let Some(fs) = self.fault.as_mut() else {
             return;
         };
-        if fs.failed[i] {
+        if fs.fail_since[i].is_some() {
             return; // overlapping windows: already down
         }
-        fs.failed[i] = true;
         fs.fail_since[i] = Some(now);
         fs.report.injected += 1;
 
@@ -1025,13 +977,12 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         // released (a waiter may be granted right now), a queued request
         // is cancelled.
         if let Some(ms) = self.mem.as_mut() {
-            let sub = self.machine.memory_mut().expect("memory subsystem");
             if ms.holding[i] {
                 ms.holding[i] = false;
-                sub.release();
+                ms.sub.release();
                 self.mem_grant(now);
             } else if ms.wait_since[i].take().is_some() {
-                if let Some(req) = sub.cancel_core(core) {
+                if let Some(req) = ms.sub.cancel_core(core) {
                     ms.cancelled += SimDuration::from_ps(req.mem_ps);
                 }
             }
@@ -1074,6 +1025,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             self.crit[task.index()] = true;
         }
         self.policy.enqueue(task, level);
+        self.queued += 1;
     }
 
     /// A failed core's recovery window closed: it rejoins the idle index
@@ -1084,14 +1036,11 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         let Some(fs) = self.fault.as_mut() else {
             return;
         };
-        if !fs.failed[i] {
+        let Some(t) = fs.fail_since[i].take() else {
             return;
-        }
-        fs.failed[i] = false;
+        };
         fs.report.recovered_cores += 1;
-        if let Some(t) = fs.fail_since[i].take() {
-            fs.report.capacity_lost += now.saturating_since(t);
-        }
+        fs.report.capacity_lost += now.saturating_since(t);
         let ctl = &mut self.cores[i];
         ctl.epoch += 1;
         ctl.run = CoreRun::Idle;
@@ -1111,10 +1060,10 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         // commitment invariant is the one reconfiguration serialization
         // protects.
         debug_assert!(
-            self.machine.accelerated_count() <= self.cfg.fast_cores,
+            self.machine.accelerated_count() <= self.spec.fast_cores,
             "committed budget exceeded: {} > {}",
             self.machine.accelerated_count(),
-            self.cfg.fast_cores
+            self.spec.fast_cores
         );
         for &(at, core) in &effects.settles {
             self.events.push(at, Ev::DvfsSettle { core: core.0 });
@@ -1130,33 +1079,29 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
     /// nothing — a slow core may only steal critical work once the pass
     /// that drained the last idle fast core is over, exactly as before.
     fn dispatch(&mut self, now: SimTime) {
-        // `policy.len() == 0` ⇒ `dequeue` cannot serve anyone; skip the
-        // walk entirely (the common case right after a milestone event).
-        while !self.policy.is_empty() {
+        // An empty ready queue cannot serve anyone: skip the walk entirely
+        // (the common case right after a milestone event), and end it as
+        // soon as the queue drains.
+        while self.queued > 0 {
             let mut assigned = false;
             let mut cur = self.idle.first();
-            while let Some(core) = cur {
+            while let Some(core) = cur.filter(|_| self.queued > 0) {
                 // Capture the successor first: `assign` unlinks `core`.
                 let nxt = self.idle.next_after(core);
-                let ctx = DispatchCtx {
-                    fast_core_idle: self.idle.any_fast_available()
-                        && !self.is_fast_static[core.index()],
-                };
-                if self.policy.has_work_for(core, ctx) {
-                    if let Some(task) = self.policy.dequeue(core, ctx, &mut self.counters) {
-                        if self.src.is_shed(task) {
-                            // Shed work still queued: discard it, with
-                            // any displacement it was requeued after,
-                            // and let the same core draw again.
-                            if let Some(fs) = self.fault.as_mut() {
-                                fs.take_displaced(task);
-                            }
-                            assigned = true;
-                            continue;
+                let ctx = self.idle.dispatch_ctx(core);
+                if let Some(task) = self.policy.dequeue(core, ctx, &mut self.counters) {
+                    self.queued -= 1;
+                    assigned = true;
+                    if self.src.is_shed(task) {
+                        // Shed work still queued: discard it, with any
+                        // displacement it was requeued after, and let the
+                        // same core draw again.
+                        if let Some(fs) = self.fault.as_mut() {
+                            fs.take_displaced(task);
                         }
-                        self.assign(core, task, now);
-                        assigned = true;
+                        continue;
                     }
+                    self.assign(core, task, now);
                 }
                 cur = nxt;
             }
@@ -1164,6 +1109,11 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
                 break;
             }
         }
+        debug_assert_eq!(
+            self.queued,
+            self.policy.len(),
+            "ready count drifted from the policy's queues"
+        );
         // Cores that entered the idle loop since the last dispatch and are
         // still idle: arm the CATA deceleration debounce (§V-B deceleration
         // fires only if the core is *still* idle after the delay) and the
@@ -1183,11 +1133,11 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
                 c.idle_notified = true;
                 let epoch = c.epoch;
                 self.events.push(
-                    now + self.cfg.idle_decel_delay,
+                    now + self.spec.idle_decel_delay,
                     Ev::IdleDecel { core, epoch },
                 );
             }
-            if let Some(delay) = self.cfg.idle_to_halt {
+            if let Some(delay) = self.spec.idle_to_halt {
                 let c = &mut self.cores[core as usize];
                 if !c.halt_scheduled {
                     c.halt_scheduled = true;
@@ -1227,9 +1177,9 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
                 .accel
                 .on_core_wake(core, now, &mut self.machine, &mut self.counters);
             self.push_settles(&e);
-            t += self.cfg.wake_latency;
+            t += self.spec.wake_latency;
         }
-        t += self.cfg.costs.dispatch;
+        t += self.spec.costs.dispatch;
 
         let critical = self.crit[task.index()];
         let e = self
@@ -1273,7 +1223,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
     /// frequency-invariant) while the body runs concurrently.
     fn gate_or_begin(&mut self, core: CoreId, task: TaskId, now: SimTime) {
         let mem_ps = match self.mem {
-            Some(_) => self.src.mem_ps(task),
+            Some(_) => self.src.profile(task).mem_ps,
             None => 0,
         };
         if mem_ps == 0 {
@@ -1287,11 +1237,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         if crit {
             ms.report.crit_requests += 1;
         }
-        let sub = self
-            .machine
-            .memory_mut()
-            .expect("contended machine carries a memory subsystem");
-        if sub.try_acquire() {
+        if ms.sub.try_acquire() {
             ms.holding[core.index()] = true;
             ms.report.serviced += SimDuration::from_ps(mem_ps);
             let epoch = self.cores[core.index()].epoch;
@@ -1304,7 +1250,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             );
             self.begin_body(core, task, now);
         } else {
-            sub.enqueue(core, u8::from(crit), mem_ps);
+            ms.sub.enqueue(core, u8::from(crit), mem_ps);
             ms.report.waited += 1;
             ms.wait_since[core.index()] = Some(now);
             self.cores[core.index()].run = CoreRun::MemWait { task };
@@ -1338,10 +1284,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             return;
         }
         ms.holding[core.index()] = false;
-        self.machine
-            .memory_mut()
-            .expect("memory subsystem")
-            .release();
+        ms.sub.release();
         self.mem_grant(now);
     }
 
@@ -1353,8 +1296,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             let Some(ms) = self.mem.as_mut() else {
                 return;
             };
-            let sub = self.machine.memory_mut().expect("memory subsystem");
-            let Some(req) = sub.grant(ms.policy.as_mut()) else {
+            let Some(req) = ms.sub.grant(ms.policy.as_mut()) else {
                 return;
             };
             let core = req.core;
@@ -1625,8 +1567,7 @@ mod tests {
         let resolved = default_registries()
             .resolve(spec)
             .expect("builtin keys resolve");
-        run_with_scratch(&EngineParams::from(spec), resolved, g, "test")
-            .expect("fault-free runs cannot fail")
+        run_with_scratch(spec, resolved, g, "test").expect("fault-free runs cannot fail")
     }
 
     fn run_cfg(spec: &ScenarioSpec, g: &TaskGraph) -> RunReport {
@@ -1641,20 +1582,21 @@ mod tests {
     fn all_cores_dead_terminates_with_stalled_error() {
         use crate::fault::{CoreFailure, FaultSpec};
         let g = fork_join(2_000_000);
-        let spec = small("FIFO", 4, 2);
-        let mut params = EngineParams::from(&spec);
-        params.faults = Some(FaultSpec {
-            core_failures: (0..4)
-                .map(|core| CoreFailure {
-                    core,
-                    at: SimDuration::from_us(1),
-                    recover_after: None,
-                })
-                .collect(),
-            ..FaultSpec::default()
-        });
+        let spec = ScenarioSpec {
+            faults: Some(FaultSpec {
+                core_failures: (0..4)
+                    .map(|core| CoreFailure {
+                        core,
+                        at: SimDuration::from_us(1),
+                        recover_after: None,
+                    })
+                    .collect(),
+                ..FaultSpec::default()
+            }),
+            ..small("FIFO", 4, 2)
+        };
         let resolved = default_registries().resolve(&spec).unwrap();
-        let err = run_with_scratch(&params, resolved, &g, "dead").unwrap_err();
+        let err = run_with_scratch(&spec, resolved, &g, "dead").unwrap_err();
         assert!(
             matches!(err, ExpError::Stalled(_)),
             "want Stalled, got: {err}"

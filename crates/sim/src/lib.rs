@@ -27,8 +27,9 @@
 //!   frequency/voltage state, DVFS transitions in flight, and the Table I
 //!   configuration ([`machine::MachineConfig`]).
 //! - [`memory`]: the shared memory subsystem ([`memory::MemorySubsystem`])
-//!   the machine optionally carries — bandwidth slots that co-running
-//!   tasks contend for, arbitrated by a pluggable
+//!   an engine keeps beside the machine when it models contention —
+//!   bandwidth slots that co-running tasks contend for, arbitrated by a
+//!   pluggable
 //!   [`memory::ArbitrationPolicy`] (FIFO / criticality-first /
 //!   round-robin).
 //! - [`seeded`]: the one SplitMix64 / FNV-1a implementation every seeded

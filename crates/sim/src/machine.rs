@@ -8,7 +8,6 @@
 //! running at its old frequency.
 
 use crate::activity::{Activity, ActivityTimeline};
-use crate::memory::MemorySubsystem;
 use crate::time::{Frequency, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -253,17 +252,13 @@ impl Core {
 }
 
 /// The simulated chip: an indexed collection of [`Core`]s plus the static
-/// [`MachineConfig`] — and, when the scenario models shared-resource
-/// interference, a [`MemorySubsystem`] component the cores contend on.
+/// [`MachineConfig`]. The shared memory the cores may contend on is not
+/// part of it: an engine that models contention keeps its own
+/// [`MemorySubsystem`](crate::memory::MemorySubsystem).
 #[derive(Debug, Clone)]
 pub struct Machine {
     config: MachineConfig,
     cores: Vec<Core>,
-    /// The shared memory subsystem, when attached. `None` is the
-    /// uncontended legacy model: memory time elapses for free. Not part
-    /// of [`MachineConfig`] (which is serialized in specs); contention
-    /// config rides the scenario's own `memory` field.
-    memory: Option<MemorySubsystem>,
 }
 
 impl Machine {
@@ -278,11 +273,7 @@ impl Machine {
                 transitions_done: 0,
             })
             .collect();
-        Machine {
-            config,
-            cores,
-            memory: None,
-        }
+        Machine { config, cores }
     }
 
     /// Builds a machine with the first `num_fast` cores settled at the fast
@@ -307,24 +298,6 @@ impl Machine {
     /// The static configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.config
-    }
-
-    /// Attaches a shared [`MemorySubsystem`] with `slots` bandwidth slots,
-    /// replacing any previous one. The uncontended model is the default
-    /// (no subsystem); engines attach one only for contended scenarios.
-    pub fn attach_memory(&mut self, slots: usize) {
-        self.memory = Some(MemorySubsystem::new(slots));
-    }
-
-    /// The attached memory subsystem, if any.
-    pub fn memory(&self) -> Option<&MemorySubsystem> {
-        self.memory.as_ref()
-    }
-
-    /// Mutable access to the attached memory subsystem, if any.
-    #[inline]
-    pub fn memory_mut(&mut self) -> Option<&mut MemorySubsystem> {
-        self.memory.as_mut()
     }
 
     /// Number of cores.
@@ -459,16 +432,6 @@ mod tests {
     #[should_panic(expected = "exceeds core count")]
     fn static_hetero_rejects_too_many_fast() {
         Machine::new_static_hetero(cfg(), 5);
-    }
-
-    #[test]
-    fn memory_subsystem_is_opt_in() {
-        let mut m = Machine::new(cfg());
-        assert!(m.memory().is_none(), "uncontended by default");
-        m.attach_memory(2);
-        assert_eq!(m.memory().unwrap().slots(), 2);
-        assert!(m.memory_mut().unwrap().try_acquire());
-        assert_eq!(m.memory().unwrap().in_use(), 1);
     }
 
     #[test]

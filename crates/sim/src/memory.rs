@@ -4,12 +4,14 @@
 //! The base machine model treats a task's memory time (`mem_ps` in its
 //! [`ExecProfile`](crate::progress::ExecProfile)) as free, uncontended
 //! uncore time — co-runners never slow each other down. This module makes
-//! the shared resource explicit: the [`Machine`](crate::machine::Machine)
-//! can carry a [`MemorySubsystem`] with a configurable number of
-//! *bandwidth slots*. A task with memory demand must hold a slot for its
-//! demand's duration while its body runs; when more tasks demand memory
-//! than slots exist, the surplus queue as [`MemRequest`]s and their wall
-//! time stretches — co-runner interference becomes real and measurable.
+//! the shared resource explicit: a [`MemorySubsystem`] with a configurable
+//! number of *bandwidth slots*, which an engine that models contention
+//! keeps beside its [`Machine`](crate::machine::Machine) together with the
+//! [`ArbitrationPolicy`] that grants the slots. A task with memory demand
+//! must hold a slot for its demand's duration while its body runs; when
+//! more tasks demand memory than slots exist, the surplus queue as
+//! [`MemRequest`]s and their wall time stretches — co-runner interference
+//! becomes real and measurable.
 //!
 //! Which waiter is served when a slot frees is an [`ArbitrationPolicy`]
 //! decision — the pluggable policy family the criticality-aware
@@ -44,8 +46,6 @@ pub struct MemRequest {
 /// non-empty queue. Implementations may keep state (round-robin does) but
 /// must be deterministic: same queue + same internal state ⇒ same pick.
 pub trait ArbitrationPolicy: Send {
-    /// Registry key / display name of the policy.
-    fn name(&self) -> &'static str;
     /// Index into `waiters` of the request to grant next.
     fn pick(&mut self, waiters: &[MemRequest]) -> usize;
 }
@@ -56,10 +56,6 @@ pub trait ArbitrationPolicy: Send {
 pub struct FifoArbitration;
 
 impl ArbitrationPolicy for FifoArbitration {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
     fn pick(&mut self, _waiters: &[MemRequest]) -> usize {
         // Waiters are kept in arrival order; the head is the oldest.
         0
@@ -73,10 +69,6 @@ impl ArbitrationPolicy for FifoArbitration {
 pub struct CritFirstArbitration;
 
 impl ArbitrationPolicy for CritFirstArbitration {
-    fn name(&self) -> &'static str {
-        "crit-first"
-    }
-
     fn pick(&mut self, waiters: &[MemRequest]) -> usize {
         let mut best = 0;
         for (i, w) in waiters.iter().enumerate().skip(1) {
@@ -107,10 +99,6 @@ impl Default for RoundRobinArbitration {
 }
 
 impl ArbitrationPolicy for RoundRobinArbitration {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
     fn pick(&mut self, waiters: &[MemRequest]) -> usize {
         let start = self.last.wrapping_add(1);
         let mut best = 0;

@@ -16,16 +16,13 @@ use crate::bottom_level::BottomLevels;
 use crate::graph::TaskGraph;
 use crate::task::TaskId;
 
-/// A pluggable criticality estimation policy.
+/// A pluggable criticality estimation policy. Its registry key names it.
 ///
 /// Lifecycle: the runtime calls [`on_submit`](Self::on_submit) once per task
-/// at creation (in submission order), [`classify`](Self::classify) when the
-/// task is enqueued in a ready queue, and [`on_complete`](Self::on_complete)
-/// when it finishes.
+/// at creation (in submission order),
+/// [`classify_level`](Self::classify_level) when the task is enqueued in a
+/// ready queue, and [`on_complete`](Self::on_complete) when it finishes.
 pub trait CriticalityEstimator: Send {
-    /// A short name for reports ("SA", "BL").
-    fn name(&self) -> &'static str;
-
     /// Integrates a newly submitted task. Returns the number of TDG node
     /// visits performed; the simulation charges these as runtime overhead on
     /// the submitting thread.
@@ -33,16 +30,10 @@ pub trait CriticalityEstimator: Send {
         0
     }
 
-    /// Decides whether `task` is critical, at ready-queue insertion time.
-    fn classify(&mut self, graph: &TaskGraph, task: TaskId) -> bool;
-
-    /// The task's criticality *level* (the `c` of `criticality(c)`): 0 for
-    /// non-critical, higher values rank more-critical work. The default
-    /// collapses to the binary [`classify`](Self::classify); estimators with
-    /// richer information (static annotations) override it.
-    fn classify_level(&mut self, graph: &TaskGraph, task: TaskId) -> u8 {
-        u8::from(self.classify(graph, task))
-    }
+    /// The task's criticality *level* (the `c` of `criticality(c)`) at
+    /// ready-queue insertion time: 0 for non-critical, higher values rank
+    /// more-critical work.
+    fn classify_level(&mut self, graph: &TaskGraph, task: TaskId) -> u8;
 
     /// Retires a completed task (pending-set maintenance).
     fn on_complete(&mut self, _graph: &TaskGraph, _task: TaskId) {}
@@ -66,14 +57,6 @@ pub trait CriticalityEstimator: Send {
 pub struct StaticAnnotations;
 
 impl CriticalityEstimator for StaticAnnotations {
-    fn name(&self) -> &'static str {
-        "SA"
-    }
-
-    fn classify(&mut self, graph: &TaskGraph, task: TaskId) -> bool {
-        graph.type_of(task).criticality > 0
-    }
-
     fn classify_level(&mut self, graph: &TaskGraph, task: TaskId) -> u8 {
         graph.type_of(task).criticality
     }
@@ -183,10 +166,6 @@ impl Default for BottomLevelEstimator {
 }
 
 impl CriticalityEstimator for BottomLevelEstimator {
-    fn name(&self) -> &'static str {
-        "BL"
-    }
-
     fn on_submit(&mut self, graph: &TaskGraph, task: TaskId) -> u64 {
         debug_assert_eq!(self.pending_flag.len(), task.index());
         self.pending_flag.push(true);
@@ -207,12 +186,13 @@ impl CriticalityEstimator for BottomLevelEstimator {
         })
     }
 
-    fn classify(&mut self, graph: &TaskGraph, task: TaskId) -> bool {
+    /// 1 when the task's BL reaches `alpha` of the pending maximum, else 0.
+    fn classify_level(&mut self, graph: &TaskGraph, task: TaskId) -> u8 {
         debug_assert!(task.index() < graph.num_tasks());
         let bl = self.levels.bl(task);
         let max_pending = self.max_pending_bl().unwrap_or(0);
         let threshold = (self.alpha * max_pending as f64).ceil() as u32;
-        bl >= threshold
+        u8::from(bl >= threshold)
     }
 
     fn on_complete(&mut self, _graph: &TaskGraph, task: TaskId) {
@@ -379,10 +359,9 @@ mod tests {
         let a = g.add_task(hot, p(), &[]);
         let b = g.add_task(cold, p(), &[]);
         let mut sa = StaticAnnotations;
-        assert!(sa.classify(&g, a));
-        assert!(!sa.classify(&g, b));
+        assert_eq!(sa.classify_level(&g, a), 1);
+        assert_eq!(sa.classify_level(&g, b), 0);
         assert_eq!(sa.on_submit(&g, a), 0, "SA must be overhead-free");
-        assert_eq!(sa.name(), "SA");
     }
 
     #[test]
@@ -400,8 +379,16 @@ mod tests {
         let t3 = g.add_task(ty, p(), &[]);
         bl.on_submit(&g, t3);
 
-        assert!(bl.classify(&g, t0), "chain head is on the longest path");
-        assert!(!bl.classify(&g, t3), "isolated leaf is not critical");
+        assert_eq!(
+            bl.classify_level(&g, t0),
+            1,
+            "chain head is on the longest path"
+        );
+        assert_eq!(
+            bl.classify_level(&g, t3),
+            0,
+            "isolated leaf is not critical"
+        );
         assert_eq!(bl.max_pending_bl(), Some(2));
     }
 
@@ -418,13 +405,13 @@ mod tests {
         bl.on_submit(&g, t2);
 
         // BLs: t0=1, t1=0, t2=0; max pending = 1, so only t0 is critical.
-        assert!(bl.classify(&g, t0));
-        assert!(!bl.classify(&g, t2));
+        assert_eq!(bl.classify_level(&g, t0), 1);
+        assert_eq!(bl.classify_level(&g, t2), 0);
         bl.on_complete(&g, t0);
         // Now everything pending has BL 0 — all tasks tie on the "longest"
         // path and classify as critical.
         assert_eq!(bl.max_pending_bl(), Some(0));
-        assert!(bl.classify(&g, t2));
+        assert_eq!(bl.classify_level(&g, t2), 1);
     }
 
     #[test]
@@ -446,10 +433,10 @@ mod tests {
             ids.push(id);
         }
         // BLs: 3,2,1,0. Strict: only BL 3. Loose (ceil(0.5*3)=2): BL >= 2.
-        assert!(strict.classify(&g, ids[0]));
-        assert!(!strict.classify(&g, ids[1]));
-        assert!(loose.classify(&g, ids[1]));
-        assert!(!loose.classify(&g, ids[2]));
+        assert_eq!(strict.classify_level(&g, ids[0]), 1);
+        assert_eq!(strict.classify_level(&g, ids[1]), 0);
+        assert_eq!(loose.classify_level(&g, ids[1]), 1);
+        assert_eq!(loose.classify_level(&g, ids[2]), 0);
     }
 
     #[test]

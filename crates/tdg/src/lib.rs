@@ -41,8 +41,8 @@
 //! let b = g.add_task(critical_ty, ExecProfile::new(9000, 0), &[a]);
 //!
 //! let mut sa = StaticAnnotations;
-//! assert!(!sa.classify(&g, a));
-//! assert!(sa.classify(&g, b));
+//! assert_eq!(sa.classify_level(&g, a), 0);
+//! assert_eq!(sa.classify_level(&g, b), 1);
 //! ```
 
 #![warn(missing_docs)]

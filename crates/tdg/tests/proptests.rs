@@ -112,7 +112,7 @@ proptest! {
 
     /// The BL estimator classifies at least one pending task as critical
     /// whenever anything is pending (the longest path always exists), and
-    /// classification levels collapse consistently to the binary decision.
+    /// its levels are binary.
     #[test]
     fn bl_always_has_a_critical_task(n in 1usize..40, p in 0.0f64..0.5, seed in any::<u64>()) {
         let g = random_graph(n, p, seed);
@@ -120,12 +120,8 @@ proptest! {
         for t in g.task_ids() {
             bl.on_submit(&g, t);
         }
-        let any_critical = g.task_ids().any(|t| bl.classify(&g, t));
-        prop_assert!(any_critical, "no critical task among {} pending", n);
-        for t in g.task_ids() {
-            let c = bl.classify(&g, t);
-            let l = bl.classify_level(&g, t);
-            prop_assert_eq!(c, l > 0);
-        }
+        let levels: Vec<u8> = g.task_ids().map(|t| bl.classify_level(&g, t)).collect();
+        prop_assert!(levels.contains(&1), "no critical task among {} pending", n);
+        prop_assert!(levels.iter().all(|&l| l <= 1), "non-binary level in {:?}", levels);
     }
 }

@@ -230,9 +230,6 @@ struct LifoPolicy {
 }
 
 impl SchedulerPolicy for LifoPolicy {
-    fn name(&self) -> &'static str {
-        "LIFO"
-    }
     fn enqueue(&mut self, task: TaskId, _level: u8) {
         self.stack.push(task);
     }
@@ -246,9 +243,6 @@ impl SchedulerPolicy for LifoPolicy {
     }
     fn len(&self) -> usize {
         self.stack.len()
-    }
-    fn has_work_for(&self, _core: CoreId, _ctx: DispatchCtx) -> bool {
-        !self.stack.is_empty()
     }
 }
 
