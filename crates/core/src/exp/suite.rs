@@ -262,42 +262,9 @@ impl Suite {
     /// worker threads. Results come back in input order; each entry is the
     /// run's report or its error.
     pub fn run<E: Executor + ?Sized>(&self, executor: &E) -> Vec<Result<RunReport, ExpError>> {
-        let n = self.scenarios.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.jobs.clamp(1, n);
-        if workers == 1 {
-            return self
-                .scenarios
-                .iter()
-                .map(|s| execute_checked(executor, s))
-                .collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<RunReport, ExpError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = execute_checked(executor, &self.scenarios[i]);
-                    *slots[i].lock().expect("result slot") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot")
-                    .expect("every scenario executed")
-            })
-            .collect()
+        run_pool(self.scenarios.len(), self.jobs, |i| {
+            execute_checked(executor, &self.scenarios[i])
+        })
     }
 
     /// Like [`run`](Self::run), but every completed cell is streamed into
@@ -442,43 +409,15 @@ impl Suite {
             outcome
         };
 
-        let workers = self.jobs.clamp(1, pending.len().max(1));
-        let mut fresh: Vec<Option<Result<RunReport, ExpError>>> = Vec::new();
-        if workers <= 1 {
-            fresh.extend(pending.iter().map(|&pos| Some(execute_one(pos))));
-        } else {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<Result<RunReport, ExpError>>>> =
-                (0..pending.len()).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= pending.len() {
-                            break;
-                        }
-                        let result = execute_one(pending[k]);
-                        *slots[k].lock().expect("result slot") = Some(result);
-                    });
-                }
-            });
-            fresh.extend(
-                slots
-                    .into_iter()
-                    .map(|slot| slot.into_inner().expect("result slot")),
-            );
-        }
-
-        let mut by_pos: HashMap<usize, Result<RunReport, ExpError>> = pending
-            .iter()
-            .zip(fresh)
-            .map(|(&pos, r)| (pos, r.expect("every pending cell executed")))
-            .collect();
+        let fresh = run_pool(pending.len(), self.jobs, |k| execute_one(pending[k]));
+        // `pending` is ascending, so its results interleave with the
+        // resumed cells in one pass.
+        let mut fresh = pending.iter().copied().zip(fresh).peekable();
         let mut results = Vec::with_capacity(n);
         let mut resumed = 0;
         for i in 0..n {
-            match by_pos.remove(&i) {
-                Some(r) => results.push(r),
+            match fresh.next_if(|&(pos, _)| pos == i) {
+                Some((_, r)) => results.push(r),
                 None => {
                     let rec = completed[&(self.indices[i], digests[i].as_str())];
                     results.push(Ok(rec.report.clone()));
@@ -501,6 +440,39 @@ impl Suite {
             .map(|r| r.unwrap_or_else(|e| panic!("suite run failed: {e}")))
             .collect()
     }
+}
+
+/// Runs `job(k)` for every `k` in `0..n` on up to `jobs` scoped worker
+/// threads, each taking the next unclaimed `k`, and returns the results
+/// in `k` order. With one worker (or at most one job) it runs serially
+/// on the calling thread.
+fn run_pool<T: Send>(n: usize, jobs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = jobs.clamp(1, n.max(1));
+    if workers == 1 {
+        return (0..n).map(job).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                if k >= n {
+                    break;
+                }
+                let result = job(k);
+                *slots[k].lock().expect("result slot") = Some(result);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot")
+                .expect("every job ran")
+        })
+        .collect()
 }
 
 #[cfg(test)]
