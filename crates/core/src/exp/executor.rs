@@ -293,10 +293,6 @@ impl FlakyDvfs {
 }
 
 impl DvfsBackend for FlakyDvfs {
-    fn name(&self) -> &'static str {
-        "flaky"
-    }
-
     fn set_speed(&self, cpu: usize, khz: u32) -> std::io::Result<()> {
         if self.next_unit() < self.p {
             return Err(std::io::Error::new(

@@ -227,16 +227,6 @@ impl PolicyRegistries {
         self.schedulers.keys()
     }
 
-    /// The registered estimator keys, sorted.
-    pub fn estimator_keys(&self) -> Vec<String> {
-        self.estimators.keys()
-    }
-
-    /// The registered acceleration-manager keys, sorted.
-    pub fn accel_keys(&self) -> Vec<String> {
-        self.accels.keys()
-    }
-
     /// Constructs a scheduler policy by key (trait-object path).
     pub fn build_scheduler(
         &self,

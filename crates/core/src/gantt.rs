@@ -145,7 +145,6 @@ pub fn render(trace: &Trace, num_cores: usize, end: SimTime, width: usize) -> St
                     }
                 });
             }
-            TraceEvent::ReconfigRequest { .. } => {}
         }
     }
 

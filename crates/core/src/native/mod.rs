@@ -893,10 +893,6 @@ mod tests {
     }
 
     impl DvfsBackend for SlowWrites {
-        fn name(&self) -> &'static str {
-            "slow-writes"
-        }
-
         fn set_speed(&self, _cpu: usize, _khz: u32) -> std::io::Result<()> {
             let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
             self.max_in_flight.fetch_max(now, Ordering::SeqCst);

@@ -15,9 +15,6 @@ use std::path::{Path, PathBuf};
 /// Implementations must be cheap to share across worker threads; all methods
 /// take `&self`.
 pub trait DvfsBackend: Send + Sync {
-    /// A short name for reports ("sysfs", "mock", "null").
-    fn name(&self) -> &'static str;
-
     /// Requests that core `cpu` run at `khz` kilohertz.
     fn set_speed(&self, cpu: usize, khz: u32) -> io::Result<()>;
 
@@ -98,10 +95,6 @@ impl SysfsDvfs {
 }
 
 impl DvfsBackend for SysfsDvfs {
-    fn name(&self) -> &'static str {
-        "sysfs"
-    }
-
     fn set_speed(&self, cpu: usize, khz: u32) -> io::Result<()> {
         if cpu >= self.num_cpus {
             return Err(io::Error::new(
@@ -183,10 +176,6 @@ impl MockDvfs {
 }
 
 impl DvfsBackend for MockDvfs {
-    fn name(&self) -> &'static str {
-        "mock"
-    }
-
     fn set_speed(&self, cpu: usize, khz: u32) -> io::Result<()> {
         let mut st = self.state.lock();
         if cpu >= self.num_cpus {
@@ -244,10 +233,6 @@ impl NullDvfs {
 }
 
 impl DvfsBackend for NullDvfs {
-    fn name(&self) -> &'static str {
-        "null"
-    }
-
     fn set_speed(&self, _cpu: usize, _khz: u32) -> io::Result<()> {
         Ok(())
     }
@@ -310,6 +295,5 @@ mod tests {
         let n = NullDvfs::new(8);
         n.set_speed(0, 123).unwrap();
         assert_eq!(n.num_cpus(), 8);
-        assert_eq!(n.name(), "null");
     }
 }

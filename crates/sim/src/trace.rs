@@ -40,13 +40,6 @@ pub enum TraceEvent {
         /// Task identifier.
         task: u32,
     },
-    /// A DVFS transition was requested for a core.
-    ReconfigRequest {
-        /// Target core.
-        core: CoreId,
-        /// Requested level.
-        target: PowerLevel,
-    },
     /// A DVFS transition settled and the new level took effect.
     ReconfigApplied {
         /// Target core.
@@ -141,7 +134,8 @@ pub struct TraceCounts {
     pub task_starts: u64,
     /// Task completions.
     pub task_ends: u64,
-    /// DVFS transitions requested.
+    /// DVFS transitions requested. No event kind feeds it, so the engine
+    /// leaves it at 0; the field stays because stored reports carry it.
     pub reconfig_requests: u64,
     /// DVFS transitions settled.
     pub reconfigs_applied: u64,
@@ -156,7 +150,6 @@ impl TraceCounts {
         match event {
             TraceEvent::TaskStart { .. } => self.task_starts += 1,
             TraceEvent::TaskEnd { .. } => self.task_ends += 1,
-            TraceEvent::ReconfigRequest { .. } => self.reconfig_requests += 1,
             TraceEvent::ReconfigApplied { .. } => self.reconfigs_applied += 1,
             TraceEvent::Halt { .. } => self.halts += 1,
             TraceEvent::Wake { .. } => self.wakes += 1,
@@ -270,54 +263,6 @@ impl Trace {
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
     }
-
-    /// Iterates entries matching a predicate.
-    pub fn filter<'a>(
-        &'a self,
-        mut pred: impl FnMut(&TraceEvent) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a TraceRecord> + 'a {
-        self.records.iter().filter(move |r| pred(&r.event))
-    }
-
-    /// Renders a compact human-readable listing (for examples/debugging).
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for r in &self.records {
-            let _ = match r.event {
-                TraceEvent::TaskStart {
-                    core,
-                    task,
-                    critical,
-                } => writeln!(
-                    out,
-                    "{:>14}  {core}: start task {task}{}",
-                    r.time.to_string(),
-                    if critical { " [critical]" } else { "" }
-                ),
-                TraceEvent::TaskEnd { core, task } => {
-                    writeln!(out, "{:>14}  {core}: end task {task}", r.time.to_string())
-                }
-                TraceEvent::ReconfigRequest { core, target } => writeln!(
-                    out,
-                    "{:>14}  {core}: reconfig -> {target}",
-                    r.time.to_string()
-                ),
-                TraceEvent::ReconfigApplied { core, level } => writeln!(
-                    out,
-                    "{:>14}  {core}: settled at {level}",
-                    r.time.to_string()
-                ),
-                TraceEvent::Halt { core } => {
-                    writeln!(out, "{:>14}  {core}: halt (C1)", r.time.to_string())
-                }
-                TraceEvent::Wake { core } => {
-                    writeln!(out, "{:>14}  {core}: wake (C0)", r.time.to_string())
-                }
-            };
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -352,16 +297,6 @@ mod tests {
         );
         assert_eq!(t.records().len(), 2);
         assert!(t.records()[0].time < t.records()[1].time);
-    }
-
-    #[test]
-    fn filter_selects_events() {
-        let mut t = Trace::enabled();
-        t.record(SimTime::ZERO, TraceEvent::Halt { core: CoreId(1) });
-        t.record(SimTime::from_us(1), TraceEvent::Wake { core: CoreId(1) });
-        t.record(SimTime::from_us(2), TraceEvent::Halt { core: CoreId(2) });
-        let halts: Vec<_> = t.filter(|e| matches!(e, TraceEvent::Halt { .. })).collect();
-        assert_eq!(halts.len(), 2);
     }
 
     #[test]
@@ -426,20 +361,5 @@ mod tests {
             assert_eq!(TraceMode::from_value(&v).unwrap(), want);
         }
         assert!(TraceMode::from_value(&Value::Str("paraver".into())).is_err());
-    }
-
-    #[test]
-    fn render_contains_core_names() {
-        let mut t = Trace::enabled();
-        t.record(
-            SimTime::from_us(3),
-            TraceEvent::ReconfigApplied {
-                core: CoreId(5),
-                level: PowerLevel::paper_fast(),
-            },
-        );
-        let s = t.render();
-        assert!(s.contains("core5"));
-        assert!(s.contains("2GHz"));
     }
 }
