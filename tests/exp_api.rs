@@ -10,7 +10,8 @@ use cata_core::policy::{DispatchCtx, SchedulerPolicy};
 use cata_core::{Executor, SimExecutor};
 use cata_sim::machine::CoreId;
 use cata_sim::stats::Counters;
-use cata_tdg::TaskId;
+use cata_tdg::criticality::CriticalityEstimator;
+use cata_tdg::{TaskGraph, TaskId};
 use cata_workloads::{Benchmark, Scale};
 use std::sync::Arc;
 
@@ -270,6 +271,48 @@ fn custom_policy_registers_and_runs_without_core_enums() {
         .jobs(2)
         .run_all(&SimExecutor);
     assert_eq!(reports[0].exec_time, reports[1].exec_time);
+}
+
+/// An estimator defined here that implements only the required
+/// `classify_level`: the task type's annotation, without claiming
+/// `is_annotation_static`, so the engine asks it for every ready task.
+struct AnnotationLevels;
+
+impl CriticalityEstimator for AnnotationLevels {
+    fn classify_level(&mut self, graph: &TaskGraph, task: TaskId) -> u8 {
+        graph.type_of(task).criticality
+    }
+}
+
+/// The engine serves `static-annotations` levels from the graph's level
+/// column instead of calling the estimator. An estimator that returns the
+/// same levels through the call must give byte-identical reports.
+#[test]
+fn level_column_matches_an_estimator_that_only_classifies() {
+    let mut registries = PolicyRegistries::with_builtins();
+    registries.register_estimator("annotation-levels", |_ctx| Ok(Box::new(AnnotationLevels)));
+    let registries = Arc::new(registries);
+    for bench in [Benchmark::Dedup, Benchmark::Fluidanimate] {
+        for preset in ["CATS+SA", "CATA+RSU"] {
+            let workload = WorkloadSpec::parsec(bench, Scale::Tiny, SEED);
+            let spec = ScenarioSpec::preset(preset, 8, workload).unwrap();
+            assert_eq!(spec.estimator, "static-annotations");
+            let column = Scenario::from_spec(spec.clone()).run(&SimExecutor).unwrap();
+            let called = Scenario::from_spec(ScenarioSpec {
+                estimator: "annotation-levels".into(),
+                ..spec
+            })
+            .with_registries(Arc::clone(&registries))
+            .run(&SimExecutor)
+            .unwrap();
+            assert_eq!(
+                serde_json::to_string(&called).unwrap(),
+                serde_json::to_string(&column).unwrap(),
+                "{preset} on {}",
+                bench.name()
+            );
+        }
+    }
 }
 
 /// The native executor accepts the same scenarios (one call shape across
