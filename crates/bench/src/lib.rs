@@ -1,7 +1,7 @@
 //! # cata-bench — experiment driver
 //!
 //! Shared machinery for regenerating every table and figure of the paper
-//! (see DESIGN.md §4 for the experiment index):
+//! (the README's "Reproducing the paper" gives the commands):
 //!
 //! - [`matrix`]: runs a benchmark × fast-core-count × configuration matrix
 //!   and returns the reports;

@@ -1,6 +1,7 @@
-//! Ablation studies (experiment ids A1–A4 in DESIGN.md), driven through
-//! the `exp` facade: every run is a [`ScenarioSpec`] executed by the
-//! shared suite machinery.
+//! Ablation studies A1–A4 (power budget, reconfiguration latency, BL
+//! threshold, multi-level DVFS; `repro` runs them, see the README's
+//! "Reproducing the paper"), driven through the `exp` facade: every run
+//! is a [`ScenarioSpec`] executed by the shared suite machinery.
 
 use crate::matrix::{run_spec, DEFAULT_SEED};
 use crate::tables::{r3, r3_opt, Table};

@@ -1,7 +1,7 @@
 //! # The experiment facade: scenarios, executors, registries, suites.
 //!
 //! The paper's contribution is a *matrix* of runtime configurations; this
-//! module is the API that matrix is expressed in. Four pieces:
+//! module is the API that matrix is expressed in. Five pieces:
 //!
 //! - [`ScenarioSpec`] — a serde-serializable (JSON/TOML) description of one
 //!   run: machine, workload, policy keys, parameters, costs, seed. A spec

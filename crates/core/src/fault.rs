@@ -11,13 +11,15 @@
 //!   [`ScenarioSpec::faults`](crate::exp::ScenarioSpec) and is *omitted*
 //!   when absent, so every pre-fault spec, store digest and golden
 //!   preset stays byte-identical.
-//! - [`RecoveryPolicy`] / [`RecoveryRegistry`] — the pluggable decision
-//!   of what happens to displaced work (retry on the same core family,
-//!   reroute preferring fast cores, shed non-critical instances while
-//!   degraded): a [`Registry`] of factories, the one type every policy
-//!   family resolves its keys through, so external crates can
-//!   [`insert`](Registry::insert) their own and an unknown key fails with
-//!   [`ExpError::UnknownKey`].
+//! - [`RecoveryPolicy`] / [`RecoveryRegistry`] — the decision of what
+//!   happens to displaced work (retry on the same core family, reroute
+//!   preferring fast cores, shed non-critical instances while degraded):
+//!   a [`Registry`] of factories, the one type every policy family
+//!   resolves its keys through, so an unknown key fails with
+//!   [`ExpError::UnknownKey`]. A run resolves its key through
+//!   [`default_recovery_registry`] only, which holds the three builtins;
+//!   no executor takes another registry, so a policy
+//!   [`insert`](Registry::insert)ed elsewhere never runs.
 //! - [`FaultReport`] — what the run observed: injected/recovered/
 //!   displaced/re-executed counts, capacity-seconds lost, a
 //!   recovery-latency histogram, and makespan degradation vs the

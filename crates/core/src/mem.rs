@@ -14,14 +14,15 @@
 //!   and golden preset stays byte-identical. `slots == 0` means
 //!   unlimited (the uncontended legacy model) and engines bypass the
 //!   gate entirely.
-//! - [`ArbitrationRegistry`] — the pluggable decision of *which* waiter
-//!   is granted a freed slot: a [`Registry`] of factories, the one type
-//!   every policy family resolves its keys through, so external crates
-//!   can [`insert`](Registry::insert) their own and an unknown key fails
-//!   with [`ExpError::UnknownKey`]. Builtins: `fifo` (arrival order),
-//!   `crit-first` (criticality-aware — the CAM idea from the paper,
-//!   critical tasks jump the queue), `round-robin` (core-indexed
-//!   fairness).
+//! - [`ArbitrationRegistry`] — the decision of *which* waiter is granted
+//!   a freed slot: a [`Registry`] of factories, the one type every policy
+//!   family resolves its keys through, so an unknown key fails with
+//!   [`ExpError::UnknownKey`]. A run resolves its key through
+//!   [`default_arbitration_registry`] only, which holds the builtins:
+//!   `fifo` (arrival order), `crit-first` (criticality-aware — the CAM
+//!   idea from the paper, critical tasks jump the queue), `round-robin`
+//!   (core-indexed fairness). No executor takes another registry, so a
+//!   policy [`insert`](Registry::insert)ed elsewhere never runs.
 //! - [`MemoryReport`] — what the run observed at the memory gate:
 //!   request/wait counts, total and worst-case wait, the critical-task
 //!   slice of the waiting (the quantity `crit-first` exists to shrink),

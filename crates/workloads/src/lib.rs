@@ -7,8 +7,9 @@
 //! *shape* — task counts, duration distributions per task type, dependence
 //! topology (fork-join / stencil / pipeline), parent density, criticality
 //! spread across types, and where I/O blocking sits. This crate generates
-//! graphs with exactly those shapes (parameters documented per generator,
-//! DESIGN.md §5 maps each to the paper's description):
+//! graphs with exactly those shapes (parameters documented per generator;
+//! `tests/paper_shapes.rs` pins the observations below, see the README's
+//! "Reproducing the paper"):
 //!
 //! | Generator | Structure | The paper's observations it must reproduce |
 //! |---|---|---|
