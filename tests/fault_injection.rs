@@ -8,7 +8,9 @@ use cata_core::exp::{default_registries, spec_digest, ExpError, ScenarioSpec, Wo
 use cata_core::fault::{CoreFailure, FaultSpec};
 use cata_core::service::{default_admission_registry, run_service, ArrivalSpec, ServiceSpec};
 use cata_core::{RunReport, SimExecutor};
-use cata_sim::time::SimDuration;
+use cata_sim::machine::CoreId;
+use cata_sim::time::{SimDuration, SimTime};
+use cata_sim::trace::{Trace, TraceEvent, TraceRecord};
 use proptest::prelude::*;
 
 const SEED: u64 = 42;
@@ -128,6 +130,130 @@ fn fail_recover_window_restores_capacity() {
     assert_eq!(
         f.capacity_lost, window,
         "a closed recovery window charges exactly its length"
+    );
+}
+
+fn run_traced(spec: &ScenarioSpec) -> (RunReport, Trace) {
+    SimExecutor
+        .run_spec(&spec.clone().with_trace(), default_registries())
+        .expect("run completes")
+}
+
+/// The events that change what `core` is doing (task start and end, halt
+/// and wake), in trace order.
+fn lifecycle(trace: &Trace, core: CoreId) -> Vec<TraceRecord> {
+    let on = |r: &&TraceRecord| match r.event {
+        TraceEvent::TaskStart { core: c, .. }
+        | TraceEvent::TaskEnd { core: c, .. }
+        | TraceEvent::Halt { core: c }
+        | TraceEvent::Wake { core: c } => c == core,
+        TraceEvent::ReconfigApplied { .. } => false,
+    };
+    trace.records().iter().filter(on).copied().collect()
+}
+
+/// Fails `core` at `at` for `window` in `spec` and checks what every
+/// closed window must show: the core starts no task inside it, the
+/// ledger counts one failure, one recovery and exactly the window lost,
+/// and the same seed gives the same report twice. Returns the core's
+/// lifecycle up to `at`, which the run shares with its fault-free twin.
+fn fail_for_a_window(
+    mut spec: ScenarioSpec,
+    core: CoreId,
+    at: SimDuration,
+    window: SimDuration,
+) -> Vec<TraceRecord> {
+    spec.faults = Some(FaultSpec {
+        core_failures: vec![fail_at(core.index(), at, Some(window))],
+        ..FaultSpec::default()
+    });
+    let (report, trace) = run_traced(&spec);
+    let f = report.fault.as_ref().expect("fault report");
+    assert_eq!((f.injected, f.recovered_cores), (1, 1), "{f:?}");
+    assert_eq!(f.capacity_lost, window, "{f:?}");
+    let (down, up) = (SimTime::ZERO + at, SimTime::ZERO + at + window);
+    let events = lifecycle(&trace, core);
+    for r in &events {
+        if let TraceEvent::TaskStart { task, .. } = r.event {
+            assert!(
+                r.time < down || r.time > up,
+                "failed {core} started task {task} at {} inside [{down}, {up}]",
+                r.time
+            );
+        }
+    }
+    let (again, _) = run_traced(&spec);
+    assert_eq!(
+        serde_json::to_string(&again).unwrap(),
+        serde_json::to_string(&report).unwrap(),
+        "same seed, same report"
+    );
+    events.into_iter().filter(|r| r.time <= down).collect()
+}
+
+/// A core that fails while halted in C1 (TurboMode halts a core idle for
+/// 40 µs) leaves the idle cores for its whole window and rejoins them
+/// when it recovers.
+#[test]
+fn failure_of_a_halted_core_recovers() {
+    let spec = base("TurboMode");
+    let (_, trace) = run_traced(&spec);
+    // The first halt with a wake (if any) more than 1 µs later.
+    let (core, halted) = trace
+        .records()
+        .iter()
+        .find_map(|r| {
+            let TraceEvent::Halt { core } = r.event else {
+                return None;
+            };
+            let later = lifecycle(&trace, core)
+                .into_iter()
+                .find(|e| e.time > r.time);
+            later
+                .is_none_or(|e| e.time > r.time + SimDuration::from_us(1))
+                .then_some((core, r.time))
+        })
+        .expect("TurboMode halts an idle core");
+    let at = halted.since(SimTime::ZERO) + SimDuration::from_us(1);
+    let before = fail_for_a_window(spec, core, at, SimDuration::from_us(150));
+    // Halted while idle, not blocked inside a task body.
+    let kinds: Vec<_> = before.iter().rev().take(2).map(|r| r.event).collect();
+    assert!(
+        matches!(
+            kinds[..],
+            [TraceEvent::Halt { .. }, TraceEvent::TaskEnd { .. }] | [TraceEvent::Halt { .. }]
+        ),
+        "{core} was not idle-halted at {at}: {kinds:?}"
+    );
+}
+
+/// A core that fails in a software-CATA epilogue, after its task ended
+/// and before it asks for work, stays out of dispatch for its window.
+#[test]
+fn failure_during_an_epilogue_recovers() {
+    let spec = base("CATA");
+    // Every software-CATA epilogue holds the RSM lock for at least one
+    // critical section, so half a section after a task end its core is
+    // still in the epilogue.
+    let params = spec.params.as_ref().expect("CATA params");
+    let half = SimDuration::from_ps(params.software_path_or_default().rsm_section.as_ps() / 2);
+    let (_, trace) = run_traced(&spec);
+    let (core, ended) = trace
+        .records()
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::TaskEnd { core, .. } => Some((core, r.time)),
+            _ => None,
+        })
+        .nth(10)
+        .expect("the run ends tasks");
+    let at = ended.since(SimTime::ZERO) + half;
+    let before = fail_for_a_window(spec, core, at, SimDuration::from_us(150));
+    let last = before.last().expect("the core ran a task");
+    assert_eq!(
+        (last.time, matches!(last.event, TraceEvent::TaskEnd { .. })),
+        (ended, true),
+        "{core} was not in its epilogue at {at}"
     );
 }
 
