@@ -326,7 +326,7 @@ impl<'g> Open<'g> {
     }
 
     /// Takes a slot off the free list (or grows the pool) and stamps it
-    /// for one instance of `graph`, with none of its ids' retries used.
+    /// for one instance of `graph`, with fresh records for its ids.
     fn alloc_slot(&mut self, graph: u32, now: SimTime, ready: &mut Ready<'_>) -> u32 {
         let idx = self.free.pop().unwrap_or_else(|| {
             self.slots.push(Slot::default());
@@ -341,7 +341,6 @@ impl<'g> Open<'g> {
         s.shed = false;
         s.indegree.clear();
         s.indegree.extend(self.views[graph as usize].pred_counts());
-        ready.grow(self.slots.len() * self.stride as usize);
         let base = idx as usize * self.stride as usize;
         ready.reuse(base..base + self.stride as usize);
         idx

@@ -129,19 +129,18 @@ pub(crate) trait Source<'g> {
 
 /// The engine state a [`Source`] may touch while it releases tasks: the
 /// scheduler's ready queues, the engine's count of them, and the per-task
-/// tables.
+/// records.
 pub(crate) struct Ready<'a> {
     policy: &'a mut dyn SchedulerPolicy,
     queued: &'a mut usize,
-    crit: &'a mut Vec<bool>,
-    fault: Option<&'a mut FaultState>,
+    tasks: &'a mut Vec<TaskCtl>,
 }
 
 impl Ready<'_> {
     /// Makes `task` ready at criticality `level`.
     #[inline]
     pub(crate) fn push(&mut self, task: TaskId, level: u8) {
-        self.crit[task.index()] = level > 0;
+        self.tasks[task.index()].crit = level > 0;
         self.policy.enqueue(task, level);
         *self.queued += 1;
     }
@@ -151,32 +150,25 @@ impl Ready<'_> {
         *self.queued
     }
 
-    /// Sizes the per-task tables for ids below `ids` (open runs grow
-    /// their id space as the instance pool grows).
-    pub(crate) fn grow(&mut self, ids: usize) {
-        if ids > self.crit.len() {
-            self.crit.resize(ids, false);
-        }
-        if let Some(fs) = self.fault.as_deref_mut() {
-            fs.grow_tasks(ids);
-        }
-    }
-
-    /// Forgets the fault history of the ids in `ids`: an open run stamps
-    /// a new instance into a recycled slot's ids.
+    /// Gives the ids in `ids` fresh records, growing the table to cover
+    /// them: a closed run sizes it for its graph, an open run stamps each
+    /// new instance into a slot's ids, recycled or not.
     pub(crate) fn reuse(&mut self, ids: std::ops::Range<usize>) {
-        if let Some(fs) = self.fault.as_deref_mut() {
-            fs.task_retries[ids].fill(0);
+        if ids.end > self.tasks.len() {
+            self.tasks.resize(ids.end, TaskCtl::default());
         }
+        self.tasks[ids].fill(TaskCtl::default());
     }
 }
 
 /// What a core is doing, from the executor's point of view. The lifetime
 /// is the task graph's: a running task borrows its profile from the graph
-/// instead of cloning it per assignment.
-#[derive(Debug)]
+/// instead of cloning it per assignment. A core is in the [`IdleIndex`]
+/// exactly when it is `Idle` or `Halted`.
+#[derive(Debug, Default)]
 enum CoreRun<'g> {
     /// Spinning in the runtime idle loop.
+    #[default]
     Idle,
     /// Halted in C1 (idle timeout, only with `idle_to_halt`).
     Halted,
@@ -184,25 +176,42 @@ enum CoreRun<'g> {
     Prologue { task: TaskId },
     /// Executing a task body.
     Running { task: TaskId, rt: RunningTask<'g> },
-    /// Parked at the memory gate: the prologue finished but every
-    /// bandwidth slot is taken. The core stays *busy* (spinning on the
-    /// access), burning energy without progress — interference stretches
-    /// wall time.
-    MemWait { task: TaskId },
+    /// Parked at the memory gate since `since`: the prologue finished but
+    /// every bandwidth slot is taken. The core stays *busy* (spinning on
+    /// the access), burning energy without progress — interference
+    /// stretches wall time.
+    MemWait { task: TaskId, since: SimTime },
     /// Running the runtime epilogue (task-end acceleration path).
     Epilogue,
+    /// Fail-stopped at `since` by the fault schedule: it takes no work
+    /// until its recovery window closes, if it has one.
+    Failed { since: SimTime },
 }
 
-#[derive(Debug)]
+/// Everything the engine keeps about one core.
+#[derive(Debug, Default)]
 struct CoreCtl<'g> {
     run: CoreRun<'g>,
-    /// Bumped on every assignment; stale scheduled events are discarded by
-    /// comparing epochs.
+    /// Bumped on every assignment, failure and recovery; stale scheduled
+    /// events are discarded by comparing epochs.
     epoch: u64,
-    /// An IdleHalt event is pending for the current idle period.
-    halt_scheduled: bool,
-    /// The acceleration manager has been told about the current idle period.
-    idle_notified: bool,
+    /// Holds a memory-bandwidth slot (contended memory only). Guards stale
+    /// release events after faults and re-executions.
+    mem_slot: bool,
+    /// Consecutive transient failures of the core's pending DVFS settle
+    /// (fault injection only).
+    settle_retries: u32,
+}
+
+/// Everything the engine keeps about one task id.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TaskCtl {
+    /// Critical as classified when it last became ready, or as requeued
+    /// after a core failure displaced it.
+    crit: bool,
+    /// Transient-fault re-executions used, bounded by `max_retries` so a
+    /// p=1 schedule still terminates.
+    retries: u32,
 }
 
 /// Sentinel for "not linked" in [`IdleIndex`].
@@ -227,7 +236,6 @@ pub(crate) struct IdleIndex {
     prev: Vec<u32>,
     /// 0 = preferred (static-fast under a fast-preferring policy), 1 = rest.
     class: Vec<u8>,
-    linked: Vec<bool>,
     /// Static speed class, for the `fast_core_idle` dispatch context.
     is_fast: Vec<bool>,
     head: [u32; 2],
@@ -245,8 +253,6 @@ impl IdleIndex {
         self.next.resize(n, NIL);
         self.prev.clear();
         self.prev.resize(n, NIL);
-        self.linked.clear();
-        self.linked.resize(n, false);
         self.class.clear();
         self.class.extend(
             is_fast_static
@@ -266,8 +272,11 @@ impl IdleIndex {
     /// Appends a newly available core at the tail of its class list.
     fn push(&mut self, core: CoreId) {
         let i = core.index();
-        debug_assert!(!self.linked[i], "{core} already available");
         let c = self.class[i] as usize;
+        debug_assert!(
+            self.prev[i] == NIL && self.head[c] != core.0,
+            "{core} already available"
+        );
         let t = self.tail[c];
         self.prev[i] = t;
         self.next[i] = NIL;
@@ -277,7 +286,6 @@ impl IdleIndex {
             self.next[t as usize] = core.0;
         }
         self.tail[c] = core.0;
-        self.linked[i] = true;
         if self.is_fast[i] {
             self.avail_fast += 1;
         }
@@ -286,9 +294,9 @@ impl IdleIndex {
     /// Unlinks a core that got work assigned.
     fn remove(&mut self, core: CoreId) {
         let i = core.index();
-        debug_assert!(self.linked[i], "{core} not available");
         let c = self.class[i] as usize;
         let (p, n) = (self.prev[i], self.next[i]);
+        debug_assert!(p != NIL || self.head[c] == core.0, "{core} not available");
         if p == NIL {
             self.head[c] = n;
         } else {
@@ -301,7 +309,6 @@ impl IdleIndex {
         }
         self.prev[i] = NIL;
         self.next[i] = NIL;
-        self.linked[i] = false;
         if self.is_fast[i] {
             self.avail_fast -= 1;
         }
@@ -339,28 +346,16 @@ impl IdleIndex {
             fast_core_idle: self.avail_fast > 0 && !self.is_fast[core.index()],
         }
     }
-
-    /// True if `core` is currently linked as available — fault injection
-    /// must evict a failing idle core, but only if it is actually listed.
-    fn is_linked(&self, core: CoreId) -> bool {
-        self.linked[core.index()]
-    }
 }
 
-/// Per-run fault-injection state: the schedule's bookkeeping, the seeded
-/// RNG, and the accumulating [`FaultReport`]. Present only when the
-/// scenario carries a [`FaultSpec`]; fault-free runs never touch it.
+/// Run-wide fault-injection state: the schedule, the recovery policy,
+/// the seeded RNG, and the accumulating [`FaultReport`]. Present only
+/// when the scenario carries a [`FaultSpec`]; fault-free runs never touch
+/// it.
 struct FaultState {
     spec: FaultSpec,
     policy: Box<dyn RecoveryPolicy>,
     rng: SplitMix64,
-    /// When each currently-failed core failed (`None` while it is up).
-    fail_since: Vec<Option<SimTime>>,
-    /// Consecutive transient failures of the core's pending DVFS settle.
-    settle_retries: Vec<u32>,
-    /// Per-task transient-fault re-executions used (bounded by
-    /// `max_retries` so a p=1 schedule still terminates).
-    task_retries: Vec<u32>,
     /// Requeued displaced tasks not yet re-dispatched, with when each was
     /// displaced (recovery-latency samples). Only a core failure
     /// displaces a task, so the list stays short.
@@ -369,27 +364,16 @@ struct FaultState {
 }
 
 impl FaultState {
-    /// Fresh state for `cores` cores, with the recovery policy `spec` names
-    /// (an unknown key fails); the per-task tables start empty and grow
-    /// with the source's id space ([`Ready::grow`]).
-    fn new(spec: &FaultSpec, seed: u64, cores: usize) -> Result<Self, ExpError> {
+    /// Fresh state with the recovery policy `spec` names (an unknown key
+    /// fails).
+    fn new(spec: &FaultSpec, seed: u64) -> Result<Self, ExpError> {
         Ok(FaultState {
             spec: spec.clone(),
             policy: default_recovery_registry().build(&spec.recovery, spec)?,
             rng: fault_rng(seed),
-            fail_since: vec![None; cores],
-            settle_retries: vec![0; cores],
-            task_retries: Vec::new(),
             displaced: Vec::new(),
             report: FaultReport::default(),
         })
-    }
-
-    /// Grows the per-task table to cover ids below `tasks`.
-    fn grow_tasks(&mut self, tasks: usize) {
-        if tasks > self.task_retries.len() {
-            self.task_retries.resize(tasks, 0);
-        }
     }
 
     /// Takes `task`'s pending displacement, if it has one.
@@ -399,20 +383,15 @@ impl FaultState {
     }
 }
 
-/// Per-run memory-gate state: the shared [`MemorySubsystem`] and the
-/// arbitration policy that grants its slots, per-core wait/hold
-/// bookkeeping, and the accumulating [`MemoryReport`]. Present only when
-/// the scenario carries a *contended* [`MemorySpec`]; uncontended runs
-/// never touch it, so the legacy model stays bit-identical.
+/// Run-wide memory-gate state: the shared [`MemorySubsystem`], the
+/// arbitration policy that grants its slots, and the accumulating
+/// [`MemoryReport`]. Present only when the scenario carries a *contended*
+/// [`MemorySpec`]; uncontended runs never touch it, so the legacy model
+/// stays bit-identical.
 struct MemState {
     /// The bandwidth slots and their queue of waiters.
     sub: MemorySubsystem,
     policy: Box<dyn ArbitrationPolicy>,
-    /// When each core's pending slot request was enqueued.
-    wait_since: Vec<Option<SimTime>>,
-    /// Per-core "currently holds a slot" flag — guards stale release
-    /// events after faults and re-executions.
-    holding: Vec<bool>,
     /// Demand of queued requests that a core failure cancelled: requested,
     /// never serviced. Closes the memory ledger checked at the end of a
     /// debug run; kept out of the report so serialized reports do not
@@ -422,15 +401,12 @@ struct MemState {
 }
 
 impl MemState {
-    /// Fresh gate state for `cores` cores, with the arbitration policy
-    /// `spec` names (an unknown key fails). `spec` contends: at least one
-    /// slot.
-    fn new(spec: &MemorySpec, cores: usize) -> Result<Self, ExpError> {
+    /// Fresh gate state with the arbitration policy `spec` names (an
+    /// unknown key fails). `spec` contends: at least one slot.
+    fn new(spec: &MemorySpec) -> Result<Self, ExpError> {
         Ok(MemState {
             policy: default_arbitration_registry().build(&spec.arbitration, spec)?,
             sub: MemorySubsystem::new(spec.slots as usize),
-            wait_since: vec![None; cores],
-            holding: vec![false; cores],
             cancelled: SimDuration::ZERO,
             report: MemoryReport {
                 slots: spec.slots,
@@ -452,7 +428,7 @@ const RECONFIG_RETRY_DELAY: SimDuration = SimDuration::from_us(1);
 #[derive(Debug, Default)]
 pub(crate) struct EngineBufs {
     pub(crate) events: EventQueue<Ev>,
-    pub(crate) crit: Vec<bool>,
+    pub(crate) tasks: Vec<TaskCtl>,
     pub(crate) idle: IdleIndex,
 }
 
@@ -509,14 +485,18 @@ fn run_with_scratch(
         let result = engine.run(workload);
         let Engine {
             events,
-            crit,
+            tasks,
             idle,
             src: Closed { indegree, .. },
             trace,
             ..
         } = engine;
         cell.replace(EngineScratch {
-            bufs: EngineBufs { events, crit, idle },
+            bufs: EngineBufs {
+                events,
+                tasks,
+                idle,
+            },
             indegree,
         });
         result.map(|report| (report, trace))
@@ -612,7 +592,7 @@ impl Closed<'_> {
 impl<'g> Source<'g> for Closed<'g> {
     fn first_submit(&mut self, ready: &mut Ready<'_>) -> Option<SimTime> {
         let n = self.graph.num_tasks();
-        ready.grow(n);
+        ready.reuse(0..n);
         (n > 0).then(|| SimTime::ZERO + self.submission_cost(TaskId(0)))
     }
 
@@ -693,15 +673,13 @@ pub(crate) struct Engine<'g, S> {
     /// Cores that entered the idle loop since the last dispatch: their
     /// decel debounce / halt timers still need arming.
     new_idle: Vec<u32>,
-    /// Criticality classification per task id, set when a task becomes
-    /// ready.
-    crit: Vec<bool>,
+    /// One record per task id, indexed by id.
+    tasks: Vec<TaskCtl>,
     counters: Counters,
     trace: Trace,
-    last_completion: SimTime,
-    /// Time of the last processed event (≥ `last_completion`; the
-    /// machine-finish instant even when an open run's trailing arrivals
-    /// were dropped).
+    /// Time of the last processed event, where the run ends: a closed
+    /// run's last completion, or later in an open run whose trailing
+    /// arrivals were dropped.
     horizon: SimTime,
     /// Fault-injection bookkeeping; `None` on a perfect machine.
     fault: Option<FaultState>,
@@ -727,12 +705,12 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             spec.fast_cores
         );
         let fault = match &spec.faults {
-            Some(f) => Some(FaultState::new(f, spec.seed, n_cores)?),
+            Some(f) => Some(FaultState::new(f, spec.seed)?),
             None => None,
         };
         // An unlimited-slot spec is the uncontended model: no gate.
         let mem = match spec.memory.as_ref().filter(|m| !m.is_noop()) {
-            Some(m) => Some(MemState::new(m, n_cores)?),
+            Some(m) => Some(MemState::new(m)?),
             None => None,
         };
 
@@ -747,10 +725,10 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
 
         let EngineBufs {
             events,
-            mut crit,
+            mut tasks,
             mut idle,
         } = bufs;
-        crit.clear();
+        tasks.clear();
         idle.reset(n_cores, prefer_fast, &is_fast_static);
 
         Ok(Engine {
@@ -761,20 +739,12 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             queued: 0,
             accel,
             events,
-            cores: (0..n_cores)
-                .map(|_| CoreCtl {
-                    run: CoreRun::Idle,
-                    epoch: 0,
-                    halt_scheduled: false,
-                    idle_notified: false,
-                })
-                .collect(),
+            cores: (0..n_cores).map(|_| CoreCtl::default()).collect(),
             idle,
             new_idle: (0..n_cores as u32).collect(),
-            crit,
+            tasks,
             counters: Counters::default(),
             trace: Trace::with_mode(spec.trace),
-            last_completion: SimTime::ZERO,
             horizon: SimTime::ZERO,
             fault,
             mem,
@@ -787,8 +757,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         let mut ready = Ready {
             policy: self.policy.as_mut(),
             queued: &mut self.queued,
-            crit: &mut self.crit,
-            fault: self.fault.as_mut(),
+            tasks: &mut self.tasks,
         };
         hook(&mut self.src, &mut ready)
     }
@@ -820,11 +789,15 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         while self.src.pending() {
             let Some((now, ev)) = self.events.pop() else {
                 let ready = self.queued;
-                if let Some(fs) = &self.fault {
+                if self.fault.is_some() {
                     // An exhausted queue with work remaining is a *clean*
                     // outcome under fault injection: the schedule removed
                     // the capacity the rest of the run needed.
-                    let dead = fs.fail_since.iter().filter(|t| t.is_some()).count();
+                    let dead = self
+                        .cores
+                        .iter()
+                        .filter(|c| matches!(c.run, CoreRun::Failed { .. }))
+                        .count();
                     return Err(ExpError::Stalled(format!(
                         "fault schedule removed the capacity the run needed: \
                          {}, {ready} ready, {dead} core(s) failed",
@@ -842,16 +815,15 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             self.dispatch(now);
         }
 
-        // The last processed event bounds every machine-activity stamp. In
-        // a closed run it *is* the last completion; in an open run a
-        // trailing dropped arrival or idle-halt can sit later.
-        let end = self.horizon.max(self.last_completion);
+        let end = self.horizon;
         let service = self.src.finish(end);
         // Close the capacity ledger: cores still failed at run end lost
         // the remainder of the window.
         let fault = self.fault.take().map(|mut fs| {
-            for t in fs.fail_since.iter_mut().filter_map(Option::take) {
-                fs.report.capacity_lost += end.saturating_since(t);
+            for c in &self.cores {
+                if let CoreRun::Failed { since } = c.run {
+                    fs.report.capacity_lost += end.saturating_since(since);
+                }
             }
             fs.report
         });
@@ -943,33 +915,30 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
     /// the capacity the failure costs.
     fn core_fail(&mut self, core: CoreId, permanent: bool, now: SimTime) {
         let i = core.index();
-        let Some(fs) = self.fault.as_mut() else {
-            return;
-        };
-        if fs.fail_since[i].is_some() {
+        let ctl = &mut self.cores[i];
+        if matches!(ctl.run, CoreRun::Failed { .. }) {
             return; // overlapping windows: already down
         }
-        fs.fail_since[i] = Some(now);
+        let fs = self.fault.as_mut().expect("fault state present");
         fs.report.injected += 1;
-
-        // An in-flight task (prologue, body, or a blocked body) dies with
-        // the core; a task in epilogue already completed.
-        let displaced = match self.cores[i].run {
-            CoreRun::Prologue { task } => Some(task),
-            CoreRun::Running { task, .. } => Some(task),
-            // A task parked at the memory gate dies with its core too.
-            CoreRun::MemWait { task } => Some(task),
-            _ => None,
-        };
-        if self.idle.is_linked(core) {
-            self.idle.remove(core);
-        }
-        let ctl = &mut self.cores[i];
         ctl.epoch += 1;
-        ctl.halt_scheduled = false;
-        ctl.idle_notified = false;
-        ctl.run = CoreRun::Halted;
+        let was = std::mem::replace(&mut ctl.run, CoreRun::Failed { since: now });
+        let held_slot = std::mem::take(&mut ctl.mem_slot);
         self.machine.set_activity(core, now, Activity::Halted);
+
+        // An in-flight task (prologue, body, a blocked body, or parked at
+        // the memory gate) dies with the core; a task in epilogue already
+        // completed.
+        let displaced = match was {
+            CoreRun::Idle | CoreRun::Halted => {
+                self.idle.remove(core);
+                None
+            }
+            CoreRun::Prologue { task }
+            | CoreRun::Running { task, .. }
+            | CoreRun::MemWait { task, .. } => Some(task),
+            CoreRun::Epilogue | CoreRun::Failed { .. } => None,
+        };
 
         // A failed core frees its memory-gate state before displacement
         // handling, so a freed slot flows to waiters even when the
@@ -977,11 +946,10 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         // released (a waiter may be granted right now), a queued request
         // is cancelled.
         if let Some(ms) = self.mem.as_mut() {
-            if ms.holding[i] {
-                ms.holding[i] = false;
+            if held_slot {
                 ms.sub.release();
                 self.mem_grant(now);
-            } else if ms.wait_since[i].take().is_some() {
+            } else if matches!(was, CoreRun::MemWait { .. }) {
                 if let Some(req) = ms.sub.cancel_core(core) {
                     ms.cancelled += SimDuration::from_ps(req.mem_ps);
                 }
@@ -996,7 +964,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             // displaced task just evaporates with it.
             return;
         }
-        let critical = self.crit[task.index()];
+        let critical = self.tasks[task.index()].crit;
         let fs = self.fault.as_mut().expect("fault state present");
         fs.report.displaced += 1;
         let action = fs.policy.on_displaced(&RecoveryCtx {
@@ -1022,7 +990,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         let mut level = self.src.level(task);
         if prefer_fast && level == 0 {
             level = 1;
-            self.crit[task.index()] = true;
+            self.tasks[task.index()].crit = true;
         }
         self.policy.enqueue(task, level);
         self.queued += 1;
@@ -1032,20 +1000,15 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
     /// and can take work again. Time spent down is charged to the
     /// capacity ledger.
     fn core_recover(&mut self, core: CoreId, now: SimTime) {
-        let i = core.index();
-        let Some(fs) = self.fault.as_mut() else {
+        let ctl = &mut self.cores[core.index()];
+        let CoreRun::Failed { since } = ctl.run else {
             return;
         };
-        let Some(t) = fs.fail_since[i].take() else {
-            return;
-        };
+        let fs = self.fault.as_mut().expect("fault state present");
         fs.report.recovered_cores += 1;
-        fs.report.capacity_lost += now.saturating_since(t);
-        let ctl = &mut self.cores[i];
+        fs.report.capacity_lost += now.saturating_since(since);
         ctl.epoch += 1;
         ctl.run = CoreRun::Idle;
-        ctl.halt_scheduled = false;
-        ctl.idle_notified = false;
         self.idle.push(core);
         self.new_idle.push(core.0);
         self.machine.set_activity(core, now, Activity::Idle);
@@ -1125,25 +1088,17 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         let mut new_idle = std::mem::take(&mut self.new_idle);
         new_idle.sort_unstable();
         for &core in &new_idle {
-            let c = &mut self.cores[core as usize];
+            let c = &self.cores[core as usize];
             if !matches!(c.run, CoreRun::Idle) {
                 continue;
             }
-            if !c.idle_notified {
-                c.idle_notified = true;
-                let epoch = c.epoch;
-                self.events.push(
-                    now + self.spec.idle_decel_delay,
-                    Ev::IdleDecel { core, epoch },
-                );
-            }
+            let epoch = c.epoch;
+            self.events.push(
+                now + self.spec.idle_decel_delay,
+                Ev::IdleDecel { core, epoch },
+            );
             if let Some(delay) = self.spec.idle_to_halt {
-                let c = &mut self.cores[core as usize];
-                if !c.halt_scheduled {
-                    c.halt_scheduled = true;
-                    let epoch = c.epoch;
-                    self.events.push(now + delay, Ev::IdleHalt { core, epoch });
-                }
+                self.events.push(now + delay, Ev::IdleHalt { core, epoch });
             }
         }
         new_idle.clear();
@@ -1164,8 +1119,6 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         let was_halted = matches!(self.cores[core.index()].run, CoreRun::Halted);
         let ctl = &mut self.cores[core.index()];
         ctl.epoch += 1;
-        ctl.halt_scheduled = false;
-        ctl.idle_notified = false;
         let epoch = ctl.epoch;
         ctl.run = CoreRun::Prologue { task };
         self.machine.set_activity(core, now, Activity::Busy);
@@ -1181,7 +1134,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         }
         t += self.spec.costs.dispatch;
 
-        let critical = self.crit[task.index()];
+        let critical = self.tasks[task.index()].crit;
         let e = self
             .accel
             .on_task_start(core, critical, t, &mut self.machine, &mut self.counters);
@@ -1209,7 +1162,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             TraceEvent::TaskStart {
                 core,
                 task: task.0,
-                critical: self.crit[task.index()],
+                critical: self.tasks[task.index()].crit,
             },
         );
         self.gate_or_begin(core, task, now);
@@ -1230,17 +1183,18 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             self.begin_body(core, task, now);
             return;
         }
-        let crit = self.crit[task.index()];
+        let crit = self.tasks[task.index()].crit;
         let ms = self.mem.as_mut().expect("gate only runs contended");
         ms.report.requests += 1;
         ms.report.demand += SimDuration::from_ps(mem_ps);
         if crit {
             ms.report.crit_requests += 1;
         }
+        let ctl = &mut self.cores[core.index()];
         if ms.sub.try_acquire() {
-            ms.holding[core.index()] = true;
+            ctl.mem_slot = true;
             ms.report.serviced += SimDuration::from_ps(mem_ps);
-            let epoch = self.cores[core.index()].epoch;
+            let epoch = ctl.epoch;
             self.events.push(
                 now + SimDuration::from_ps(mem_ps),
                 Ev::MemRelease {
@@ -1252,8 +1206,7 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         } else {
             ms.sub.enqueue(core, u8::from(crit), mem_ps);
             ms.report.waited += 1;
-            ms.wait_since[core.index()] = Some(now);
-            self.cores[core.index()].run = CoreRun::MemWait { task };
+            ctl.run = CoreRun::MemWait { task, since: now };
         }
     }
 
@@ -1274,16 +1227,12 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
     /// arbitration policy hand it to a waiter. Stale releases (the core
     /// failed, bumping its epoch, or no longer holds) are ignored.
     fn mem_release(&mut self, core: CoreId, epoch: u64, now: SimTime) {
-        if self.cores[core.index()].epoch != epoch {
+        let ctl = &mut self.cores[core.index()];
+        if ctl.epoch != epoch || !ctl.mem_slot {
             return;
         }
-        let Some(ms) = self.mem.as_mut() else {
-            return;
-        };
-        if !ms.holding[core.index()] {
-            return;
-        }
-        ms.holding[core.index()] = false;
+        ctl.mem_slot = false;
+        let ms = self.mem.as_mut().expect("gate only runs contended");
         ms.sub.release();
         self.mem_grant(now);
     }
@@ -1300,18 +1249,20 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
                 return;
             };
             let core = req.core;
-            let wait = ms.wait_since[core.index()]
-                .take()
-                .map(|t| now.saturating_since(t))
-                .unwrap_or(SimDuration::ZERO);
+            let ctl = &mut self.cores[core.index()];
+            let CoreRun::MemWait { task, since } = ctl.run else {
+                debug_assert!(false, "granted {core} is not waiting on memory");
+                continue;
+            };
+            let wait = now.saturating_since(since);
             ms.report.total_wait += wait;
             ms.report.max_wait = ms.report.max_wait.max(wait);
             if req.crit_level > 0 {
                 ms.report.crit_wait += wait;
             }
             ms.report.serviced += wait + SimDuration::from_ps(req.mem_ps);
-            ms.holding[core.index()] = true;
-            let epoch = self.cores[core.index()].epoch;
+            ctl.mem_slot = true;
+            let epoch = ctl.epoch;
             self.events.push(
                 now + SimDuration::from_ps(req.mem_ps),
                 Ev::MemRelease {
@@ -1319,10 +1270,6 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
                     epoch,
                 },
             );
-            let CoreRun::MemWait { task } = self.cores[core.index()].run else {
-                debug_assert!(false, "granted {core} is not waiting on memory");
-                continue;
-            };
             self.begin_body(core, task, now);
         }
     }
@@ -1397,11 +1344,12 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         let Some(fs) = self.fault.as_mut() else {
             return false;
         };
+        let retries = &mut self.tasks[task.index()].retries;
         if fs.spec.task_fault_p > 0.0
-            && fs.task_retries[task.index()] < fs.spec.max_retries
+            && *retries < fs.spec.max_retries
             && fs.rng.next_unit() < fs.spec.task_fault_p
         {
-            fs.task_retries[task.index()] += 1;
+            *retries += 1;
             fs.report.task_faults += 1;
             fs.report.reexecuted += 1;
             return true;
@@ -1424,7 +1372,6 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             .record(now, TraceEvent::TaskEnd { core, task: task.0 });
         self.counters.tasks_completed += 1;
         if !shed {
-            self.last_completion = self.last_completion.max(now);
             self.with_ready(|src, ready| src.complete(task, now, ready));
         }
 
@@ -1465,21 +1412,21 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
         // writes are dropped and the core degrades to its current class.
         if let Some(fs) = self.fault.as_mut() {
             if fs.spec.reconfig_fail_p > 0.0 {
-                let i = core.index();
+                let retries = &mut self.cores[core.index()].settle_retries;
                 if fs.rng.next_unit() < fs.spec.reconfig_fail_p {
                     fs.report.reconfig_faults += 1;
-                    if fs.settle_retries[i] < fs.spec.max_retries {
-                        fs.settle_retries[i] += 1;
+                    if *retries < fs.spec.max_retries {
+                        *retries += 1;
                         self.events
                             .push(now + RECONFIG_RETRY_DELAY, Ev::DvfsSettle { core: core.0 });
                     } else {
-                        fs.settle_retries[i] = 0;
+                        *retries = 0;
                         fs.report.reconfig_exhausted += 1;
                     }
                     return;
                 }
-                if fs.settle_retries[i] > 0 {
-                    fs.settle_retries[i] = 0;
+                if *retries > 0 {
+                    *retries = 0;
                     fs.report.reconfig_recovered += 1;
                 }
             }
@@ -1513,7 +1460,6 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             return;
         }
         ctl.run = CoreRun::Halted;
-        ctl.halt_scheduled = false;
         self.machine.set_activity(core, now, Activity::Halted);
         self.counters.halts += 1;
         self.trace.record(now, TraceEvent::Halt { core });
