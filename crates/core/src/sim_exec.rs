@@ -346,6 +346,37 @@ impl IdleIndex {
             fast_core_idle: self.avail_fast > 0 && !self.is_fast[core.index()],
         }
     }
+
+    /// Debug shadow check: both class lists, walked link by link, hold
+    /// exactly the `Idle` and `Halted` cores, and `avail_fast` counts the
+    /// static-fast ones among them.
+    fn check(&self, cores: &[CoreCtl<'_>]) {
+        let idle = |i: usize| matches!(cores[i].run, CoreRun::Idle | CoreRun::Halted);
+        let (next, prev, class) = (&self.next[..], &self.prev[..], &self.class[..]);
+        let (mut listed, mut fast) = (0, 0);
+        for c in 0..2 {
+            let (mut back, mut cur) = (NIL, self.head[c]);
+            while cur != NIL {
+                let i = cur as usize;
+                assert!(listed < cores.len(), "idle list {c} loops");
+                assert!(idle(i), "core {i} is listed idle but is not");
+                assert!(
+                    usize::from(class[i]) == c && prev[i] == back,
+                    "core {i} is misplaced in idle list {c}"
+                );
+                listed += 1;
+                fast += usize::from(self.is_fast[i]);
+                (back, cur) = (cur, next[i]);
+            }
+            assert!(self.tail[c] == back, "idle list {c}'s tail");
+        }
+        let mut want = 0;
+        for core in cores {
+            want += usize::from(matches!(core.run, CoreRun::Idle | CoreRun::Halted));
+        }
+        assert!(listed == want, "idle lists miss an idle core");
+        assert!(fast == self.avail_fast, "idle fast-core count");
+    }
 }
 
 /// Run-wide fault-injection state: the schedule, the recovery policy,
@@ -1077,6 +1108,9 @@ impl<'g, S: Source<'g>> Engine<'g, S> {
             self.policy.len(),
             "ready count drifted from the policy's queues"
         );
+        if cfg!(debug_assertions) {
+            self.idle.check(&self.cores);
+        }
         // Cores that entered the idle loop since the last dispatch and are
         // still idle: arm the CATA deceleration debounce (§V-B deceleration
         // fires only if the core is *still* idle after the delay) and the
