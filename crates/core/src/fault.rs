@@ -266,22 +266,6 @@ impl FaultReport {
         )
     }
 
-    /// Merges another report into this one (shard/store merging).
-    pub fn merge(&mut self, o: &FaultReport) {
-        self.injected += o.injected;
-        self.recovered_cores += o.recovered_cores;
-        self.displaced += o.displaced;
-        self.reexecuted += o.reexecuted;
-        self.shed += o.shed;
-        self.task_faults += o.task_faults;
-        self.reconfig_faults += o.reconfig_faults;
-        self.reconfig_recovered += o.reconfig_recovered;
-        self.reconfig_exhausted += o.reconfig_exhausted;
-        self.capacity_lost += o.capacity_lost;
-        self.recovery_latency.merge(&o.recovery_latency);
-        self.makespan_degradation = self.makespan_degradation.max(o.makespan_degradation);
-    }
-
     /// One-line human summary appended to `RunReport::summary()`.
     pub fn summary(&self) -> String {
         format!(
@@ -581,7 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn report_digest_is_stable_and_merge_accumulates() {
+    fn report_digest_is_stable_and_round_trips() {
         let mut a = FaultReport {
             injected: 2,
             displaced: 3,
@@ -592,18 +576,8 @@ mod tests {
         };
         a.recovery_latency.record(SimDuration::from_us(10));
         assert_eq!(a.digest(), a.clone().digest());
-        let b = FaultReport {
-            injected: 1,
-            shed: 4,
-            makespan_degradation: 1.5,
-            ..FaultReport::default()
-        };
         let d_before = a.digest();
-        a.merge(&b);
-        assert_eq!(a.injected, 3);
-        assert_eq!(a.shed, 4);
-        assert_eq!(a.capacity_lost, SimDuration::from_ms(1));
-        assert_eq!(a.makespan_degradation, 1.5);
+        a.shed = 4;
         assert_ne!(a.digest(), d_before);
         // Round trip.
         let json = serde_json::to_string(&a).unwrap();

@@ -130,22 +130,6 @@ impl MemoryReport {
         )
     }
 
-    /// Merges another report into this one (shard/store merging).
-    pub fn merge(&mut self, o: &MemoryReport) {
-        self.requests += o.requests;
-        self.waited += o.waited;
-        self.total_wait += o.total_wait;
-        self.max_wait = self.max_wait.max(o.max_wait);
-        self.crit_requests += o.crit_requests;
-        self.crit_wait += o.crit_wait;
-        self.demand += o.demand;
-        self.serviced += o.serviced;
-        if self.arbitration.is_empty() {
-            self.slots = o.slots;
-            self.arbitration = o.arbitration.clone();
-        }
-    }
-
     /// One-line human summary appended to `RunReport::summary()`. Times
     /// are raw picosecond integers so scripts can compare policies
     /// without parsing unit suffixes.
@@ -263,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn report_digest_is_stable_and_merge_accumulates() {
+    fn report_digest_is_stable_and_round_trips() {
         let mut a = MemoryReport {
             requests: 4,
             waited: 2,
@@ -277,17 +261,8 @@ mod tests {
             arbitration: "fifo".to_string(),
         };
         assert_eq!(a.digest(), a.clone().digest());
-        let b = MemoryReport {
-            requests: 1,
-            max_wait: SimDuration::from_us(9),
-            slots: 2,
-            arbitration: "fifo".to_string(),
-            ..MemoryReport::default()
-        };
         let d_before = a.digest();
-        a.merge(&b);
-        assert_eq!(a.requests, 5);
-        assert_eq!(a.max_wait, SimDuration::from_us(9));
+        a.max_wait = SimDuration::from_us(9);
         assert_ne!(a.digest(), d_before);
         let json = serde_json::to_string(&a).unwrap();
         let back: MemoryReport = serde_json::from_str(&json).unwrap();

@@ -205,23 +205,6 @@ impl LatencyHistogram {
         self.buckets.iter().map(|&(b, c)| (floor(b), c))
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        if other.total == 0 {
-            return;
-        }
-        self.buckets.extend_from_slice(&other.buckets);
-        fold(&mut self.buckets);
-        self.min_ps = if self.total == 0 {
-            other.min_ps
-        } else {
-            self.min_ps.min(other.min_ps)
-        };
-        self.max_ps = self.max_ps.max(other.max_ps);
-        self.sum_ps += other.sum_ps;
-        self.total += other.total;
-    }
-
     /// Folds a legacy per-sample list (`{"samples_ps": [...]}`) in.
     fn read_samples(d: &mut dyn Deserializer) -> Result<Self, DeError> {
         let mut h = LatencyHistogram::new();
@@ -491,21 +474,6 @@ pub struct Counters {
     pub sim_events: u64,
 }
 
-impl Counters {
-    /// Adds another counter set into this one.
-    pub fn merge(&mut self, o: &Counters) {
-        self.tasks_completed += o.tasks_completed;
-        self.reconfigs_requested += o.reconfigs_requested;
-        self.reconfigs_applied += o.reconfigs_applied;
-        self.reconfigs_noop += o.reconfigs_noop;
-        self.accel_denied += o.accel_denied;
-        self.accel_swaps += o.accel_swaps;
-        self.cross_queue_steals += o.cross_queue_steals;
-        self.halts += o.halts;
-        self.sim_events += o.sim_events;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,17 +506,6 @@ mod tests {
         assert_eq!(s.quantile(0.5), SimDuration::from_ps(228 << 17));
         let exact = SimDuration::from_us(30).as_ps();
         assert!(exact - s.quantile(0.5).as_ps() <= exact / 128);
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyHistogram::new();
-        a.record(SimDuration::from_us(1));
-        let mut b = LatencyHistogram::new();
-        b.record(SimDuration::from_us(3));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), SimDuration::from_us(2));
     }
 
     #[test]
@@ -598,27 +555,6 @@ mod tests {
             b += 1;
         }
         assert_eq!(b, 976, "legacy bucket count");
-    }
-
-    #[test]
-    fn histogram_merge_matches_combined_recording() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut both = LatencyHistogram::new();
-        for i in 0u64..100 {
-            let d = SimDuration::from_ns(i * 37 + 1);
-            if i % 2 == 0 {
-                a.record(d);
-            } else {
-                b.record(d);
-            }
-            both.record(d);
-        }
-        a.merge(&b);
-        assert_eq!(a, both);
-        let mut empty = LatencyHistogram::new();
-        empty.merge(&both);
-        assert_eq!(empty, both);
     }
 
     #[test]
@@ -718,23 +654,5 @@ mod tests {
         h.record(SimDuration::from_ps(171_966_464));
         assert_eq!(LatencyHistogram::QUANTILE_ERROR, 1.0 / 128.0);
         assert_eq!(h.quantile_with_bound(0.99), "171.966us (≤0.8% low)");
-    }
-
-    #[test]
-    fn counters_merge() {
-        let mut a = Counters {
-            tasks_completed: 3,
-            accel_swaps: 1,
-            ..Counters::default()
-        };
-        let b = Counters {
-            tasks_completed: 2,
-            halts: 7,
-            ..Counters::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.tasks_completed, 5);
-        assert_eq!(a.accel_swaps, 1);
-        assert_eq!(a.halts, 7);
     }
 }

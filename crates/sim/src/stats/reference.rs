@@ -123,26 +123,6 @@ impl LatencyHistogram {
             .map(|(b, &c)| (self.floor(b), c))
     }
 
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        if other.total == 0 {
-            return;
-        }
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (dst, &src) in self.counts.iter_mut().zip(&other.counts) {
-            *dst += src;
-        }
-        self.min_ps = if self.total == 0 {
-            other.min_ps
-        } else {
-            self.min_ps.min(other.min_ps)
-        };
-        self.max_ps = self.max_ps.max(other.max_ps);
-        self.sum_ps += other.sum_ps;
-        self.total += other.total;
-    }
-
     fn read_samples(d: &mut dyn Deserializer) -> Result<Self, DeError> {
         let mut h = LatencyHistogram::new();
         d.seq_begin("LatencyHistogram.samples_ps")?;
@@ -285,7 +265,7 @@ fn read_pairs(d: &mut dyn Deserializer, pairs: &mut Vec<(u64, u64)>) -> Result<(
 }
 
 /// The histogram in use against the dense one, over random sample
-/// multisets, merges, and serialized forms both well-formed and not; and
+/// multisets and serialized forms both well-formed and not; and
 /// the recorder against the histogram.
 mod differential {
     use super::{bucket_floor, LatencyHistogram as Dense, SUB, SUB_BITS};
@@ -543,9 +523,8 @@ mod differential {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn records_and_merges_match_the_dense_histogram(
+        fn records_match_the_dense_histogram(
             draws in prop::collection::vec((0u8..8, any::<u64>(), 0u8..4), 0..300),
-            merges in prop::collection::vec((0u8..4, 0u8..4), 0..6),
         ) {
             let xs = samples(&draws.iter().map(|&(k, raw, _)| (k, raw)).collect::<Vec<_>>());
             let mut new: Vec<LatencyHistogram> = vec![LatencyHistogram::new(); 4];
@@ -560,13 +539,6 @@ mod differential {
             for ((h, r), rec) in new.iter().zip(&old).zip(&recorders) {
                 agree(h, r);
                 prop_assert_eq!(&rec.histogram(), h);
-            }
-            for (into, from) in merges {
-                let (into, from) = (usize::from(into), usize::from(from));
-                let (h, r) = (new[from].clone(), old[from].clone());
-                new[into].merge(&h);
-                old[into].merge(&r);
-                agree(&new[into], &old[into]);
             }
         }
 

@@ -340,18 +340,6 @@ impl Frequency {
         self.0
     }
 
-    /// Frequency in kilohertz (the unit the Linux cpufreq interface uses).
-    #[inline]
-    pub const fn as_khz(self) -> u32 {
-        self.0 * 1000
-    }
-
-    /// Frequency in hertz.
-    #[inline]
-    pub const fn as_hz(self) -> u64 {
-        self.0 as u64 * 1_000_000
-    }
-
     /// The wall time taken to execute `cycles` cycles at this frequency.
     ///
     /// Exact for frequencies that divide 10⁶ MHz·ps evenly (all paper
