@@ -555,7 +555,7 @@ impl NativeExecutor {
             counters: Counters {
                 tasks_completed: metrics.tasks_run,
                 reconfigs_requested: metrics.reconfigs,
-                reconfigs_applied: metrics.reconfigs.saturating_sub(metrics.reconfig_failures),
+                reconfigs_applied: metrics.reconfigs.saturating_sub(metrics.reconfig_exhausted),
                 accel_denied: metrics.accel_denied,
                 cross_queue_steals: metrics.cross_queue_steals,
                 ..Counters::default()

@@ -63,17 +63,16 @@ pub struct NativeMetrics {
     pub tasks_run: AtomicU64,
     /// Backend frequency writes issued.
     pub reconfigs: AtomicU64,
-    /// Backend writes that failed (e.g. no cpufreq permission); the runtime
-    /// degrades to scheduling-only.
-    pub reconfig_failures: AtomicU64,
     /// Individual write attempts that failed or timed out (every retry
-    /// counts; `reconfig_failures` counts only writes that stayed failed
+    /// counts; `reconfig_exhausted` counts only writes that stayed failed
     /// after the retry budget).
     pub reconfig_faults: AtomicU64,
     /// Writes that landed after at least one failed attempt.
     pub reconfig_recovered: AtomicU64,
-    /// Writes abandoned with the retry budget exhausted: the core stays
-    /// at its current frequency class (degraded, not wedged).
+    /// Writes abandoned with the retry budget exhausted (e.g. no cpufreq
+    /// permission): the core stays at its current frequency class
+    /// (degraded, not wedged), and the runtime degrades to
+    /// scheduling-only.
     pub reconfig_exhausted: AtomicU64,
     /// Critical tasks that could not be accelerated (no budget).
     pub accel_denied: AtomicU64,
@@ -86,7 +85,6 @@ impl NativeMetrics {
         MetricsSnapshot {
             tasks_run: self.tasks_run.load(Ordering::Relaxed),
             reconfigs: self.reconfigs.load(Ordering::Relaxed),
-            reconfig_failures: self.reconfig_failures.load(Ordering::Relaxed),
             reconfig_faults: self.reconfig_faults.load(Ordering::Relaxed),
             reconfig_recovered: self.reconfig_recovered.load(Ordering::Relaxed),
             reconfig_exhausted: self.reconfig_exhausted.load(Ordering::Relaxed),
@@ -104,8 +102,6 @@ pub struct MetricsSnapshot {
     pub tasks_run: u64,
     /// Backend frequency writes issued.
     pub reconfigs: u64,
-    /// Failed backend writes.
-    pub reconfig_failures: u64,
     /// Failed or timed-out write *attempts* (retries included).
     pub reconfig_faults: u64,
     /// Writes that landed after at least one failed attempt.
@@ -289,9 +285,6 @@ impl Inner {
                 // class, matching what the silicon actually did.
                 self.busy.set_class(cpu, class);
             } else {
-                self.metrics
-                    .reconfig_failures
-                    .fetch_add(1, Ordering::Relaxed);
                 self.metrics
                     .reconfig_exhausted
                     .fetch_add(1, Ordering::Relaxed);
@@ -800,7 +793,7 @@ mod tests {
         }
         rt.wait_all();
         assert_eq!(counter.load(Ordering::Relaxed), 20);
-        assert!(rt.metrics().reconfig_failures > 0);
+        assert!(rt.metrics().reconfig_exhausted > 0);
     }
 
     #[test]
@@ -827,8 +820,7 @@ mod tests {
         let m = rt.metrics();
         assert!(m.reconfig_faults >= 2, "faults: {}", m.reconfig_faults);
         assert!(m.reconfig_recovered >= 1, "nothing recovered");
-        assert_eq!(m.reconfig_failures, 0, "retry should have healed all");
-        assert_eq!(m.reconfig_exhausted, 0);
+        assert_eq!(m.reconfig_exhausted, 0, "retry should have healed all");
     }
 
     #[test]
@@ -851,7 +843,6 @@ mod tests {
         rt.wait_all();
         let m = rt.metrics();
         assert!(m.reconfig_exhausted > 0, "no write exhausted its budget");
-        assert_eq!(m.reconfig_exhausted, m.reconfig_failures);
         assert_eq!(m.reconfig_recovered, 0);
         // Every exhausted write burned its full attempt budget.
         assert!(m.reconfig_faults >= m.reconfig_exhausted * 3);

@@ -115,8 +115,8 @@ fn main() {
     rt.wait_all();
     let m = rt.metrics();
     println!(
-        "ran {} tasks; {} DVFS writes ({} failed), {} denied accelerations, {} ns under the RSM lock",
-        m.tasks_run, m.reconfigs, m.reconfig_failures, m.accel_denied, m.rsm_lock_ns
+        "ran {} tasks; {} DVFS writes ({} exhausted their retries), {} denied accelerations, {} ns under the RSM lock",
+        m.tasks_run, m.reconfigs, m.reconfig_exhausted, m.accel_denied, m.rsm_lock_ns
     );
     println!(
         "accumulator (keeps the optimizer honest): {}",
