@@ -28,6 +28,16 @@
 //! engine is generic over its source and compiled once per source, so a
 //! closed run pays nothing for what only open runs need.
 //!
+//! The engine keeps one record per core and one per task id. A core's
+//! `CoreCtl` holds its `CoreRun` (idle, halted, in its prologue, running,
+//! waiting at the memory gate since some time, in its epilogue, or failed
+//! since some time), the epoch that voids its stale events, whether it
+//! holds a memory slot, and its DVFS-settle retries. A task's `TaskCtl`
+//! holds its criticality and its fault re-executions. `FaultState` and
+//! `MemState` hold only run-wide state. The idle index orders the idle
+//! and halted cores for dispatch; debug builds check after every dispatch
+//! that it lists exactly those cores.
+//!
 //! Determinism: all state transitions are driven by a deterministic event
 //! queue; the only randomness (TurboMode's victim pick, fault draws) is
 //! seeded from the run configuration. Same config + same graph ⇒
